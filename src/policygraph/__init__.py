@@ -88,9 +88,7 @@ from .matching import (
     Witness,
     check_requirement,
     find_matches,
-    match_edge,
     match_graph,
-    match_node,
     match_pattern,
     verdict,
     verdict_all,
@@ -159,7 +157,7 @@ __all__ = [
     # matching
     "Match", "Witness", "Verdict", "CompositeVerdict", "DEFAULT_MATCH_CAP",
     "MatchCapExceeded", "InvalidPolicyError", "MatchingError", "find_matches",
-    "match_node", "match_edge", "match_graph", "match_pattern",
+    "match_graph", "match_pattern",
     "check_requirement", "verdict", "verdict_all",
     # monitor
     "Monitor", "Decision",

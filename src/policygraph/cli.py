@@ -65,8 +65,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         default="check")
     parser.add_argument("--report", choices=["text", "jsonl"], default="text")
     parser.add_argument("--match-cap", type=int, default=DEFAULT_MATCH_CAP, metavar="N")
-    parser.add_argument("--parallel", action="store_true",
-                        help="judge policies on a thread pool in check mode")
     parser.add_argument("--universe", metavar="FILE",
                         help="JSON universe bounds, for algebra contains/coverage")
     parser.add_argument("--op", choices=["and", "or", "reverse", "nullify", "contains", "coverage"],
@@ -89,10 +87,13 @@ def _load_all_policies(paths: Sequence[str]) -> list[PolicyGraph]:
 
 
 def _read_trace_records(spec: str):
+    """Decoded records of the trace file, or of stdin for "-".  A file is
+    closed once its records run out, or when the reader is dropped."""
     if spec == "-":
-        return read_jsonl(sys.stdin)
-    handle = open(spec, "r", encoding="utf-8")
-    return read_jsonl(handle)
+        yield from read_jsonl(sys.stdin)
+        return
+    with open(spec, "r", encoding="utf-8") as handle:
+        yield from read_jsonl(handle)
 
 
 def _validate_or_fail(policies, out) -> int:
@@ -201,7 +202,7 @@ def run(argv: Optional[Sequence[str]] = None, out=None) -> int:
                     }
                     print(json.dumps(record, sort_keys=True), file=out)
             return EXIT_OK
-        report = build_report(policies, graph, args.match_cap, parallel=args.parallel)
+        report = build_report(policies, graph, args.match_cap)
         rendered = render_jsonl(report) if args.report == "jsonl" else render_text(report)
         out.write(rendered)
         return EXIT_OK if report.upheld else EXIT_VIOLATION

@@ -10,30 +10,38 @@ Bindings are never guessed from the value universe.  They are derived solely
 from forced equalities in the residual conditions (see predicates.reduce
 machinery); rule R1 guarantees every variable is forced before a match can
 complete, which is why find_matches demands a policy that validates cleanly.
+
+Predicates are checked in their compiled forms (predicates.BindingPlan and
+compile_ground, kept on the pattern), which give what satisfy(),
+merge_conditions() and evaluate() would; a case a compiled form cannot
+settle goes to those functions.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Mapping, Optional, Sequence
 
 from .policy import PatternGraph, PolicyGraph, domain_of, validate_policy
 from .predicates import (
+    BOTTOM,
     FALSE,
     TRUE,
+    BindingPlan,
     Conditions,
     Const,
-    Expr,
+    Fallback,
     PredicateTypeError,
+    bind_captures,
     evaluate,
     merge_conditions,
     satisfy,
 )
-from .system import SystemGraph
+from .system import SystemEvent, SystemGraph
 from .values import canonical
 
 DEFAULT_MATCH_CAP = 100_000
+SETTLED = Conditions({}, TRUE)  # no bindings yet, nothing left to settle
 
 
 class MatchCapExceeded(RuntimeError):
@@ -73,14 +81,6 @@ class Match:
         )
 
 
-def match_node(pred: Expr, attrs: Mapping[str, Any], bindings: Mapping[str, Any]) -> Conditions:
-    return satisfy(pred, attrs, bindings)
-
-
-def match_edge(pred: Expr, params: Mapping[str, Any], bindings: Mapping[str, Any]) -> Conditions:
-    return satisfy(pred, params, bindings)
-
-
 def match_graph(
     pattern: PatternGraph,
     edge_events: Mapping[str, int],
@@ -93,22 +93,86 @@ def match_graph(
     are the enumerator's business.  An empty pattern holds trivially.
     """
     g = pattern.graph
+    # merging conditions rejects a binding that is not equal to itself (NaN)
+    self_equal = all(v == v for v in bindings.values())
     for edge_id, spec in g.edges.items():
         event = graph.events[edge_events[edge_id]]
-        merged = merge_conditions(
-            [
-                match_edge(pattern.preds[edge_id], event.params, bindings),
-                match_node(pattern.preds[spec.src], graph.src_attr(event), bindings),
-                match_node(pattern.preds[spec.dest], graph.dest_attr(event), bindings),
-            ]
+        contexts = (
+            (edge_id, event.params),
+            (spec.src, graph.src_attr(event)),
+            (spec.dest, graph.dest_attr(event)),
         )
-        if merged.residual != TRUE:
+        if not _holds(pattern, contexts, bindings, self_equal):
             return False
     for node_id in g.isolated_nodes():
         obj_id, instant = isolated_objects[node_id]
-        if match_node(pattern.preds[node_id], graph.attrs_at(obj_id, instant), bindings).residual != TRUE:
+        if not _holds(pattern, ((node_id, graph.attrs_at(obj_id, instant)),), bindings, True):
             return False
     return True
+
+
+def _holds(pattern: PatternGraph, contexts, bindings: Mapping[str, Any], self_equal: bool) -> bool:
+    """Whether merging satisfy() of each (element, context) leaves true."""
+    try:
+        if not self_equal:
+            raise Fallback
+        holds = True
+        for elt, ctx in contexts:
+            value = pattern.ground[elt](ctx, bindings)
+            if value is not True:
+                if value is not False:
+                    raise Fallback
+                holds = False
+        return holds
+    except Fallback:
+        merged = merge_conditions([satisfy(pattern.preds[elt], ctx, bindings) for elt, ctx in contexts])
+        return merged.residual == TRUE
+
+
+FALLBACK = object()  # a compiled domain predicate left the case to the interpreter
+
+
+def edge_captures(pattern: PatternGraph, edge_id: str, event: SystemEvent, graph: SystemGraph) -> Any:
+    """The capture groups of a policy edge's own, source and destination
+    domains at an event: None where one of them is false, FALLBACK where
+    only the interpreter settles them.  Once the outcome is false, a plan
+    that cannot raise is skipped; one that can is still run, since the
+    interpreter would report its error."""
+    spec, plans = pattern.graph.edges[edge_id], pattern.plans
+    edge, src, dest = plans[edge_id], plans[spec.src], plans[spec.dest]
+    try:
+        on_edge = edge(event.params)
+        if on_edge is None and not (src.may_raise or dest.may_raise):
+            return None
+        on_src = src(graph.src_attr(event))
+        if on_src is None and not dest.may_raise:
+            return None
+        on_dest = dest(graph.dest_attr(event))
+    except Fallback:
+        return FALLBACK
+    if on_edge is None or on_src is None or on_dest is None:
+        return None
+    return on_edge, on_src, on_dest
+
+
+def node_captures(plan: BindingPlan, attrs: Mapping[str, Any]) -> Any:
+    """The capture group of a node's domain at a snapshot, in the same
+    form as edge_captures()."""
+    try:
+        found = plan(attrs)
+    except Fallback:
+        return FALLBACK
+    return None if found is None else (found,)
+
+
+def merge_captures(conds: Conditions, found: Any) -> Any:
+    """What merge_conditions would make of conds and the satisfy() results
+    of some domain predicates, given `found`: their capture groups, or None
+    where one of them is false.  FALLBACK where only the interpreter can
+    tell: a plan gave up, or conds has a residual left to settle."""
+    if found is FALLBACK or not conds.is_true:
+        return FALLBACK
+    return BOTTOM if found is None else bind_captures(conds, found)
 
 
 @dataclass
@@ -120,33 +184,53 @@ class _EdgeCandidate:
 
 
 def _edge_candidates(pattern: PatternGraph, graph: SystemGraph) -> dict[str, list[_EdgeCandidate]]:
-    """Per policy edge, the events that pass its local predicate check."""
+    """Per policy edge, the events that pass its local predicate check: the
+    merge of satisfy() of its three domain predicates is not false."""
     out: dict[str, list[_EdgeCandidate]] = {}
     for edge_id, spec in sorted(pattern.graph.edges.items()):
         candidates = []
         for index, event in enumerate(graph.events):
-            conds = merge_conditions(
-                [
-                    match_edge(pattern.preds[edge_id], event.params, {}),
-                    match_node(pattern.preds[spec.src], graph.src_attr(event), {}),
-                    match_node(pattern.preds[spec.dest], graph.dest_attr(event), {}),
-                ]
-            )
+            found = edge_captures(pattern, edge_id, event, graph)
+            if found is None:
+                continue
+            if found is not FALLBACK:
+                # merging the edge's and the source's satisfy() results leaves
+                # their captures in one residual: harvested together, the last
+                # one wins
+                conds = bind_captures(SETTLED, (found[0] + found[1], found[2]))
+            else:
+                conds = merge_conditions(
+                    [
+                        satisfy(pattern.preds[edge_id], event.params, {}),
+                        satisfy(pattern.preds[spec.src], graph.src_attr(event), {}),
+                        satisfy(pattern.preds[spec.dest], graph.dest_attr(event), {}),
+                    ]
+                )
             if not conds.is_false:
                 candidates.append(_EdgeCandidate(index, event.src, event.dest, conds))
         out[edge_id] = candidates
     return out
 
 
-def _iso_candidates(pattern: PatternGraph, graph: SystemGraph) -> dict[str, list[tuple[str, int, Conditions]]]:
-    out: dict[str, list[tuple[str, int, Conditions]]] = {}
+def _iso_candidates(pattern: PatternGraph, graph: SystemGraph) -> dict[str, list[tuple[str, int, Any]]]:
+    """Per isolated policy node, the (object, instant) pairs whose snapshot
+    its domain does not falsify, with node_captures() there."""
+    out: dict[str, list[tuple[str, int, Any]]] = {}
     for node_id in pattern.graph.isolated_nodes():
+        pred, plan = pattern.preds[node_id], pattern.plans[node_id]
         candidates = []
         for obj_id in graph.object_ids():
+            seen = None
             for instant in graph.instants(obj_id):
-                conds = match_node(pattern.preds[node_id], graph.attrs_at(obj_id, instant), {})
-                if not conds.is_false:
-                    candidates.append((obj_id, instant, conds))
+                attrs = graph.attrs_at(obj_id, instant)
+                if attrs is not seen:  # one snapshot holds over many instants
+                    seen, found = attrs, node_captures(plan, attrs)
+                    # the interpreter judges (and reports any error) here,
+                    # not only once the join reaches the candidate
+                    if found is FALLBACK and satisfy(pred, attrs, {}).is_false:
+                        found = None
+                if found is not None:
+                    candidates.append((obj_id, instant, found))
         out[node_id] = candidates
     return out
 
@@ -216,11 +300,14 @@ def match_pattern(
             finish(conds)
             return
         node_id = iso_order[position]
-        for obj_id, instant, cand_conds in iso_cands[node_id]:
+        pred = pattern.preds[node_id]
+        for obj_id, instant, found in iso_cands[node_id]:
             claimed = claim(node_id, obj_id)
             if claimed is None:
                 continue
-            merged = merge_conditions([conds, cand_conds])
+            merged = merge_captures(conds, found)
+            if merged is FALLBACK:
+                merged = merge_conditions([conds, satisfy(pred, graph.attrs_at(obj_id, instant), {})])
             if not merged.is_false:
                 iso_objects[node_id] = (obj_id, instant)
                 assign_iso(position + 1, merged)
@@ -253,7 +340,10 @@ def match_pattern(
             release(claimed_dest)
             release(claimed_src)
 
-    assign_edges(0, Conditions({}, TRUE))
+    assign_edges(0, SETTLED)
+    # The two recursive closures refer to themselves; dropping them frees the
+    # candidate lists now rather than at the collector's next pass.
+    del assign_edges, assign_iso
     matches.sort(key=lambda m: m.key())
     return matches
 
@@ -304,16 +394,24 @@ def check_requirement(p: PolicyGraph, m: Match, graph: SystemGraph) -> tuple[boo
     """
     failing: list[str] = []
     for node_id in sorted(p.graph.nodes):
-        if not _settled(evaluate(p.requirement_preds[node_id], {}, m.bindings), p, node_id):
+        if not _requirement_holds(p, node_id, {}, m.bindings):
             failing.append(node_id)
     for edge_id in sorted(p.graph.edges):
         event = graph.events[m.edge_events[edge_id]]
-        if not _settled(evaluate(p.requirement_preds[edge_id], event.params, m.bindings), p, edge_id):
+        if not _requirement_holds(p, edge_id, event.params, m.bindings):
             failing.append(edge_id)
     return (not failing, tuple(failing))
 
 
-def _settled(result: Expr, p: PolicyGraph, elt: str) -> bool:
+def _requirement_holds(p: PolicyGraph, elt: str, ctx: Mapping[str, Any], bindings: Mapping[str, Any]) -> bool:
+    try:
+        value = p.requirement.ground[elt](ctx, bindings)
+        if value is True or value is False:
+            return value
+    except Fallback:
+        pass
+    # the interpreter settles it, or raises the error it reports
+    result = evaluate(p.requirement_preds[elt], ctx, bindings)
     if not isinstance(result, Const) or not isinstance(result.value, bool):
         raise PredicateTypeError(
             f"requirement on {p.name}/{elt} did not settle to a boolean", result
@@ -331,20 +429,8 @@ def verdict(p: PolicyGraph, graph: SystemGraph, cap: int = DEFAULT_MATCH_CAP) ->
 
 
 def verdict_all(
-    policies: Sequence[PolicyGraph],
-    graph: SystemGraph,
-    cap: int = DEFAULT_MATCH_CAP,
-    parallel: bool = False,
+    policies: Sequence[PolicyGraph], graph: SystemGraph, cap: int = DEFAULT_MATCH_CAP
 ) -> CompositeVerdict:
-    """Judge each policy against the system; the whole set holds iff all do.
-
-    With ``parallel=True`` the per-policy verdicts are computed on a thread
-    pool.  Policies never share mutable state, so the result is identical to
-    the serial order either way.
-    """
-    if parallel and len(policies) > 1:
-        with ThreadPoolExecutor() as pool:
-            verdicts = tuple(pool.map(lambda p: verdict(p, graph, cap), policies))
-    else:
-        verdicts = tuple(verdict(p, graph, cap) for p in policies)
+    """Judge each policy against the system; the whole set holds iff all do."""
+    verdicts = tuple(verdict(p, graph, cap) for p in policies)
     return CompositeVerdict(all(v.upheld for v in verdicts), verdicts)

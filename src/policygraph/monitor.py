@@ -21,18 +21,20 @@ from typing import Any, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .matching import (
     DEFAULT_MATCH_CAP,
+    FALLBACK,
     CompositeVerdict,
     InvalidPolicyError,
     Match,
     MatchCapExceeded,
     MatchingError,
     check_requirement,
-    match_edge,
-    match_node,
+    edge_captures,
+    merge_captures,
+    node_captures,
     verdict_all,
 )
 from .policy import PolicyGraph, domain_of, validate_policy
-from .predicates import TRUE, Conditions, merge_conditions
+from .predicates import TRUE, Conditions, merge_conditions, satisfy
 from .system import SystemEvent, SystemGraph, apply_record
 
 
@@ -108,31 +110,35 @@ class Monitor:
         event_index = len(self.graph.events) - 1
         denied_by: list[str] = []
         grown: list[list[_Partial]] = []
+        over_cap: Optional[str] = None
         for store in self._stores:
             new_partials, failing = self._extend(store, event, event_index)
             grown.append(new_partials)
             if failing:
                 denied_by.append(store.policy.name)
+            elif over_cap is None and len(store.partials) + len(new_partials) > self.match_cap:
+                over_cap = store.policy.name
         if denied_by:
             self.graph._drop_last_event()
             return Decision(event.time, event.src, event.dest, False, tuple(sorted(denied_by)))
+        if over_cap is not None:
+            self.graph._drop_last_event()  # the raise keeps nothing of the event
+            raise MatchCapExceeded(over_cap, self.match_cap)
         for store, new_partials in zip(self._stores, grown):
             store.partials.extend(new_partials)
-            if len(store.partials) > self.match_cap:
-                raise MatchCapExceeded(store.policy.name, self.match_cap)
         return Decision(event.time, event.src, event.dest, True, ())
 
     def _extend(self, store: _PolicyStore, event: SystemEvent, event_index: int) -> tuple[list[_Partial], bool]:
         """Extend stored partials with the new event; report whether some
         completed match fails its requirement."""
-        pattern = store.pattern
         new_partials: list[_Partial] = []
         failing = False
+        found: dict[str, Any] = {}  # per edge, its domains' captures at the event, once needed
         for partial in store.partials:
             for edge_id in store.edge_ids:
                 if edge_id in partial.edge_events:
                     continue
-                extended = self._try_assign(store, partial, edge_id, event, event_index)
+                extended = self._try_assign(store, partial, edge_id, event, event_index, found)
                 if extended is None:
                     continue
                 new_partials.append(extended)
@@ -142,7 +148,13 @@ class Monitor:
         return new_partials, failing
 
     def _try_assign(
-        self, store: _PolicyStore, partial: _Partial, edge_id: str, event: SystemEvent, event_index: int
+        self,
+        store: _PolicyStore,
+        partial: _Partial,
+        edge_id: str,
+        event: SystemEvent,
+        event_index: int,
+        found: dict[str, Any],
     ) -> Optional[_Partial]:
         spec = store.policy.graph.edges[edge_id]
         node_objects = dict(partial.node_objects)
@@ -155,14 +167,19 @@ class Monitor:
                 return None  # another policy node already owns this object
             else:
                 node_objects[node_id] = obj_id
-        conds = merge_conditions(
-            [
-                partial.conds,
-                match_edge(store.pattern.preds[edge_id], event.params, {}),
-                match_node(store.pattern.preds[spec.src], self.graph.src_attr(event), {}),
-                match_node(store.pattern.preds[spec.dest], self.graph.dest_attr(event), {}),
-            ]
-        )
+        if edge_id not in found:
+            found[edge_id] = edge_captures(store.pattern, edge_id, event, self.graph)
+        conds = merge_captures(partial.conds, found[edge_id])
+        if conds is FALLBACK:
+            preds = store.pattern.preds
+            conds = merge_conditions(
+                [
+                    partial.conds,
+                    satisfy(preds[edge_id], event.params, {}),
+                    satisfy(preds[spec.src], self.graph.src_attr(event), {}),
+                    satisfy(preds[spec.dest], self.graph.dest_attr(event), {}),
+                ]
+            )
         if conds.is_false:
             return None
         return _Partial({**partial.edge_events, edge_id: event_index}, node_objects, conds)
@@ -200,14 +217,18 @@ class Monitor:
                 yield dict(assignment), conds
                 return
             node_id = store.iso_ids[position]
+            pred, plan = store.pattern.preds[node_id], store.pattern.plans[node_id]
             for obj_id in self.graph.object_ids():
                 if obj_id in used or obj_id in partial.node_objects.values():
                     continue
                 for instant in self.graph.instants(obj_id):
-                    cand = match_node(store.pattern.preds[node_id], self.graph.attrs_at(obj_id, instant), {})
-                    if cand.is_false:
+                    attrs = self.graph.attrs_at(obj_id, instant)
+                    found = node_captures(plan, attrs)
+                    if found is None:
                         continue
-                    merged = merge_conditions([conds, cand])
+                    merged = merge_captures(conds, found)
+                    if merged is FALLBACK:
+                        merged = merge_conditions([conds, satisfy(pred, attrs, {})])
                     if merged.is_false:
                         continue
                     assignment[node_id] = (obj_id, instant)

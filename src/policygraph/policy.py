@@ -20,17 +20,20 @@ the inline predicates); attribute names may not collide with them there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from dataclasses import dataclass, field, fields
+from functools import cached_property
+from typing import Any, Callable, Mapping, Optional
 
 from .predicates import (
     TRUE,
     BinOp,
+    BindingPlan,
     Expr,
     ParseError,
     TokenCursor,
     Var,
     attributes_of,
+    compile_ground,
     format_expr,
     parse_expression,
     tokenize,
@@ -78,22 +81,47 @@ class BasicGraph:
         )
 
 
+def _fields_only(self) -> dict[str, Any]:
+    """Pickled state: the fields alone, since compiled closures cannot be
+    pickled; whatever was cached is rebuilt on first use."""
+    return {f.name: getattr(self, f.name) for f in fields(self)}
+
+
 @dataclass(frozen=True)
 class PatternGraph:
-    """A basic graph with one predicate per element; what matching consumes."""
+    """A basic graph with one predicate per element; what matching consumes.
+
+    Its predicates are compiled on first use and kept: `plans` for finding
+    candidates, `ground` for checks under complete bindings.
+    """
 
     graph: BasicGraph
     preds: Mapping[str, Expr]
     variables: frozenset[str]
 
+    __getstate__ = _fields_only
+
+    @cached_property
+    def plans(self) -> dict[str, BindingPlan]:
+        return {elt: BindingPlan(e) for elt, e in self.preds.items()}
+
+    @cached_property
+    def ground(self) -> dict[str, Callable[[Mapping[str, Any], Mapping[str, Any]], Any]]:
+        return {elt: compile_ground(e) for elt, e in self.preds.items()}
+
 
 @dataclass(frozen=True)
 class PolicyGraph:
+    """A policy.  Its domain and requirement patterns, with their compiled
+    predicates, and its validation issues are computed once and kept."""
+
     name: str
     graph: BasicGraph
     domain_preds: Mapping[str, Expr]
     requirement_preds: Mapping[str, Expr]
     variables: frozenset[str] = field(default=frozenset())
+
+    __getstate__ = _fields_only
 
     def __post_init__(self):
         seen: set[str] = set()
@@ -101,6 +129,18 @@ class PolicyGraph:
             for expr in pred_map.values():
                 seen |= variables_of(expr)
         object.__setattr__(self, "variables", frozenset(seen))
+
+    @cached_property
+    def domain(self) -> PatternGraph:
+        return PatternGraph(self.graph, self.domain_preds, self.variables)
+
+    @cached_property
+    def requirement(self) -> PatternGraph:
+        return PatternGraph(self.graph, self.requirement_preds, self.variables)
+
+    @cached_property
+    def issues(self) -> tuple[ValidationIssue, ...]:
+        return tuple(_check_rules(self))
 
 
 def make_policy(
@@ -128,11 +168,11 @@ def make_policy(
 
 
 def domain_of(p: PolicyGraph) -> PatternGraph:
-    return PatternGraph(p.graph, p.domain_preds, p.variables)
+    return p.domain
 
 
 def requirement_of(p: PolicyGraph) -> PatternGraph:
-    return PatternGraph(p.graph, p.requirement_preds, p.variables)
+    return p.requirement
 
 
 # --- text form -------------------------------------------------------------
@@ -284,7 +324,7 @@ class ValidationIssue:
 
 
 def validate_policy(p: PolicyGraph) -> list[ValidationIssue]:
-    """Check the two well-formedness rules.
+    """Check the two well-formedness rules.  The policy keeps the result.
 
     R1: every variable must be forced to a single value by the domain: some
     domain predicate must contain an equality between the variable and a
@@ -297,6 +337,10 @@ def validate_policy(p: PolicyGraph) -> list[ValidationIssue]:
     incident to the node; needed values must be captured into variables by
     the domain instead.
     """
+    return list(p.issues)
+
+
+def _check_rules(p: PolicyGraph) -> list[ValidationIssue]:
     issues: list[ValidationIssue] = []
     bindable: set[str] = set()
     for elt in p.graph.elements():

@@ -24,9 +24,10 @@ the printer re-derives them from precedence.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Mapping, Optional, Sequence
+from typing import Any, Callable, Iterator, Mapping, Optional, Sequence
 
 from .values import ValueSet, canonical, is_number, is_value, values_equal
 
@@ -621,11 +622,11 @@ class Conditions:
 
     @property
     def is_false(self) -> bool:
-        return self.residual == FALSE
+        return self.residual is FALSE or self.residual == FALSE
 
     @property
     def is_true(self) -> bool:
-        return self.residual == TRUE
+        return self.residual is TRUE or self.residual == TRUE
 
     def __eq__(self, other: Any) -> bool:
         if not isinstance(other, Conditions):
@@ -731,10 +732,287 @@ def _merge_pair(a: Conditions, b: Conditions) -> Conditions:
             return BOTTOM
     bindings = dict(a.bindings)
     bindings.update(b.bindings)
-    if a.residual == TRUE:
+    if a.is_true:
+        if b.is_true:
+            return Conditions(bindings, TRUE)  # what reducing would give
         residual = b.residual
-    elif b.residual == TRUE:
+    elif b.is_true:
         residual = a.residual
     else:
         residual = BinOp("&&", a.residual, b.residual)
     return reduce_conditions(Conditions(bindings, residual))
+
+
+def absorb(bindings: dict[str, Any], captures: Sequence[tuple[str, Any]]) -> bool:
+    """Add one predicate's captures to settled bindings, in place.
+
+    This is what reduce_conditions does with them: a variable already bound
+    keeps its value, and a capture that differs from it is a contradiction;
+    among new variables the last capture wins, and two different ones
+    contradict.  Returns False on a contradiction.
+    """
+    found: dict[str, Any] = {}
+    for name, value in captures:
+        if name in bindings:
+            if not values_equal(bindings[name], value):
+                return False
+        elif name in found and not values_equal(found[name], value):
+            return False
+        else:
+            found[name] = value
+    bindings.update(found)
+    return True
+
+
+def bind_captures(conds: Conditions, groups: Sequence[Sequence[tuple[str, Any]]]) -> Conditions:
+    """merge_conditions of settled conditions with one satisfy() result per
+    group of captures, without building the residual trees: BOTTOM on a
+    contradiction."""
+    bindings = dict(conds.bindings)
+    for captures in groups:
+        if not absorb(bindings, captures):
+            return BOTTOM
+    return Conditions(bindings, TRUE)
+
+
+# --- compiled form -------------------------------------------------------
+#
+# The interpreter above rebuilds and refolds a tree for every context, and
+# matching applies the same few predicates to thousands of contexts.  So each
+# predicate is also compiled, once per policy (see PatternGraph), into
+# closures.  A compiled form answers only where it is sure to agree with the
+# interpreter.  On anything else (an unbound variable, an operand of the
+# wrong kind, a variable the domain does not capture outright) it raises
+# Fallback, and the caller asks the interpreter, which stays the reference:
+# it gives the reference answer, or raises the reference error.
+
+
+class Fallback(Exception):
+    """A compiled predicate met a case that only the interpreter settles."""
+
+
+_ABSENT = object()  # stands for a name missing from a context or from bindings
+_NO_BINDINGS: Mapping[str, Any] = {}
+_NUMBER_CLASSES = frozenset({int, float})
+_ORDERINGS = {"<": operator.lt, ">": operator.gt, "<=": operator.le, ">=": operator.ge}
+
+
+def _loose_attrs(e: Expr) -> frozenset[str]:
+    """Attributes whose absence reaches the innermost boolean ancestor of e:
+    those not beneath a boolean node inside e (see substitute_attrs)."""
+    if isinstance(e, Attr):
+        return frozenset({e.name})
+    if isinstance(e, BinOp) and not is_boolean_node(e):
+        return _loose_attrs(e.left) | _loose_attrs(e.right)
+    return frozenset()
+
+
+def _guard_names(e: Expr) -> frozenset[str]:
+    """For a boolean node: the attributes whose absence makes it false."""
+    if isinstance(e, Not):
+        return _loose_attrs(e.operand)
+    return _loose_attrs(e.left) | _loose_attrs(e.right)
+
+
+def compile_ground(e: Expr) -> Callable[[Mapping[str, Any], Mapping[str, Any]], Any]:
+    """A closure (ctx, bindings) -> the value evaluate(e, ctx, bindings)
+    folds to.  It raises Fallback where that is not a constant, or where
+    folding raises PredicateTypeError."""
+    fn = _compile(e)
+    names = _loose_attrs(e)
+    if not names:
+        return fn
+
+    def root(ctx, bindings):
+        for name in names:
+            if name not in ctx:
+                return False  # substitute_attrs turns a missing root into false
+        return fn(ctx, bindings)
+
+    return root
+
+
+def _compile(e: Expr) -> Callable[[Mapping[str, Any], Mapping[str, Any]], Any]:
+    """e's closure, given that its loose attributes are present in ctx.
+    Boolean nodes check their own guard names."""
+    if isinstance(e, Const):
+        value = e.value
+        return lambda ctx, bindings: value
+    if isinstance(e, Attr):
+        name = e.name
+        return lambda ctx, bindings: ctx[name]
+    if isinstance(e, Var):
+        name = e.name
+
+        def var(ctx, bindings):
+            value = bindings.get(name, _ABSENT)
+            if value is _ABSENT:
+                raise Fallback
+            return value
+
+        return var
+    fn = _compile_node(e)
+    names = tuple(sorted(_guard_names(e))) if is_boolean_node(e) else ()
+    if not names:
+        return fn
+
+    def guarded(ctx, bindings):
+        for name in names:
+            if name not in ctx:
+                return False
+        return fn(ctx, bindings)
+
+    return guarded
+
+
+def _flag(value: Any) -> bool:
+    if value is True or value is False:
+        return value
+    raise Fallback
+
+
+def _compile_node(e: Expr) -> Callable[[Mapping[str, Any], Mapping[str, Any]], Any]:
+    if isinstance(e, Not):
+        operand = _compile(e.operand)
+        return lambda ctx, bindings: not _flag(operand(ctx, bindings))
+    left, right = _compile(e.left), _compile(e.right)
+    op = e.op
+    if op == "&&":
+        def both(ctx, bindings):
+            if not _flag(left(ctx, bindings)):
+                return False
+            return _flag(right(ctx, bindings))
+
+        return both
+    if op == "||":
+        def either(ctx, bindings):
+            if _flag(left(ctx, bindings)):
+                return True
+            return _flag(right(ctx, bindings))
+
+        return either
+    if op in ("=", "!="):
+        negate = op == "!="
+        return lambda ctx, bindings: values_equal(left(ctx, bindings), right(ctx, bindings)) != negate
+    if op in ("<", ">", "<=", ">="):
+        compare = _ORDERINGS[op]
+
+        def ordered(ctx, bindings):
+            a, b = left(ctx, bindings), right(ctx, bindings)
+            if a.__class__ in _NUMBER_CLASSES and b.__class__ in _NUMBER_CLASSES:
+                return compare(a, b)
+            raise Fallback
+
+        return ordered
+
+    def apply(ctx, bindings):
+        try:
+            return _apply_op(op, left(ctx, bindings), right(ctx, bindings), e)
+        except PredicateTypeError:
+            raise Fallback from None
+
+    return apply
+
+
+def _always_flag(e: Expr) -> bool:
+    """Whether a variable-free e always evaluates to a flag, never raising."""
+    if isinstance(e, Const):
+        return isinstance(e.value, bool)
+    if isinstance(e, Not):
+        return _always_flag(e.operand)
+    if isinstance(e, BinOp):
+        if e.op in BOOL_OPS:
+            return _always_flag(e.left) and _always_flag(e.right)
+        if e.op in ("=", "!="):
+            return _never_raises(e.left) and _never_raises(e.right)
+        if e.op == "in":
+            return _never_raises(e.left) and isinstance(e.right, Const) and isinstance(e.right.value, ValueSet)
+    return False
+
+
+def _never_raises(e: Expr) -> bool:
+    """Whether evaluating a variable-free e can never raise."""
+    return isinstance(e, (Const, Attr)) or _always_flag(e)
+
+
+def _capture_of(e: Expr) -> Optional[tuple[str, str]]:
+    """(variable, attribute) for `attr = $X` or `$X = attr`."""
+    if isinstance(e, BinOp) and e.op == "=":
+        if isinstance(e.left, Var) and isinstance(e.right, Attr):
+            return e.left.name, e.right.name
+        if isinstance(e.right, Var) and isinstance(e.left, Attr):
+            return e.right.name, e.left.name
+    return None
+
+
+_TEST, _CAPTURE, _REQUIRE, _OPEN = range(4)
+
+
+class BindingPlan:
+    """A domain predicate compiled for candidate filtering, with no bindings.
+
+    The top-level conjuncts become steps, in their order.  A variable-free
+    conjunct is a test.  `attr = $X` (or `$X = attr`) captures the
+    attribute's value for $X.  A conjunct with a variable in any other shape
+    (under || or !, say) is left to the interpreter: reaching it raises
+    Fallback.  Where an absent attribute falsifies a conjunction, a step
+    checks for it at the place substitute_attrs would put the false.
+
+    Calling the plan on a context gives None where satisfy(e, ctx, {})
+    folds to false.  Otherwise it gives the captures that reduce_conditions
+    would harvest from what satisfy() leaves, in order and not yet checked
+    against each other (see absorb).  `may_raise` tells whether a call can
+    raise Fallback at all.
+    """
+
+    __slots__ = ("steps", "may_raise")
+
+    def __init__(self, e: Expr):
+        self.steps: list[tuple[int, Any, Any]] = []
+        self.may_raise = False
+        if not is_boolean_node(e):
+            self._require(_loose_attrs(e))
+        self._add(e)
+
+    def _require(self, names: frozenset[str]) -> None:
+        if names:
+            self.steps.append((_REQUIRE, tuple(sorted(names)), None))
+
+    def _add(self, e: Expr) -> None:
+        if isinstance(e, BinOp) and e.op == "&&":
+            self._require(_guard_names(e))
+            self._add(e.left)
+            self._add(e.right)
+            return
+        if not variables_of(e):
+            self.steps.append((_TEST, _compile(e), None))
+            self.may_raise |= not _always_flag(e)
+            return
+        capture = _capture_of(e)
+        if capture is None:
+            self.steps.append((_OPEN, None, None))
+            self.may_raise = True
+        else:
+            self.steps.append((_CAPTURE, *capture))
+
+    def __call__(self, ctx: Mapping[str, Any]) -> Optional[list[tuple[str, Any]]]:
+        captures = []
+        for kind, a, b in self.steps:
+            if kind == _TEST:
+                value = a(ctx, _NO_BINDINGS)
+                if value is not True:
+                    if value is False:
+                        return None
+                    raise Fallback
+            elif kind == _CAPTURE:
+                value = ctx.get(b, _ABSENT)
+                if value is _ABSENT:
+                    return None  # substitute_attrs makes the equality false
+                captures.append((a, value))
+            elif kind == _REQUIRE:
+                for name in a:
+                    if name not in ctx:
+                        return None
+            else:
+                raise Fallback
+        return captures

@@ -44,13 +44,10 @@ class Report:
 
 
 def build_report(
-    policies: Sequence[PolicyGraph],
-    graph: SystemGraph,
-    cap: int = DEFAULT_MATCH_CAP,
-    parallel: bool = False,
+    policies: Sequence[PolicyGraph], graph: SystemGraph, cap: int = DEFAULT_MATCH_CAP
 ) -> Report:
     started = time.perf_counter()
-    composite = verdict_all(policies, graph, cap, parallel=parallel)
+    composite = verdict_all(policies, graph, cap)
     elapsed = time.perf_counter() - started
     return Report(composite, graph.object_count(), len(graph.events), elapsed)
 

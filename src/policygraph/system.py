@@ -16,10 +16,14 @@ map gets the reserved parameter "time" injected.  Records may carry an extra
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Any, Iterable, Iterator, Mapping
 
 from .values import from_json, to_json, values_equal
+
+_snapshot_time = itemgetter(0)
 
 
 class TraceError(ValueError):
@@ -128,14 +132,10 @@ class SystemGraph:
         history = self._snapshots.get(obj_id)
         if not history:
             raise KeyError(f"unknown object {obj_id!r}")
-        best = None
-        for st, attrs in history:
-            if st > t:
-                break
-            best = attrs
-        if best is None:
+        newer = bisect_right(history, t, key=_snapshot_time)  # snapshot times strictly increase
+        if newer == 0:
             raise KeyError(f"object {obj_id!r} has no snapshot at or before t={t}")
-        return best
+        return history[newer - 1][1]
 
     def src_attr(self, event: SystemEvent) -> Mapping[str, Any]:
         return self.attrs_at(event.src, event.time)

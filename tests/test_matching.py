@@ -209,9 +209,10 @@ class TestIsolatedNodes:
 class TestGuards:
     def test_unvalidated_policy_is_refused(self):
         p = parse_policy("policy p {\n node n\n edge e: n -> n req: $X > 1\n}")
-        with pytest.raises(InvalidPolicyError) as info:
-            find_matches(p, ingest_trace(CLASSIC))
-        assert any(i.rule == "R1" for i in info.value.issues)
+        for _ in range(2):  # the policy keeps its issues, and every call refuses it
+            with pytest.raises(InvalidPolicyError) as info:
+                find_matches(p, ingest_trace(CLASSIC))
+            assert any(i.rule == "R1" for i in info.value.issues)
 
     def test_unsettled_residual_is_an_internal_error(self):
         pattern = PatternGraph(
@@ -273,14 +274,6 @@ class TestVerdictAll:
         combined = verdict_all([], ingest_trace(CLASSIC))
         assert combined.upheld
         assert combined.verdicts == ()
-
-    def test_parallel_agrees_with_serial(self):
-        rng = random.Random(424242)
-        policies = [random_policy(rng, f"p{i}") for i in range(8)]
-        g = ingest_trace(random_trace_records(rng, n_objects=4, n_events=6))
-        serial = verdict_all(policies, g)
-        threaded = verdict_all(policies, g, parallel=True)
-        assert serial == threaded
 
 
 class TestAgainstOracle:

@@ -104,6 +104,18 @@ class TestGuards:
             for t, (s, d) in enumerate([("o0", "o1"), ("o2", "o3"), ("o1", "o0"), ("o3", "o2")], start=1):
                 mon.step({"t": t, "event": {"src": s, "dest": d, "params": {}}})
 
+    def test_cap_raise_commits_nothing_of_the_event(self):
+        mon = Monitor([parse_policy(NO_READ_UP)], match_cap=50)
+        mon.step({"t": 1, "object": {"id": "u", "attrs": {"type": "user", "sec_level": 2}}})
+        mon.step({"t": 1, "object": {"id": "f", "attrs": {"type": "file", "sec_level": 0}}})
+        decisions = []
+        with pytest.raises(MatchCapExceeded):
+            for t in range(1, 61):
+                decisions += mon.step({"t": t, "event": {"src": "u", "dest": "f", "params": {"method": "read"}}})
+        assert len(decisions) == 49 and all(d.allowed for d in decisions)
+        assert len(mon.graph.events) == len(decisions)
+        assert mon.graph.horizon == 49
+
 
 class TestAgainstBatch:
     def test_upheld_traces_stream_without_denials(self):

@@ -132,6 +132,19 @@ class TestSnapshots:
         with pytest.raises(KeyError):
             g.attrs_at("s", 2)
 
+    def test_attrs_at_errors_name_the_object_and_instant(self):
+        g = ingest_trace([{"t": 3, "object": {"id": "s", "attrs": {}}}])
+        with pytest.raises(KeyError, match="unknown object 'ghost'"):
+            g.attrs_at("ghost", 3)
+        with pytest.raises(KeyError, match=r"object 's' has no snapshot at or before t=2"):
+            g.attrs_at("s", 2)
+
+    def test_attrs_at_picks_the_newest_snapshot_at_or_before(self):
+        times = [2, 3, 7, 8, 20]
+        g = ingest_trace([{"t": t, "object": {"id": "s", "attrs": {"v": t}}} for t in times])
+        for t in range(2, 25):
+            assert g.attrs_at("s", t)["v"] == max(st for st in times if st <= t)
+
 
 class TestErrors:
     @pytest.mark.parametrize(
