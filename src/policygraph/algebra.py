@@ -313,6 +313,8 @@ def enumerate_systems(u: UniverseBounds) -> Iterator[SystemGraph]:
 def _binding_pool(pattern: PatternGraph, u: UniverseBounds) -> list[Any]:
     pool = list(u.values)
     for pred in pattern.preds.values():
+        if pred == TRUE:  # an element without a predicate adds no value to try
+            continue
         for const in constants_of(pred):
             if not any(values_equal(const, existing) for existing in pool):
                 pool.append(const)

@@ -183,31 +183,43 @@ class _EdgeCandidate:
     conds: Conditions
 
 
+def edge_candidate(
+    pattern: PatternGraph, edge_id: str, index: int, event: SystemEvent, graph: SystemGraph
+) -> Optional[_EdgeCandidate]:
+    """The event at `index` as a candidate for a policy edge, or None where
+    it fails the edge's local predicate check: the merge of satisfy() of
+    its three domain predicates is false."""
+    found = edge_captures(pattern, edge_id, event, graph)
+    if found is None:
+        return None
+    if found is not FALLBACK:
+        # merging the edge's and the source's satisfy() results leaves
+        # their captures in one residual: harvested together, the last
+        # one wins
+        conds = bind_captures(SETTLED, (found[0] + found[1], found[2]))
+    else:
+        spec = pattern.graph.edges[edge_id]
+        conds = merge_conditions(
+            [
+                satisfy(pattern.preds[edge_id], event.params, {}),
+                satisfy(pattern.preds[spec.src], graph.src_attr(event), {}),
+                satisfy(pattern.preds[spec.dest], graph.dest_attr(event), {}),
+            ]
+        )
+    if conds.is_false:
+        return None
+    return _EdgeCandidate(index, event.src, event.dest, conds)
+
+
 def _edge_candidates(pattern: PatternGraph, graph: SystemGraph) -> dict[str, list[_EdgeCandidate]]:
-    """Per policy edge, the events that pass its local predicate check: the
-    merge of satisfy() of its three domain predicates is not false."""
+    """Per policy edge, every event's edge_candidate() that is not None."""
     out: dict[str, list[_EdgeCandidate]] = {}
-    for edge_id, spec in sorted(pattern.graph.edges.items()):
+    for edge_id in sorted(pattern.graph.edges):
         candidates = []
         for index, event in enumerate(graph.events):
-            found = edge_captures(pattern, edge_id, event, graph)
-            if found is None:
-                continue
-            if found is not FALLBACK:
-                # merging the edge's and the source's satisfy() results leaves
-                # their captures in one residual: harvested together, the last
-                # one wins
-                conds = bind_captures(SETTLED, (found[0] + found[1], found[2]))
-            else:
-                conds = merge_conditions(
-                    [
-                        satisfy(pattern.preds[edge_id], event.params, {}),
-                        satisfy(pattern.preds[spec.src], graph.src_attr(event), {}),
-                        satisfy(pattern.preds[spec.dest], graph.dest_attr(event), {}),
-                    ]
-                )
-            if not conds.is_false:
-                candidates.append(_EdgeCandidate(index, event.src, event.dest, conds))
+            cand = edge_candidate(pattern, edge_id, index, event, graph)
+            if cand is not None:
+                candidates.append(cand)
         out[edge_id] = candidates
     return out
 
@@ -240,15 +252,19 @@ def match_pattern(
     graph: SystemGraph,
     cap: int = DEFAULT_MATCH_CAP,
     policy_name: str = "?",
+    edge_cands: Optional[Mapping[str, Sequence[_EdgeCandidate]]] = None,
 ) -> list[Match]:
     """Backtracking enumeration of every match of a pattern.
 
     Edges are assigned first, in ascending candidate-count order, merging
     variable conditions and pruning as soon as a residual folds to false;
     isolated nodes follow.  The enumeration visits each assignment once, so
-    the result is duplicate-free.
+    the result is duplicate-free.  `edge_cands`, when given, replaces
+    _edge_candidates(): the matches are then those whose events come from
+    these lists.
     """
-    edge_cands = _edge_candidates(pattern, graph)
+    if edge_cands is None:
+        edge_cands = _edge_candidates(pattern, graph)
     edge_order = sorted(edge_cands, key=lambda e: (len(edge_cands[e]), e))
     iso_cands = _iso_candidates(pattern, graph)
     iso_order = sorted(iso_cands, key=lambda n: (len(iso_cands[n]), n))

@@ -386,3 +386,22 @@ class TestContainment:
         result = contains(loose, tight, self.UNIVERSE)
         assert not result
         assert str(result).startswith("does not contain")
+
+    def test_ordered_requirement_beside_elements_without_predicates(self):
+        """Nodes without a domain add no `true` to the values a variable
+        is tried with, so `$A <= 1` is never asked of a boolean."""
+
+        def flow(name, req):
+            return parse_policy(f"policy {name} {{\n node a\n node b\n edge f: a -> b domain: act = $A req: {req}\n}}")
+
+        u = UniverseBounds(
+            max_objects=2,
+            max_instances=1,
+            attributes=("kind",),
+            parameters=("act",),
+            values=(0, 1),
+            max_events=1,
+        )
+        strict, le = flow("flow_strict", "$A <= 0"), flow("flow_le", "$A <= 1")
+        assert contains(strict, le, u)
+        assert not contains(le, strict, u)

@@ -217,8 +217,9 @@ class TestBindingPlanAgainstInterpreter:
         assert answered > 1500 and captured > 200
 
     def test_edges_and_monitor_extension(self):
-        """Three domains at one event: the batch candidate, and extending a
-        settled monitor partial, against merge_conditions of satisfy()."""
+        """Three domains at one event: the batch candidate, and merging into
+        settled conditions already made, against merge_conditions of
+        satisfy()."""
         rng = random.Random(8202)
         answered = 0
         for _ in range(2500):
@@ -394,8 +395,8 @@ class TestRules:
 
     def test_which_capture_a_variable_keeps(self):
         """Equal numbers of two kinds bound to one variable on an edge, its
-        source and its destination: the batch candidate and the monitor's
-        extension keep the value the interpreter keeps."""
+        source and its destination: the batch candidate and merge_captures()
+        keep the value the interpreter keeps."""
         p = parse_policy("policy p {\n node a domain: m = $X\n node b domain: k = $X\n edge e: a -> b domain: n = $X\n}")
         preds = [p.domain_preds[elt] for elt in ("e", "a", "b")]
         for n, m, k in [(2, 2.0, 2), (2.0, 2, 2), (2, 2, 2.0), (2.0, 2.0, 2)]:

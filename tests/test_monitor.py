@@ -5,7 +5,13 @@ import random
 import pytest
 
 from policygraph.corpus import corpus_text, load_manifest, load_corpus_policy
-from policygraph.matching import InvalidPolicyError, MatchCapExceeded, verdict_all
+from policygraph.matching import (
+    InvalidPolicyError,
+    MatchCapExceeded,
+    check_requirement,
+    find_matches,
+    verdict_all,
+)
 from policygraph.monitor import Decision, Monitor
 from policygraph.policy import parse_policy
 from policygraph.system import ingest_trace, read_jsonl
@@ -95,26 +101,31 @@ class TestGuards:
         with pytest.raises(InvalidPolicyError):
             Monitor([bad])
 
-    def test_partial_store_cap(self):
-        p = parse_policy("policy p {\n node a\n node b\n edge e: a -> b\n}")
-        mon = Monitor([p], match_cap=3)
-        for i in range(4):
-            mon.step({"t": 1, "object": {"id": f"o{i}", "attrs": {}}})
-        with pytest.raises(MatchCapExceeded):
-            for t, (s, d) in enumerate([("o0", "o1"), ("o2", "o3"), ("o1", "o0"), ("o3", "o2")], start=1):
-                mon.step({"t": t, "event": {"src": s, "dest": d, "params": {}}})
-
-    def test_cap_raise_commits_nothing_of_the_event(self):
+    def test_cap_counts_the_matches_of_one_event_not_the_history(self):
         mon = Monitor([parse_policy(NO_READ_UP)], match_cap=50)
         mon.step({"t": 1, "object": {"id": "u", "attrs": {"type": "user", "sec_level": 2}}})
         mon.step({"t": 1, "object": {"id": "f", "attrs": {"type": "file", "sec_level": 0}}})
         decisions = []
-        with pytest.raises(MatchCapExceeded):
-            for t in range(1, 61):
-                decisions += mon.step({"t": t, "event": {"src": "u", "dest": "f", "params": {"method": "read"}}})
-        assert len(decisions) == 49 and all(d.allowed for d in decisions)
-        assert len(mon.graph.events) == len(decisions)
-        assert mon.graph.horizon == 49
+        for t in range(1, 61):
+            decisions += mon.step({"t": t, "event": {"src": "u", "dest": "f", "params": {"method": "read"}}})
+        assert len(decisions) == 60 and all(d.allowed for d in decisions)
+        assert len(mon.graph.events) == 60
+
+    def test_cap_raise_commits_nothing_of_the_event(self):
+        p = parse_policy("policy p {\n node a\n node b\n edge e1: a -> b\n edge e2: a -> b\n}")
+        mon = Monitor([p], match_cap=3)
+        mon.step({"t": 1, "object": {"id": "x", "attrs": {"v": 1}}})
+        mon.step({"t": 1, "object": {"id": "y", "attrs": {}}})
+        for t in (1, 2):  # the second event makes 2 matches: it takes e1 or e2
+            (decision,) = mon.step({"t": t, "event": {"src": "x", "dest": "y", "params": {}}})
+            assert decision.allowed
+        with pytest.raises(MatchCapExceeded):  # the third makes 4
+            mon.step({"t": 3, "event": {"src": "x", "dest": "y", "params": {}}})
+        assert len(mon.graph.events) == 2
+        assert mon.graph.horizon == 2
+        # the dropped event never used the snapshot, so it may still be declared
+        mon.step({"t": 3, "object": {"id": "x", "attrs": {"v": 2}}})
+        assert mon.graph.attrs_at("x", 3)["v"] == 2
 
 
 class TestAgainstBatch:
@@ -159,6 +170,42 @@ class TestAgainstBatch:
                     assert not verdict_all(policies, hypothetical).upheld
             assert mon.graph == ingest_trace(committed)
         assert denies > 15 and allows > 60  # both paths exercised
+
+    def test_random_streams_deny_exactly_the_new_failing_matches(self):
+        """A decision names exactly the policies with a batch match that
+        assigns the new event to an edge and fails its requirement."""
+        rng = random.Random(20261018)
+        denies = allows = mixed = 0
+        for i in range(300):
+            policies = [random_policy(rng, f"p{j}") for j in range(2)]
+            mixed += any(p.graph.edges and p.graph.isolated_nodes() for p in policies)
+            mon = Monitor(policies)
+            committed: list[dict] = []
+            for record in random_trace_records(rng, n_objects=3, n_events=5):
+                decisions = mon.step(record)
+                if not decisions:
+                    committed.append(record)
+                    continue
+                (decision,) = decisions
+                hypothetical = ingest_trace(committed + [record])
+                new = len(hypothetical.events) - 1
+                failing = [
+                    p.name
+                    for p in policies
+                    if any(
+                        new in m.edge_events.values() and not check_requirement(p, m, hypothetical)[0]
+                        for m in find_matches(p, hypothetical)
+                    )
+                ]
+                assert decision.denied_by == tuple(sorted(failing)), (i, record)
+                assert decision.allowed == (not failing)
+                if decision.allowed:
+                    committed.append(record)
+                    allows += 1
+                else:
+                    denies += 1
+            assert mon.graph == ingest_trace(committed)
+        assert denies > 100 and allows > 500 and mixed > 100  # both outcomes, and edge-plus-isolated policies
 
     def test_verdicts_match_batch_on_committed_history(self):
         rng = random.Random(77)
