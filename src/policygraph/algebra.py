@@ -31,11 +31,11 @@ import logging
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Mapping, Sequence, Union
 
-from .matching import DEFAULT_MATCH_CAP, check_requirement, find_matches, match_graph
+from .matching import DEFAULT_MATCH_CAP, Match, check_requirement, find_matches, match_graph
 from .policy import PatternGraph, PolicyGraph, domain_of, requirement_of
 from .predicates import FALSE, TRUE, BinOp, Expr, Not, constants_of, fold_constants
 from .system import SystemGraph, ingest_trace
-from .values import canonical, values_equal
+from .values import values_equal
 
 log = logging.getLogger(__name__)
 
@@ -153,7 +153,7 @@ def reverse(p: PolicyGraph) -> Disjunction:
     survives.
     """
     elements = p.graph.elements()
-    active = [e for e in elements if p.requirement_preds[e] != TRUE]
+    active = p.checked_requirements
     disjuncts = []
     if not active:
         first = elements[0] if elements else None
@@ -329,8 +329,7 @@ def pattern_matches_bounded(pattern: PatternGraph, graph: SystemGraph, pool: Seq
     enumeration instead.
     """
     g = pattern.graph
-    edge_ids = sorted(g.edges)
-    iso_ids = g.isolated_nodes()
+    edge_ids, iso_ids = pattern.key_ids
     events = graph.events
     keys: set[tuple] = set()
     variables = sorted(pattern.variables)
@@ -358,13 +357,7 @@ def pattern_matches_bounded(pattern: PatternGraph, graph: SystemGraph, pool: Seq
             for combo in itertools.product(pool, repeat=len(variables)):
                 bindings = dict(zip(variables, combo))
                 if match_graph(pattern, edge_assignment, iso_assignment, graph, bindings):
-                    keys.add(
-                        (
-                            tuple(sorted(edge_assignment.items())),
-                            tuple(sorted(iso_assignment.items())),
-                            tuple(sorted((v, canonical(b)) for v, b in bindings.items())),
-                        )
-                    )
+                    keys.add(Match("?", edge_assignment, iso_assignment, all_nodes, bindings).key())
     return keys
 
 

@@ -38,9 +38,8 @@ from .matching import DEFAULT_MATCH_CAP, InvalidPolicyError, MatchCapExceeded, f
 from .monitor import Monitor
 from .policy import PolicyError, PolicyGraph, domain_of, load_policies, print_policy, validate_policy
 from .predicates import ParseError, PredicateTypeError
-from .reports import build_report, render_jsonl, render_text
+from .reports import build_report, match_record, render_jsonl, render_text
 from .system import TraceError, ingest_trace, read_jsonl
-from .values import to_json
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -194,13 +193,7 @@ def run(argv: Optional[Sequence[str]] = None, out=None) -> int:
         if args.mode == "match":
             for p in policies:
                 for m in find_matches(p, graph, args.match_cap):
-                    record = {
-                        "policy": p.name,
-                        "edges": dict(sorted(m.edge_events.items())),
-                        "isolated": {n: list(pair) for n, pair in sorted(m.isolated_objects.items())},
-                        "bindings": {v: to_json(b) for v, b in sorted(m.bindings.items())},
-                    }
-                    print(json.dumps(record, sort_keys=True), file=out)
+                    print(json.dumps({"policy": p.name, **match_record(m)}, sort_keys=True), file=out)
             return EXIT_OK
         report = build_report(policies, graph, args.match_cap)
         rendered = render_jsonl(report) if args.report == "jsonl" else render_text(report)

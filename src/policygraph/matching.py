@@ -20,12 +20,12 @@ settle goes to those functions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Any, Mapping, Optional, Sequence
 
 from .policy import PatternGraph, PolicyGraph, domain_of, validate_policy
 from .predicates import (
     BOTTOM,
-    FALSE,
     TRUE,
     BindingPlan,
     Conditions,
@@ -104,7 +104,7 @@ def match_graph(
         )
         if not _holds(pattern, contexts, bindings, self_equal):
             return False
-    for node_id in g.isolated_nodes():
+    for node_id in pattern.key_ids[1]:
         obj_id, instant = isolated_objects[node_id]
         if not _holds(pattern, ((node_id, graph.attrs_at(obj_id, instant)),), bindings, True):
             return False
@@ -228,7 +228,7 @@ def _iso_candidates(pattern: PatternGraph, graph: SystemGraph) -> dict[str, list
     """Per isolated policy node, the (object, instant) pairs whose snapshot
     its domain does not falsify, with node_captures() there."""
     out: dict[str, list[tuple[str, int, Any]]] = {}
-    for node_id in pattern.graph.isolated_nodes():
+    for node_id in pattern.key_ids[1]:
         pred, plan = pattern.preds[node_id], pattern.plans[node_id]
         candidates = []
         for obj_id in graph.object_ids():
@@ -259,9 +259,9 @@ def match_pattern(
     Edges are assigned first, in ascending candidate-count order, merging
     variable conditions and pruning as soon as a residual folds to false;
     isolated nodes follow.  The enumeration visits each assignment once, so
-    the result is duplicate-free.  `edge_cands`, when given, replaces
-    _edge_candidates(): the matches are then those whose events come from
-    these lists.
+    the result is duplicate-free; it is returned in Match.key() order.
+    `edge_cands`, when given, replaces _edge_candidates(): the matches are
+    then those whose events come from these lists.
     """
     if edge_cands is None:
         edge_cands = _edge_candidates(pattern, graph)
@@ -292,8 +292,8 @@ def match_pattern(
             object_nodes.pop(obj_id)
 
     def finish(conds: Conditions) -> None:
-        if conds.residual != TRUE:
-            if conds.residual == FALSE:
+        if not conds.is_true:
+            if conds.is_false:
                 return
             raise MatchingError(
                 f"policy {policy_name!r}: residual condition did not settle; "
@@ -360,7 +360,11 @@ def match_pattern(
     # The two recursive closures refer to themselves; dropping them frees the
     # candidate lists now rather than at the collector's next pass.
     del assign_edges, assign_iso
-    matches.sort(key=lambda m: m.key())
+    if len(matches) > 1:
+        # Match.key() order: an assignment fixes its bindings, so its events by
+        # sorted edge id, then its pairs by sorted node id, decide the order
+        edges, pairs = (itemgetter(*ids) if ids else lambda _: () for ids in pattern.key_ids)
+        matches.sort(key=lambda m: (edges(m.edge_events), pairs(m.isolated_objects)))
     return matches
 
 
@@ -409,13 +413,10 @@ def check_requirement(p: PolicyGraph, m: Match, graph: SystemGraph) -> tuple[boo
     bindings are complete, so every predicate folds to a constant.
     """
     failing: list[str] = []
-    for node_id in sorted(p.graph.nodes):
-        if not _requirement_holds(p, node_id, {}, m.bindings):
-            failing.append(node_id)
-    for edge_id in sorted(p.graph.edges):
-        event = graph.events[m.edge_events[edge_id]]
-        if not _requirement_holds(p, edge_id, event.params, m.bindings):
-            failing.append(edge_id)
+    for elt in p.checked_requirements:
+        ctx = graph.events[m.edge_events[elt]].params if elt in p.graph.edges else {}
+        if not _requirement_holds(p, elt, ctx, m.bindings):
+            failing.append(elt)
     return (not failing, tuple(failing))
 
 
@@ -437,10 +438,7 @@ def _requirement_holds(p: PolicyGraph, elt: str, ctx: Mapping[str, Any], binding
 
 def verdict(p: PolicyGraph, graph: SystemGraph, cap: int = DEFAULT_MATCH_CAP) -> Verdict:
     """Upheld exactly when every domain match satisfies the requirement."""
-    witnesses = []
-    for m in find_matches(p, graph, cap):
-        satisfied, failing = check_requirement(p, m, graph)
-        witnesses.append(Witness(m, satisfied, failing))
+    witnesses = [Witness(m, *check_requirement(p, m, graph)) for m in find_matches(p, graph, cap)]
     return Verdict(p.name, all(w.satisfied for w in witnesses), tuple(witnesses))
 
 

@@ -102,6 +102,11 @@ class PatternGraph:
     __getstate__ = _fields_only
 
     @cached_property
+    def key_ids(self) -> tuple[tuple[str, ...], tuple[str, ...]]:
+        """The sorted edge ids and isolated node ids, in which order Match.key() reads a match."""
+        return tuple(sorted(self.graph.edges)), tuple(self.graph.isolated_nodes())
+
+    @cached_property
     def plans(self) -> dict[str, BindingPlan]:
         return {elt: BindingPlan(e) for elt, e in self.preds.items()}
 
@@ -141,6 +146,11 @@ class PolicyGraph:
     @cached_property
     def issues(self) -> tuple[ValidationIssue, ...]:
         return tuple(_check_rules(self))
+
+    @cached_property
+    def checked_requirements(self) -> tuple[str, ...]:
+        """The elements, in elements() order, whose requirement may fail."""
+        return tuple(elt for elt in self.graph.elements() if self.requirement_preds[elt] != TRUE)
 
 
 def make_policy(

@@ -1,9 +1,9 @@
 """Rendering verdicts for people and for machines.
 
 The JSON Lines form carries one record per witness plus a trailing summary
-record, keeping every match (including permutations of parallel edges).  The
-text form is for reading: witnesses that differ only in how parallel policy
-edges map onto the same events collapse into one line with a multiplicity.
+record, keeping every match.  The text form is for reading: witnesses that
+permute the policy edges over the same events, with equal bindings and the
+same outcome, collapse into one line with a multiplicity.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Iterator, Sequence
 
-from .matching import DEFAULT_MATCH_CAP, CompositeVerdict, Verdict, Witness, verdict_all
+from .matching import DEFAULT_MATCH_CAP, CompositeVerdict, Match, Verdict, Witness, verdict_all
 from .policy import PolicyGraph
 from .system import SystemGraph
 from .values import to_json
@@ -52,15 +52,21 @@ def build_report(
     return Report(composite, graph.object_count(), len(graph.events), elapsed)
 
 
+def match_record(m: Match) -> dict[str, Any]:
+    """A match's edges, isolated pairs and bindings, as `--mode match` prints them."""
+    return {
+        "edges": dict(sorted(m.edge_events.items())),
+        "isolated": {n: list(pair) for n, pair in sorted(m.isolated_objects.items())},
+        "bindings": {v: to_json(b) for v, b in sorted(m.bindings.items())},
+    }
+
+
 def witness_record(policy: str, w: Witness) -> dict[str, Any]:
+    match = match_record(w.match)
     return {
         "policy": policy,
-        "match": {
-            "edges": dict(sorted(w.match.edge_events.items())),
-            "isolated": {n: list(pair) for n, pair in sorted(w.match.isolated_objects.items())},
-            "nodes": dict(sorted(w.match.node_objects.items())),
-        },
-        "bindings": {v: to_json(b) for v, b in sorted(w.match.bindings.items())},
+        "match": {"edges": match["edges"], "isolated": match["isolated"], "nodes": dict(sorted(w.match.node_objects.items()))},
+        "bindings": match["bindings"],
         "satisfied": w.satisfied,
         "failing": list(w.failing),
     }
@@ -87,44 +93,47 @@ def render_jsonl(report: Report) -> str:
     return "\n".join(json.dumps(r, sort_keys=True) for r in report_records(report)) + "\n"
 
 
-def _collapse_key(w: Witness) -> tuple:
-    """Witnesses equal up to permutation of policy edges over the same
-    events share a key."""
-    return (
-        tuple(sorted(w.match.edge_events.values())),
-        tuple(sorted(w.match.isolated_objects.items())),
-        tuple(sorted((v, json.dumps(to_json(b), sort_keys=True)) for v, b in w.match.bindings.items())),
-        w.satisfied,
-        tuple(sorted(w.failing)),
-    )
-
-
 def render_text(report: Report) -> str:
     lines = []
     collapsed_any = False
+    json_text: dict[tuple, str] = {}  # (type, repr) of a binding value -> its JSON
+
+    def show(value: Any) -> str:
+        key = (type(value), repr(value))
+        text = json_text.get(key)
+        if text is None:
+            text = json_text[key] = json.dumps(to_json(value))
+        return text
+
     for v in report.verdicts:
         status = "upheld" if v.upheld else "VIOLATED"
         lines.append(f"policy {v.policy}: {status} ({len(v.witnesses)} match(es))")
-        groups: dict[tuple, list[Witness]] = {}
-        order: list[tuple] = []
-        for w in v.witnesses:
-            key = _collapse_key(w)
-            if key not in groups:
-                order.append(key)
-            groups.setdefault(key, []).append(w)
-        for key in order:
-            group = groups[key]
-            w = group[0]
-            sample = witness_record(v.policy, w)
-            mapping = ", ".join(f"{e}→ev{idx}" for e, idx in sample["match"]["edges"].items())
-            for node, pair in sample["match"]["isolated"].items():
-                mapping += (", " if mapping else "") + f"{node}→{pair[0]}@t{pair[1]}"
-            binds = ", ".join(f"${k}={json.dumps(val)}" for k, val in sample["bindings"].items())
+        if not v.witnesses:
+            continue
+        first = v.witnesses[0].match
+        edge_ids, iso_ids, var_ids = sorted(first.edge_events), sorted(first.isolated_objects), sorted(first.bindings)
+        # with at most one edge, no two witnesses share a line; bindings of
+        # equal (type, repr) have equal JSON text, so 1, 1.0 and true differ
+        entries: dict[Any, list] = {}  # collapse key -> [first witness, count]
+        for i, w in enumerate(v.witnesses):
+            m = w.match
+            key = i if len(edge_ids) < 2 else (
+                tuple(sorted(m.edge_events.values())),
+                tuple(m.isolated_objects[n] for n in iso_ids),
+                tuple((type(m.bindings[k]), repr(m.bindings[k])) for k in var_ids),
+                w.failing,  # in element order, and empty exactly when satisfied
+            )
+            entries.setdefault(key, [w, 0])[1] += 1
+        for w, count in entries.values():
+            m = w.match
+            mapping = ", ".join(
+                [f"{e}→ev{m.edge_events[e]}" for e in edge_ids]
+                + ["%s→%s@t%s" % (n, *m.isolated_objects[n]) for n in iso_ids]
+            )
+            binds = ", ".join([f"${k}={show(m.bindings[k])}" for k in var_ids])
             mark = "ok" if w.satisfied else "FAIL on " + ",".join(w.failing)
-            note = ""
-            if len(group) > 1:
-                collapsed_any = True
-                note = f"  [x{len(group)} edge orderings]"
+            note = f"  [x{count} edge orderings]" if count > 1 else ""
+            collapsed_any = collapsed_any or count > 1
             lines.append(f"  match: {mapping or '(empty)'}" + (f" with {binds}" if binds else "") + f" -> {mark}{note}")
     lines.append(
         "composed: %s  (%d policies, %d matches, %d violations, %.3fs)"

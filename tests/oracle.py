@@ -7,19 +7,21 @@ candidate matches over a finite value pool.  Tests treat disagreement
 between the engine and these functions as an engine bug.
 
 Also home to the seeded random generators (expressions, contexts, policies,
-traces) shared by the differential test files.
+traces) shared by the differential test files, and to a naive reference
+renderer of the text report.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import random
 from typing import Any, Iterator, Mapping
 
 from policygraph.policy import PolicyGraph, make_policy
 from policygraph.predicates import Attr, BinOp, Const, Expr, Not, Var
 from policygraph.system import SystemGraph
-from policygraph.values import ValueSet, canonical
+from policygraph.values import ValueSet, canonical, to_json
 
 
 class OracleTypeError(Exception):
@@ -489,9 +491,10 @@ def _domain_clause(rng: random.Random, names, values=GEN_VALUES) -> Expr:
     return BinOp(op, Attr(name), value)
 
 
-def random_policy(rng: random.Random, name: str, values=GEN_VALUES) -> PolicyGraph:
+def random_policy(rng: random.Random, name: str, values=GEN_VALUES, parallel: bool = False) -> PolicyGraph:
     """Small random policy: 1-2 edges or an edge plus an isolated node,
-    0-2 variables.
+    0-2 variables.  With `parallel`, the two edges of the two-edge shape
+    both run n1 -> n2, and n3 is isolated.
 
     Every variable is bound by an `attr = $v` conjunct on some domain
     predicate's top spine, so the result always passes validation and the
@@ -504,7 +507,7 @@ def random_policy(rng: random.Random, name: str, values=GEN_VALUES) -> PolicyGra
     edge_ends = {"e1": ("n1", "n2")}
     if shape == 1:
         node_ids.append("n3")
-        edge_ends["e2"] = (rng.choice(["n1", "n2"]), "n3")
+        edge_ends["e2"] = ("n1", "n2") if parallel else (rng.choice(["n1", "n2"]), "n3")
     elif shape == 2:
         node_ids.append("n3")
 
@@ -581,3 +584,70 @@ def random_trace_records(
                 }
             )
     return records
+
+
+# --- reference text report ----------------------------------------------------
+
+
+def reference_render_text(report) -> str:
+    """The text report, rendered the slow way: a full JSON record for every
+    witness, and a collapse key with the JSON text of every binding of
+    every witness, whatever the number of policy edges."""
+
+    def record(w) -> dict:
+        m = w.match
+        return {
+            "edges": dict(sorted(m.edge_events.items())),
+            "isolated": {n: list(pair) for n, pair in sorted(m.isolated_objects.items())},
+            "bindings": {v: to_json(b) for v, b in sorted(m.bindings.items())},
+        }
+
+    def collapse_key(w) -> tuple:
+        m = w.match
+        return (
+            tuple(sorted(m.edge_events.values())),
+            tuple(sorted(m.isolated_objects.items())),
+            tuple(sorted((v, json.dumps(to_json(b), sort_keys=True)) for v, b in m.bindings.items())),
+            w.satisfied,
+            tuple(sorted(w.failing)),
+        )
+
+    lines = []
+    collapsed_any = False
+    for v in report.verdicts:
+        status = "upheld" if v.upheld else "VIOLATED"
+        lines.append(f"policy {v.policy}: {status} ({len(v.witnesses)} match(es))")
+        groups: dict[tuple, list] = {}
+        order: list[tuple] = []
+        for w in v.witnesses:
+            key = collapse_key(w)
+            if key not in groups:
+                order.append(key)
+            groups.setdefault(key, []).append(w)
+        for key in order:
+            group = groups[key]
+            w = group[0]
+            sample = record(w)
+            mapping = ", ".join(f"{e}→ev{idx}" for e, idx in sample["edges"].items())
+            for node, pair in sample["isolated"].items():
+                mapping += (", " if mapping else "") + f"{node}→{pair[0]}@t{pair[1]}"
+            binds = ", ".join(f"${k}={json.dumps(val)}" for k, val in sample["bindings"].items())
+            mark = "ok" if w.satisfied else "FAIL on " + ",".join(w.failing)
+            note = ""
+            if len(group) > 1:
+                collapsed_any = True
+                note = f"  [x{len(group)} edge orderings]"
+            lines.append(f"  match: {mapping or '(empty)'}" + (f" with {binds}" if binds else "") + f" -> {mark}{note}")
+    lines.append(
+        "composed: %s  (%d policies, %d matches, %d violations, %.3fs)"
+        % (
+            "upheld" if report.upheld else "VIOLATED",
+            len(report.verdicts),
+            report.match_count,
+            report.violation_count,
+            report.elapsed,
+        )
+    )
+    if collapsed_any:
+        lines.append("note: matches differing only in parallel-edge ordering are collapsed above")
+    return "\n".join(lines) + "\n"

@@ -332,3 +332,14 @@ class TestAgainstOracle:
         assert len(set(keys)) == len(keys)
         again = [m.key() for m in find_matches(p, g)]
         assert keys == again
+        # the enumerator sorts by assignment alone; on random policies and
+        # traces that is still Match.key() order
+        rng = random.Random(31337)
+        sorted_lists = 0
+        for i in range(600):
+            p = random_policy(rng, f"gen{i}", parallel=rng.random() < 0.3)
+            g = ingest_trace(random_trace_records(rng, n_events=rng.randrange(2, 13)))
+            ms = find_matches(p, g)
+            assert ms == sorted(ms, key=Match.key), f"case {i}: {p}"
+            sorted_lists += len(ms) > 1
+        assert sorted_lists > 80
