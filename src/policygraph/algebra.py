@@ -28,16 +28,19 @@ from __future__ import annotations
 import itertools
 import json
 import logging
+import math
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator, Mapping, Sequence, Union
+from operator import itemgetter
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, Union
 
-from .matching import DEFAULT_MATCH_CAP, Match, check_requirement, find_matches, match_graph
+from .matching import DEFAULT_MATCH_CAP, Match, check_requirement, find_matches, match_graph, match_pattern
 from .policy import PatternGraph, PolicyGraph, domain_of, requirement_of
-from .predicates import FALSE, TRUE, BinOp, Expr, Not, constants_of, fold_constants
+from .predicates import FALSE, TRUE, BinOp, Not, attributes_of, constants_of, fold_constants
 from .system import SystemGraph, ingest_trace
 from .values import values_equal
 
 log = logging.getLogger(__name__)
+_record_time = itemgetter("t")
 
 
 class DomainMismatchError(ValueError):
@@ -181,11 +184,10 @@ def _match_outcomes(
     """Map from structural match keys to requirement outcomes."""
     if isinstance(e, Atom):
         p = e.policy
-        fingerprint = (p.graph.signature(), tuple(sorted(p.variables)))
         out = {}
         for m in find_matches(p, graph, cap):
             satisfied, _ = check_requirement(p, m, graph)
-            out[(fingerprint, m.key())] = satisfied
+            out[(p.fingerprint, m.key())] = satisfied
         return out
     if isinstance(e, Always):
         return {}
@@ -254,14 +256,15 @@ class UniverseBounds:
 
 
 def _system_count(u: UniverseBounds) -> int:
-    total = 0
+    return sum(_frame_size(u, k) for k in range(u.max_objects + 1))
+
+
+def _frame_size(u: UniverseBounds, k: int) -> int:
+    """The number of systems with k objects."""
     v = len(u.values)
-    for k in range(u.max_objects + 1):
-        attr_configs = v ** (k * u.max_instances * len(u.attributes))
-        slots = u.max_instances * k * k * (v ** len(u.parameters))
-        event_configs = sum(_choose(slots, j) for j in range(min(u.max_events, slots) + 1))
-        total += attr_configs * event_configs
-    return total
+    attr_configs = v ** (k * u.max_instances * len(u.attributes))
+    slots = u.max_instances * k * k * (v ** len(u.parameters))
+    return attr_configs * sum(_choose(slots, j) for j in range(min(u.max_events, slots) + 1))
 
 
 def _choose(n: int, k: int) -> int:
@@ -271,43 +274,123 @@ def _choose(n: int, k: int) -> int:
     return result
 
 
-def enumerate_systems(u: UniverseBounds) -> Iterator[SystemGraph]:
-    """Every system within the bounds, created through normal ingestion."""
+class _Frame:
+    """The systems of one object count k.
+
+    A configuration is a tuple of value indices, one per (object, instant,
+    attribute) cell, plus the ascending indices of the chosen event slots
+    (instant, source, destination, parameter values).
+    """
+
+    def __init__(self, u: UniverseBounds, k: int):
+        self.universe, self.ids = u, [f"o{i + 1}" for i in range(k)]
+        self.cell_count = k * u.max_instances * len(u.attributes)
+        params = itertools.product(range(len(u.values)), repeat=len(u.parameters))
+        self.slots = list(itertools.product(range(u.max_instances), range(k), range(k), params))
+        # ingestion copies what it reads, so each event record is built once
+        self.event_records = [
+            {"t": t + 1, "event": {"src": self.ids[src], "dest": self.ids[dest],
+                                   "params": {name: u.values[i] for name, i in zip(u.parameters, p)}}}
+            for t, src, dest, p in self.slots
+        ]
+        self._attrs, self._objects = None, []
+
+    def renamings(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+        """For every permutation of the k ids but the identity, the index
+        maps that rename a configuration: where each cell of the image takes
+        its value from, and what each slot becomes.
+
+        Empty, the identity alone, when the group would cost more than it
+        saves: when it has more members than the frame has configurations,
+        or when its maps and its scans of the attribute blocks would take
+        more steps than the universe's ceiling allows systems.
+        """
+        u, k = self.universe, len(self.ids)
+        order, blocks = math.factorial(k), len(u.values) ** self.cell_count
+        steps = order * (len(self.slots) + self.cell_count * (blocks + 1))
+        if order == 1 or order > _frame_size(u, k) or steps > u.ceiling:
+            return []
+        instants, width = u.max_instances, len(u.attributes)
+        index = {slot: i for i, slot in enumerate(self.slots)}
+        return [
+            (
+                tuple((perm.index(obj) * instants + t) * width + a
+                      for obj in range(k) for t in range(instants) for a in range(width)),
+                tuple(index[t, perm[src], perm[dest], p] for t, src, dest, p in self.slots),
+            )
+            for perm in itertools.permutations(range(k))
+        ][1:]  # the first permutation is the identity
+
+    def system(self, attrs: tuple[int, ...], chosen: tuple[int, ...]) -> SystemGraph:
+        """The configuration's system, created through normal ingestion."""
+        u = self.universe
+        if attrs != self._attrs:  # one attribute block serves many event choices
+            self._attrs, width = attrs, len(u.attributes)
+            self._objects = [
+                {"t": t + 1, "object": {"id": obj, "attrs": {
+                    name: u.values[v] for name, v in zip(u.attributes, attrs[cell * width:(cell + 1) * width])
+                }}}
+                for t in range(u.max_instances)
+                for obj, cell in zip(self.ids, range(t, len(self.ids) * u.max_instances, u.max_instances))
+            ]
+        # a stable sort puts each instant's events after its objects
+        return ingest_trace(sorted(self._objects + [self.event_records[s] for s in chosen], key=_record_time))
+
+
+def _configurations(u: UniverseBounds) -> Iterator[tuple[_Frame, tuple[int, ...], tuple[int, ...]]]:
+    """Every configuration within the bounds, with its frame, in
+    enumeration order: object count, then attribute values, then the number
+    of events, then the chosen slots."""
     count = _system_count(u)
     if count > u.ceiling:
         raise UniverseCeilingError(count, u.ceiling)
-    instants = range(1, u.max_instances + 1)
     for k in range(u.max_objects + 1):
-        ids = [f"o{i + 1}" for i in range(k)]
-        cells = [(obj, t) for obj in ids for t in instants]
-        param_assignments = [
-            dict(zip(u.parameters, combo))
-            for combo in itertools.product(u.values, repeat=len(u.parameters))
-        ]
-        slots = [
-            (t, src, dest, params)
-            for t in instants
-            for src in ids
-            for dest in ids
-            for params in param_assignments
-        ]
-        for attr_combo in itertools.product(u.values, repeat=len(cells) * len(u.attributes)):
-            attr_at: dict[tuple[str, int], dict[str, Any]] = {}
-            it = iter(attr_combo)
-            for obj, t in cells:
-                attr_at[(obj, t)] = {a: next(it) for a in u.attributes}
-            for event_count in range(min(u.max_events, len(slots)) + 1):
-                for chosen in itertools.combinations(slots, event_count):
-                    records = []
-                    for t in instants:
-                        for obj in ids:
-                            records.append({"t": t, "object": {"id": obj, "attrs": attr_at[(obj, t)]}})
-                        for (et, src, dest, params) in chosen:
-                            if et == t:
-                                records.append(
-                                    {"t": t, "event": {"src": src, "dest": dest, "params": dict(params)}}
-                                )
-                    yield ingest_trace(records)
+        frame = _Frame(u, k)
+        slot_count = len(frame.slots)
+        for attrs in itertools.product(range(len(u.values)), repeat=frame.cell_count):
+            for event_count in range(min(u.max_events, slot_count) + 1):
+                for chosen in itertools.combinations(range(slot_count), event_count):
+                    yield frame, attrs, chosen
+
+
+def enumerate_systems(u: UniverseBounds) -> Iterator[SystemGraph]:
+    """Every system within the bounds, created through normal ingestion."""
+    for frame, attrs, chosen in _configurations(u):
+        yield frame.system(attrs, chosen)
+
+
+def orbit_systems(u: UniverseBounds, renaming: bool = True) -> Iterator[tuple[SystemGraph, int]]:
+    """One system per orbit of the object-renaming group, with the orbit's
+    size: the number of distinct systems its renamings give.
+
+    A configuration is walked only when none of its renamings is smaller,
+    compared as (attribute indices, slot indices), so each orbit is walked
+    at its first member in enumerate_systems() order; the test runs on the
+    indices, before any record is built.  With `renaming` false, and for
+    an object count whose group _Frame.renamings() finds too costly, the
+    group holds the identity alone and every system is walked with weight 1.
+    """
+    current = block = None
+    for frame, attrs, chosen in _configurations(u):
+        if frame is not current:
+            current, renamings = frame, (frame.renamings() if renaming else [])
+        if block != (frame, attrs):
+            block = frame, attrs
+            # renamings that move the attributes to a smaller tuple rule out
+            # the whole block; those that keep them decide by the slots
+            images = [(tuple(attrs[i] for i in source), slot_image) for source, slot_image in renamings]
+            smaller = any(image < attrs for image, _ in images)
+            fixing = [slot_image for image, slot_image in images if image == attrs]
+        if smaller:
+            continue
+        stabilizer = 1
+        for slot_image in fixing:
+            image = tuple(sorted(slot_image[s] for s in chosen))
+            if image < chosen:
+                break
+            stabilizer += image == chosen
+        else:
+            yield frame.system(attrs, chosen), (len(renamings) + 1) // stabilizer
 
 
 def _binding_pool(pattern: PatternGraph, u: UniverseBounds) -> list[Any]:
@@ -384,7 +467,10 @@ class CoverageResult:
     """Relation between two patterns' match sets, relative to a universe.
 
     Bounded evidence only: `relation` says how the match sets compared on
-    every system inside `universe`, nothing beyond it.
+    every system inside `universe`, nothing beyond it.  `systems_checked`
+    counts the systems represented by the orbits walked (see
+    coverage_compare): the universe's whole size when the walk ran to the
+    end, fewer when it stopped at an incomparable pair.
     """
 
     relation: str
@@ -395,38 +481,103 @@ class CoverageResult:
         return f"{self.relation} (bounded: {self.systems_checked} systems checked)"
 
 
-def coverage_compare(g1: PatternGraph, g2: PatternGraph, u: UniverseBounds) -> CoverageResult:
-    """Compare where two patterns match across a bounded universe."""
+def pair_matchers(
+    g1: PatternGraph, g2: PatternGraph, u: UniverseBounds
+) -> tuple[Callable[[SystemGraph], set[tuple]], Callable[[SystemGraph], set[tuple]]]:
+    """Each pattern's set of Match.key()s on a system, as a function of the
+    system; one function for both when the patterns are equal.
+
+    When both patterns' own predicates force every variable (rule R1, as
+    every domain of a valid policy does), both are matched exactly by
+    match_pattern, so a capture of an object id or an instant binds what it
+    finds.  Otherwise both are matched by pattern_matches_bounded over the
+    pair's value pool, the universe's values plus both patterns' constants:
+    an exact match on one side only would bind ids and instants that the
+    pool side can never bind.
+    """
+    if g1.variables <= g1.bindable and g2.variables <= g2.bindable:
+        first = _exact_matcher(g1)
+        return first, (first if g2 == g1 else _exact_matcher(g2))
     pool = _binding_pool(g1, u)
     for extra in _binding_pool(g2, u):
         if not any(values_equal(extra, existing) for existing in pool):
             pool.append(extra)
-    always_ge = True  # g1's matches include g2's
-    always_le = True
-    checked = 0
-    for system in enumerate_systems(u):
-        checked += 1
-        m1 = pattern_matches_bounded(g1, system, pool)
-        m2 = pattern_matches_bounded(g2, system, pool)
-        if not m2 <= m1:
-            always_ge = False
-        if not m1 <= m2:
-            always_le = False
-        if not always_ge and not always_le:
+    first = _pool_matcher(g1, pool)
+    return first, (first if g2 == g1 else _pool_matcher(g2, pool))
+
+
+def _exact_matcher(pattern: PatternGraph) -> Callable[[SystemGraph], set[tuple]]:
+    return lambda system: {m.key() for m in match_pattern(pattern, system)}
+
+
+def _pool_matcher(pattern: PatternGraph, pool: list[Any]) -> Callable[[SystemGraph], set[tuple]]:
+    return lambda system: pattern_matches_bounded(pattern, system, pool)
+
+
+class _Comparison:
+    """Two patterns' match sets, compared system by system."""
+
+    def __init__(self, g1: PatternGraph, g2: PatternGraph, u: UniverseBounds):
+        self.left, self.right = pair_matchers(g1, g2, u)
+        self.ge = self.le = True  # g1's matches include g2's / lie within them
+        self.checked = 0
+
+    def observe(self, system: SystemGraph, weight: int) -> bool:
+        """Compare on a system standing for `weight` systems; whether the
+        pair is still comparable."""
+        self.checked += weight
+        m1 = self.left(system)
+        m2 = m1 if self.right is self.left else self.right(system)
+        self.ge = self.ge and m2 <= m1
+        self.le = self.le and m1 <= m2
+        return self.ge or self.le
+
+    def result(self, u: UniverseBounds) -> CoverageResult:
+        relation = {(True, True): EQUAL, (True, False): GREATER, (False, True): LESSER}.get(
+            (self.ge, self.le), INCOMPARABLE
+        )
+        return CoverageResult(relation, u, self.checked)
+
+
+def _compare(pairs: Sequence[tuple[PatternGraph, PatternGraph]], u: UniverseBounds) -> list[CoverageResult]:
+    """Compare each pair of patterns in one walk over the universe's
+    object-renaming orbits.  A pair stops being compared once it is
+    incomparable; the walk stops when every pair is.
+
+    Renaming the object ids maps match sets to match sets, which keeps every
+    relation, except that ingestion copies each object's id into its
+    attributes: when any predicate reads `id`, the walk takes every system.
+    """
+    renaming = not any("id" in attributes_of(pred) for pair in pairs for g in pair for pred in g.preds.values())
+    comparisons = [_Comparison(g1, g2, u) for g1, g2 in pairs]
+    live = comparisons
+    for system, weight in orbit_systems(u, renaming):
+        live = [c for c in live if c.observe(system, weight)]
+        if not live:
             break
-    if always_ge and always_le:
-        relation = EQUAL
-    elif always_ge:
-        relation = GREATER
-    elif always_le:
-        relation = LESSER
-    else:
-        relation = INCOMPARABLE
-    return CoverageResult(relation, u, checked)
+    return [c.result(u) for c in comparisons]
+
+
+def coverage_compare(g1: PatternGraph, g2: PatternGraph, u: UniverseBounds) -> CoverageResult:
+    """Compare where two patterns match across a bounded universe.
+
+    Walks one system per orbit of the object-renaming group, weighted by
+    the orbit's size (orbit_systems()), and stops at the first system where
+    the relation becomes incomparable.  `systems_checked` is the sum of the
+    weights walked: the universe's size when the walk runs to the end; after
+    an early stop it counts whole orbits up to that system, so it may differ
+    from the number of systems before it in enumerate_systems() order.
+    Patterns are matched as pair_matchers() says.
+    """
+    return _compare([(g1, g2)], u)[0]
 
 
 @dataclass(frozen=True)
 class ContainmentResult:
+    """Whether one policy contains another, relative to a universe;
+    `systems_checked` as for CoverageResult, the larger of the domain and
+    the requirement comparisons' counts."""
+
     holds: bool
     universe: UniverseBounds
     systems_checked: int
@@ -444,9 +595,12 @@ def contains(p1: PolicyGraph, p2: PolicyGraph, u: UniverseBounds) -> Containment
 
     Needs p1's domain to cover at least p2's (p1 applies wherever p2 does)
     and p1's requirement to demand at least as much (its permitted match set
-    is no larger than p2's).
+    is no larger than p2's).  Both comparisons share one walk over the
+    orbits, as in coverage_compare; each stops counting once it is
+    incomparable, and the walk stops when both are.
     """
-    dom = coverage_compare(domain_of(p1), domain_of(p2), u)
-    req = coverage_compare(requirement_of(p1), requirement_of(p2), u)
+    dom, req = _compare(
+        [(domain_of(p1), domain_of(p2)), (requirement_of(p1), requirement_of(p2))], u
+    )
     holds = dom.relation in (GREATER, EQUAL) and req.relation in (LESSER, EQUAL)
     return ContainmentResult(holds, u, max(dom.systems_checked, req.systems_checked))

@@ -114,6 +114,11 @@ class PatternGraph:
     def ground(self) -> dict[str, Callable[[Mapping[str, Any], Mapping[str, Any]], Any]]:
         return {elt: compile_ground(e) for elt, e in self.preds.items()}
 
+    @cached_property
+    def bindable(self) -> frozenset[str]:
+        """The variables some predicate forces with an equality outside || and ! (rule R1)."""
+        return frozenset().union(*(_bindable_variables(e) for e in self.preds.values()))
+
 
 @dataclass(frozen=True)
 class PolicyGraph:
@@ -151,6 +156,12 @@ class PolicyGraph:
     def checked_requirements(self) -> tuple[str, ...]:
         """The elements, in elements() order, whose requirement may fail."""
         return tuple(elt for elt in self.graph.elements() if self.requirement_preds[elt] != TRUE)
+
+    @cached_property
+    def fingerprint(self) -> tuple:
+        """The graph's signature and the sorted variables: matches of two
+        policies can be the same match only when these are equal."""
+        return self.graph.signature(), tuple(sorted(self.variables))
 
 
 def make_policy(
@@ -352,10 +363,7 @@ def validate_policy(p: PolicyGraph) -> list[ValidationIssue]:
 
 def _check_rules(p: PolicyGraph) -> list[ValidationIssue]:
     issues: list[ValidationIssue] = []
-    bindable: set[str] = set()
-    for elt in p.graph.elements():
-        bindable |= _bindable_variables(p.domain_preds[elt])
-    for var in sorted(p.variables - bindable):
+    for var in sorted(p.variables - p.domain.bindable):
         issues.append(
             ValidationIssue(
                 p.name,

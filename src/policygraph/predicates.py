@@ -27,9 +27,9 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Mapping, Optional, Sequence
+from typing import Any, Callable, Mapping, Optional, Sequence
 
-from .values import ValueSet, canonical, is_number, is_value, values_equal
+from .values import ValueSet, canonical, is_number, values_equal
 
 
 class ParseError(ValueError):
@@ -103,7 +103,6 @@ FALSE = Const(False)
 BOOL_OPS = frozenset({"&&", "||"})
 CMP_OPS = frozenset({"=", "!=", "<", ">", "<=", ">=", "in", "subset", "subseteq"})
 SET_OPS = frozenset({"intersect", "union"})
-ARITH_OPS = frozenset({"+", "-", "*", "/"})
 
 
 def is_boolean_node(e: Expr) -> bool:
@@ -935,17 +934,20 @@ def _never_raises(e: Expr) -> bool:
     return isinstance(e, (Const, Attr)) or _always_flag(e)
 
 
-def _capture_of(e: Expr) -> Optional[tuple[str, str]]:
-    """(variable, attribute) for `attr = $X` or `$X = attr`."""
+def _capture_of(e: Expr) -> Optional[tuple[int, str, Any]]:
+    """The step for `$X = attr` or `$X = constant`, either way round:
+    (_CAPTURE, variable, attribute) or (_BIND, variable, value)."""
     if isinstance(e, BinOp) and e.op == "=":
-        if isinstance(e.left, Var) and isinstance(e.right, Attr):
-            return e.left.name, e.right.name
-        if isinstance(e.right, Var) and isinstance(e.left, Attr):
-            return e.right.name, e.left.name
+        for var, other in ((e.left, e.right), (e.right, e.left)):
+            if isinstance(var, Var):
+                if isinstance(other, Attr):
+                    return _CAPTURE, var.name, other.name
+                if isinstance(other, Const):
+                    return _BIND, var.name, other.value
     return None
 
 
-_TEST, _CAPTURE, _REQUIRE, _OPEN = range(4)
+_TEST, _CAPTURE, _BIND, _REQUIRE, _OPEN = range(5)
 
 
 class BindingPlan:
@@ -953,7 +955,8 @@ class BindingPlan:
 
     The top-level conjuncts become steps, in their order.  A variable-free
     conjunct is a test.  `attr = $X` (or `$X = attr`) captures the
-    attribute's value for $X.  A conjunct with a variable in any other shape
+    attribute's value for $X, and `$X = constant` (either way round) binds
+    the constant.  A conjunct with a variable in any other shape
     (under || or !, say) is left to the interpreter: reaching it raises
     Fallback.  Where an absent attribute falsifies a conjunction, a step
     checks for it at the place substitute_attrs would put the false.
@@ -993,7 +996,7 @@ class BindingPlan:
             self.steps.append((_OPEN, None, None))
             self.may_raise = True
         else:
-            self.steps.append((_CAPTURE, *capture))
+            self.steps.append(capture)
 
     def __call__(self, ctx: Mapping[str, Any]) -> Optional[list[tuple[str, Any]]]:
         captures = []
@@ -1009,6 +1012,8 @@ class BindingPlan:
                 if value is _ABSENT:
                     return None  # substitute_attrs makes the equality false
                 captures.append((a, value))
+            elif kind == _BIND:
+                captures.append((a, b))
             elif kind == _REQUIRE:
                 for name in a:
                     if name not in ctx:

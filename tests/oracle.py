@@ -7,8 +7,9 @@ candidate matches over a finite value pool.  Tests treat disagreement
 between the engine and these functions as an engine bug.
 
 Also home to the seeded random generators (expressions, contexts, policies,
-traces) shared by the differential test files, and to a naive reference
-renderer of the text report.
+traces) shared by the differential test files, to a naive reference
+renderer of the text report, and to naive references for bounded coverage
+and containment.
 """
 
 from __future__ import annotations
@@ -18,7 +19,19 @@ import json
 import random
 from typing import Any, Iterator, Mapping
 
-from policygraph.policy import PolicyGraph, make_policy
+from policygraph.algebra import (
+    EQUAL,
+    GREATER,
+    INCOMPARABLE,
+    LESSER,
+    ContainmentResult,
+    CoverageResult,
+    UniverseBounds,
+    enumerate_systems,
+    pattern_matches_bounded,
+)
+from policygraph.matching import match_pattern
+from policygraph.policy import PatternGraph, PolicyGraph, domain_of, make_policy, requirement_of
 from policygraph.predicates import Attr, BinOp, Const, Expr, Not, Var
 from policygraph.system import SystemGraph
 from policygraph.values import ValueSet, canonical, to_json
@@ -491,10 +504,20 @@ def _domain_clause(rng: random.Random, names, values=GEN_VALUES) -> Expr:
     return BinOp(op, Attr(name), value)
 
 
-def random_policy(rng: random.Random, name: str, values=GEN_VALUES, parallel: bool = False) -> PolicyGraph:
+def random_policy(
+    rng: random.Random,
+    name: str,
+    values=GEN_VALUES,
+    parallel: bool = False,
+    attrs=GEN_ATTRS,
+    params=GEN_PARAMS,
+    lone_node: bool = False,
+) -> PolicyGraph:
     """Small random policy: 1-2 edges or an edge plus an isolated node,
     0-2 variables.  With `parallel`, the two edges of the two-edge shape
-    both run n1 -> n2, and n3 is isolated.
+    both run n1 -> n2, and n3 is isolated.  With `lone_node`, a fourth
+    shape is drawn too: one isolated node.  Node predicates name `attrs`,
+    edge predicates `params`.
 
     Every variable is bound by an `attr = $v` conjunct on some domain
     predicate's top spine, so the result always passes validation and the
@@ -502,10 +525,13 @@ def random_policy(rng: random.Random, name: str, values=GEN_VALUES, parallel: bo
     """
     n_vars = rng.randrange(3)
     variables = [f"V{i}" for i in range(n_vars)]
-    shape = rng.randrange(3)  # 0: one edge, 1: two edges, 2: edge + isolated
+    # 0: one edge, 1: two edges, 2: edge + isolated, 3: one isolated node
+    shape = rng.randrange(4 if lone_node else 3)
     node_ids = ["n1", "n2"]
     edge_ends = {"e1": ("n1", "n2")}
-    if shape == 1:
+    if shape == 3:
+        node_ids, edge_ends = ["n1"], {}
+    elif shape == 1:
         node_ids.append("n3")
         edge_ends["e2"] = ("n1", "n2") if parallel else (rng.choice(["n1", "n2"]), "n3")
     elif shape == 2:
@@ -515,7 +541,7 @@ def random_policy(rng: random.Random, name: str, values=GEN_VALUES, parallel: bo
     domains: dict[str, Expr] = {}
     for elt in elements:
         is_edge = elt.startswith("e")
-        names = GEN_PARAMS if is_edge else GEN_ATTRS
+        names = params if is_edge else attrs
         clause: Expr | None = None
         if rng.random() < 0.45:
             clause = _domain_clause(rng, names, values)
@@ -524,7 +550,7 @@ def random_policy(rng: random.Random, name: str, values=GEN_VALUES, parallel: bo
         domains[elt] = clause if clause is not None else Const(True)
     for i, var in enumerate(variables):
         host = elements[i % len(elements)]
-        host_names = GEN_PARAMS if host.startswith("e") else GEN_ATTRS
+        host_names = params if host.startswith("e") else attrs
         domains[host] = BinOp("&&", domains[host], _binding_conjunct(rng, var, host_names))
 
     requirements: dict[str, Expr] = {}
@@ -533,7 +559,7 @@ def random_policy(rng: random.Random, name: str, values=GEN_VALUES, parallel: bo
         if roll < 0.4:
             requirements[elt] = Const(True)
         elif roll < 0.7 and elt.startswith("e"):
-            requirements[elt] = _domain_clause(rng, GEN_PARAMS, values)
+            requirements[elt] = _domain_clause(rng, params, values)
         elif variables:
             var = rng.choice(variables)
             requirements[elt] = BinOp("=", Var(var), Const(rng.choice(values)))
@@ -651,3 +677,115 @@ def reference_render_text(report) -> str:
     if collapsed_any:
         lines.append("note: matches differing only in parallel-edge ordering are collapsed above")
     return "\n".join(lines) + "\n"
+
+
+# --- reference coverage and containment ----------------------------------------
+
+
+def _var_names(e: Expr) -> set[str]:
+    if isinstance(e, Var):
+        return {e.name}
+    if isinstance(e, Not):
+        return _var_names(e.operand)
+    if isinstance(e, BinOp):
+        return _var_names(e.left) | _var_names(e.right)
+    return set()
+
+
+def _forced_names(e: Expr) -> set[str]:
+    """Variables that an `=` against a variable-free side pins down, read
+    along the chain of && from the top of the predicate."""
+    if isinstance(e, BinOp) and e.op == "&&":
+        return _forced_names(e.left) | _forced_names(e.right)
+    if isinstance(e, BinOp) and e.op == "=":
+        return {
+            side.name
+            for side, other in ((e.left, e.right), (e.right, e.left))
+            if isinstance(side, Var) and not _var_names(other)
+        }
+    return set()
+
+
+def _forces_every_variable(g: PatternGraph) -> bool:
+    """Whether the pattern's own predicates pin down every variable of its
+    policy, those only the other pattern mentions included."""
+    return g.variables <= set().union(*(_forced_names(pred) for pred in g.preds.values()))
+
+
+def _pair_pool(g1: PatternGraph, g2: PatternGraph, u: UniverseBounds) -> list[Any]:
+    """The universe's values, then every constant of either pattern; a
+    predicate that is the constant true contributes nothing."""
+    pool: list[Any] = []
+
+    def add(v: Any) -> None:
+        if not any(same_value(v, p) for p in pool):
+            pool.append(v)
+
+    def walk(e: Expr) -> None:
+        if isinstance(e, Const):
+            add(e.value)
+            if isinstance(e.value, ValueSet):
+                for m in e.value:
+                    add(m)
+        elif isinstance(e, Not):
+            walk(e.operand)
+        elif isinstance(e, BinOp):
+            walk(e.left)
+            walk(e.right)
+
+    for v in u.values:
+        add(v)
+    for g in (g1, g2):
+        for pred in g.preds.values():
+            if pred != Const(True):
+                walk(pred)
+    return pool
+
+
+def reference_coverage(g1: PatternGraph, g2: PatternGraph, u: UniverseBounds) -> CoverageResult:
+    """coverage_compare the plain way: every system of enumerate_systems()
+    in turn, each counted once; stops at the first system after which the
+    relation is incomparable.
+
+    Both patterns are matched exactly when both force every variable they
+    use, and both over the pair's value pool otherwise, decided here
+    without asking the engine which way it matches.
+    """
+    if _forces_every_variable(g1) and _forces_every_variable(g2):
+        def matches(g, system):
+            return {m.key() for m in match_pattern(g, system)}
+    else:
+        pool = _pair_pool(g1, g2, u)
+
+        def matches(g, system):
+            return pattern_matches_bounded(g, system, pool)
+
+    ge = le = True
+    checked = 0
+    for system in enumerate_systems(u):
+        checked += 1
+        m1, m2 = matches(g1, system), matches(g2, system)
+        ge = ge and m2 <= m1
+        le = le and m1 <= m2
+        if not ge and not le:
+            break
+    if ge and le:
+        relation = EQUAL
+    elif ge:
+        relation = GREATER
+    elif le:
+        relation = LESSER
+    else:
+        relation = INCOMPARABLE
+    return CoverageResult(relation, u, checked)
+
+
+def reference_contains(
+    p1: PolicyGraph, p2: PolicyGraph, u: UniverseBounds
+) -> tuple[ContainmentResult, CoverageResult, CoverageResult]:
+    """contains as two separate reference_coverage walks, the domains and
+    the requirements; returns the result and the two comparisons."""
+    dom = reference_coverage(domain_of(p1), domain_of(p2), u)
+    req = reference_coverage(requirement_of(p1), requirement_of(p2), u)
+    holds = dom.relation in (GREATER, EQUAL) and req.relation in (LESSER, EQUAL)
+    return ContainmentResult(holds, u, max(dom.systems_checked, req.systems_checked)), dom, req

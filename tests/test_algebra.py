@@ -1,5 +1,7 @@
 """Policy combinators, their per-match semantics, and bounded coverage."""
 
+import itertools
+import math
 import random
 
 import pytest
@@ -26,15 +28,17 @@ from policygraph.algebra import (
     eval_policy_expr,
     nullify,
     nullify_graph,
+    orbit_systems,
     reverse,
     reverse_expr,
 )
+from policygraph.algebra import _Frame, _system_count
 from policygraph.matching import find_matches, verdict
-from policygraph.policy import PolicyGraph, domain_of, parse_policy
-from policygraph.predicates import parse_predicate
+from policygraph.policy import PolicyGraph, domain_of, parse_policy, requirement_of
+from policygraph.predicates import BinOp, parse_predicate
 from policygraph.system import ingest_trace
 
-from oracle import GEN_VALUES, random_policy, random_trace_records
+from oracle import GEN_VALUES, random_policy, random_trace_records, reference_contains, reference_coverage
 
 NO_READ_UP = """
 policy no_read_up {
@@ -55,7 +59,7 @@ CLASSIC = [
 ]
 
 
-def same_domain_variant(rng: random.Random, p: PolicyGraph, name: str) -> PolicyGraph:
+def same_domain_variant(rng: random.Random, p: PolicyGraph, name: str, values=GEN_VALUES) -> PolicyGraph:
     """Fresh requirements over the same graph and domain."""
     variables = sorted(p.variables)
     reqs = {}
@@ -64,9 +68,9 @@ def same_domain_variant(rng: random.Random, p: PolicyGraph, name: str) -> Policy
         if roll < 0.35:
             reqs[elt] = parse_predicate("true")
         elif roll < 0.55 and elt in p.graph.edges:
-            reqs[elt] = parse_predicate(f"act = {_lit(rng.choice(GEN_VALUES))}")
+            reqs[elt] = parse_predicate(f"act = {_lit(rng.choice(values))}")
         elif variables:
-            reqs[elt] = parse_predicate(f"${rng.choice(variables)} = {_lit(rng.choice(GEN_VALUES))}")
+            reqs[elt] = parse_predicate(f"${rng.choice(variables)} = {_lit(rng.choice(values))}")
         else:
             reqs[elt] = parse_predicate("true" if rng.random() < 0.7 else "false")
     return PolicyGraph(name, p.graph, dict(p.domain_preds), reqs)
@@ -405,3 +409,232 @@ class TestContainment:
         strict, le = flow("flow_strict", "$A <= 0"), flow("flow_le", "$A <= 1")
         assert contains(strict, le, u)
         assert not contains(le, strict, u)
+
+
+def pattern(body: str):
+    """The domain of a policy with the given element lines."""
+    return domain_of(parse_policy(f"policy q {{\n{body}\n}}"))
+
+
+def system_key(g) -> tuple:
+    return (
+        tuple(sorted((s.id, s.time, tuple(sorted(s.attrs.items()))) for s in g.objects())),
+        tuple((e.src, e.dest, tuple(sorted(e.params.items())), e.time) for e in g.events),
+    )
+
+
+# The containment universe of the benchmark's algebra_universe workload.
+BENCH_CONTAINS = UniverseBounds(2, 1, ("kind",), ("act",), (0, 1, 2), max_events=2)
+
+
+class TestOrbitWalk:
+    UNIVERSES = [
+        BENCH_CONTAINS,
+        UniverseBounds(3, 1, ("kind",), ("act",), (0, 1), max_events=2),
+        UniverseBounds(2, 2, ("kind",), ("act",), (0, 1), max_events=2),
+        UniverseBounds(3, 1, (), (), (0, 1), max_events=2),
+        UniverseBounds(1, 1, ("kind",), (), (0, 1), max_events=1),
+    ]
+
+    @pytest.mark.parametrize("u", UNIVERSES, ids=lambda u: f"{u.max_objects}obj{u.max_instances}t{len(u.values)}v")
+    def test_weights_sum_to_the_universe(self, u):
+        assert sum(weight for _, weight in orbit_systems(u)) == _system_count(u)
+
+    def test_orbit_counts(self):
+        assert sum(1 for _ in orbit_systems(BENCH_CONTAINS)) == 388
+        three = UniverseBounds(3, 1, ("kind",), ("act",), (0, 1), max_events=2)
+        assert _system_count(three) == 1533
+        assert sum(1 for _ in orbit_systems(three)) == 342
+
+    def test_each_orbit_is_walked_at_its_first_system(self):
+        """The walk takes the first system of each orbit in
+        enumerate_systems() order, weighted by the orbit's size."""
+        u = UniverseBounds(3, 1, ("kind",), (), (0, 1), max_events=2)
+
+        def orbit(key):
+            objects, events = key
+            ids = sorted({obj for obj, _, _ in objects})
+            images = []
+            for perm in itertools.permutations(ids):
+                rename = dict(zip(ids, perm))
+                images.append((
+                    tuple(sorted(
+                        (rename[obj], t, tuple((a, rename[v] if a == "id" else v) for a, v in attrs))
+                        for obj, t, attrs in objects
+                    )),
+                    tuple(sorted((rename[s], rename[d], p, t) for s, d, p, t in events)),
+                ))
+            return min(images)
+
+        firsts, sizes = {}, {}
+        for g in enumerate_systems(u):
+            key = system_key(g)
+            firsts.setdefault(orbit(key), key)
+            sizes[orbit(key)] = sizes.get(orbit(key), 0) + 1
+        walked = [(system_key(g), weight) for g, weight in orbit_systems(u)]
+        assert walked == [(firsts[o], sizes[o]) for o in firsts]
+
+    def test_without_renaming_every_system_in_order(self):
+        u = UniverseBounds(2, 1, ("kind",), ("act",), (0, 1), max_events=1)
+        walked = [(system_key(g), w) for g, w in orbit_systems(u, renaming=False)]
+        assert walked == [(system_key(g), 1) for g in enumerate_systems(u)]
+
+    def test_ceiling_guard(self):
+        big = UniverseBounds(3, 3, ("a", "b"), ("p",), (0, 1, 2), max_events=3, ceiling=1000)
+        with pytest.raises(UniverseCeilingError):
+            next(orbit_systems(big))
+
+    def test_many_objects_few_systems(self):
+        """Ten objects, no attributes, one value: 396 systems, but 10! id
+        permutations.  A frame whose group is larger than its set of
+        configurations, or whose maps would outgrow the ceiling, is walked
+        with the identity alone, and enumerate_systems builds no maps."""
+        u = UniverseBounds(10, 1, (), (), (0,), max_events=1)
+        for k in range(11):  # in this order, so a missing guard fails before 10! maps
+            assert len(_Frame(u, k).renamings()) == (math.factorial(k) - 1 if k <= 3 else 0), k
+        assert sum(1 for _ in enumerate_systems(u)) == _system_count(u) == 396
+        assert sum(weight for _, weight in orbit_systems(u)) == 396
+        loop = parse_policy("policy loop {\n node n\n edge e: n -> n\n}")
+        flow = parse_policy("policy flow {\n node a\n node b\n edge e: a -> b\n}")
+        assert contains(loop, loop, u) == reference_contains(loop, loop, u)[0]
+        assert contains(loop, loop, u).systems_checked == 396
+        assert not contains(loop, flow, u)
+        assert not reference_contains(loop, flow, u)[0]
+
+    def test_predicate_reading_id_takes_every_system(self):
+        """Ingestion copies an object's id into its attributes, so renaming
+        the objects can change what such a predicate matches: a walk with one
+        system per orbit would find pattern a's matches inside b's."""
+        u = UniverseBounds(2, 1, ("kind",), (), (0, 1), max_events=0)
+        a = pattern(' node n domain: id = "o2" && kind = 0\n node m')
+        b = pattern(" node n domain: kind = 0\n node m domain: kind = 0")
+        assert coverage_compare(a, b, u).relation == INCOMPARABLE
+        assert coverage_compare(b, a, u).relation == INCOMPARABLE
+        assert reference_coverage(a, b, u).relation == INCOMPARABLE
+
+    def test_containment_with_one_incomparable_half_walks_to_the_end(self):
+        """Domains incomparable, requirements not: the domain comparison
+        stops counting, the requirement comparison walks every orbit."""
+        u = UniverseBounds(2, 1, ("kind",), ("act",), (0, 1), max_events=1)
+        p = parse_policy("policy p {\n node a domain: kind = 0\n node b\n edge e: a -> b req: act = 0\n}")
+        q = parse_policy("policy q {\n node a domain: kind = 1\n node b\n edge e: a -> b req: act = 0\n}")
+        assert coverage_compare(domain_of(p), domain_of(q), u).relation == INCOMPARABLE
+        result = contains(p, q, u)
+        assert not result
+        assert result.systems_checked == _system_count(u) == 43
+        assert result == reference_contains(p, q, u)[0]
+
+    def test_early_stop_counts_whole_orbits(self):
+        """The relation turns incomparable on o1 kind 0, o2 kind 1: the
+        plain walk stops there, the orbit walk stops there too but counts
+        its renaming (o1 kind 1, o2 kind 0) as well."""
+        u = UniverseBounds(2, 1, ("kind",), (), (0, 1), max_events=0)
+        a = pattern(" node n domain: kind = 0\n node m domain: kind = 1")
+        b = pattern(" node n domain: kind = 1\n node m domain: kind = 0")
+        got, want = coverage_compare(a, b, u), reference_coverage(a, b, u)
+        assert got.relation == want.relation == INCOMPARABLE
+        # empty, o1 kind 0, o1 kind 1, both kind 0, then the stop
+        assert (got.systems_checked, want.systems_checked) == (6, 5)
+
+
+class TestExactDomains:
+    """Domains that capture an object id or an instant: every binding they
+    capture is found, not only those in the universe's values."""
+
+    def test_id_capture(self):
+        u = UniverseBounds(2, 1, ("kind",), ("act",), (0, 1), max_events=1)
+        any_id = pattern(" node n domain: id = $X")
+        kind_0 = pattern(" node n domain: id = $X && kind = 0")
+        assert coverage_compare(any_id, kind_0, u).relation == GREATER
+        assert coverage_compare(kind_0, any_id, u).relation == LESSER
+        assert str(coverage_compare(any_id, kind_0, u)) == "greater (bounded: 43 systems checked)"
+
+    def test_instant_capture(self):
+        u = UniverseBounds(1, 3, ("kind",), ("act",), (0, 1), max_events=1)
+        late = pattern(" node n\n edge e: n -> n domain: time = $T && time > 1")
+        late_0 = pattern(" node n\n edge e: n -> n domain: time = $T && time > 1 && act = 0")
+        assert coverage_compare(late, late_0, u).relation == GREATER
+        assert coverage_compare(late_0, late, u).relation == LESSER
+
+    def test_pair_with_one_unforced_pattern_uses_the_pool_for_both(self):
+        """`$T = time` forces $T, `$T = time || $T = 5` does not.  Matching
+        the first exactly would bind instants (2, 3) the second, matched over
+        the pool {0, 1, 5}, can never bind: the pair must share the pool."""
+        u = UniverseBounds(1, 3, (), ("act",), (0, 1), max_events=1)
+        at = parse_policy("policy at {\n node n\n edge e: n -> n domain: act = $T req: $T = time\n}")
+        at_or_5 = parse_policy(
+            "policy at_or_5 {\n node n\n edge e: n -> n domain: act = $T req: $T = time || $T = 5\n}"
+        )
+        assert coverage_compare(requirement_of(at), requirement_of(at_or_5), u).relation == LESSER
+        assert reference_coverage(requirement_of(at), requirement_of(at_or_5), u).relation == LESSER
+        assert contains(at, at_or_5, u)
+        assert not contains(at_or_5, at, u)
+
+    def test_requirement_patterns_keep_the_value_pool(self):
+        p = parse_policy("policy p {\n node a\n node b\n edge e: a -> b domain: act = $A req: $A = 0 || $A = 1\n}")
+        u = UniverseBounds(2, 1, ("kind",), ("act",), (0, 1, 2), max_events=1)
+        req = requirement_of(p)
+        assert not req.variables <= req.bindable
+        assert coverage_compare(req, requirement_of(p), u).relation == EQUAL
+
+
+# (universe, random policy pairs on it): 320 pairs, fewer on the larger universes
+DIFFERENTIAL_UNIVERSES = [
+    (UniverseBounds(2, 1, ("kind",), ("act",), (0, 1), max_events=1), 60),
+    (UniverseBounds(2, 1, ("kind",), (), (0, 1, 2), max_events=1), 50),
+    (UniverseBounds(3, 1, ("kind",), (), (0, 1), max_events=1), 40),
+    (UniverseBounds(2, 2, ("kind",), (), (0, 1), max_events=1), 20),
+    (UniverseBounds(2, 1, ("kind",), ("act",), (0, 1), max_events=2), 30),
+    (UniverseBounds(1, 2, ("kind",), ("act",), (0, 1), max_events=2), 20),
+    (UniverseBounds(2, 1, ("kind", "level"), (), (0, 1), max_events=1), 40),
+    (UniverseBounds(2, 1, ("level",), ("act", "grade"), (1, 2), max_events=1), 60),
+]
+
+
+class TestAgainstReference:
+    """The orbit walk against the plain walk of tests/oracle.py, on random
+    policy pairs: the same relations and containment everywhere, and the
+    same count wherever neither walk stopped early."""
+
+    @pytest.mark.parametrize("case", range(len(DIFFERENTIAL_UNIVERSES)))
+    def test_random_pairs(self, case):
+        u, pairs = DIFFERENTIAL_UNIVERSES[case]
+        rng = random.Random(7331 + case)
+        for i in range(pairs):
+            p, q = random_pair(rng, u, i)
+            want, *halves = reference_contains(p, q, u)
+            for (g1, g2), half in zip(((domain_of(p), domain_of(q)), (requirement_of(p), requirement_of(q))), halves):
+                got = coverage_compare(g1, g2, u)
+                assert got.relation == half.relation, (p, q)
+                if half.relation != INCOMPARABLE:
+                    assert got.systems_checked == half.systems_checked == _system_count(u), (p, q)
+            got = contains(p, q, u)
+            assert got.holds == want.holds, (p, q)
+            if [h.relation for h in halves] != [INCOMPARABLE, INCOMPARABLE]:
+                assert got.systems_checked == want.systems_checked == _system_count(u), (p, q)
+
+
+def random_pair(rng: random.Random, u: UniverseBounds, i: int) -> tuple[PolicyGraph, PolicyGraph]:
+    """Two random policies over the universe's names and values: unrelated,
+    or sharing a domain, or one's domain narrowed by a clause; in either
+    order."""
+    names = dict(values=list(u.values), attrs=u.attributes or ("kind",), params=u.parameters or ("act",))
+    p = random_policy(rng, f"p{i}", lone_node=True, **names)
+    roll = rng.random()
+    if roll < 0.4:
+        q = random_policy(rng, f"q{i}", lone_node=True, **names)
+    else:
+        q = p if roll < 0.7 else narrowed(rng, p, names)
+        if q is p or rng.random() < 0.5:
+            q = same_domain_variant(rng, q, q.name + "_v", names["values"])
+    return (p, q) if rng.random() < 0.5 else (q, p)
+
+
+def narrowed(rng: random.Random, p: PolicyGraph, names: dict) -> PolicyGraph:
+    """p with one more clause on one element's domain."""
+    elt = rng.choice(p.graph.elements())
+    name = rng.choice(names["params"] if elt in p.graph.edges else names["attrs"])
+    clause = f"{name} {rng.choice(['=', '!='])} {rng.choice(names['values'])}"
+    domain = dict(p.domain_preds)
+    domain[elt] = BinOp("&&", domain[elt], parse_predicate(clause))
+    return PolicyGraph(p.name + "_n", p.graph, domain, dict(p.requirement_preds))

@@ -256,6 +256,29 @@ class TestAlgebraMode:
         assert code == EXIT_OK
         assert "coverage(wide, narrow): greater" in text
 
+    def test_coverage_of_domains_capturing_object_ids(self, tmp_path):
+        """Each object's id is captured as it is, though no id is among the
+        universe's values."""
+        (tmp_path / "pair.policy").write_text(
+            "policy any_id {\n node n domain: id = $X\n}\n"
+            "policy kind_0 {\n node n domain: id = $X && kind = 0\n}\n"
+        )
+        (tmp_path / "universe.json").write_text(
+            json.dumps({
+                "max_objects": 2, "max_instances": 1,
+                "attributes": ["kind"], "parameters": ["act"], "values": [0, 1],
+                "max_events": 1,
+            })
+        )
+        for targets, relation in ((("any_id", "kind_0"), "greater"), (("kind_0", "any_id"), "lesser")):
+            code, text = cli(
+                "--policies", tmp_path / "pair.policy",
+                "--mode", "algebra", "--op", "coverage",
+                "--targets", *targets, "--universe", tmp_path / "universe.json",
+            )
+            assert code == EXIT_OK
+            assert f"coverage({targets[0]}, {targets[1]}): {relation} (bounded: 43 systems checked)" in text
+
     def test_missing_op(self, workspace):
         code, _ = cli("--policies", workspace / "no_read_up.policy", "--mode", "algebra")
         assert code == EXIT_USAGE

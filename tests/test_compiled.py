@@ -441,6 +441,19 @@ class TestRules:
         assert agree("$X > 1", {}) == ("open", None)
         assert agree("$X > 1 && false", {}) == ("value", False)
 
+    def test_constant_captures_are_compiled(self):
+        e = parse_predicate('kind = "a" && 1 = $X && $Y = {1, 2} && $X = 1.0')
+        plan = BindingPlan(e)
+        assert not plan.may_raise
+        assert plan({"kind": "b"}) is None
+        for ctx in ({"kind": "a"}, {}):
+            want = reduce_conditions(satisfy(e, ctx, {}))
+            found = plan(ctx)
+            assert (found is None) == want.is_false
+            if found is not None:
+                assert same_conditions(bind_captures(SETTLED, [found]), want)
+        assert same(bind_captures(SETTLED, [plan({"kind": "a"})]).bindings["X"], 1.0)
+
     def test_open_conjunct_is_left_to_the_interpreter(self):
         e = parse_predicate('kind = "a" && ($X = 1 || $X = 2)')
         plan = BindingPlan(e)

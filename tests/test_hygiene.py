@@ -1,0 +1,118 @@
+"""Static checks over the package source: no dead imports or constants.
+
+Each module of src/policygraph is parsed with `ast`, not imported.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "policygraph"
+MODULES = sorted(PACKAGE.glob("*.py"))
+NOQA_F401 = re.compile(r"#\s*noqa:.*\bF401\b")
+CONSTANT = re.compile(r"^_?[A-Z][A-Z0-9_]*$")
+
+
+def parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def names_read(tree: ast.AST) -> set[str]:
+    """Every name the module reads: loaded names, attribute names, and
+    names inside string annotations."""
+    found: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        annotations = []
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        elif isinstance(node, ast.arg):
+            annotations.append(node.annotation)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+        for annotation in annotations:
+            for inner in ast.walk(annotation) if annotation is not None else ():
+                if isinstance(inner, ast.Constant) and isinstance(inner.value, str):
+                    found |= names_read(ast.parse(inner.value, mode="eval"))
+    return found
+
+
+def exported(tree: ast.Module) -> set[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return {elt.value for elt in node.value.elts}
+    return set()
+
+
+def unused_imports(path: Path) -> list[str]:
+    """Imported names the module neither reads nor lists in __all__, except
+    those on a `# noqa: F401` line."""
+    tree = parse(path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    used = names_read(tree) | exported(tree)
+    unused = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if any(NOQA_F401.search(line) for line in lines[node.lineno - 1 : node.end_lineno]):
+            continue
+        for alias in node.names:
+            bound = alias.asname or alias.name.split(".")[0]
+            if bound not in used:
+                unused.append(bound)
+    return unused
+
+
+def unread_constants() -> list[str]:
+    """Module-level UPPER_CASE names that no module of the package reads."""
+    trees = {path.stem: parse(path) for path in MODULES}
+    read: set[str] = set()
+    for tree in trees.values():
+        read |= names_read(tree) | exported(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                read |= {alias.name for alias in node.names}
+    unread = []
+    for stem, tree in trees.items():
+        for node in tree.body:
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target] if isinstance(node, ast.AnnAssign) else []
+            for target in targets:
+                if isinstance(target, ast.Name) and CONSTANT.match(target.id) and target.id not in read:
+                    unread.append(f"{stem}.{target.id}")
+    return unread
+
+
+def test_modules_are_found():
+    assert len(MODULES) >= 10
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path) == []
+
+
+def test_no_unread_constants():
+    assert unread_constants() == []
+
+
+def test_the_checks_see_what_they_look_for(tmp_path):
+    module = tmp_path / "sample.py"
+    module.write_text(
+        "from __future__ import annotations\n"
+        "import os, sys\n"
+        "from typing import Iterator, Mapping\n"
+        "from json import dumps  # noqa: F401  kept for callers\n"
+        "__all__ = ['sys']\n"
+        "def f(x: 'Mapping[str, int]') -> None:\n"
+        "    return None\n",
+        encoding="utf-8",
+    )
+    assert unused_imports(module) == ["os", "Iterator"]
+    assert "UNREAD" not in names_read(ast.parse("UNREAD = 1\nREAD = 2\nprint(READ)"))
