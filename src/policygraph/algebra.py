@@ -416,6 +416,8 @@ def pattern_matches_bounded(pattern: PatternGraph, graph: SystemGraph, pool: Seq
     events = graph.events
     keys: set[tuple] = set()
     variables = sorted(pattern.variables)
+    pairs = [(obj, t) for obj in graph.object_ids() for t in graph.instants(obj)] if iso_ids else []
+    iso_choices = [pairs] * len(iso_ids)  # the same (object, instant) list for every isolated node
     for edge_assignment in _injective_maps(edge_ids, range(len(events))):
         node_objects: dict[str, str] = {}
         ok = True
@@ -426,10 +428,6 @@ def pattern_matches_bounded(pattern: PatternGraph, graph: SystemGraph, pool: Seq
                     ok = False
         if not ok or not _injective(node_objects):
             continue
-        iso_choices = [
-            [(obj, t) for obj in graph.object_ids() for t in graph.instants(obj)]
-            for _ in iso_ids
-        ]
         for iso_combo in itertools.product(*iso_choices):
             iso_assignment = dict(zip(iso_ids, iso_combo))
             all_nodes = dict(node_objects)

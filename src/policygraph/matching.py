@@ -6,15 +6,21 @@ forces.  Connected policy nodes are not assigned directly: each incident
 event fixes them, and all events incident to one policy node must agree on
 the object.  Distinct policy nodes must map to distinct objects.
 
-Bindings are never guessed from the value universe.  They are derived solely
-from forced equalities in the residual conditions (see predicates.reduce
-machinery); rule R1 guarantees every variable is forced before a match can
-complete, which is why find_matches demands a policy that validates cleanly.
+Bindings are never guessed from the value universe.  Each domain predicate
+is compiled once (predicates.BindingPlan, kept on the pattern) into tests,
+captures and filters.  A candidate for an element passes its tests and
+binds its captures, the `$X = e` equalities with e variable-free; the join
+carries the bindings as a plain dict and prunes where two captures of one
+variable differ.  Each filter, any other conjunct with a variable, runs
+once its element is placed and every variable in it is bound.  This is
+sideways information passing (Beeri & Ramakrishnan, "On the Power of
+Magic", PODS 1987).  Rule R1 guarantees that every variable has a capture,
+so every filter runs before a match completes; that is why find_matches
+demands a policy that validates cleanly.
 
-Predicates are checked in their compiled forms (predicates.BindingPlan and
-compile_ground, kept on the pattern), which give what satisfy(),
-merge_conditions() and evaluate() would; a case a compiled form cannot
-settle goes to those functions.
+The compiled forms give what the interpreter (predicates.evaluate) would.
+Where one gives up, the interpreter judges that predicate or conjunct and
+raises the error it reports.
 """
 
 from __future__ import annotations
@@ -24,24 +30,14 @@ from operator import itemgetter
 from typing import Any, Mapping, Optional, Sequence
 
 from .policy import PatternGraph, PolicyGraph, domain_of, validate_policy
-from .predicates import (
-    BOTTOM,
-    TRUE,
-    BindingPlan,
-    Conditions,
-    Const,
-    Fallback,
-    PredicateTypeError,
-    bind_captures,
-    evaluate,
-    merge_conditions,
-    satisfy,
-)
+from .predicates import TRUE, Const, Fallback, PredicateTypeError, evaluate
+from .predicates import merge_conditions, satisfy  # noqa: F401  perfbench/tracing.py wraps them here, with evaluate
 from .system import SystemEvent, SystemGraph
-from .values import canonical
+from .values import canonical, values_equal
 
 DEFAULT_MATCH_CAP = 100_000
-SETTLED = Conditions({}, TRUE)  # no bindings yet, nothing left to settle
+_ABSENT = object()
+_NO_CAPTURES: Mapping[str, Any] = {}
 
 
 class MatchCapExceeded(RuntimeError):
@@ -90,125 +86,116 @@ def match_graph(
 ) -> bool:
     """Whether the pattern holds at the given assignment under complete
     bindings.  Purely predicate-level; injectivity and node-object agreement
-    are the enumerator's business.  An empty pattern holds trivially.
+    are the enumerator's business.  An empty pattern holds trivially, and a
+    predicate with a variable left unbound does not hold.
     """
-    g = pattern.graph
-    # merging conditions rejects a binding that is not equal to itself (NaN)
+    ground, preds = pattern.ground, pattern.preds
+    # the interpreter's merge of an edge's three predicates rejects a
+    # binding that is not equal to itself (NaN), once they have been judged
     self_equal = all(v == v for v in bindings.values())
-    for edge_id, spec in g.edges.items():
+    for edge_id, spec in pattern.graph.edges.items():
         event = graph.events[edge_events[edge_id]]
-        contexts = (
-            (edge_id, event.params),
-            (spec.src, graph.src_attr(event)),
-            (spec.dest, graph.dest_attr(event)),
-        )
-        if not _holds(pattern, contexts, bindings, self_equal):
+        held = self_equal
+        for elt, ctx in ((edge_id, event.params), (spec.src, graph.src_attr(event)), (spec.dest, graph.dest_attr(event))):
+            held = _holds(ground[elt], preds[elt], ctx, bindings) and held
+        if not held:
             return False
     for node_id in pattern.key_ids[1]:
         obj_id, instant = isolated_objects[node_id]
-        if not _holds(pattern, ((node_id, graph.attrs_at(obj_id, instant)),), bindings, True):
+        if not _holds(ground[node_id], preds[node_id], graph.attrs_at(obj_id, instant), bindings):
             return False
     return True
 
 
-def _holds(pattern: PatternGraph, contexts, bindings: Mapping[str, Any], self_equal: bool) -> bool:
-    """Whether merging satisfy() of each (element, context) leaves true."""
+def _holds(check, e, ctx: Mapping[str, Any], bindings: Mapping[str, Any]) -> bool:
+    """Whether e, compiled as `check`, holds at ctx.  Where the compiled
+    form gives up, the interpreter judges e and raises the error it
+    reports; a value that is no boolean, or a variable left unbound, does
+    not hold."""
     try:
-        if not self_equal:
-            raise Fallback
-        holds = True
-        for elt, ctx in contexts:
-            value = pattern.ground[elt](ctx, bindings)
-            if value is not True:
-                if value is not False:
-                    raise Fallback
-                holds = False
-        return holds
+        value = check(ctx, bindings)
+        if value is True or value is False:
+            return value
     except Fallback:
-        merged = merge_conditions([satisfy(pattern.preds[elt], ctx, bindings) for elt, ctx in contexts])
-        return merged.residual == TRUE
+        pass
+    return evaluate(e, ctx, bindings) == TRUE
 
 
-FALLBACK = object()  # a compiled domain predicate left the case to the interpreter
+def _bind(groups, bindings: dict[str, Any]) -> Optional[list[str]]:
+    """Add groups of captures to bindings, in place and in order: a
+    variable keeps its first value.  Returns the variables added, or None,
+    with bindings unchanged, where a capture differs from the value its
+    variable has (a NaN differs from everything)."""
+    added = []
+    for captures in groups:
+        for var, value in captures:
+            bound = bindings.get(var, _ABSENT)
+            if bound is _ABSENT:
+                bindings[var] = value
+                added.append(var)
+            elif not values_equal(bound, value):
+                for var in added:
+                    del bindings[var]
+                return None
+    return added
 
 
-def edge_captures(pattern: PatternGraph, edge_id: str, event: SystemEvent, graph: SystemGraph) -> Any:
-    """The capture groups of a policy edge's own, source and destination
-    domains at an event: None where one of them is false, FALLBACK where
-    only the interpreter settles them.  Once the outcome is false, a plan
-    that cannot raise is skipped; one that can is still run, since the
-    interpreter would report its error."""
-    spec, plans = pattern.graph.edges[edge_id], pattern.plans
-    edge, src, dest = plans[edge_id], plans[spec.src], plans[spec.dest]
-    try:
-        on_edge = edge(event.params)
-        if on_edge is None and not (src.may_raise or dest.may_raise):
-            return None
-        on_src = src(graph.src_attr(event))
-        if on_src is None and not dest.may_raise:
-            return None
-        on_dest = dest(graph.dest_attr(event))
-    except Fallback:
-        return FALLBACK
-    if on_edge is None or on_src is None or on_dest is None:
-        return None
-    return on_edge, on_src, on_dest
+def _settle(waiting: tuple, bindings: Mapping[str, Any]) -> Optional[tuple]:
+    """Run, in order, each waiting (filter, context) pair whose variables
+    are all bound.  None where one fails; otherwise those still waiting."""
+    still = []
+    for pair in waiting:
+        (e, variables, check), ctx = pair
+        if variables <= bindings.keys():
+            if not _holds(check, e, ctx, bindings):
+                return None
+        else:
+            still.append(pair)
+    return tuple(still)
 
 
-def node_captures(plan: BindingPlan, attrs: Mapping[str, Any]) -> Any:
-    """The capture group of a node's domain at a snapshot, in the same
-    form as edge_captures()."""
-    try:
-        found = plan(attrs)
-    except Fallback:
-        return FALLBACK
-    return None if found is None else (found,)
-
-
-def merge_captures(conds: Conditions, found: Any) -> Any:
-    """What merge_conditions would make of conds and the satisfy() results
-    of some domain predicates, given `found`: their capture groups, or None
-    where one of them is false.  FALLBACK where only the interpreter can
-    tell: a plan gave up, or conds has a residual left to settle."""
-    if found is FALLBACK or not conds.is_true:
-        return FALLBACK
-    return BOTTOM if found is None else bind_captures(conds, found)
-
-
-@dataclass
+@dataclass(slots=True)
 class _EdgeCandidate:
     event_index: int
     src_obj: str
     dest_obj: str
-    conds: Conditions
+    captures: Mapping[str, Any]  # its three domains' captures, in elements() order
+    filters: tuple  # (filter, context) pairs whose variables those leave unbound
 
 
 def edge_candidate(
     pattern: PatternGraph, edge_id: str, index: int, event: SystemEvent, graph: SystemGraph
 ) -> Optional[_EdgeCandidate]:
     """The event at `index` as a candidate for a policy edge, or None where
-    it fails the edge's local predicate check: the merge of satisfy() of
-    its three domain predicates is false."""
-    found = edge_captures(pattern, edge_id, event, graph)
-    if found is None:
+    the edge's own, source or destination domain is false there: a test
+    fails, two captures of one variable differ, or a filter whose
+    variables those captures bind fails.  Once the outcome is false, a
+    plan that cannot raise is skipped; one that can is still run, since the
+    interpreter would report its error."""
+    spec, plans = pattern.graph.edges[edge_id], pattern.plans
+    edge, src, dest = plans[edge_id], plans[spec.src], plans[spec.dest]
+    on_edge = edge(event.params)
+    if on_edge is None and not (src.may_raise or dest.may_raise):
         return None
-    if found is not FALLBACK:
-        # merging the edge's and the source's satisfy() results leaves
-        # their captures in one residual: harvested together, the last
-        # one wins
-        conds = bind_captures(SETTLED, (found[0] + found[1], found[2]))
-    else:
-        spec = pattern.graph.edges[edge_id]
-        conds = merge_conditions(
-            [
-                satisfy(pattern.preds[edge_id], event.params, {}),
-                satisfy(pattern.preds[spec.src], graph.src_attr(event), {}),
-                satisfy(pattern.preds[spec.dest], graph.dest_attr(event), {}),
-            ]
-        )
-    if conds.is_false:
+    src_ctx = graph.src_attr(event)
+    on_src = src(src_ctx)
+    if on_src is None and not dest.may_raise:
         return None
-    return _EdgeCandidate(index, event.src, event.dest, conds)
+    dest_ctx = graph.dest_attr(event)
+    on_dest = dest(dest_ctx)
+    if on_edge is None or on_src is None or on_dest is None:
+        return None
+    captures: Mapping[str, Any] = _NO_CAPTURES
+    if on_edge or on_src or on_dest:
+        captures = {}
+        nodes = (on_src, on_dest) if spec.src <= spec.dest else (on_dest, on_src)
+        if _bind((*nodes, on_edge), captures) is None:
+            return None
+    filters: Optional[tuple] = ()
+    if edge.filters or src.filters or dest.filters:
+        contexts = ((edge, event.params), (src, src_ctx), (dest, dest_ctx))
+        filters = _settle(tuple((f, ctx) for plan, ctx in contexts for f in plan.filters), captures)
+    return None if filters is None else _EdgeCandidate(index, event.src, event.dest, captures, filters)
 
 
 def _edge_candidates(pattern: PatternGraph, graph: SystemGraph) -> dict[str, list[_EdgeCandidate]]:
@@ -224,23 +211,22 @@ def _edge_candidates(pattern: PatternGraph, graph: SystemGraph) -> dict[str, lis
     return out
 
 
-def _iso_candidates(pattern: PatternGraph, graph: SystemGraph) -> dict[str, list[tuple[str, int, Any]]]:
+def _iso_candidates(pattern: PatternGraph, graph: SystemGraph) -> dict[str, list[tuple[str, int, tuple]]]:
     """Per isolated policy node, the (object, instant) pairs whose snapshot
-    its domain does not falsify, with node_captures() there."""
-    out: dict[str, list[tuple[str, int, Any]]] = {}
+    its tests and captures do not falsify, each with (captures, snapshot)."""
+    out: dict[str, list[tuple[str, int, tuple]]] = {}
     for node_id in pattern.key_ids[1]:
-        pred, plan = pattern.preds[node_id], pattern.plans[node_id]
+        plan = pattern.plans[node_id]
         candidates = []
         for obj_id in graph.object_ids():
             seen = None
             for instant in graph.instants(obj_id):
                 attrs = graph.attrs_at(obj_id, instant)
                 if attrs is not seen:  # one snapshot holds over many instants
-                    seen, found = attrs, node_captures(plan, attrs)
-                    # the interpreter judges (and reports any error) here,
-                    # not only once the join reaches the candidate
-                    if found is FALLBACK and satisfy(pred, attrs, {}).is_false:
-                        found = None
+                    seen, found = attrs, plan(attrs)
+                    if found is not None:
+                        captures = {}
+                        found = None if _bind((found,), captures) is None else (captures, attrs)
                 if found is not None:
                     candidates.append((obj_id, instant, found))
         out[node_id] = candidates
@@ -256,25 +242,33 @@ def match_pattern(
 ) -> list[Match]:
     """Backtracking enumeration of every match of a pattern.
 
-    Edges are assigned first, in ascending candidate-count order, merging
-    variable conditions and pruning as soon as a residual folds to false;
-    isolated nodes follow.  The enumeration visits each assignment once, so
-    the result is duplicate-free; it is returned in Match.key() order.
-    `edge_cands`, when given, replaces _edge_candidates(): the matches are
-    then those whose events come from these lists.
+    Edges are assigned first, in ascending candidate-count order, then
+    isolated nodes.  Each step binds the candidate's captures, pruning where
+    one differs from its variable's value, and runs every filter whose
+    variables are now all bound, older ones first.  The enumeration visits
+    each assignment once, so the result is duplicate-free; it is returned in
+    Match.key() order.  A match reports, for each variable, the capture of
+    the first element in elements() order that captures it (a connected
+    node's capture as its first incident edge reads it), whatever order the
+    join met them in.  `edge_cands`, when given, replaces
+    _edge_candidates(): the matches are then those whose events come from
+    these lists.
     """
     if edge_cands is None:
         edge_cands = _edge_candidates(pattern, graph)
     edge_order = sorted(edge_cands, key=lambda e: (len(edge_cands[e]), e))
     iso_cands = _iso_candidates(pattern, graph)
     iso_order = sorted(iso_cands, key=lambda n: (len(iso_cands[n]), n))
-    edge_specs = pattern.graph.edges
+    edge_specs, plans, owners = pattern.graph.edges, pattern.plans, pattern.owners
+    unowned = pattern.variables - owners.keys()
 
     matches: list[Match] = []
     edge_events: dict[str, int] = {}
     node_objects: dict[str, str] = {}
     object_nodes: dict[str, str] = {}  # inverse view, for the injectivity check
     iso_objects: dict[str, tuple[str, int]] = {}
+    bindings: dict[str, Any] = {}
+    captured: dict[str, Mapping[str, Any]] = {}  # per placed edge or isolated node, its captures
 
     def claim(node_id: str, obj_id: str) -> Optional[list[str]]:
         """Try to map node_id to obj_id; returns the rollback list or None."""
@@ -291,48 +285,49 @@ def match_pattern(
             obj_id = node_objects.pop(node_id)
             object_nodes.pop(obj_id)
 
-    def finish(conds: Conditions) -> None:
-        if not conds.is_true:
-            if conds.is_false:
-                return
+    def place(elt: str, captures: Mapping[str, Any], waiting: tuple, descend, position: int) -> None:
+        """Bind an element's captures, run the filters now due, and go on
+        to the next position."""
+        added = _bind((captures.items(),), bindings) if captures else []
+        if added is None:
+            return
+        if waiting:
+            waiting = _settle(waiting, bindings)
+        if waiting is not None:
+            captured[elt] = captures
+            descend(position + 1, waiting)
+        for var in added:
+            del bindings[var]
+
+    def finish() -> None:
+        if unowned:
             raise MatchingError(
-                f"policy {policy_name!r}: residual condition did not settle; "
-                "was the policy validated?"
+                f"policy {policy_name!r}: variables {sorted(unowned)} unbound at completion"
             )
-        missing = pattern.variables - conds.bindings.keys()
-        if missing:
-            raise MatchingError(
-                f"policy {policy_name!r}: variables {sorted(missing)} unbound at completion"
-            )
-        bindings = {v: conds.bindings[v] for v in pattern.variables}
-        matches.append(
-            Match(policy_name, dict(edge_events), dict(iso_objects), dict(node_objects), bindings)
-        )
+        found = {v: captured[owners[v]][v] for v in pattern.variables}
+        matches.append(Match(policy_name, dict(edge_events), dict(iso_objects), dict(node_objects), found))
         if len(matches) > cap:
             raise MatchCapExceeded(policy_name, cap)
 
-    def assign_iso(position: int, conds: Conditions) -> None:
+    def assign_iso(position: int, waiting: tuple) -> None:
         if position == len(iso_order):
-            finish(conds)
+            finish()
             return
         node_id = iso_order[position]
-        pred = pattern.preds[node_id]
-        for obj_id, instant, found in iso_cands[node_id]:
+        node_filters = plans[node_id].filters
+        for obj_id, instant, (captures, attrs) in iso_cands[node_id]:
             claimed = claim(node_id, obj_id)
             if claimed is None:
                 continue
-            merged = merge_captures(conds, found)
-            if merged is FALLBACK:
-                merged = merge_conditions([conds, satisfy(pred, graph.attrs_at(obj_id, instant), {})])
-            if not merged.is_false:
-                iso_objects[node_id] = (obj_id, instant)
-                assign_iso(position + 1, merged)
-                del iso_objects[node_id]
+            iso_objects[node_id] = (obj_id, instant)
+            due = waiting + tuple((f, attrs) for f in node_filters) if node_filters else waiting
+            place(node_id, captures, due, assign_iso, position)
+            del iso_objects[node_id]
             release(claimed)
 
-    def assign_edges(position: int, conds: Conditions) -> None:
+    def assign_edges(position: int, waiting: tuple) -> None:
         if position == len(edge_order):
-            assign_iso(0, conds)
+            assign_iso(0, waiting)
             return
         edge_id = edge_order[position]
         spec = edge_specs[edge_id]
@@ -348,18 +343,16 @@ def match_pattern(
             if claimed_dest is None:
                 release(claimed_src)
                 continue
-            merged = merge_conditions([conds, cand.conds])
-            if not merged.is_false:
-                edge_events[edge_id] = cand.event_index
-                assign_edges(position + 1, merged)
-                del edge_events[edge_id]
+            edge_events[edge_id] = cand.event_index
+            place(edge_id, cand.captures, waiting + cand.filters, assign_edges, position)
+            del edge_events[edge_id]
             release(claimed_dest)
             release(claimed_src)
 
-    assign_edges(0, SETTLED)
-    # The two recursive closures refer to themselves; dropping them frees the
+    assign_edges(0, ())
+    # The recursive closures refer to themselves; dropping them frees the
     # candidate lists now rather than at the collector's next pass.
-    del assign_edges, assign_iso
+    del assign_edges, assign_iso, place
     if len(matches) > 1:
         # Match.key() order: an assignment fixes its bindings, so its events by
         # sorted edge id, then its pairs by sorted node id, decide the order

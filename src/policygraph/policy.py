@@ -92,7 +92,8 @@ class PatternGraph:
     """A basic graph with one predicate per element; what matching consumes.
 
     Its predicates are compiled on first use and kept: `plans` for finding
-    candidates, `ground` for checks under complete bindings.
+    candidates and binding variables, `ground` for checks under complete
+    bindings.
     """
 
     graph: BasicGraph
@@ -113,6 +114,18 @@ class PatternGraph:
     @cached_property
     def ground(self) -> dict[str, Callable[[Mapping[str, Any], Mapping[str, Any]], Any]]:
         return {elt: compile_ground(e) for elt, e in self.preds.items()}
+
+    @cached_property
+    def owners(self) -> dict[str, str]:
+        """Per variable with a capture, the element whose capture a match
+        reports: the first in elements() order that captures it, where the
+        first edge incident to a connected node reads the node's capture."""
+        owners: dict[str, str] = {}
+        for elt in self.graph.elements():
+            readers = [e for e, spec in sorted(self.graph.edges.items()) if elt in (e, spec.src, spec.dest)]
+            for var in _bindable_variables(self.preds[elt]):
+                owners.setdefault(var, readers[0] if readers else elt)
+        return owners
 
     @cached_property
     def bindable(self) -> frozenset[str]:

@@ -742,38 +742,6 @@ def _merge_pair(a: Conditions, b: Conditions) -> Conditions:
     return reduce_conditions(Conditions(bindings, residual))
 
 
-def absorb(bindings: dict[str, Any], captures: Sequence[tuple[str, Any]]) -> bool:
-    """Add one predicate's captures to settled bindings, in place.
-
-    This is what reduce_conditions does with them: a variable already bound
-    keeps its value, and a capture that differs from it is a contradiction;
-    among new variables the last capture wins, and two different ones
-    contradict.  Returns False on a contradiction.
-    """
-    found: dict[str, Any] = {}
-    for name, value in captures:
-        if name in bindings:
-            if not values_equal(bindings[name], value):
-                return False
-        elif name in found and not values_equal(found[name], value):
-            return False
-        else:
-            found[name] = value
-    bindings.update(found)
-    return True
-
-
-def bind_captures(conds: Conditions, groups: Sequence[Sequence[tuple[str, Any]]]) -> Conditions:
-    """merge_conditions of settled conditions with one satisfy() result per
-    group of captures, without building the residual trees: BOTTOM on a
-    contradiction."""
-    bindings = dict(conds.bindings)
-    for captures in groups:
-        if not absorb(bindings, captures):
-            return BOTTOM
-    return Conditions(bindings, TRUE)
-
-
 # --- compiled form -------------------------------------------------------
 #
 # The interpreter above rebuilds and refolds a tree for every context, and
@@ -781,9 +749,9 @@ def bind_captures(conds: Conditions, groups: Sequence[Sequence[tuple[str, Any]]]
 # predicate is also compiled, once per policy (see PatternGraph), into
 # closures.  A compiled form answers only where it is sure to agree with the
 # interpreter.  On anything else (an unbound variable, an operand of the
-# wrong kind, a variable the domain does not capture outright) it raises
-# Fallback, and the caller asks the interpreter, which stays the reference:
-# it gives the reference answer, or raises the reference error.
+# wrong kind) it raises Fallback, and the caller asks the interpreter, which
+# stays the reference: it gives the reference answer, or raises the
+# reference error.
 
 
 class Fallback(Exception):
@@ -934,44 +902,45 @@ def _never_raises(e: Expr) -> bool:
     return isinstance(e, (Const, Attr)) or _always_flag(e)
 
 
-def _capture_of(e: Expr) -> Optional[tuple[int, str, Any]]:
-    """The step for `$X = attr` or `$X = constant`, either way round:
-    (_CAPTURE, variable, attribute) or (_BIND, variable, value)."""
+def _capture_of(e: Expr) -> Optional[tuple[str, Expr]]:
+    """For `$X = other` with other variable-free, either way round (the
+    equalities rule R1 accepts): the variable's name and other."""
     if isinstance(e, BinOp) and e.op == "=":
         for var, other in ((e.left, e.right), (e.right, e.left)):
-            if isinstance(var, Var):
-                if isinstance(other, Attr):
-                    return _CAPTURE, var.name, other.name
-                if isinstance(other, Const):
-                    return _BIND, var.name, other.value
+            if isinstance(var, Var) and not variables_of(other):
+                return var.name, other
     return None
 
 
-_TEST, _CAPTURE, _BIND, _REQUIRE, _OPEN = range(5)
+_TEST, _CAPTURE, _BIND, _COMPUTE, _REQUIRE = range(5)
 
 
 class BindingPlan:
-    """A domain predicate compiled for candidate filtering, with no bindings.
+    """A domain predicate split for bind-then-filter matching.
 
-    The top-level conjuncts become steps, in their order.  A variable-free
-    conjunct is a test.  `attr = $X` (or `$X = attr`) captures the
-    attribute's value for $X, and `$X = constant` (either way round) binds
-    the constant.  A conjunct with a variable in any other shape
-    (under || or !, say) is left to the interpreter: reaching it raises
-    Fallback.  Where an absent attribute falsifies a conjunction, a step
-    checks for it at the place substitute_attrs would put the false.
+    Its top-level conjuncts, in order: a variable-free conjunct is a test;
+    `$X = e` with e variable-free, either way round, is a capture, and e's
+    value (read or computed) binds $X; any other conjunct with a variable
+    is a filter, which the matcher runs, as `(expr, variables,
+    compile_ground(expr))` from `filters`, once its variables are bound.
+    Where an absent attribute falsifies a conjunction or a filter whatever
+    the bindings, a step checks for it where substitute_attrs puts the false.
 
-    Calling the plan on a context gives None where satisfy(e, ctx, {})
-    folds to false.  Otherwise it gives the captures that reduce_conditions
-    would harvest from what satisfy() leaves, in order and not yet checked
-    against each other (see absorb).  `may_raise` tells whether a call can
-    raise Fallback at all.
+    Called on a context, the plan gives None where its steps are false
+    there, or else its captures as (variable, value) pairs, in order and
+    not yet checked against each other.  Where a compiled step gives up,
+    the interpreter judges the whole predicate, as satisfy() would: it
+    raises the error it reports, or else the predicate is false or no
+    boolean there, and the plan gives None.  `may_raise` tells whether a
+    call can raise at all.
     """
 
-    __slots__ = ("steps", "may_raise")
+    __slots__ = ("pred", "steps", "filters", "may_raise")
 
     def __init__(self, e: Expr):
+        self.pred = e
         self.steps: list[tuple[int, Any, Any]] = []
+        self.filters: list[tuple[Expr, frozenset[str], Callable[[Mapping[str, Any], Mapping[str, Any]], Any]]] = []
         self.may_raise = False
         if not is_boolean_node(e):
             self._require(_loose_attrs(e))
@@ -987,37 +956,53 @@ class BindingPlan:
             self._add(e.left)
             self._add(e.right)
             return
-        if not variables_of(e):
+        variables = variables_of(e)
+        if not variables:
             self.steps.append((_TEST, _compile(e), None))
             self.may_raise |= not _always_flag(e)
             return
         capture = _capture_of(e)
         if capture is None:
-            self.steps.append((_OPEN, None, None))
-            self.may_raise = True
+            if is_boolean_node(e):
+                self._require(_guard_names(e))
+            self.filters.append((e, variables, compile_ground(e)))
+            return
+        var, other = capture
+        if isinstance(other, Attr):
+            self.steps.append((_CAPTURE, var, other.name))
+        elif isinstance(other, Const):
+            self.steps.append((_BIND, var, other.value))
         else:
-            self.steps.append(capture)
+            self._require(_guard_names(e))
+            self.steps.append((_COMPUTE, var, _compile(other)))
+            self.may_raise |= not _never_raises(other)
 
     def __call__(self, ctx: Mapping[str, Any]) -> Optional[list[tuple[str, Any]]]:
         captures = []
-        for kind, a, b in self.steps:
-            if kind == _TEST:
-                value = a(ctx, _NO_BINDINGS)
-                if value is not True:
-                    if value is False:
-                        return None
-                    raise Fallback
-            elif kind == _CAPTURE:
-                value = ctx.get(b, _ABSENT)
-                if value is _ABSENT:
-                    return None  # substitute_attrs makes the equality false
-                captures.append((a, value))
-            elif kind == _BIND:
-                captures.append((a, b))
-            elif kind == _REQUIRE:
-                for name in a:
-                    if name not in ctx:
-                        return None
-            else:
-                raise Fallback
+        try:
+            for kind, a, b in self.steps:
+                if kind == _TEST:
+                    value = a(ctx, _NO_BINDINGS)
+                    if value is not True:
+                        if value is False:
+                            return None
+                        raise Fallback
+                elif kind == _CAPTURE:
+                    value = ctx.get(b, _ABSENT)
+                    if value is _ABSENT:
+                        return None  # substitute_attrs makes the equality false
+                    captures.append((a, value))
+                elif kind == _BIND:
+                    captures.append((a, b))
+                elif kind == _COMPUTE:
+                    captures.append((a, b(ctx, _NO_BINDINGS)))
+                else:
+                    for name in a:
+                        if name not in ctx:
+                            return None
+        except Fallback:
+            # the interpreter raises the error it reports; short of one, the
+            # predicate is false here or has a value that is no boolean
+            evaluate(self.pred, ctx, _NO_BINDINGS)
+            return None
         return captures

@@ -311,20 +311,24 @@ def _domain_holds(policy, graph, assignment, iso, node_objects, bindings) -> boo
     return True
 
 
-def oracle_verdict(policy: PolicyGraph, graph: SystemGraph) -> bool:
-    """Upheld iff every brute-forced match satisfies every requirement."""
+def oracle_failing(policy: PolicyGraph, graph: SystemGraph) -> set[tuple]:
+    """The brute-forced matches (as keys) that fail some requirement."""
     g = policy.graph
+    failing = set()
     for key in oracle_matches(policy, graph):
         edges, iso, bound = dict(key[0]), dict(key[1]), dict(key[2])
         bindings = {v: _uncanonical(c) for v, c in bound.items()}
-        for node_id in g.nodes:
-            if oracle_eval(policy.requirement_preds[node_id], {}, bindings) is not True:
-                return False
-        for edge_id, idx in edges.items():
-            params = graph.events[idx].params
-            if oracle_eval(policy.requirement_preds[edge_id], params, bindings) is not True:
-                return False
-    return True
+        if any(oracle_eval(policy.requirement_preds[node_id], {}, bindings) is not True for node_id in g.nodes) or any(
+            oracle_eval(policy.requirement_preds[edge_id], graph.events[idx].params, bindings) is not True
+            for edge_id, idx in edges.items()
+        ):
+            failing.add(key)
+    return failing
+
+
+def oracle_verdict(policy: PolicyGraph, graph: SystemGraph) -> bool:
+    """Upheld iff every brute-forced match satisfies every requirement."""
+    return not oracle_failing(policy, graph)
 
 
 def _uncanonical(c: tuple) -> Any:
@@ -504,6 +508,22 @@ def _domain_clause(rng: random.Random, names, values=GEN_VALUES) -> Expr:
     return BinOp(op, Attr(name), value)
 
 
+def _filter_conjunct(rng: random.Random, var: str, variables, names, values) -> Expr:
+    """A conjunct that reads $var but is no capture of it: `attr != $V`,
+    `!(attr = $V)`, `attr = $V || attr = c`, or, with a second variable,
+    `$V = $W` or `$V != $W`."""
+    attr, v = Attr(rng.choice(names)), Var(var)
+    others = [w for w in variables if w != var]
+    roll = rng.randrange(5 if others else 3)
+    if roll == 0:
+        return BinOp("!=", attr, v)
+    if roll == 1:
+        return Not(BinOp("=", attr, v))
+    if roll == 2:
+        return BinOp("||", BinOp("=", attr, v), BinOp("=", attr, Const(rng.choice(values))))
+    return BinOp("=" if roll == 3 else "!=", v, Var(rng.choice(others)))
+
+
 def random_policy(
     rng: random.Random,
     name: str,
@@ -512,12 +532,16 @@ def random_policy(
     attrs=GEN_ATTRS,
     params=GEN_PARAMS,
     lone_node: bool = False,
+    filters: bool = False,
 ) -> PolicyGraph:
     """Small random policy: 1-2 edges or an edge plus an isolated node,
     0-2 variables.  With `parallel`, the two edges of the two-edge shape
     both run n1 -> n2, and n3 is isolated.  With `lone_node`, a fourth
     shape is drawn too: one isolated node.  Node predicates name `attrs`,
-    edge predicates `params`.
+    edge predicates `params`.  With `filters`, one element's domain gets
+    one more conjunct that reads a variable without binding it (see
+    _filter_conjunct), on an element other than the variable's host where
+    there is one.
 
     Every variable is bound by an `attr = $v` conjunct on some domain
     predicate's top spine, so the result always passes validation and the
@@ -552,6 +576,12 @@ def random_policy(
         host = elements[i % len(elements)]
         host_names = params if host.startswith("e") else attrs
         domains[host] = BinOp("&&", domains[host], _binding_conjunct(rng, var, host_names))
+    if filters and variables:
+        var = rng.choice(variables)
+        host = elements[variables.index(var) % len(elements)]
+        elt = rng.choice([e for e in elements if e != host] or elements)
+        names = params if elt.startswith("e") else attrs
+        domains[elt] = BinOp("&&", domains[elt], _filter_conjunct(rng, var, variables, names, values))
 
     requirements: dict[str, Expr] = {}
     for elt in elements:

@@ -1,10 +1,14 @@
 """Compiled predicates against the tree interpreter they stand in for.
 
-A compiled form may always give up (raise Fallback) and leave the case to
-the interpreter; what it must never do is answer differently.  The random
-sections draw expressions from the same generators as test_predicates.py,
-with contexts that miss some attributes and bindings that miss some
-variables.
+A compiled ground form may always give up (raise Fallback) and leave the
+case to the interpreter; what it must never do is answer differently.  A
+binding plan splits a domain predicate into tests, captures and filters,
+and the matcher runs each filter once its variables are bound; against
+the interpreter's merged conditions it must agree wherever the predicate
+has no filter, and elsewhere may only settle later, never differently.
+The random sections draw expressions from the same generators as
+test_predicates.py, with contexts that miss some attributes and bindings
+that miss some variables or are not equal to themselves.
 """
 
 import pickle
@@ -13,18 +17,18 @@ import random
 import pytest
 
 from policygraph.matching import (
-    FALLBACK,
-    SETTLED,
+    _bind,
+    _iso_candidates,
+    _settle,
     check_requirement,
-    edge_captures,
+    edge_candidate,
     find_matches,
     match_graph,
-    merge_captures,
-    node_captures,
     verdict,
 )
 from policygraph.policy import make_policy, parse_policy
 from policygraph.predicates import (
+    TRUE,
     Attr,
     BinOp,
     BindingPlan,
@@ -33,7 +37,6 @@ from policygraph.predicates import (
     Fallback,
     PredicateTypeError,
     Var,
-    bind_captures,
     compile_ground,
     evaluate,
     merge_conditions,
@@ -71,18 +74,6 @@ def same(a, b) -> bool:
     return type(a) is type(b) and values_equal(a, b)
 
 
-def same_conditions(a: Conditions, b: Conditions) -> bool:
-    """Both false (whatever bindings they carry), or equal with bindings of
-    the same types."""
-    if a.is_false or b.is_false:
-        return a.is_false and b.is_false
-    return (
-        a.residual == b.residual
-        and a.bindings.keys() == b.bindings.keys()
-        and all(same(a.bindings[k], b.bindings[k]) for k in a.bindings)
-    )
-
-
 def reference(thunk):
     try:
         return thunk()
@@ -90,8 +81,12 @@ def reference(thunk):
         return ERROR
 
 
-def random_bindings(rng, complete: bool) -> dict:
-    return {v: random_value(rng) for v in VAR_NAMES if complete or rng.random() < 0.5}
+def random_bindings(rng, complete: bool, nan: float = 0.0) -> dict:
+    return {
+        v: float("nan") if rng.random() < nan else random_value(rng)
+        for v in VAR_NAMES
+        if complete or rng.random() < 0.5
+    }
 
 
 def a_context(rng) -> dict:
@@ -187,41 +182,110 @@ def random_domain(rng, depth=3, wild=0.5):
     return tree(depth)
 
 
-def plan_outcome(plan, ctx):
+def placed(pairs, bindings):
+    """What the matcher makes of (plan, context) pairs placed under some
+    bindings: their captures bound in order, then every filter whose
+    variables are all bound run.  ERROR on an error, None where false, and
+    otherwise the bindings with the filters still waiting."""
     try:
-        return plan(ctx)
-    except Fallback:
-        return FALLBACK
+        found = [plan(ctx) for plan, ctx in pairs]
+        if None in found:
+            return None
+        bound = dict(bindings)
+        if _bind(found, bound) is None:
+            return None
+        waiting = _settle(tuple((f, ctx) for plan, ctx in pairs for f in plan.filters), bound)
+    except PredicateTypeError as e:
+        return (ERROR, str(e))
+    return None if waiting is None else (bound, waiting)
+
+
+def merged(conds):
+    """The interpreter's merge of the conditions conds() gives: ERROR on an
+    error."""
+    try:
+        return reduce_conditions(merge_conditions(conds()))
+    except PredicateTypeError as e:
+        return (ERROR, str(e))
+
+
+def check_against_merge(got, want, has_filters: bool) -> str:
+    """How the matcher's outcome `got` (see placed) relates to the
+    interpreter's merged conditions `want`.  Without filters they agree
+    exactly, error messages included, except that a predicate whose value
+    is no boolean is false to the matcher, where the interpreter leaves the
+    value standing or raises once it conjoins it with another.  With
+    filters the matcher may find a variable-free part of a waiting filter
+    later than the interpreter, which folds it at once; so where only the
+    interpreter raises, or settles what is still waiting, the outcome is
+    'later'."""
+    if isinstance(got, tuple) and got[0] == ERROR:
+        assert isinstance(want, tuple) and want[0] == ERROR, (got, want)
+        if not has_filters:
+            assert got == want
+        return "error"
+    if isinstance(want, tuple):
+        if has_filters:
+            return "later"
+        assert got is None and want[1].startswith("expected a boolean"), (got, want)
+        return "no boolean"
+    no_boolean = isinstance(want.residual, Const) and not isinstance(want.residual.value, bool)
+    if got is None:
+        assert want.is_false or no_boolean, want
+        return "no boolean" if no_boolean else "false"
+    bound, waiting = got
+    if waiting:
+        assert want.is_false or all(same_value(want.bindings[v], x) for v, x in bound.items()), (got, want)
+        return "later"
+    assert want.is_true, (got, want)
+    assert bound.keys() == want.bindings.keys(), (got, want)
+    assert all(same_value(want.bindings[v], x) for v, x in bound.items()), (got, want)
+    return "true"
+
+
+def same_value(a, b) -> bool:
+    """Equal by values_equal, or one and the same object (a NaN binding)."""
+    return a is b or values_equal(a, b)
 
 
 class TestBindingPlanAgainstInterpreter:
     def test_single_predicate(self):
+        """One domain predicate at a context, with no bindings yet."""
         rng = random.Random(8201)
-        answered = captured = 0
+        seen = {"error": 0, "false": 0, "true": 0, "later": 0, "no boolean": 0}
+        captured = 0
         for _ in range(4000):
             e = random_domain(rng)
             plan, ctx = BindingPlan(e), a_context(rng)
-            want = reference(lambda: reduce_conditions(satisfy(e, ctx, {})))
-            got = plan_outcome(plan, ctx)
-            if not plan.may_raise:
-                assert got is not FALLBACK and want != ERROR, (e, ctx)
-            if got is FALLBACK:
-                continue
-            answered += 1
-            assert want != ERROR, (e, ctx)
-            if got is None:
-                assert want.is_false, (e, ctx)
-            else:
-                captured += bool(got)
-                assert same_conditions(bind_captures(SETTLED, [got]), want), (e, ctx, got, want)
-        assert answered > 1500 and captured > 200
+            got = placed([(plan, ctx)], {})
+            want = merged(lambda: [satisfy(e, ctx, {})])
+            if not plan.may_raise and not plan.filters:
+                assert not (isinstance(got, tuple) and got[0] == ERROR), (e, ctx)
+            seen[check_against_merge(got, want, bool(plan.filters))] += 1
+            captured += isinstance(got, tuple) and got[0] != ERROR and bool(got[0])
+        assert min(seen.values()) > 50 and seen["true"] > 300 and captured > 200, seen
+
+    def test_filters_under_complete_bindings(self):
+        """Once every variable is bound, a predicate with filters settles as
+        the interpreter's merge does, whichever of them raises first."""
+        rng = random.Random(8204)
+        seen = {"error": 0, "false": 0, "true": 0, "later": 0, "no boolean": 0}
+        for _ in range(3000):
+            e = random_domain(rng, wild=0.7)
+            plan, ctx = BindingPlan(e), a_context(rng)
+            bindings = random_bindings(rng, complete=True, nan=0.05)
+            got = placed([(plan, ctx)], bindings)
+            want = merged(lambda: [Conditions(bindings, TRUE), satisfy(e, ctx, {})])
+            assert not (isinstance(got, tuple) and got[0] != ERROR and got[1]), (e, ctx, bindings)
+            seen[check_against_merge(got, want, bool(plan.filters))] += 1
+        assert min(seen.values()) > 20, seen
 
     def test_edges_and_monitor_extension(self):
-        """Three domains at one event: the batch candidate, and merging into
-        settled conditions already made, against merge_conditions of
+        """Three domains at one event: the batch candidate, and placing it
+        under partial bindings already made, against merge_conditions of
         satisfy()."""
         rng = random.Random(8202)
-        answered = 0
+        seen = {"error": 0, "false": 0, "true": 0, "later": 0, "no boolean": 0}
         for _ in range(2500):
             preds = [random_domain(rng, depth=2, wild=0.15) for _ in range(3)]
             pattern = make_policy("p", {"s": (preds[1], None), "d": (preds[2], None)}, {"e": ("s", "d", preds[0], None)}).domain
@@ -235,57 +299,77 @@ class TestBindingPlanAgainstInterpreter:
             )
             event = graph.events[0]
             contexts = (event.params, graph.src_attr(event), graph.dest_attr(event))
-            partial = Conditions(random_bindings(rng, complete=False), parse_predicate("true"))
+            partial = random_bindings(rng, complete=False, nan=0.1)
+            has_filters = any(pattern.plans[elt].filters for elt in ("e", "s", "d"))
 
             def satisfied():
                 return [satisfy(e, ctx, {}) for e, ctx in zip(preds, contexts)]
 
-            batch = reference(lambda: merge_conditions(satisfied()))
-            extended = reference(lambda: merge_conditions([partial, *satisfied()]))
-            found = edge_captures(pattern, "e", event, graph)
-            if found is FALLBACK:
-                continue
-            answered += 1
-            assert batch != ERROR and extended != ERROR, preds
-            if found is None:
-                assert batch.is_false and extended.is_false, preds
-                continue
-            got = bind_captures(SETTLED, (found[0] + found[1], found[2]))
-            assert same_conditions(got, batch), (preds, contexts, found)
-            assert same_conditions(merge_captures(partial, found), extended), (preds, contexts, found)
-        assert answered > 900
+            try:
+                cand = edge_candidate(pattern, "e", 0, event, graph)
+            except PredicateTypeError as error:
+                got = extended = (ERROR, str(error))
+            else:
+                got = extended = None
+                if cand is not None:
+                    got = (dict(cand.captures), cand.filters)
+                    bound = dict(partial)  # the join's step: bind, then run the filters now due
+                    try:
+                        if _bind((cand.captures.items(),), bound) is not None:
+                            waiting = _settle(cand.filters, bound)
+                            extended = None if waiting is None else (bound, waiting)
+                    except PredicateTypeError as error:
+                        extended = (ERROR, str(error))
+            seen[check_against_merge(got, merged(satisfied), has_filters)] += 1
+            check_against_merge(extended, merged(lambda: [Conditions(partial, TRUE), *satisfied()]), has_filters)
+        assert seen["error"] > 500 and seen["false"] > 500 and seen["later"] > 50 and seen["true"] > 5, seen
 
     def test_isolated_node_extension(self):
         rng = random.Random(8203)
+        seen = {"error": 0, "false": 0, "true": 0, "later": 0, "no boolean": 0}
         for _ in range(3000):
             e = random_domain(rng)
             ctx = a_context(rng)
-            conds = Conditions(random_bindings(rng, complete=False), parse_predicate("true"))
-            found = node_captures(BindingPlan(e), ctx)
-            if found is FALLBACK:
-                continue
-            alone = satisfy(e, ctx, {})
-            assert (found is None) == alone.is_false, (e, ctx)
-            if found is not None:
-                want = merge_conditions([conds, alone])
-                assert same_conditions(merge_captures(conds, found), want), (e, ctx)
+            pattern = make_policy("p", {"n": (e, None)}, {}).domain
+            graph = ingest_trace([{"t": 1, "object": {"id": "o", "attrs": {k: to_json(v) for k, v in ctx.items()}}}])
+            ctx = graph.attrs_at("o", 1)
+            partial = random_bindings(rng, complete=False, nan=0.1)
+            has_filters = bool(pattern.plans["n"].filters)
+            try:
+                (cands,) = _iso_candidates(pattern, graph).values()
+            except PredicateTypeError as error:
+                got = (ERROR, str(error))
+            else:
+                got = None
+                if cands:
+                    (_, _, (captures, attrs)), = cands
+                    bound = dict(partial)
+                    try:
+                        if _bind((captures.items(),), bound) is not None:
+                            waiting = _settle(tuple((f, attrs) for f in pattern.plans["n"].filters), bound)
+                            got = None if waiting is None else (bound, waiting)
+                    except PredicateTypeError as error:
+                        got = (ERROR, str(error))
+            seen[check_against_merge(got, merged(lambda: [Conditions(partial, TRUE), satisfy(e, ctx, {})]), has_filters)] += 1
+        assert min(seen.values()) > 50, seen
 
 
 # --- fully bound checks (match_graph) -------------------------------------------
 
 
 def tree_match_graph(pattern, edge_events, isolated_objects, graph, bindings):
-    """match_graph as the interpreter alone computes it."""
+    """match_graph as the interpreter alone computes it: every predicate
+    folds to true under the bindings, and, as merging an edge's three
+    results requires, no binding is unequal to itself."""
+    self_equal = all(values_equal(v, v) for v in bindings.values())
     for edge_id, spec in pattern.graph.edges.items():
         event = graph.events[edge_events[edge_id]]
-        merged = merge_conditions(
-            [
-                satisfy(pattern.preds[edge_id], event.params, bindings),
-                satisfy(pattern.preds[spec.src], graph.src_attr(event), bindings),
-                satisfy(pattern.preds[spec.dest], graph.dest_attr(event), bindings),
-            ]
-        )
-        if not merged.is_true:
+        held = [
+            satisfy(pattern.preds[edge_id], event.params, bindings).is_true,
+            satisfy(pattern.preds[spec.src], graph.src_attr(event), bindings).is_true,
+            satisfy(pattern.preds[spec.dest], graph.dest_attr(event), bindings).is_true,
+        ]
+        if not (self_equal and all(held)):
             return False
     for node_id in pattern.graph.isolated_nodes():
         obj_id, instant = isolated_objects[node_id]
@@ -326,8 +410,8 @@ class TestMatchGraph:
 
 
 def agree(text, ctx, bindings=None):
-    """The ground evaluator and the plan agree with the interpreter on one
-    case; returns the interpreter's outcome."""
+    """The ground evaluator, and the plan placed under the bindings, agree
+    with the interpreter on one case; returns the interpreter's outcome."""
     e = parse_predicate(text)
     want = reference_outcome(e, ctx, bindings or {})
     got = ground_outcome(e, ctx, bindings or {})
@@ -335,13 +419,9 @@ def agree(text, ctx, bindings=None):
         assert want[0] == "value" and same(got[1], want[1]), (got, want)
     elif not variables_of(e) - (bindings or {}).keys():
         assert want[0] == ERROR, (got, want)
-    if not bindings:
-        plan_got = plan_outcome(BindingPlan(e), ctx)
-        plan_want = reference(lambda: reduce_conditions(satisfy(e, ctx, {})))
-        if plan_got is None:
-            assert plan_want != ERROR and plan_want.is_false
-        elif plan_got is not FALLBACK:
-            assert same_conditions(bind_captures(SETTLED, [plan_got]), plan_want)
+    plan = BindingPlan(e)
+    got = placed([(plan, ctx)], bindings or {})
+    check_against_merge(got, merged(lambda: [Conditions(bindings or {}, TRUE), satisfy(e, ctx, {})]), bool(plan.filters))
     return want
 
 
@@ -362,10 +442,11 @@ class TestRules:
         assert BindingPlan(e)({}) is None
         assert satisfy(e, {}, {}).is_false
         e = parse_predicate('(1 < "a") && gone = $X')
-        with pytest.raises(Fallback):
+        with pytest.raises(PredicateTypeError) as got:
             BindingPlan(e)({})
-        with pytest.raises(PredicateTypeError):
+        with pytest.raises(PredicateTypeError) as want:
             satisfy(e, {}, {})
+        assert str(got.value) == str(want.value)
 
     def test_short_circuit_left_to_right_with_flag_checks(self):
         assert agree('false && (1 < "a")', {}) == ("value", False)
@@ -384,19 +465,24 @@ class TestRules:
 
     def test_two_captures_of_one_variable(self):
         e = parse_predicate("a = $X && b = $X")
-        found = BindingPlan(e)({"a": 1, "b": 2})
-        assert bind_captures(SETTLED, [found]).is_false
+        plan = BindingPlan(e)
+        assert placed([(plan, {"a": 1, "b": 2})], {}) is None
         assert reduce_conditions(satisfy(e, {"a": 1, "b": 2}, {})).is_false
         agree("a = $X && b = $X", {"a": 1, "b": 2})
-        # equal values of two kinds of number: the last capture wins, as in extract_bindings
-        found = BindingPlan(e)({"a": 1, "b": 1.0})
-        assert same(bind_captures(SETTLED, [found]).bindings["X"], 1.0)
+        # equal values of two kinds of number: the first capture is kept
+        # (the interpreter's extract_bindings keeps the last)
+        bound, waiting = placed([(plan, {"a": 1, "b": 1.0})], {})
+        assert same(bound["X"], 1) and not waiting
         agree("a = $X && b = $X", {"a": 1, "b": 1.0})
+        # a NaN capture differs from every value, itself included
+        assert placed([(plan, {"a": float("nan"), "b": 1})], {}) is None
+        assert placed([(BindingPlan(parse_predicate("a = $X")), {"a": 1})], {"X": float("nan")}) is None
 
     def test_which_capture_a_variable_keeps(self):
         """Equal numbers of two kinds bound to one variable on an edge, its
-        source and its destination: the batch candidate and merge_captures()
-        keep the value the interpreter keeps."""
+        source and its destination: a match reports the capture of the
+        first element in elements() order, node a here, whatever the
+        interpreter's merge would keep."""
         p = parse_policy("policy p {\n node a domain: m = $X\n node b domain: k = $X\n edge e: a -> b domain: n = $X\n}")
         preds = [p.domain_preds[elt] for elt in ("e", "a", "b")]
         for n, m, k in [(2, 2.0, 2), (2.0, 2, 2), (2, 2, 2.0), (2.0, 2.0, 2)]:
@@ -411,9 +497,22 @@ class TestRules:
             contexts = (event.params, graph.src_attr(event), graph.dest_attr(event))
             satisfied = [satisfy(e, ctx, {}) for e, ctx in zip(preds, contexts)]
             (match,) = find_matches(p, graph)
-            assert same(match.bindings["X"], merge_conditions(satisfied).bindings["X"]), (n, m, k)
-            found = edge_captures(p.domain, "e", event, graph)
-            assert same_conditions(merge_captures(SETTLED, found), merge_conditions([SETTLED, *satisfied])), (n, m, k)
+            assert same(match.bindings["X"], m), (n, m, k)
+            assert values_equal(merge_conditions(satisfied).bindings["X"], m)
+            assert same(edge_candidate(p.domain, "e", 0, event, graph).captures["X"], m)
+
+    def test_computed_captures_are_compiled(self):
+        e = parse_predicate('kind = "a" && $X = level + 1 && (level > 0) = $Y')
+        plan = BindingPlan(e)
+        assert not plan.filters and plan.may_raise
+        assert plan({"kind": "a", "level": 2}) == [("X", 3), ("Y", True)]
+        assert plan({"kind": "a"}) is None  # a missing operand falsifies the equality
+        with pytest.raises(PredicateTypeError) as got:
+            plan({"kind": "a", "level": "high"})
+        with pytest.raises(PredicateTypeError) as want:
+            satisfy(e, {"kind": "a", "level": "high"}, {})
+        assert str(got.value) == str(want.value)
+        agree('kind = "a" && $X = level + 1', {"kind": "a", "level": 2.5})
 
     def test_isolated_node_errors_surface_before_the_join(self):
         """The interpreter raises while listing an isolated node's
@@ -444,23 +543,26 @@ class TestRules:
     def test_constant_captures_are_compiled(self):
         e = parse_predicate('kind = "a" && 1 = $X && $Y = {1, 2} && $X = 1.0')
         plan = BindingPlan(e)
-        assert not plan.may_raise
+        assert not plan.may_raise and not plan.filters
         assert plan({"kind": "b"}) is None
         for ctx in ({"kind": "a"}, {}):
-            want = reduce_conditions(satisfy(e, ctx, {}))
-            found = plan(ctx)
-            assert (found is None) == want.is_false
-            if found is not None:
-                assert same_conditions(bind_captures(SETTLED, [found]), want)
-        assert same(bind_captures(SETTLED, [plan({"kind": "a"})]).bindings["X"], 1.0)
+            check_against_merge(placed([(plan, ctx)], {}), merged(lambda: [satisfy(e, ctx, {})]), False)
+        bound, _ = placed([(plan, {"kind": "a"})], {})
+        assert same(bound["X"], 1)  # the first capture
 
     def test_open_conjunct_is_left_to_the_interpreter(self):
+        """A conjunct that keeps a variable under || is a filter: the plan
+        never runs it, and the matcher runs it once $X is bound."""
         e = parse_predicate('kind = "a" && ($X = 1 || $X = 2)')
         plan = BindingPlan(e)
-        assert plan.may_raise
+        assert not plan.may_raise and [f[0] for f in plan.filters] == [parse_predicate("$X = 1 || $X = 2")]
         assert plan({"kind": "b"}) is None
-        with pytest.raises(Fallback):
-            plan({"kind": "a"})
+        assert plan({"kind": "a"}) == []
+        assert placed([(plan, {"kind": "a"})], {})[1]  # still waiting
+        assert placed([(plan, {"kind": "a"})], {"X": 2}) == ({"X": 2}, ())
+        assert placed([(plan, {"kind": "a"})], {"X": 3}) is None
+        e = parse_predicate('kind = "a" && (1 < "a" || $X = 1)')
+        assert placed([(BindingPlan(e), {"kind": "a"})], {"X": 1}) == (ERROR, 'ordered comparison needs numbers: 1 < "a"')
 
 
 class TestCompiledFormsOnThePolicy:

@@ -70,15 +70,21 @@ def unused_imports(path: Path) -> list[str]:
     return unused
 
 
-def unread_constants() -> list[str]:
-    """Module-level UPPER_CASE names that no module of the package reads."""
-    trees = {path.stem: parse(path) for path in MODULES}
+def package_reads(trees: dict[str, ast.Module]) -> set[str]:
+    """Every name some module reads, exports or imports from another."""
     read: set[str] = set()
     for tree in trees.values():
         read |= names_read(tree) | exported(tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom):
                 read |= {alias.name for alias in node.names}
+    return read
+
+
+def unread_constants(modules=MODULES) -> list[str]:
+    """Module-level UPPER_CASE names that no module of the package reads."""
+    trees = {path.stem: parse(path) for path in modules}
+    read = package_reads(trees)
     unread = []
     for stem, tree in trees.items():
         for node in tree.body:
@@ -87,6 +93,22 @@ def unread_constants() -> list[str]:
                 if isinstance(target, ast.Name) and CONSTANT.match(target.id) and target.id not in read:
                     unread.append(f"{stem}.{target.id}")
     return unread
+
+
+def unread_definitions(modules=MODULES) -> list[str]:
+    """Module-level functions and classes that no module of the package
+    reads and no __all__ exports.  Module hooks (dunder names such as
+    __getattr__) are called by Python itself."""
+    trees = {path.stem: parse(path) for path in modules}
+    read = package_reads(trees)
+    return [
+        f"{stem}.{node.name}"
+        for stem, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name not in read
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    ]
 
 
 def test_modules_are_found():
@@ -102,6 +124,10 @@ def test_no_unread_constants():
     assert unread_constants() == []
 
 
+def test_no_unread_definitions():
+    assert unread_definitions() == []
+
+
 def test_the_checks_see_what_they_look_for(tmp_path):
     module = tmp_path / "sample.py"
     module.write_text(
@@ -115,4 +141,18 @@ def test_the_checks_see_what_they_look_for(tmp_path):
         encoding="utf-8",
     )
     assert unused_imports(module) == ["os", "Iterator"]
+    other = tmp_path / "other.py"
+    other.write_text(
+        "from sample import f\n"
+        "def __getattr__(name):\n"
+        "    return _helper(name)\n"
+        "def _helper(name):\n"
+        "    return name\n"
+        "def dead():\n"
+        "    return f\n"
+        "class Dead:\n"
+        "    pass\n",
+        encoding="utf-8",
+    )
+    assert unread_definitions([module, other]) == ["other.dead", "other.Dead"]
     assert "UNREAD" not in names_read(ast.parse("UNREAD = 1\nREAD = 2\nprint(READ)"))

@@ -221,7 +221,7 @@ class TestGuards:
             frozenset({"X"}),
         )
         g = ingest_trace([{"t": 1, "object": {"id": "x", "attrs": {}}}])
-        with pytest.raises(MatchingError, match="did not settle"):
+        with pytest.raises(MatchingError, match="unbound at completion"):
             match_pattern(pattern, g)
 
     def test_match_cap(self):
@@ -310,6 +310,32 @@ class TestAgainstOracle:
         assert disagreements == []
         assert upheld > 20 and violated > 12  # both outcomes well represented
 
+    def test_match_sets_agree_with_filters(self):
+        """Policies with a conjunct that reads a variable another element
+        binds, so that the join runs it as a filter."""
+        rng = random.Random(20261019)
+        nonempty = filtered = 0
+        for i in range(300):
+            p = random_policy(rng, f"gen{i}", filters=True, lone_node=rng.random() < 0.3)
+            g = ingest_trace(random_trace_records(rng, n_objects=rng.choice([2, 3, 4])))
+            engine = {m.key() for m in find_matches(p, g)}
+            assert engine == oracle_matches(p, g), f"case {i}: {p}"
+            nonempty += bool(engine)
+            filtered += any(plan.filters for plan in p.domain.plans.values())
+        assert nonempty > 60 and filtered > 150
+
+    def test_verdicts_agree_with_filters(self):
+        rng = random.Random(20261020)
+        upheld = violated = 0
+        for i in range(300):
+            p = random_policy(rng, f"gen{i}", filters=True, parallel=rng.random() < 0.3)
+            g = ingest_trace(random_trace_records(rng))
+            got = verdict(p, g).upheld
+            assert got == oracle_verdict(p, g), f"case {i}: {p}"
+            upheld += got
+            violated += not got
+        assert upheld > 40 and violated > 25
+
     def test_bindings_unique_per_assignment(self):
         rng = random.Random(5150)
         for i in range(100):
@@ -343,3 +369,49 @@ class TestAgainstOracle:
             assert ms == sorted(ms, key=Match.key), f"case {i}: {p}"
             sorted_lists += len(ms) > 1
         assert sorted_lists > 80
+
+
+class TestBindingRule:
+    """A variable captured twice with equal numbers of two kinds reports
+    the capture of the first element in elements() order, whatever order
+    the join placed the elements in."""
+
+    POLICY = """
+    policy p {
+      node a
+      node b
+      node c
+      edge e1: a -> b domain: m = "x" && v = $X
+      edge e2: a -> c domain: m = "y" && v = $X
+    }
+    """
+
+    def test_binding_does_not_depend_on_unrelated_events(self):
+        p = parse_policy(self.POLICY)
+        base = [{"t": 1, "object": {"id": obj, "attrs": {}}} for obj in ("A", "B", "C")] + [
+            {"t": 2, "event": {"src": "A", "dest": "B", "params": {"m": "x", "v": 1}}},
+            {"t": 2, "event": {"src": "A", "dest": "C", "params": {"m": "y", "v": 1.0}}},
+        ]
+        reported = set()
+        for extra in ([], [("B", "x")], [("C", "y")], [("B", "x"), ("B", "x")], [("C", "y"), ("C", "y")]):
+            records = base + [
+                {"t": 3, "event": {"src": "A", "dest": dest, "params": {"m": m, "v": 7}}} for dest, m in extra
+            ]
+            (match,) = [m for m in find_matches(p, ingest_trace(records)) if m.edge_events == {"e1": 0, "e2": 1}]
+            reported.add(repr(match.bindings))
+        assert reported == {"{'X': 1}"}  # e1's capture: e1 precedes e2
+
+    def test_a_node_precedes_the_edges(self):
+        p = parse_policy(
+            "policy p {\n node a domain: k = $X\n node b\n edge e: a -> b domain: v = $X\n edge f: b -> a domain: v = $X\n}"
+        )
+        g = ingest_trace(
+            [
+                {"t": 1, "object": {"id": "A", "attrs": {"k": 2.0}}},
+                {"t": 1, "object": {"id": "B", "attrs": {}}},
+                {"t": 2, "event": {"src": "A", "dest": "B", "params": {"v": 2}}},
+                {"t": 3, "event": {"src": "B", "dest": "A", "params": {"v": 2}}},
+            ]
+        )
+        (match,) = find_matches(p, g)
+        assert repr(match.bindings) == "{'X': 2.0}"

@@ -16,7 +16,7 @@ from policygraph.monitor import Decision, Monitor
 from policygraph.policy import parse_policy
 from policygraph.system import ingest_trace, read_jsonl
 
-from oracle import random_policy, random_trace_records
+from oracle import oracle_failing, random_policy, random_trace_records
 
 NO_READ_UP = """
 policy no_read_up {
@@ -206,6 +206,38 @@ class TestAgainstBatch:
                     denies += 1
             assert mon.graph == ingest_trace(committed)
         assert denies > 100 and allows > 500 and mixed > 100  # both outcomes, and edge-plus-isolated policies
+
+    def test_random_streams_with_filters_deny_like_the_oracle(self):
+        """Policies with a conjunct that the join runs as a filter: a
+        decision names exactly the policies with a brute-forced match that
+        assigns the new event to an edge and fails its requirement."""
+        rng = random.Random(20261021)
+        denies = allows = 0
+        for i in range(120):
+            policies = [random_policy(rng, f"p{j}", filters=True) for j in range(2)]
+            mon = Monitor(policies)
+            committed: list[dict] = []
+            for record in random_trace_records(rng, n_objects=3, n_events=5):
+                decisions = mon.step(record)
+                if not decisions:
+                    committed.append(record)
+                    continue
+                (decision,) = decisions
+                hypothetical = ingest_trace(committed + [record])
+                new = len(hypothetical.events) - 1
+                failing = [
+                    p.name
+                    for p in policies
+                    if any(new in dict(key[0]).values() for key in oracle_failing(p, hypothetical))
+                ]
+                assert decision.denied_by == tuple(sorted(failing)), (i, record)
+                if decision.allowed:
+                    committed.append(record)
+                    allows += 1
+                else:
+                    denies += 1
+            assert mon.graph == ingest_trace(committed)
+        assert denies > 40 and allows > 150
 
     def test_verdicts_match_batch_on_committed_history(self):
         rng = random.Random(77)
