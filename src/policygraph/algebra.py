@@ -18,6 +18,14 @@ of policies with different graph shapes or variable sets never compare
 equal, so combining unrelated policies degenerates to independent
 enforcement.
 
+An expression often holds one atom several times (an identity compares two
+forms of the same policies), so each atom is matched once per system
+state: its outcomes are kept in the system graph's memo
+(SystemGraph.derived), keyed by the policy and the match cap, and any
+record applied to the graph drops them.  This is shared-subexpression
+elimination from multiple-query optimization (Sellis, "Multiple-Query
+Optimization", ACM TODS 1988).
+
 Coverage comparison and containment have no finite decision procedure over
 all systems, so they are answered relative to explicit universe bounds and
 labeled as such.
@@ -33,7 +41,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, Union
 
-from .matching import DEFAULT_MATCH_CAP, Match, check_requirement, find_matches, match_graph, match_pattern
+from .matching import DEFAULT_MATCH_CAP, check_requirement, find_matches, match_graph, match_key, match_pattern
 from .policy import PatternGraph, PolicyGraph, domain_of, requirement_of
 from .predicates import FALSE, TRUE, BinOp, Not, attributes_of, constants_of, fold_constants
 from .system import SystemGraph, ingest_trace
@@ -181,24 +189,31 @@ def reverse(p: PolicyGraph) -> Disjunction:
 def _match_outcomes(
     e: PolicyExpr, graph: SystemGraph, cap: int
 ) -> dict[tuple, bool]:
-    """Map from structural match keys to requirement outcomes."""
+    """Map from structural match keys to requirement outcomes.  An atom's
+    map is matched once per state of the graph and shared: it is read-only."""
     if isinstance(e, Atom):
         p = e.policy
-        out = {}
-        for m in find_matches(p, graph, cap):
-            satisfied, _ = check_requirement(p, m, graph)
-            out[(p.fingerprint, m.key())] = satisfied
+        memo = graph.derived()
+        # the policy is kept with its outcomes, so its id cannot be reused
+        stored, out = memo.get((id(p), cap), (None, None))
+        if stored is not p:
+            out = {}
+            for m in find_matches(p, graph, cap):
+                satisfied, _ = check_requirement(p, m, graph)
+                out[(p.fingerprint, m.key())] = satisfied
+            memo[id(p), cap] = p, out
         return out
     if isinstance(e, Always):
         return {}
     if isinstance(e, (Conjunction, Disjunction)):
-        combine = all if isinstance(e, Conjunction) else any
-        per_child = [_match_outcomes(c, graph, cap) for c in e.operands]
-        merged: dict[tuple, list[bool]] = {}
-        for outcomes in per_child:
+        both = isinstance(e, Conjunction)
+        children = [_match_outcomes(c, graph, cap) for c in e.operands]
+        merged = dict(children[0]) if children else {}
+        for outcomes in children[1:]:  # a key seen by one child keeps its value
             for key, value in outcomes.items():
-                merged.setdefault(key, []).append(value)
-        return {key: combine(values) for key, values in merged.items()}
+                old = merged.get(key, value)
+                merged[key] = (old and value) if both else (old or value)
+        return merged
     if isinstance(e, Reversal):
         if isinstance(e.operand, Disjunction):
             graphs = {
@@ -438,7 +453,7 @@ def pattern_matches_bounded(pattern: PatternGraph, graph: SystemGraph, pool: Seq
             for combo in itertools.product(pool, repeat=len(variables)):
                 bindings = dict(zip(variables, combo))
                 if match_graph(pattern, edge_assignment, iso_assignment, graph, bindings):
-                    keys.add(Match("?", edge_assignment, iso_assignment, all_nodes, bindings).key())
+                    keys.add(match_key(edge_assignment, iso_assignment, bindings))
     return keys
 
 

@@ -60,7 +60,8 @@ class MatchingError(RuntimeError):
 @dataclass(frozen=True)
 class Match:
     """One place a pattern holds: edge and isolated-node assignments plus
-    the variable bindings the domain forced there."""
+    the variable bindings the domain forced there.  Each dict lists its
+    entries by sorted id, whatever order the join placed them in."""
 
     policy: str
     edge_events: Mapping[str, int]  # policy edge id -> index into graph.events
@@ -70,11 +71,18 @@ class Match:
 
     def key(self) -> tuple:
         """Structural identity, independent of enumeration order."""
-        return (
-            tuple(sorted(self.edge_events.items())),
-            tuple(sorted(self.isolated_objects.items())),
-            tuple(sorted((v, canonical(b)) for v, b in self.bindings.items())),
-        )
+        return match_key(self.edge_events, self.isolated_objects, self.bindings)
+
+
+def match_key(
+    edge_events: Mapping[str, int], isolated_objects: Mapping[str, tuple[str, int]], bindings: Mapping[str, Any]
+) -> tuple:
+    """Match.key() of the match with these assignments and bindings."""
+    return (
+        tuple(sorted(edge_events.items())),
+        tuple(sorted(isolated_objects.items())),
+        tuple(sorted((v, canonical(b)) for v, b in bindings.items())),
+    )
 
 
 def match_graph(
@@ -213,22 +221,18 @@ def _edge_candidates(pattern: PatternGraph, graph: SystemGraph) -> dict[str, lis
 
 def _iso_candidates(pattern: PatternGraph, graph: SystemGraph) -> dict[str, list[tuple[str, int, tuple]]]:
     """Per isolated policy node, the (object, instant) pairs whose snapshot
-    its tests and captures do not falsify, each with (captures, snapshot)."""
+    its tests and captures do not falsify, each with (captures, snapshot).
+    A snapshot holds over a span of instants, so each is judged once."""
     out: dict[str, list[tuple[str, int, tuple]]] = {}
     for node_id in pattern.key_ids[1]:
         plan = pattern.plans[node_id]
         candidates = []
         for obj_id in graph.object_ids():
-            seen = None
-            for instant in graph.instants(obj_id):
-                attrs = graph.attrs_at(obj_id, instant)
-                if attrs is not seen:  # one snapshot holds over many instants
-                    seen, found = attrs, plan(attrs)
-                    if found is not None:
-                        captures = {}
-                        found = None if _bind((found,), captures) is None else (captures, attrs)
-                if found is not None:
-                    candidates.append((obj_id, instant, found))
+            for first, last, attrs in graph.snapshot_spans(obj_id):
+                found, captures = plan(attrs), {}
+                if found is not None and _bind((found,), captures) is not None:
+                    held = (captures, attrs)
+                    candidates += [(obj_id, instant, held) for instant in range(first, last + 1)]
         out[node_id] = candidates
     return out
 
@@ -263,17 +267,23 @@ def match_pattern(
     unowned = pattern.variables - owners.keys()
 
     matches: list[Match] = []
-    edge_events: dict[str, int] = {}
-    node_objects: dict[str, str] = {}
+    # The assignment dicts hold every id from the start, by sorted id, so a
+    # match lists its assignments in that order whatever order the join
+    # placed them in; placing fills an entry, backtracking blanks it again
+    # (-1 is no event index, so the used-event test is not disturbed).
+    blank_edges, blank_iso, blank_nodes = pattern.blank_assignment
+    edge_events: dict[str, int] = blank_edges.copy()
+    node_objects: dict[str, Optional[str]] = blank_nodes.copy()
     object_nodes: dict[str, str] = {}  # inverse view, for the injectivity check
-    iso_objects: dict[str, tuple[str, int]] = {}
+    iso_objects: dict[str, Optional[tuple[str, int]]] = blank_iso.copy()
     bindings: dict[str, Any] = {}
     captured: dict[str, Mapping[str, Any]] = {}  # per placed edge or isolated node, its captures
 
     def claim(node_id: str, obj_id: str) -> Optional[list[str]]:
         """Try to map node_id to obj_id; returns the rollback list or None."""
-        if node_id in node_objects:
-            return [] if node_objects[node_id] == obj_id else None
+        bound = node_objects[node_id]
+        if bound is not None:
+            return [] if bound == obj_id else None
         if obj_id in object_nodes:
             return None
         node_objects[node_id] = obj_id
@@ -282,8 +292,8 @@ def match_pattern(
 
     def release(claimed: list[str]) -> None:
         for node_id in claimed:
-            obj_id = node_objects.pop(node_id)
-            object_nodes.pop(obj_id)
+            object_nodes.pop(node_objects[node_id])
+            node_objects[node_id] = None
 
     def place(elt: str, captures: Mapping[str, Any], waiting: tuple, descend, position: int) -> None:
         """Bind an element's captures, run the filters now due, and go on
@@ -322,7 +332,7 @@ def match_pattern(
             iso_objects[node_id] = (obj_id, instant)
             due = waiting + tuple((f, attrs) for f in node_filters) if node_filters else waiting
             place(node_id, captures, due, assign_iso, position)
-            del iso_objects[node_id]
+            iso_objects[node_id] = None
             release(claimed)
 
     def assign_edges(position: int, waiting: tuple) -> None:
@@ -345,7 +355,7 @@ def match_pattern(
                 continue
             edge_events[edge_id] = cand.event_index
             place(edge_id, cand.captures, waiting + cand.filters, assign_edges, position)
-            del edge_events[edge_id]
+            edge_events[edge_id] = -1
             release(claimed_dest)
             release(claimed_src)
 

@@ -108,6 +108,14 @@ class PatternGraph:
         return tuple(sorted(self.graph.edges)), tuple(self.graph.isolated_nodes())
 
     @cached_property
+    def blank_assignment(self) -> tuple[dict[str, int], dict[str, None], dict[str, None]]:
+        """Edge, isolated-node and node assignments with every id, by sorted
+        id, and no value (-1 for an edge): match_pattern fills copies, so a
+        Match lists its entries in this order.  Never mutated."""
+        edge_ids, iso_ids = self.key_ids
+        return dict.fromkeys(edge_ids, -1), dict.fromkeys(iso_ids), dict.fromkeys(sorted(self.graph.nodes))
+
+    @cached_property
     def plans(self) -> dict[str, BindingPlan]:
         return {elt: BindingPlan(e) for elt, e in self.preds.items()}
 

@@ -19,7 +19,7 @@ import json
 from bisect import bisect_right
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Iterable, Iterator, Mapping, Optional
 
 from .values import from_json, to_json, values_equal
 
@@ -71,10 +71,13 @@ class SystemGraph:
         self._used_at: set[tuple[str, int]] = set()
         self._last_event_marks: set[tuple[str, int]] = set()
         self._horizon_before_event: int = 0
+        self._derived: Optional[dict] = None  # see derived()
 
-    # internal mutators, used by ingest_trace and the monitor
+    # internal mutators, used by ingest_trace and the monitor; each one
+    # drops the results derived from the state it changes
 
     def _declare_object(self, obj_id: str, attrs: dict[str, Any], t: int, record_no: int = 0) -> None:
+        self._derived = None
         if (obj_id, t) in self._used_at:
             raise TraceError(
                 f"snapshot for {obj_id!r} at t={t} declared after an event already used it", record_no
@@ -87,6 +90,7 @@ class SystemGraph:
         self.horizon = max(self.horizon, t)
 
     def _append_event(self, src: str, dest: str, params: dict[str, Any], t: int, record_no: int = 0) -> SystemEvent:
+        self._derived = None
         for endpoint in (src, dest):
             if endpoint not in self._snapshots:
                 raise TraceError(f"event endpoint {endpoint!r} was never declared", record_no)
@@ -101,12 +105,21 @@ class SystemGraph:
     def _drop_last_event(self) -> None:
         """Undo the most recent append; a denied event leaves no trace,
         including any horizon growth it would have caused."""
+        self._derived = None
         self.events.pop()
         self._used_at -= self._last_event_marks
         self._last_event_marks = set()
         self.horizon = self._horizon_before_event
 
     # queries
+
+    def derived(self) -> dict:
+        """A memo for results computed from the graph's current state, such
+        as a policy's match outcomes; every mutation drops it.  Its values
+        are shared, so callers must not mutate them."""
+        if self._derived is None:
+            self._derived = {}
+        return self._derived
 
     def object_ids(self) -> list[str]:
         return sorted(self._snapshots)
@@ -126,6 +139,16 @@ class SystemGraph:
     def instants(self, obj_id: str) -> range:
         """Instants at which the object exists, up to the graph horizon."""
         return range(self.first_time(obj_id), self.horizon + 1)
+
+    def snapshot_spans(self, obj_id: str) -> Iterator[tuple[int, int, Mapping[str, Any]]]:
+        """Each explicit snapshot as (first, last, attrs): the instants
+        first..last, up to the next snapshot or the horizon, whose effective
+        snapshot it is."""
+        history = self._snapshots[obj_id]
+        for (first, attrs), (following, _) in zip(history, history[1:]):
+            yield first, following - 1, attrs
+        first, attrs = history[-1]
+        yield first, self.horizon, attrs
 
     def attrs_at(self, obj_id: str, t: int) -> Mapping[str, Any]:
         """Effective snapshot: the newest explicit one with time <= t."""

@@ -8,8 +8,8 @@ between the engine and these functions as an engine bug.
 
 Also home to the seeded random generators (expressions, contexts, policies,
 traces) shared by the differential test files, to a naive reference
-renderer of the text report, and to naive references for bounded coverage
-and containment.
+renderer of the text report, to a naive evaluator of policy expressions,
+and to naive references for bounded coverage and containment.
 """
 
 from __future__ import annotations
@@ -24,8 +24,14 @@ from policygraph.algebra import (
     GREATER,
     INCOMPARABLE,
     LESSER,
+    Always,
+    Atom,
+    Conjunction,
     ContainmentResult,
     CoverageResult,
+    Disjunction,
+    PolicyExpr,
+    Reversal,
     UniverseBounds,
     enumerate_systems,
     pattern_matches_bounded,
@@ -329,6 +335,33 @@ def oracle_failing(policy: PolicyGraph, graph: SystemGraph) -> set[tuple]:
 def oracle_verdict(policy: PolicyGraph, graph: SystemGraph) -> bool:
     """Upheld iff every brute-forced match satisfies every requirement."""
     return not oracle_failing(policy, graph)
+
+
+def reference_eval_policy_expr(e: PolicyGraph | PolicyExpr, graph: SystemGraph) -> bool:
+    """Whether a composite policy is upheld, by the per-match semantics of
+    policygraph.algebra, with nothing remembered between atoms: every atom
+    is brute-forced again each time it occurs."""
+
+    def outcomes(e) -> dict[tuple, bool]:
+        if isinstance(e, PolicyGraph):
+            e = Atom(e)
+        if isinstance(e, Atom):
+            p = e.policy
+            shape = (p.graph.signature(), tuple(sorted(p.variables)))
+            failing = oracle_failing(p, graph)
+            return {(shape, key): key not in failing for key in oracle_matches(p, graph)}
+        if isinstance(e, Always):
+            return {}
+        if isinstance(e, Reversal):
+            return {key: not value for key, value in outcomes(e.operand).items()}
+        if isinstance(e, (Conjunction, Disjunction)):
+            children = [outcomes(c) for c in e.operands]
+            combine = all if isinstance(e, Conjunction) else any
+            keys = set().union(*children)
+            return {key: combine(child[key] for child in children if key in child) for key in keys}
+        raise TypeError(f"not a policy expression: {e!r}")
+
+    return all(outcomes(e).values())
 
 
 def _uncanonical(c: tuple) -> Any:

@@ -33,12 +33,20 @@ from policygraph.algebra import (
     reverse_expr,
 )
 from policygraph.algebra import _Frame, _system_count
-from policygraph.matching import find_matches, verdict
+from policygraph.matching import InvalidPolicyError, MatchCapExceeded, find_matches, verdict
+from policygraph.monitor import Monitor
 from policygraph.policy import PolicyGraph, domain_of, parse_policy, requirement_of
-from policygraph.predicates import BinOp, parse_predicate
+from policygraph.predicates import BinOp, PredicateTypeError, parse_predicate
 from policygraph.system import ingest_trace
 
-from oracle import GEN_VALUES, random_policy, random_trace_records, reference_contains, reference_coverage
+from oracle import (
+    GEN_VALUES,
+    random_policy,
+    random_trace_records,
+    reference_contains,
+    reference_coverage,
+    reference_eval_policy_expr,
+)
 
 NO_READ_UP = """
 policy no_read_up {
@@ -260,6 +268,131 @@ class TestExpressionSemantics:
     def test_rejects_foreign_objects(self):
         with pytest.raises(TypeError):
             eval_policy_expr("not a policy", ingest_trace([]))
+
+
+def random_policy_expr(rng: random.Random, atoms: list, depth: int = 3):
+    """An expression of Atom, Always, Conjunction, Disjunction and Reversal
+    nodes up to `depth` deep, with leaves drawn from `atoms`."""
+    roll = rng.random()
+    if depth == 0 or roll < 0.25:
+        return Always() if rng.random() < 0.1 else rng.choice(atoms)
+    if roll < 0.45:
+        return Reversal(random_policy_expr(rng, atoms, depth - 1))
+    kind = Conjunction if roll < 0.75 else Disjunction
+    return kind(tuple(random_policy_expr(rng, atoms, depth - 1) for _ in range(rng.randrange(1, 4))))
+
+
+def atom_leaves(e) -> list:
+    if isinstance(e, Atom):
+        return [e]
+    if isinstance(e, Reversal):
+        return atom_leaves(e.operand)
+    if isinstance(e, (Conjunction, Disjunction)):
+        return [leaf for c in e.operands for leaf in atom_leaves(c)]
+    return []
+
+
+class TestAtomMemo:
+    """Each atom is matched once per state of the system graph; the memo
+    must never change a result."""
+
+    FLOW = parse_policy("policy flow {\n node a\n node b\n edge e: a -> b domain: act = $A req: $A = 0\n}")
+    TAG = parse_policy("policy tag {\n node n domain: kind = $K req: $K = 1\n}")
+    EXPRS = [
+        Atom(FLOW),
+        reverse_expr(reverse_expr(TAG)),
+        conjoin(FLOW, TAG),
+        disjoin(reverse_expr(FLOW), TAG),
+        reverse_expr(conjoin(reverse_expr(FLOW), reverse_expr(TAG))),
+    ]
+
+    def evaluate(self, graph) -> list[bool]:
+        """Every expression on the graph, each equal to its value on a
+        freshly ingested copy, where no memo holds anything."""
+        fresh = ingest_trace(graph.to_records())
+        got = [eval_policy_expr(e, graph) for e in self.EXPRS]
+        assert got == [eval_policy_expr(e, fresh) for e in self.EXPRS]
+        return got
+
+    def test_random_expressions_against_the_reference(self):
+        rng = random.Random(20261018)
+        repeated = 0
+        for i in range(30):
+            p = random_policy(rng, f"p{i}")
+            policies = [p, same_domain_variant(rng, p, f"q{i}")]
+            if rng.random() < 0.5:
+                policies.append(random_policy(rng, f"r{i}"))
+            atoms = [Atom(q) for q in policies]
+            exprs = []
+            while len(exprs) < 5:
+                e = random_policy_expr(rng, atoms)
+                leaves = [id(leaf.policy) for leaf in atom_leaves(e)]
+                if len(set(leaves)) < len(leaves):  # some atom occurs twice
+                    exprs.append(e)
+            g = ingest_trace(random_trace_records(rng))
+            expected = [reference_eval_policy_expr(e, g) for e in exprs]
+            order = [j for j in range(len(exprs)) for _ in range(3)]
+            rng.shuffle(order)
+            for j in order:
+                assert eval_policy_expr(exprs[j], g) == expected[j]
+            repeated += len(order)
+        assert repeated == 450
+
+    def test_monitor_records_drop_the_memo(self):
+        guard = parse_policy('policy guard {\n node a\n node b\n edge e: a -> b domain: act = 9 req: false\n}')
+        mon = Monitor([guard])
+        for obj in ("x", "y"):
+            mon.step({"t": 1, "object": {"id": obj, "attrs": {"kind": 1}}})
+        start = self.evaluate(mon.graph)
+        (decision,) = mon.step({"t": 2, "event": {"src": "x", "dest": "y", "params": {"act": 1}}})
+        assert decision.allowed
+        allowed = self.evaluate(mon.graph)
+        assert allowed != start
+        (decision,) = mon.step({"t": 5, "event": {"src": "x", "dest": "y", "params": {"act": 9}}})
+        assert not decision.allowed and mon.graph.horizon == 2
+        assert self.evaluate(mon.graph) == allowed
+        mon.step({"t": 6, "object": {"id": "y", "attrs": {"kind": 1}}})
+        declared = self.evaluate(mon.graph)
+        mon.step({"t": 6, "object": {"id": "y", "attrs": {"kind": 0}}})  # redeclared within the instant
+        assert self.evaluate(mon.graph) != declared
+
+    def test_each_mutator_drops_the_memo(self):
+        g = ingest_trace([{"t": 1, "object": {"id": obj, "attrs": {"kind": 1}}} for obj in ("x", "y")])
+        start = self.evaluate(g)
+        g._append_event("x", "y", {"act": 1, "time": 2}, 2)
+        appended = self.evaluate(g)
+        assert appended != start
+        g._drop_last_event()
+        assert self.evaluate(g) == start
+        g._declare_object("x", {"id": "x", "kind": 0}, 1)  # redeclared within the instant
+        assert self.evaluate(g) != start
+
+    def test_the_cap_is_part_of_the_key(self):
+        g = ingest_trace(
+            [{"t": 1, "object": {"id": obj, "attrs": {}}} for obj in ("x", "y")]
+            + [{"t": t, "event": {"src": "x", "dest": "y", "params": {"act": 0}}} for t in (1, 2, 3)]
+        )
+        assert eval_policy_expr(conjoin(self.FLOW, self.FLOW), g, cap=100)
+        with pytest.raises(MatchCapExceeded):
+            eval_policy_expr(self.FLOW, g, cap=2)
+        assert eval_policy_expr(self.FLOW, g, cap=3)
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            ('policy bad {\n node a\n node b\n edge e: a -> b domain: act = $A req: $A < "z"\n}', PredicateTypeError),
+            ("policy bad {\n node a\n node b\n edge e: a -> b req: $X = 1\n}", InvalidPolicyError),
+        ],
+    )
+    def test_an_atom_that_raises_raises_every_time(self, text, error):
+        bad = parse_policy(text)
+        g = ingest_trace(
+            [{"t": 1, "object": {"id": obj, "attrs": {}}} for obj in ("x", "y")]
+            + [{"t": 1, "event": {"src": "x", "dest": "y", "params": {"act": 1}}}]
+        )
+        for expr in (Atom(bad), conjoin(self.FLOW, bad), Atom(bad)):
+            with pytest.raises(error):
+                eval_policy_expr(expr, g)
 
 
 class TestBoundedUniverse:

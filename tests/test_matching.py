@@ -9,6 +9,9 @@ from policygraph.matching import (
     Match,
     MatchCapExceeded,
     MatchingError,
+    _bind,
+    _edge_candidates,
+    _iso_candidates,
     check_requirement,
     find_matches,
     match_graph,
@@ -16,11 +19,12 @@ from policygraph.matching import (
     verdict,
     verdict_all,
 )
+from policygraph.monitor import Monitor
 from policygraph.policy import PatternGraph, domain_of, parse_policy
 from policygraph.predicates import PredicateTypeError, parse_predicate
-from policygraph.system import ingest_trace
+from policygraph.system import TraceError, ingest_trace
 
-from oracle import oracle_matches, oracle_verdict, random_policy, random_trace_records
+from oracle import GEN_ATTRS, GEN_VALUES, oracle_matches, oracle_verdict, random_policy, random_trace_records
 
 NO_READ_UP = """
 policy no_read_up {
@@ -204,6 +208,84 @@ class TestIsolatedNodes:
         assert matches[0].edge_events == {}
         assert matches[0].isolated_objects == {}
         assert verdict(p, g).upheld
+
+    def test_span_walk_gives_the_per_instant_candidates(self):
+        """_iso_candidates judges each snapshot once over its span of
+        instants; the candidates, in order, are those of judging every
+        (object, instant) pair.  The graphs redeclare snapshots within an
+        instant and roll the horizon back on denied events."""
+        rng = random.Random(4242)
+        deny = parse_policy('policy deny {\n node a\n node b\n edge e: a -> b domain: act = "alpha" req: false\n}')
+        patterns = [domain_of(p) for i in range(60) for p in [random_policy(rng, f"r{i}", lone_node=True)]]
+        patterns = [g for g in patterns if g.key_ids[1]]
+        checked = redeclared = rolled_back = 0
+        for _ in range(40):
+            mon = Monitor([deny])
+            latest = {}  # per object, the time of its newest snapshot
+            for record in random_span_records(rng):
+                horizon = mon.graph.horizon
+                try:
+                    decisions = mon.step(record)
+                except TraceError:  # a snapshot redeclared after an event read it
+                    continue
+                if "object" in record:
+                    redeclared += latest.get(record["object"]["id"]) == record["t"]
+                    latest[record["object"]["id"]] = record["t"]
+                rolled_back += any(not d.allowed for d in decisions) and record["t"] > horizon
+                for pattern in rng.sample(patterns, 3):
+                    assert _iso_candidates(pattern, mon.graph) == per_instant_candidates(pattern, mon.graph)
+                    checked += 1
+        assert checked > 600 and redeclared > 5 and rolled_back > 5
+
+    def test_snapshot_spans_end_at_a_rolled_back_horizon(self):
+        mon = Monitor([parse_policy("policy deny {\n node n\n edge e: n -> n req: false\n}")])
+        mon.step({"t": 1, "object": {"id": "x", "attrs": {"v": 1}}})
+        mon.step({"t": 1, "object": {"id": "x", "attrs": {"v": 2}}})  # redeclared within the instant
+        mon.step({"t": 3, "object": {"id": "x", "attrs": {"v": 3}}})
+        (decision,) = mon.step({"t": 9, "event": {"src": "x", "dest": "x", "params": {}}})
+        assert not decision.allowed and mon.graph.horizon == 3
+        assert [(first, last, dict(attrs)) for first, last, attrs in mon.graph.snapshot_spans("x")] == [
+            (1, 2, {"v": 2, "id": "x"}),
+            (3, 3, {"v": 3, "id": "x"}),
+        ]
+
+
+def random_span_records(rng: random.Random) -> list[dict]:
+    """Objects declared at t = 1, then snapshots (some within an instant
+    that already has one) and events, some of them at a later instant."""
+    ids = ["o1", "o2", "o3"]
+    records = [{"t": 1, "object": {"id": obj, "attrs": random_attrs(rng)}} for obj in ids]
+    t = 1
+    for _ in range(rng.randrange(2, 10)):
+        t += rng.choice((0, 1, 3))
+        if rng.random() < 0.5:
+            records.append({"t": t, "object": {"id": rng.choice(ids), "attrs": random_attrs(rng)}})
+        else:
+            params = {"act": rng.choice(GEN_VALUES)}
+            records.append({"t": t, "event": {"src": rng.choice(ids), "dest": rng.choice(ids), "params": params}})
+    return records
+
+
+def random_attrs(rng: random.Random) -> dict:
+    return {name: rng.choice(GEN_VALUES) for name in GEN_ATTRS if rng.random() < 0.85}
+
+
+def per_instant_candidates(pattern: PatternGraph, graph) -> dict:
+    """_iso_candidates() the slow way: every (object, instant) pair's
+    effective snapshot, judged on its own."""
+    out = {}
+    for node_id in pattern.key_ids[1]:
+        plan = pattern.plans[node_id]
+        candidates = []
+        for obj_id in graph.object_ids():
+            for instant in graph.instants(obj_id):
+                attrs = graph.attrs_at(obj_id, instant)
+                found = plan(attrs)
+                captures = {}
+                if found is not None and _bind((found,), captures) is not None:
+                    candidates.append((obj_id, instant, (captures, attrs)))
+        out[node_id] = candidates
+    return out
 
 
 class TestGuards:
@@ -400,6 +482,57 @@ class TestBindingRule:
             (match,) = [m for m in find_matches(p, ingest_trace(records)) if m.edge_events == {"e1": 0, "e2": 1}]
             reported.add(repr(match.bindings))
         assert reported == {"{'X': 1}"}  # e1's capture: e1 precedes e2
+
+    def test_match_repr_does_not_depend_on_unrelated_events(self):
+        # one more a -> b event makes the join place e2 before e1
+        p = parse_policy(self.POLICY)
+        base = [{"t": 1, "object": {"id": obj, "attrs": {}}} for obj in ("A", "B", "C")] + [
+            {"t": 2, "event": {"src": "A", "dest": "B", "params": {"m": "x", "v": 1}}},
+            {"t": 2, "event": {"src": "A", "dest": "C", "params": {"m": "y", "v": 1}}},
+        ]
+        extra = [{"t": 3, "event": {"src": "A", "dest": "B", "params": {"m": "x", "v": 7}}}]
+        reprs = set()
+        for records in (base, base + extra):
+            (match,) = [m for m in find_matches(p, ingest_trace(records)) if m.edge_events == {"e1": 0, "e2": 1}]
+            reprs.add(repr(match))
+        assert len(reprs) == 1
+        assert list(match.edge_events) == ["e1", "e2"] and list(match.node_objects) == ["a", "b", "c"]
+
+    SHAPES = [
+        "node a\n node b\n node c\n edge e1: a -> b\n edge e2: a -> c domain: act = 1",
+        'node a\n node b\n node c\n edge e1: a -> b domain: act = "alpha"\n edge e2: c -> b domain: grade = 2',
+        'node a\n node b\n node n domain: kind = "beta"\n edge e1: b -> a domain: act != 1',
+        "node a\n node b\n node c\n node d domain: level = 1\n edge e1: b -> a\n edge e2: a -> c domain: act = 2",
+        'node m domain: kind = "alpha"\n node n domain: level = 2',
+    ]
+
+    def test_every_match_lists_its_assignments_in_one_order(self):
+        rng = random.Random(77031)
+        reordered = 0
+        for i in range(100):
+            p = parse_policy(f"policy p{i} {{\n {self.SHAPES[i % len(self.SHAPES)]}\n}}")
+            g = ingest_trace(random_trace_records(rng, n_objects=4, n_events=6))
+            pattern = domain_of(p)
+            matches = find_matches(p, g)
+            for m in matches:
+                assert (tuple(m.edge_events), tuple(m.isolated_objects)) == pattern.key_ids
+                assert list(m.node_objects) == sorted(pattern.graph.nodes)
+            # whether the join, which takes the fewest candidates first, took another order
+            counts = [[len(c) for c in cands.values()] for cands in (_edge_candidates(pattern, g), _iso_candidates(pattern, g))]
+            reordered += bool(matches) and any(c != sorted(c) for c in counts)
+        assert reordered > 10
+
+    def test_isolated_placements_are_listed_by_node_id(self):
+        # more k = 1 objects make the join place n before m
+        p = parse_policy("policy p {\n node m domain: k = 1\n node n domain: k = 2\n}")
+        base = [{"t": 1, "object": {"id": obj, "attrs": {"k": k}}} for obj, k in (("P", 1), ("Q", 2), ("R", 2))]
+        extra = [{"t": 1, "object": {"id": obj, "attrs": {"k": 1}}} for obj in ("S", "T")]
+        reprs = set()
+        for records in (base, base + extra):
+            (match,) = [m for m in find_matches(p, ingest_trace(records)) if m.node_objects == {"m": "P", "n": "Q"}]
+            reprs.add(repr(match))
+        assert len(reprs) == 1
+        assert list(match.isolated_objects) == ["m", "n"] and list(match.node_objects) == ["m", "n"]
 
     def test_a_node_precedes_the_edges(self):
         p = parse_policy(
