@@ -10,16 +10,17 @@ Run me:  python3 demos/01_expressing_policies.py
 """
 
 from policygraph import (
-    Conditions,
+    InvalidPolicyError,
+    MatchingError,
+    domain_of,
     evaluate,
-    extract_bindings,
+    find_matches,
     format_expr,
-    merge_conditions,
+    ingest_trace,
+    match_pattern,
     parse_policy,
     parse_predicate,
     print_policy,
-    reduce_conditions,
-    satisfy,
     validate_policy,
 )
 
@@ -40,27 +41,6 @@ print("alice:", format_expr(evaluate(pred, alice, {})))
 # sec_level disjunct still carries the day.
 bob = {"type": "user", "sec_level": 2}
 print("bob (no roles attribute):", format_expr(evaluate(pred, bob, {})))
-
-print("\n=== Variables and conditions ===\n")
-
-# Matching never guesses variable values.  A predicate is satisfied relative
-# to a context; reducing the result harvests the equalities the context
-# forces as bindings, and anything left over stays as a residual condition.
-guard = parse_predicate("owner = $O && $O != \"root\"")
-conds = reduce_conditions(satisfy(guard, {"owner": "deploy"}, {}))
-print("bindings:", dict(conds.bindings), " residual:", format_expr(conds.residual))
-
-# Conditions from different graph elements merge; a contradiction between
-# forced values kills the candidate match on the spot.
-other = satisfy(parse_predicate("owner = $O"), {"owner": "root"}, {})
-merged = merge_conditions([conds, other])
-print("after merging a conflicting owner:", format_expr(merged.residual))
-
-# Chained equalities settle by iterating extraction to a fixpoint.
-harvested, rest = extract_bindings(parse_predicate("$a = 3 && $b = $a + 1"))
-print("one extraction pass:", harvested, "with", format_expr(rest), "left")
-settled = reduce_conditions(Conditions(harvested, rest))
-print("after reducing to a fixpoint:", dict(settled.bindings))
 
 print("\n=== Policies ===\n")
 
@@ -93,3 +73,54 @@ policy broken {
 print("\na policy that breaks both rules:")
 for issue in validate_policy(broken):
     print(" ", issue)
+
+print("\n=== Variables: captures and filters ===\n")
+
+# Matching never guesses a variable's value.  Each domain predicate is split
+# into its top-level conjuncts.  A *capture*, `attr = $X` or `$X = e` with e
+# free of variables, binds $X to the value it reads from the object or event
+# at hand.  Any other conjunct that reads a variable is a *filter*: it runs
+# once every variable it reads is bound, here when the join has placed both
+# ends of the edge.
+deploys = parse_policy(
+    """
+policy deploys {
+  node u domain: role = "engineer" && clearance = $C
+  node h domain: tier = $T
+  edge d: u -> h domain: action = "deploy" && $T <= $C
+}
+"""
+)
+
+
+def deploy_trace(tier):
+    return ingest_trace(
+        [
+            {"t": 1, "object": {"id": "ana", "attrs": {"role": "engineer", "clearance": 2}}},
+            {"t": 1, "object": {"id": "web", "attrs": {"tier": tier}}},
+            {"t": 2, "event": {"src": "ana", "dest": "web", "params": {"action": "deploy"}}},
+        ]
+    )
+
+
+for m in find_matches(deploys, deploy_trace(1)):
+    print("match:", dict(m.node_objects), "event", m.edge_events["d"], "bindings", dict(m.bindings))
+print("a tier-3 host fails the filter $T <= $C:", find_matches(deploys, deploy_trace(3)))
+
+# Rule R1 asks every variable to have a capture in some domain.  A variable
+# read only by a filter would have to be guessed, so validation refuses the
+# policy and find_matches will not run it.
+guessing = parse_policy("policy guessing {\n node h domain: tier = 1 && $T > 0\n}")
+for issue in validate_policy(guessing):
+    print("\nrefused:", issue)
+try:
+    find_matches(guessing, deploy_trace(1))
+except InvalidPolicyError as exc:
+    print("find_matches:", exc)
+
+# Matching a bare domain pattern skips validation, but the same check runs
+# before any candidate is listed, whether or not a match would complete.
+try:
+    match_pattern(domain_of(guessing), deploy_trace(1), policy_name=guessing.name)
+except MatchingError as exc:
+    print("match_pattern:", exc)

@@ -22,9 +22,9 @@ An expression often holds one atom several times (an identity compares two
 forms of the same policies), so each atom is matched once per system
 state: its outcomes are kept in the system graph's memo
 (SystemGraph.derived), keyed by the policy and the match cap, and any
-record applied to the graph drops them.  This is shared-subexpression
-elimination from multiple-query optimization (Sellis, "Multiple-Query
-Optimization", ACM TODS 1988).
+record applied to the graph drops them, as does the policy's death.  This
+is shared-subexpression elimination from multiple-query optimization
+(Sellis, "Multiple-Query Optimization", ACM TODS 1988).
 
 Coverage comparison and containment have no finite decision procedure over
 all systems, so they are answered relative to explicit universe bounds and
@@ -37,7 +37,9 @@ import itertools
 import json
 import logging
 import math
+import weakref
 from dataclasses import dataclass
+from functools import partial
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, Union
 
@@ -193,15 +195,16 @@ def _match_outcomes(
     map is matched once per state of the graph and shared: it is read-only."""
     if isinstance(e, Atom):
         p = e.policy
-        memo = graph.derived()
-        # the policy is kept with its outcomes, so its id cannot be reused
-        stored, out = memo.get((id(p), cap), (None, None))
-        if stored is not p:
+        key, memo = (id(p), cap), graph.derived()
+        stored, out = memo.get(key, (None, None))
+        if stored is None or stored() is not p:
             out = {}
             for m in find_matches(p, graph, cap):
                 satisfied, _ = check_requirement(p, m, graph)
                 out[(p.fingerprint, m.key())] = satisfied
-            memo[id(p), cap] = p, out
+            # held weakly: the entry dies with its policy, before its id can
+            # be reused; the graph is held weakly too, so no cycle keeps it
+            memo[key] = weakref.ref(p, partial(_forget, weakref.ref(graph), key)), out
         return out
     if isinstance(e, Always):
         return {}
@@ -228,6 +231,13 @@ def _match_outcomes(
                 )
         return {key: not value for key, value in _match_outcomes(e.operand, graph, cap).items()}
     raise TypeError(f"not a policy expression: {e!r}")
+
+
+def _forget(owner: weakref.ref, key: tuple, _dead: weakref.ref) -> None:
+    """Drop a dead policy's entry from its graph's memo."""
+    graph = owner()
+    if graph is not None:
+        graph.derived().pop(key, None)
 
 
 def eval_policy_expr(e: Union[PolicyGraph, PolicyExpr], graph: SystemGraph, cap: int = DEFAULT_MATCH_CAP) -> bool:
@@ -508,7 +518,7 @@ def pair_matchers(
     an exact match on one side only would bind ids and instants that the
     pool side can never bind.
     """
-    if g1.variables <= g1.bindable and g2.variables <= g2.bindable:
+    if g1.variables <= g1.owners.keys() and g2.variables <= g2.owners.keys():
         first = _exact_matcher(g1)
         return first, (first if g2 == g1 else _exact_matcher(g2))
     pool = _binding_pool(g1, u)

@@ -256,15 +256,21 @@ def match_pattern(
     node's capture as its first incident edge reads it), whatever order the
     join met them in.  `edge_cands`, when given, replaces
     _edge_candidates(): the matches are then those whose events come from
-    these lists.
+    these lists.  A variable that no plan captures (rule R1) raises
+    MatchingError before any candidate is listed.
     """
+    owners = pattern.owners
+    unowned = pattern.variables - owners.keys()
+    if unowned:
+        raise MatchingError(
+            f"policy {policy_name!r}: variables {sorted(unowned)} have no capture and would be unbound at completion"
+        )
     if edge_cands is None:
         edge_cands = _edge_candidates(pattern, graph)
     edge_order = sorted(edge_cands, key=lambda e: (len(edge_cands[e]), e))
     iso_cands = _iso_candidates(pattern, graph)
     iso_order = sorted(iso_cands, key=lambda n: (len(iso_cands[n]), n))
-    edge_specs, plans, owners = pattern.graph.edges, pattern.plans, pattern.owners
-    unowned = pattern.variables - owners.keys()
+    edge_specs, plans = pattern.graph.edges, pattern.plans
 
     matches: list[Match] = []
     # The assignment dicts hold every id from the start, by sorted id, so a
@@ -310,10 +316,6 @@ def match_pattern(
             del bindings[var]
 
     def finish() -> None:
-        if unowned:
-            raise MatchingError(
-                f"policy {policy_name!r}: variables {sorted(unowned)} unbound at completion"
-            )
         found = {v: captured[owners[v]][v] for v in pattern.variables}
         matches.append(Match(policy_name, dict(edge_events), dict(iso_objects), dict(node_objects), found))
         if len(matches) > cap:

@@ -26,12 +26,10 @@ from typing import Any, Callable, Mapping, Optional
 
 from .predicates import (
     TRUE,
-    BinOp,
     BindingPlan,
     Expr,
     ParseError,
     TokenCursor,
-    Var,
     attributes_of,
     compile_ground,
     format_expr,
@@ -125,20 +123,16 @@ class PatternGraph:
 
     @cached_property
     def owners(self) -> dict[str, str]:
-        """Per variable with a capture, the element whose capture a match
-        reports: the first in elements() order that captures it, where the
-        first edge incident to a connected node reads the node's capture."""
+        """Per variable some plan captures (rule R1), the element whose
+        capture a match reports: the first in elements() order that
+        captures it, where the first edge incident to a connected node
+        reads the node's capture."""
         owners: dict[str, str] = {}
         for elt in self.graph.elements():
             readers = [e for e, spec in sorted(self.graph.edges.items()) if elt in (e, spec.src, spec.dest)]
-            for var in _bindable_variables(self.preds[elt]):
+            for var in self.plans[elt].captured:
                 owners.setdefault(var, readers[0] if readers else elt)
         return owners
-
-    @cached_property
-    def bindable(self) -> frozenset[str]:
-        """The variables some predicate forces with an equality outside || and ! (rule R1)."""
-        return frozenset().union(*(_bindable_variables(e) for e in self.preds.values()))
 
 
 @dataclass(frozen=True)
@@ -369,10 +363,10 @@ def validate_policy(p: PolicyGraph) -> list[ValidationIssue]:
     """Check the two well-formedness rules.  The policy keeps the result.
 
     R1: every variable must be forced to a single value by the domain: some
-    domain predicate must contain an equality between the variable and a
-    variable-free expression, not beneath any || or !.  Matching derives
-    bindings only from such equalities, so without one the variable's value
-    would be a guess.
+    domain predicate must have a top-level conjunct equating the variable
+    with a variable-free expression, a capture of its BindingPlan.
+    Matching derives bindings only from captures, so without one the
+    variable's value would be a guess.
 
     R2: node requirement predicates may not name attributes.  A node's
     attribute values are per-instance and a requirement spans all events
@@ -384,7 +378,7 @@ def validate_policy(p: PolicyGraph) -> list[ValidationIssue]:
 
 def _check_rules(p: PolicyGraph) -> list[ValidationIssue]:
     issues: list[ValidationIssue] = []
-    for var in sorted(p.variables - p.domain.bindable):
+    for var in sorted(p.variables - p.domain.owners.keys()):
         issues.append(
             ValidationIssue(
                 p.name,
@@ -407,26 +401,6 @@ def _check_rules(p: PolicyGraph) -> list[ValidationIssue]:
                 )
             )
     return issues
-
-
-def _bindable_variables(e: Expr) -> set[str]:
-    """Variables with a qualifying equality not beneath || or !."""
-    found: set[str] = set()
-
-    def walk(x: Expr) -> None:
-        if isinstance(x, BinOp):
-            if x.op == "=":
-                if isinstance(x.left, Var) and not variables_of(x.right):
-                    found.add(x.left.name)
-                if isinstance(x.right, Var) and not variables_of(x.left):
-                    found.add(x.right.name)
-            if x.op == "&&":
-                walk(x.left)
-                walk(x.right)
-            # beneath ||, or any non-boolean operator, nothing qualifies
-
-    walk(e)
-    return found
 
 
 def _first_mention(p: PolicyGraph, var: str) -> str:

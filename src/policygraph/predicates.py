@@ -29,7 +29,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Optional, Sequence
 
-from .values import ValueSet, canonical, is_number, values_equal
+from .values import ValueSet, canonical, is_number, maps_equal, values_equal
 
 
 class ParseError(ValueError):
@@ -630,11 +630,7 @@ class Conditions:
     def __eq__(self, other: Any) -> bool:
         if not isinstance(other, Conditions):
             return NotImplemented
-        return self.residual == other.residual and bindings_equal(self.bindings, other.bindings)
-
-
-def bindings_equal(a: Mapping[str, Any], b: Mapping[str, Any]) -> bool:
-    return a.keys() == b.keys() and all(values_equal(a[k], b[k]) for k in a)
+        return self.residual == other.residual and maps_equal(self.bindings, other.bindings)
 
 
 BOTTOM = Conditions({}, FALSE)
@@ -926,6 +922,10 @@ class BindingPlan:
     Where an absent attribute falsifies a conjunction or a filter whatever
     the bindings, a step checks for it where substitute_attrs puts the false.
 
+    `captured` holds the variables the captures bind.  Rule R1 asks each
+    variable to be one of them in some domain predicate; validation and
+    matching both read it here.
+
     Called on a context, the plan gives None where its steps are false
     there, or else its captures as (variable, value) pairs, in order and
     not yet checked against each other.  Where a compiled step gives up,
@@ -935,7 +935,7 @@ class BindingPlan:
     call can raise at all.
     """
 
-    __slots__ = ("pred", "steps", "filters", "may_raise")
+    __slots__ = ("pred", "steps", "filters", "may_raise", "captured")
 
     def __init__(self, e: Expr):
         self.pred = e
@@ -945,6 +945,7 @@ class BindingPlan:
         if not is_boolean_node(e):
             self._require(_loose_attrs(e))
         self._add(e)
+        self.captured = frozenset(var for kind, var, _ in self.steps if kind in (_CAPTURE, _BIND, _COMPUTE))
 
     def _require(self, names: frozenset[str]) -> None:
         if names:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Any, Iterable, Iterator, Mapping, Optional
 
-from .values import from_json, to_json, values_equal
+from .values import from_json, maps_equal, to_json, values_equal
 
 _snapshot_time = itemgetter(0)
 
@@ -47,10 +47,6 @@ class SystemEvent:
     dest: str
     params: Mapping[str, Any]  # includes the injected "time"
     time: int
-
-
-def contexts_equal(a: Mapping[str, Any], b: Mapping[str, Any]) -> bool:
-    return a.keys() == b.keys() and all(values_equal(a[k], b[k]) for k in a)
 
 
 class SystemGraph:
@@ -176,14 +172,14 @@ class SystemGraph:
             if len(history) != len(theirs):
                 return False
             for (t1, a1), (t2, a2) in zip(history, theirs):
-                if t1 != t2 or not contexts_equal(a1, a2):
+                if t1 != t2 or not maps_equal(a1, a2):
                     return False
         if len(self.events) != len(other.events):
             return False
         for e1, e2 in zip(self.events, other.events):
             if (e1.src, e1.dest, e1.time) != (e2.src, e2.dest, e2.time):
                 return False
-            if not contexts_equal(e1.params, e2.params):
+            if not maps_equal(e1.params, e2.params):
                 return False
         return self.horizon == other.horizon
 

@@ -8,7 +8,7 @@ sets get a dedicated class with structural membership.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, Mapping
 
 
 def is_number(v: Any) -> bool:
@@ -30,6 +30,11 @@ def values_equal(a: Any, b: Any) -> bool:
     if isinstance(a, ValueSet) and isinstance(b, ValueSet):
         return a == b
     return False
+
+
+def maps_equal(a: Mapping[str, Any], b: Mapping[str, Any]) -> bool:
+    """Same names, each with equal values (contexts, bindings)."""
+    return a.keys() == b.keys() and all(values_equal(a[k], b[k]) for k in a)
 
 
 def canonical(v: Any):

@@ -34,10 +34,9 @@ from policygraph.algebra import (
     Reversal,
     UniverseBounds,
     enumerate_systems,
-    pattern_matches_bounded,
 )
 from policygraph.matching import match_pattern
-from policygraph.policy import PatternGraph, PolicyGraph, domain_of, make_policy, requirement_of
+from policygraph.policy import BasicGraph, PatternGraph, PolicyGraph, domain_of, make_policy, requirement_of
 from policygraph.predicates import Attr, BinOp, Const, Expr, Not, Var
 from policygraph.system import SystemGraph
 from policygraph.values import ValueSet, canonical, to_json
@@ -243,11 +242,19 @@ def oracle_matches(policy: PolicyGraph, graph: SystemGraph) -> set[tuple]:
     complete binding over the finite value pool, then tests all domain
     predicates with the independent evaluator.
     """
-    g = policy.graph
+    return brute_matches(policy.graph, policy.domain_preds, policy.variables, value_pool(policy, graph), graph)
+
+
+def brute_matches(
+    g: BasicGraph, preds: Mapping[str, Expr], variables: frozenset[str], pool: list[Any], graph: SystemGraph
+) -> set[tuple]:
+    """The keys of every assignment of the basic graph `g` at which every
+    predicate of `preds` holds, under every binding of `variables` over
+    `pool`: oracle_matches for any predicates, a policy's requirements
+    included."""
     edge_ids = sorted(g.edges)
     iso_ids = sorted(g.isolated_nodes())
-    variables = sorted(policy.variables)
-    pool = value_pool(policy, graph)
+    variables = sorted(variables)
     births = _object_births(graph)
     event_indexes = range(len(graph.events))
     found: set[tuple] = set()
@@ -281,7 +288,7 @@ def oracle_matches(policy: PolicyGraph, graph: SystemGraph) -> set[tuple]:
             iso = dict(zip(iso_ids, iso_pick))
             for values in itertools.product(pool, repeat=len(variables)):
                 bindings = dict(zip(variables, values))
-                if _domain_holds(policy, graph, assignment, iso, node_objects, bindings):
+                if _holds_everywhere(g, preds, graph, assignment, iso, node_objects, bindings):
                     found.add(
                         (
                             tuple(sorted(assignment.items())),
@@ -292,25 +299,24 @@ def oracle_matches(policy: PolicyGraph, graph: SystemGraph) -> set[tuple]:
     return found
 
 
-def _domain_holds(policy, graph, assignment, iso, node_objects, bindings) -> bool:
-    g = policy.graph
+def _holds_everywhere(g, preds, graph, assignment, iso, node_objects, bindings) -> bool:
     for edge_id, idx in assignment.items():
         event = graph.events[idx]
         spec = g.edges[edge_id]
         try:
-            if oracle_eval(policy.domain_preds[edge_id], event.params, bindings) is not True:
+            if oracle_eval(preds[edge_id], event.params, bindings) is not True:
                 return False
             src_attrs = _oracle_attrs_at(graph, node_objects[spec.src], event.time)
             dest_attrs = _oracle_attrs_at(graph, node_objects[spec.dest], event.time)
-            if oracle_eval(policy.domain_preds[spec.src], src_attrs, bindings) is not True:
+            if oracle_eval(preds[spec.src], src_attrs, bindings) is not True:
                 return False
-            if oracle_eval(policy.domain_preds[spec.dest], dest_attrs, bindings) is not True:
+            if oracle_eval(preds[spec.dest], dest_attrs, bindings) is not True:
                 return False
         except OracleTypeError:
             return False
     for node_id, (obj, t) in iso.items():
         try:
-            if oracle_eval(policy.domain_preds[node_id], _oracle_attrs_at(graph, obj, t), bindings) is not True:
+            if oracle_eval(preds[node_id], _oracle_attrs_at(graph, obj, t), bindings) is not True:
                 return False
         except OracleTypeError:
             return False
@@ -812,7 +818,8 @@ def reference_coverage(g1: PatternGraph, g2: PatternGraph, u: UniverseBounds) ->
 
     Both patterns are matched exactly when both force every variable they
     use, and both over the pair's value pool otherwise, decided here
-    without asking the engine which way it matches.
+    without asking the engine which way it matches.  Pool matching is
+    brute_matches, not the engine's.
     """
     if _forces_every_variable(g1) and _forces_every_variable(g2):
         def matches(g, system):
@@ -821,7 +828,7 @@ def reference_coverage(g1: PatternGraph, g2: PatternGraph, u: UniverseBounds) ->
         pool = _pair_pool(g1, g2, u)
 
         def matches(g, system):
-            return pattern_matches_bounded(g, system, pool)
+            return brute_matches(g.graph, g.preds, g.variables, pool, system)
 
     ge = le = True
     checked = 0

@@ -1,5 +1,6 @@
 """Policy combinators, their per-match semantics, and bounded coverage."""
 
+import gc
 import itertools
 import math
 import random
@@ -32,6 +33,7 @@ from policygraph.algebra import (
     reverse,
     reverse_expr,
 )
+from policygraph import algebra
 from policygraph.algebra import _Frame, _system_count
 from policygraph.matching import InvalidPolicyError, MatchCapExceeded, find_matches, verdict
 from policygraph.monitor import Monitor
@@ -377,6 +379,30 @@ class TestAtomMemo:
             eval_policy_expr(self.FLOW, g, cap=2)
         assert eval_policy_expr(self.FLOW, g, cap=3)
 
+    def test_entries_die_with_their_policy(self, monkeypatch):
+        g = ingest_trace(
+            [{"t": 1, "object": {"id": obj, "attrs": {}}} for obj in ("x", "y")]
+            + [{"t": 1, "event": {"src": "x", "dest": "y", "params": {"act": 0}}}]
+        )
+        for _ in range(2000):  # a fresh PolicyGraph for each call
+            assert not eval_policy_expr(reverse(self.FLOW), g)
+        gc.collect()
+        assert len(g.derived()) == 0
+        kept = reverse(self.FLOW)
+        assert not eval_policy_expr(kept, g)
+        assert len(g.derived()) == 1
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return find_matches(*args, **kwargs)
+
+        monkeypatch.setattr(algebra, "find_matches", counting)
+        assert not eval_policy_expr(kept, g)
+        assert calls == []  # a policy still referenced still hits the memo
+        del kept
+        assert len(g.derived()) == 0
+
     @pytest.mark.parametrize(
         "text, error",
         [
@@ -707,7 +733,7 @@ class TestExactDomains:
         p = parse_policy("policy p {\n node a\n node b\n edge e: a -> b domain: act = $A req: $A = 0 || $A = 1\n}")
         u = UniverseBounds(2, 1, ("kind",), ("act",), (0, 1, 2), max_events=1)
         req = requirement_of(p)
-        assert not req.variables <= req.bindable
+        assert not req.variables <= req.owners.keys()
         assert coverage_compare(req, requirement_of(p), u).relation == EQUAL
 
 

@@ -53,6 +53,7 @@ from oracle import (
     ATTR_NAMES,
     GEN_VALUES,
     VAR_NAMES,
+    _forced_names,
     random_bool_expr,
     random_context,
     random_expr,
@@ -563,6 +564,22 @@ class TestRules:
         assert placed([(plan, {"kind": "a"})], {"X": 3}) is None
         e = parse_predicate('kind = "a" && (1 < "a" || $X = 1)')
         assert placed([(BindingPlan(e), {"kind": "a"})], {"X": 1}) == (ERROR, 'ordered comparison needs numbers: 1 < "a"')
+
+    def test_captured_variables_are_the_forced_ones(self):
+        """A plan's captured variables, which rule R1 reads, are the ones
+        the oracle's independent reading of R1 finds forced."""
+        rng = random.Random(4410)
+        draws = (random_domain, lambda rng: random_bool_expr(rng, depth=3), lambda rng: random_expr(rng, depth=4))
+        differences, captured, uncaptured = [], 0, 0
+        for i in range(6000):
+            e = draws[i % 3](rng)
+            got, want = BindingPlan(e).captured, _forced_names(e)
+            if got != want:
+                differences.append((e, got, want))
+            captured += bool(got)
+            uncaptured += bool(variables_of(e) - got)
+        assert differences == []
+        assert captured > 1000 and uncaptured > 1000, (captured, uncaptured)
 
 
 class TestCompiledFormsOnThePolicy:

@@ -297,14 +297,21 @@ class TestGuards:
             assert any(i.rule == "R1" for i in info.value.issues)
 
     def test_unsettled_residual_is_an_internal_error(self):
+        """A variable without a capture is refused on entry, whether or not
+        a match would complete: with kind 0 none does, with kind 1 one
+        would, were $X bound."""
         pattern = PatternGraph(
             parse_policy("policy p {\n node n\n}").graph,
             {"n": parse_predicate("$X > 1")},
             frozenset({"X"}),
         )
-        g = ingest_trace([{"t": 1, "object": {"id": "x", "attrs": {}}}])
-        with pytest.raises(MatchingError, match="unbound at completion"):
-            match_pattern(pattern, g)
+        cases = [(pattern, {})]
+        guarded = parse_policy("policy p {\n node n domain: kind = 1 && $X > 1\n}").domain
+        cases += [(guarded, {"kind": kind}) for kind in (0, 1)]
+        for pattern, attrs in cases:
+            g = ingest_trace([{"t": 1, "object": {"id": "x", "attrs": attrs}}])
+            with pytest.raises(MatchingError, match=r"\['X'\] have no capture and would be unbound at completion"):
+                match_pattern(pattern, g)
 
     def test_match_cap(self):
         p = wildcard_policy("policy p {\n node n\n}")
