@@ -45,7 +45,7 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 from .matching import DEFAULT_MATCH_CAP, check_requirement, find_matches, match_graph, match_key, match_pattern
 from .policy import PatternGraph, PolicyGraph, domain_of, requirement_of
-from .predicates import FALSE, TRUE, BinOp, Not, attributes_of, constants_of, fold_constants
+from .predicates import FALSE, TRUE, BinOp, Not, PredicateTypeError, attributes_of, constants_of, fold_constants
 from .system import SystemGraph, ingest_trace
 from .values import values_equal
 
@@ -434,7 +434,9 @@ def pattern_matches_bounded(pattern: PatternGraph, graph: SystemGraph, pool: Seq
 
     Unlike find_matches this needs no binding-equality rule: requirement
     patterns rarely force their variables, so completeness comes from brute
-    enumeration instead.
+    enumeration instead.  A binding under which a predicate raises
+    PredicateTypeError is no match: the pool holds both patterns'
+    constants, which the system may never bind.
     """
     g = pattern.graph
     edge_ids, iso_ids = pattern.key_ids
@@ -462,7 +464,11 @@ def pattern_matches_bounded(pattern: PatternGraph, graph: SystemGraph, pool: Seq
                 continue
             for combo in itertools.product(pool, repeat=len(variables)):
                 bindings = dict(zip(variables, combo))
-                if match_graph(pattern, edge_assignment, iso_assignment, graph, bindings):
+                try:
+                    held = match_graph(pattern, edge_assignment, iso_assignment, graph, bindings)
+                except PredicateTypeError:
+                    held = False
+                if held:
                     keys.add(match_key(edge_assignment, iso_assignment, bindings))
     return keys
 

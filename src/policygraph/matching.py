@@ -18,9 +18,9 @@ Magic", PODS 1987).  Rule R1 guarantees that every variable has a capture,
 so every filter runs before a match completes; that is why find_matches
 demands a policy that validates cleanly.
 
-The compiled forms give what the interpreter (predicates.evaluate) would.
-Where one gives up, the interpreter judges that predicate or conjunct and
-raises the error it reports.
+The compiled forms are the evaluator: under complete bindings each gives
+the value the interpreter (predicates.evaluate) folds to, or raises its
+error.  A value that is no boolean does not hold.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ from operator import itemgetter
 from typing import Any, Mapping, Optional, Sequence
 
 from .policy import PatternGraph, PolicyGraph, domain_of, validate_policy
-from .predicates import TRUE, Const, Fallback, PredicateTypeError, evaluate
-from .predicates import merge_conditions, satisfy  # noqa: F401  perfbench/tracing.py wraps them here, with evaluate
+from .predicates import Const, PredicateTypeError
+from .predicates import evaluate, merge_conditions, satisfy  # noqa: F401  perfbench/tracing.py wraps them here
 from .system import SystemEvent, SystemGraph
 from .values import canonical, values_equal
 
@@ -95,9 +95,11 @@ def match_graph(
     """Whether the pattern holds at the given assignment under complete
     bindings.  Purely predicate-level; injectivity and node-object agreement
     are the enumerator's business.  An empty pattern holds trivially, and a
-    predicate with a variable left unbound does not hold.
+    pattern with a variable left unbound does not hold.
     """
-    ground, preds = pattern.ground, pattern.preds
+    if not pattern.variables <= bindings.keys():
+        return False
+    ground = pattern.ground
     # the interpreter's merge of an edge's three predicates rejects a
     # binding that is not equal to itself (NaN), once they have been judged
     self_equal = all(v == v for v in bindings.values())
@@ -105,28 +107,14 @@ def match_graph(
         event = graph.events[edge_events[edge_id]]
         held = self_equal
         for elt, ctx in ((edge_id, event.params), (spec.src, graph.src_attr(event)), (spec.dest, graph.dest_attr(event))):
-            held = _holds(ground[elt], preds[elt], ctx, bindings) and held
+            held = ground[elt](ctx, bindings) is True and held
         if not held:
             return False
     for node_id in pattern.key_ids[1]:
         obj_id, instant = isolated_objects[node_id]
-        if not _holds(ground[node_id], preds[node_id], graph.attrs_at(obj_id, instant), bindings):
+        if ground[node_id](graph.attrs_at(obj_id, instant), bindings) is not True:
             return False
     return True
-
-
-def _holds(check, e, ctx: Mapping[str, Any], bindings: Mapping[str, Any]) -> bool:
-    """Whether e, compiled as `check`, holds at ctx.  Where the compiled
-    form gives up, the interpreter judges e and raises the error it
-    reports; a value that is no boolean, or a variable left unbound, does
-    not hold."""
-    try:
-        value = check(ctx, bindings)
-        if value is True or value is False:
-            return value
-    except Fallback:
-        pass
-    return evaluate(e, ctx, bindings) == TRUE
 
 
 def _bind(groups, bindings: dict[str, Any]) -> Optional[list[str]]:
@@ -153,9 +141,9 @@ def _settle(waiting: tuple, bindings: Mapping[str, Any]) -> Optional[tuple]:
     are all bound.  None where one fails; otherwise those still waiting."""
     still = []
     for pair in waiting:
-        (e, variables, check), ctx = pair
+        (_, variables, check), ctx = pair
         if variables <= bindings.keys():
-            if not _holds(check, e, ctx, bindings):
+            if check(ctx, bindings) is not True:
                 return None
         else:
             still.append(pair)
@@ -415,30 +403,19 @@ def check_requirement(p: PolicyGraph, m: Match, graph: SystemGraph) -> tuple[boo
 
     Edge requirements see the matched event's parameters; node requirements
     see no attributes (rule R2 bans them) and run on bindings alone.  The
-    bindings are complete, so every predicate folds to a constant.
+    bindings are complete, so every predicate gives a value; one that is no
+    boolean raises PredicateTypeError.
     """
     failing: list[str] = []
+    ground = p.requirement.ground
     for elt in p.checked_requirements:
         ctx = graph.events[m.edge_events[elt]].params if elt in p.graph.edges else {}
-        if not _requirement_holds(p, elt, ctx, m.bindings):
+        value = ground[elt](ctx, m.bindings)
+        if value is False:
             failing.append(elt)
+        elif value is not True:
+            raise PredicateTypeError(f"requirement on {p.name}/{elt} did not settle to a boolean", Const(value))
     return (not failing, tuple(failing))
-
-
-def _requirement_holds(p: PolicyGraph, elt: str, ctx: Mapping[str, Any], bindings: Mapping[str, Any]) -> bool:
-    try:
-        value = p.requirement.ground[elt](ctx, bindings)
-        if value is True or value is False:
-            return value
-    except Fallback:
-        pass
-    # the interpreter settles it, or raises the error it reports
-    result = evaluate(p.requirement_preds[elt], ctx, bindings)
-    if not isinstance(result, Const) or not isinstance(result.value, bool):
-        raise PredicateTypeError(
-            f"requirement on {p.name}/{elt} did not settle to a boolean", result
-        )
-    return result.value
 
 
 def verdict(p: PolicyGraph, graph: SystemGraph, cap: int = DEFAULT_MATCH_CAP) -> Verdict:

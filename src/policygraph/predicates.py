@@ -50,6 +50,7 @@ class PredicateTypeError(TypeError):
 
     def __init__(self, message: str, expr: "Expr"):
         super().__init__(f"{message}: {format_expr(expr)}")
+        self.reason = message
         self.expr = expr
 
 
@@ -742,19 +743,13 @@ def _merge_pair(a: Conditions, b: Conditions) -> Conditions:
 #
 # The interpreter above rebuilds and refolds a tree for every context, and
 # matching applies the same few predicates to thousands of contexts.  So each
-# predicate is also compiled, once per policy (see PatternGraph), into
-# closures.  A compiled form answers only where it is sure to agree with the
-# interpreter.  On anything else (an unbound variable, an operand of the
-# wrong kind) it raises Fallback, and the caller asks the interpreter, which
-# stays the reference: it gives the reference answer, or raises the
-# reference error.
+# predicate is compiled, once per policy (see PatternGraph), into closures,
+# and the engine runs those.  Under bindings for every variable a closure
+# gives the value the interpreter folds to, or raises the error it raises,
+# message included: the node that message shows is built only then.
 
 
-class Fallback(Exception):
-    """A compiled predicate met a case that only the interpreter settles."""
-
-
-_ABSENT = object()  # stands for a name missing from a context or from bindings
+_ABSENT = object()  # stands for a name missing from a context
 _NO_BINDINGS: Mapping[str, Any] = {}
 _NUMBER_CLASSES = frozenset({int, float})
 _ORDERINGS = {"<": operator.lt, ">": operator.gt, "<=": operator.le, ">=": operator.ge}
@@ -777,10 +772,25 @@ def _guard_names(e: Expr) -> frozenset[str]:
     return _loose_attrs(e.left) | _loose_attrs(e.right)
 
 
+def _type_error(reason: str, e: Expr, ctx: Mapping[str, Any], bindings: Mapping[str, Any]) -> PredicateTypeError:
+    """The interpreter's error at e: the node it shows is e as folding meets
+    it, with ctx and bindings substituted."""
+    return PredicateTypeError(reason, substitute_vars(substitute_attrs(e, ctx), bindings))
+
+
+def _apply_at(e: BinOp, a: Any, b: Any, ctx: Mapping[str, Any], bindings: Mapping[str, Any]) -> Any:
+    """_apply_op at e, whose operands gave a and b, raising the interpreter's error."""
+    try:
+        return _apply_op(e.op, a, b, e)
+    except PredicateTypeError as error:
+        raise _type_error(error.reason, e, ctx, bindings) from None
+
+
 def compile_ground(e: Expr) -> Callable[[Mapping[str, Any], Mapping[str, Any]], Any]:
     """A closure (ctx, bindings) -> the value evaluate(e, ctx, bindings)
-    folds to.  It raises Fallback where that is not a constant, or where
-    folding raises PredicateTypeError."""
+    folds to; where folding raises PredicateTypeError, the closure raises
+    it with the same message.  bindings must bind every variable of e: an
+    unbound one that the closure reaches raises KeyError."""
     fn = _compile(e)
     names = _loose_attrs(e)
     if not names:
@@ -806,14 +816,7 @@ def _compile(e: Expr) -> Callable[[Mapping[str, Any], Mapping[str, Any]], Any]:
         return lambda ctx, bindings: ctx[name]
     if isinstance(e, Var):
         name = e.name
-
-        def var(ctx, bindings):
-            value = bindings.get(name, _ABSENT)
-            if value is _ABSENT:
-                raise Fallback
-            return value
-
-        return var
+        return lambda ctx, bindings: bindings[name]
     fn = _compile_node(e)
     names = tuple(sorted(_guard_names(e))) if is_boolean_node(e) else ()
     if not names:
@@ -828,32 +831,35 @@ def _compile(e: Expr) -> Callable[[Mapping[str, Any], Mapping[str, Any]], Any]:
     return guarded
 
 
-def _flag(value: Any) -> bool:
-    if value is True or value is False:
-        return value
-    raise Fallback
-
-
 def _compile_node(e: Expr) -> Callable[[Mapping[str, Any], Mapping[str, Any]], Any]:
     if isinstance(e, Not):
         operand = _compile(e.operand)
-        return lambda ctx, bindings: not _flag(operand(ctx, bindings))
+
+        def negate(ctx, bindings):
+            value = operand(ctx, bindings)
+            if value is True or value is False:
+                return not value
+            raise _type_error("expected a boolean", e, ctx, bindings)
+
+        return negate
     left, right = _compile(e.left), _compile(e.right)
     op = e.op
-    if op == "&&":
-        def both(ctx, bindings):
-            if not _flag(left(ctx, bindings)):
-                return False
-            return _flag(right(ctx, bindings))
+    if op in BOOL_OPS:
+        # && goes on to its right operand after true and stops at false,
+        # || the other way round
+        go_on, stop = op == "&&", op == "||"
 
-        return both
-    if op == "||":
-        def either(ctx, bindings):
-            if _flag(left(ctx, bindings)):
-                return True
-            return _flag(right(ctx, bindings))
+        def connective(ctx, bindings):
+            value = left(ctx, bindings)
+            if value is go_on:
+                value = right(ctx, bindings)
+            elif value is stop:
+                return stop
+            if value is True or value is False:
+                return value
+            raise _type_error("expected a boolean", e, ctx, bindings)
 
-        return either
+        return connective
     if op in ("=", "!="):
         negate = op == "!="
         return lambda ctx, bindings: values_equal(left(ctx, bindings), right(ctx, bindings)) != negate
@@ -864,17 +870,10 @@ def _compile_node(e: Expr) -> Callable[[Mapping[str, Any], Mapping[str, Any]], A
             a, b = left(ctx, bindings), right(ctx, bindings)
             if a.__class__ in _NUMBER_CLASSES and b.__class__ in _NUMBER_CLASSES:
                 return compare(a, b)
-            raise Fallback
+            return _apply_at(e, a, b, ctx, bindings)
 
         return ordered
-
-    def apply(ctx, bindings):
-        try:
-            return _apply_op(op, left(ctx, bindings), right(ctx, bindings), e)
-        except PredicateTypeError:
-            raise Fallback from None
-
-    return apply
+    return lambda ctx, bindings: _apply_at(e, left(ctx, bindings), right(ctx, bindings), ctx, bindings)
 
 
 def _always_flag(e: Expr) -> bool:
@@ -928,11 +927,12 @@ class BindingPlan:
 
     Called on a context, the plan gives None where its steps are false
     there, or else its captures as (variable, value) pairs, in order and
-    not yet checked against each other.  Where a compiled step gives up,
-    the interpreter judges the whole predicate, as satisfy() would: it
-    raises the error it reports, or else the predicate is false or no
-    boolean there, and the plan gives None.  `may_raise` tells whether a
-    call can raise at all.
+    not yet checked against each other.  Where a test or a computed capture
+    raises, or a test gives no boolean, the interpreter judges the whole
+    predicate, as satisfy() would: a conjunct that keeps a variable may
+    fold to false before the step is reached.  So the plan raises the error
+    the interpreter reports, or else gives None.  `may_raise` tells whether
+    a call can raise at all.
     """
 
     __slots__ = ("pred", "steps", "filters", "may_raise", "captured")
@@ -987,7 +987,7 @@ class BindingPlan:
                     if value is not True:
                         if value is False:
                             return None
-                        raise Fallback
+                        break  # no boolean: judged below
                 elif kind == _CAPTURE:
                     value = ctx.get(b, _ABSENT)
                     if value is _ABSENT:
@@ -1001,9 +1001,11 @@ class BindingPlan:
                     for name in a:
                         if name not in ctx:
                             return None
-        except Fallback:
-            # the interpreter raises the error it reports; short of one, the
-            # predicate is false here or has a value that is no boolean
-            evaluate(self.pred, ctx, _NO_BINDINGS)
-            return None
-        return captures
+            else:
+                return captures
+        except PredicateTypeError:
+            pass
+        # the interpreter raises the error it reports; short of one, the
+        # predicate is false here or has a value that is no boolean
+        evaluate(self.pred, ctx, _NO_BINDINGS)
+        return None

@@ -525,6 +525,10 @@ class TestContainment:
     def policy(name, req):
         return parse_policy(f"policy {name} {{\n node n domain: level = $L req: {req}\n}}")
 
+    @staticmethod
+    def flow(name, req):
+        return parse_policy(f"policy {name} {{\n node a\n node b\n edge f: a -> b domain: act = $A req: {req}\n}}")
+
     def test_tighter_requirement_contains_looser(self):
         tight = self.policy("tight", "$L <= 1")
         loose = self.policy("loose", "$L <= 2")
@@ -553,10 +557,6 @@ class TestContainment:
     def test_ordered_requirement_beside_elements_without_predicates(self):
         """Nodes without a domain add no `true` to the values a variable
         is tried with, so `$A <= 1` is never asked of a boolean."""
-
-        def flow(name, req):
-            return parse_policy(f"policy {name} {{\n node a\n node b\n edge f: a -> b domain: act = $A req: {req}\n}}")
-
         u = UniverseBounds(
             max_objects=2,
             max_instances=1,
@@ -565,9 +565,19 @@ class TestContainment:
             values=(0, 1),
             max_events=1,
         )
-        strict, le = flow("flow_strict", "$A <= 0"), flow("flow_le", "$A <= 1")
+        strict, le = self.flow("flow_strict", "$A <= 0"), self.flow("flow_le", "$A <= 1")
         assert contains(strict, le, u)
         assert not contains(le, strict, u)
+
+    def test_pool_binding_of_the_wrong_kind_is_no_match(self):
+        """The pair's pool holds p's constant "x", which no system of u can
+        bind to $A.  Under it q's `$A > 0` raises; that binding is no match,
+        as in the oracle, and contains answers instead of raising."""
+        u = UniverseBounds(2, 1, ("kind",), ("act",), (0, 1, 2), max_events=1)
+        p, q = self.flow("p", '$A = "x" || $A > 1'), self.flow("q", "$A > 0")
+        result = contains(p, q, u)
+        assert result == reference_contains(p, q, u)[0]
+        assert not result.holds and result.systems_checked == 130
 
 
 def pattern(body: str):

@@ -1,4 +1,5 @@
-"""Static checks over the package source: no dead imports or constants.
+"""Static checks over the package source: no dead imports or constants,
+and one evaluator.
 
 Each module of src/policygraph is parsed with `ast`, not imported.
 """
@@ -13,6 +14,9 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "policygraph"
 MODULES = sorted(PACKAGE.glob("*.py"))
 NOQA_F401 = re.compile(r"#\s*noqa:.*\bF401\b")
 CONSTANT = re.compile(r"^_?[A-Z][A-Z0-9_]*$")
+INTERPRETER = frozenset(
+    {"evaluate", "satisfy", "merge_conditions", "reduce_conditions", "extract_bindings", "substitute_attrs", "substitute_vars"}
+)
 
 
 def parse(path: Path) -> ast.Module:
@@ -111,6 +115,19 @@ def unread_definitions(modules=MODULES) -> list[str]:
     ]
 
 
+def calls_of(tree: ast.AST, names: frozenset[str]) -> list[str]:
+    """The names among `names` that the module calls, directly or as an
+    attribute, by line."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
+            if name in names:
+                found.append(f"{name}:{node.lineno}")
+    return sorted(found)
+
+
 def test_modules_are_found():
     assert len(MODULES) >= 10
 
@@ -126,6 +143,14 @@ def test_no_unread_constants():
 
 def test_no_unread_definitions():
     assert unread_definitions() == []
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "predicates.py"], ids=lambda path: path.name)
+def test_only_predicates_calls_the_interpreter(path):
+    """The compiled closures are the evaluator; the interpreter's functions
+    may be imported (perfbench wraps the re-exports in matching and the
+    monitor) but are called only inside predicates.py."""
+    assert calls_of(parse(path), INTERPRETER) == []
 
 
 def test_the_checks_see_what_they_look_for(tmp_path):
@@ -156,3 +181,5 @@ def test_the_checks_see_what_they_look_for(tmp_path):
     )
     assert unread_definitions([module, other]) == ["other.dead", "other.Dead"]
     assert "UNREAD" not in names_read(ast.parse("UNREAD = 1\nREAD = 2\nprint(READ)"))
+    calls = ast.parse("from p import evaluate, satisfy\nimport p\nf = satisfy\nevaluate(1)\np.satisfy(2)\n")
+    assert calls_of(calls, INTERPRETER) == ["evaluate:4", "satisfy:5"]
