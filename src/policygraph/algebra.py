@@ -289,14 +289,7 @@ def _frame_size(u: UniverseBounds, k: int) -> int:
     v = len(u.values)
     attr_configs = v ** (k * u.max_instances * len(u.attributes))
     slots = u.max_instances * k * k * (v ** len(u.parameters))
-    return attr_configs * sum(_choose(slots, j) for j in range(min(u.max_events, slots) + 1))
-
-
-def _choose(n: int, k: int) -> int:
-    result = 1
-    for i in range(k):
-        result = result * (n - i) // (i + 1)
-    return result
+    return attr_configs * sum(math.comb(slots, j) for j in range(min(u.max_events, slots) + 1))
 
 
 class _Frame:

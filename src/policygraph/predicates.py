@@ -4,17 +4,17 @@ An expression is a small immutable tree: Const / Attr / Var leaves, a unary
 Not, and BinOp for everything else.  The same surface grammar serves
 standalone predicates and the inline predicates of policy files:
 
-    expr    := or
-    or      := and ("||" and)*
-    and     := cmp ("&&" cmp)*
-    cmp     := setop (("=" | "!=" | "<" | ">" | "<=" | ">=" |
-                       "in" | "subset" | "subseteq") setop)*
-    setop   := add (("intersect" | "union") add)*
-    add     := mul (("+" | "-") mul)*
-    mul     := unary (("*" | "/") unary)*
+    expr    := unary (binop unary)*
+    binop   := "||" | "&&" | "=" | "!=" | "<" | ">" | "<=" | ">=" | "in" | "subset"
+             | "subseteq" | "intersect" | "union" | "+" | "-" | "*" | "/"
     unary   := "!" unary | primary
     primary := "(" expr ")" | STRING | NUMBER | "true" | "false"
              | IDENT | "$" IDENT | "{" members "}"
+
+Binary operators bind by the levels of _LEVELS, loosest first: `||`, then
+`&&`, then the comparisons (`=` to `subseteq`), `intersect union`, `+ -`
+and `* /`.  All associate to the left; `!` binds tightest.  A `#` comment
+runs to the end of the line.
 
 Bare identifiers name attributes (on nodes) or event parameters (on edges).
 Inside {...} set literals a bare identifier is shorthand for the string of the
@@ -27,7 +27,8 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, Optional, Sequence
+from decimal import Decimal
+from typing import Any, Callable, Iterator, Mapping, Optional, Sequence
 
 from .values import ValueSet, canonical, is_number, maps_equal, values_equal
 
@@ -111,36 +112,41 @@ def is_boolean_node(e: Expr) -> bool:
     return isinstance(e, Not) or (isinstance(e, BinOp) and e.op in BOOL_OPS | CMP_OPS)
 
 
-def variables_of(e: Expr) -> frozenset[str]:
-    found: set[str] = set()
-
-    def walk(x: Expr) -> None:
-        if isinstance(x, Var):
-            found.add(x.name)
+def _subtrees(e: Expr) -> Iterator[Expr]:
+    """Every node of e in pre-order, left to right, without recursion."""
+    stack = [e]
+    while stack:
+        x = stack.pop()
+        yield x
+        if isinstance(x, BinOp):
+            stack.append(x.right)
+            stack.append(x.left)
         elif isinstance(x, Not):
-            walk(x.operand)
-        elif isinstance(x, BinOp):
-            walk(x.left)
-            walk(x.right)
+            stack.append(x.operand)
 
-    walk(e)
-    return frozenset(found)
+
+def _spine(e: Expr) -> Iterator[Expr]:
+    """The && nodes and the conjuncts of e's top-level conjunction, in
+    pre-order, left to right, without recursion."""
+    stack = [e]
+    while stack:
+        x = stack.pop()
+        yield x
+        if _is_and(x):
+            stack.append(x.right)
+            stack.append(x.left)
+
+
+def _is_and(e: Expr) -> bool:
+    return isinstance(e, BinOp) and e.op == "&&"
+
+
+def variables_of(e: Expr) -> frozenset[str]:
+    return frozenset(x.name for x in _subtrees(e) if isinstance(x, Var))
 
 
 def attributes_of(e: Expr) -> frozenset[str]:
-    found: set[str] = set()
-
-    def walk(x: Expr) -> None:
-        if isinstance(x, Attr):
-            found.add(x.name)
-        elif isinstance(x, Not):
-            walk(x.operand)
-        elif isinstance(x, BinOp):
-            walk(x.left)
-            walk(x.right)
-
-    walk(e)
-    return frozenset(found)
+    return frozenset(x.name for x in _subtrees(e) if isinstance(x, Attr))
 
 
 def constants_of(e: Expr) -> list[Any]:
@@ -154,16 +160,9 @@ def constants_of(e: Expr) -> list[Any]:
             for m in v:
                 add(m)
 
-    def walk(x: Expr) -> None:
+    for x in _subtrees(e):
         if isinstance(x, Const):
             add(x.value)
-        elif isinstance(x, Not):
-            walk(x.operand)
-        elif isinstance(x, BinOp):
-            walk(x.left)
-            walk(x.right)
-
-    walk(e)
     return found
 
 
@@ -256,55 +255,25 @@ class TokenCursor:
         return ParseError(message, tok[2], tok[3])
 
 
+# The binary operators by binding strength, loosest first; all associate to
+# the left.  The parser and the printer both read this table.
+_LEVELS = (frozenset({"||"}), frozenset({"&&"}), CMP_OPS, SET_OPS, frozenset({"+", "-"}), frozenset({"*", "/"}))
+
+
 def parse_expression(cur: TokenCursor) -> Expr:
-    return _parse_or(cur)
+    return _parse_level(cur, 0)
 
 
-def _parse_or(cur: TokenCursor) -> Expr:
-    left = _parse_and(cur)
-    while cur.at_op("||"):
-        cur.advance()
-        left = BinOp("||", left, _parse_and(cur))
-    return left
-
-
-def _parse_and(cur: TokenCursor) -> Expr:
-    left = _parse_cmp(cur)
-    while cur.at_op("&&"):
-        cur.advance()
-        left = BinOp("&&", left, _parse_cmp(cur))
-    return left
-
-
-def _parse_cmp(cur: TokenCursor) -> Expr:
-    left = _parse_setop(cur)
-    while cur.at_op(*CMP_OPS):
+def _parse_level(cur: TokenCursor, level: int) -> Expr:
+    """A left-associative chain of _LEVELS[level] operators over operands of
+    the next tighter level; past the last level, a unary expression."""
+    if level == len(_LEVELS):
+        return _parse_unary(cur)
+    ops = _LEVELS[level]
+    left = _parse_level(cur, level + 1)
+    while cur.at_op(*ops):
         op = cur.advance()[1]
-        left = BinOp(op, left, _parse_setop(cur))
-    return left
-
-
-def _parse_setop(cur: TokenCursor) -> Expr:
-    left = _parse_add(cur)
-    while cur.at_op(*SET_OPS):
-        op = cur.advance()[1]
-        left = BinOp(op, left, _parse_add(cur))
-    return left
-
-
-def _parse_add(cur: TokenCursor) -> Expr:
-    left = _parse_mul(cur)
-    while cur.at_op("+", "-"):
-        op = cur.advance()[1]
-        left = BinOp(op, left, _parse_mul(cur))
-    return left
-
-
-def _parse_mul(cur: TokenCursor) -> Expr:
-    left = _parse_unary(cur)
-    while cur.at_op("*", "/"):
-        op = cur.advance()[1]
-        left = BinOp(op, left, _parse_unary(cur))
+        left = BinOp(op, left, _parse_level(cur, level + 1))
     return left
 
 
@@ -329,7 +298,7 @@ def _parse_primary(cur: TokenCursor) -> Expr:
         return Const(_unquote(text))
     if kind == "number":
         cur.advance()
-        return Const(float(text) if "." in text else int(text))
+        return Const(_number(text))
     if kind == "var":
         cur.advance()
         return Var(text[1:])
@@ -343,6 +312,10 @@ def _parse_primary(cur: TokenCursor) -> Expr:
             return FALSE
         return Attr(text)
     raise ParseError(f"expected an expression, found {text or 'end of input'!r}", line, col)
+
+
+def _number(text: str) -> int | float:
+    return float(text) if "." in text else int(text)
 
 
 def _parse_set_literal(cur: TokenCursor) -> ValueSet:
@@ -369,13 +342,13 @@ def _parse_set_member(cur: TokenCursor) -> Any:
         if kind != "number":
             raise ParseError("expected a number after '-'", line, col)
         cur.advance()
-        return -(float(text) if "." in text else int(text))
+        return -_number(text)
     if kind == "string":
         cur.advance()
         return _unquote(text)
     if kind == "number":
         cur.advance()
-        return float(text) if "." in text else int(text)
+        return _number(text)
     if kind == "ident":
         cur.advance()
         if text == "true":
@@ -398,13 +371,9 @@ def parse_predicate(text: str) -> Expr:
 
 # --- printer -------------------------------------------------------------
 
-_PREC = {"||": 1, "&&": 2}
-_PREC.update({op: 3 for op in CMP_OPS})
-_PREC.update({op: 4 for op in SET_OPS})
-_PREC.update({"+": 5, "-": 5})
-_PREC.update({"*": 6, "/": 6})
-_UNARY_PREC = 7
-_ATOM_PREC = 8
+_PREC = {op: strength for strength, ops in enumerate(_LEVELS, 1) for op in ops}
+_UNARY_PREC = len(_LEVELS) + 1
+_ATOM_PREC = len(_LEVELS) + 2
 
 _BARE_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
 
@@ -418,7 +387,9 @@ def _format_value(v: Any) -> str:
             return "(0 - %s)" % _format_value(-v)
         if isinstance(v, float) and v.is_integer():
             return str(int(v))
-        return repr(v)
+        text = repr(v)
+        # the grammar has no exponents: 1e-05 prints as 0.00001
+        return format(Decimal(text), "f") if "e" in text else text
     if isinstance(v, str):
         return _quote(v)
     if isinstance(v, ValueSet):
@@ -496,7 +467,7 @@ def substitute_attrs(e: Expr, ctx: Mapping[str, Any]) -> Expr:
             left = sub(x.left)
             right = sub(x.right)
             if left is _MISSING or right is _MISSING:
-                if x.op in BOOL_OPS or x.op in CMP_OPS:
+                if is_boolean_node(x):
                     return FALSE
                 return _MISSING
             return BinOp(x.op, left, right)
@@ -655,19 +626,11 @@ def extract_bindings(cond: Expr) -> tuple[dict[str, Any], Expr]:
     ({}, false).  The harvested conjuncts are replaced by true and the
     remainder folded.
     """
-    conjuncts: list[Expr] = []
-
-    def flatten(x: Expr) -> None:
-        if isinstance(x, BinOp) and x.op == "&&":
-            flatten(x.left)
-            flatten(x.right)
-        else:
-            conjuncts.append(x)
-
-    flatten(cond)
     bound: dict[str, Any] = {}
     rest: list[Expr] = []
-    for c in conjuncts:
+    for c in _spine(cond):
+        if _is_and(c):
+            continue
         pair = _as_binding(c)
         if pair is None:
             rest.append(c)
@@ -944,19 +907,18 @@ class BindingPlan:
         self.may_raise = False
         if not is_boolean_node(e):
             self._require(_loose_attrs(e))
-        self._add(e)
+        for x in _spine(e):
+            if _is_and(x):
+                self._require(_guard_names(x))
+            else:
+                self._add_conjunct(x)
         self.captured = frozenset(var for kind, var, _ in self.steps if kind in (_CAPTURE, _BIND, _COMPUTE))
 
     def _require(self, names: frozenset[str]) -> None:
         if names:
             self.steps.append((_REQUIRE, tuple(sorted(names)), None))
 
-    def _add(self, e: Expr) -> None:
-        if isinstance(e, BinOp) and e.op == "&&":
-            self._require(_guard_names(e))
-            self._add(e.left)
-            self._add(e.right)
-            return
+    def _add_conjunct(self, e: Expr) -> None:
         variables = variables_of(e)
         if not variables:
             self.steps.append((_TEST, _compile(e), None))

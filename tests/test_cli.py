@@ -21,6 +21,7 @@ from policygraph.cli import (
     EXIT_VIOLATION,
     run,
 )
+from policygraph.policy import parse_policy
 
 NO_READ_UP = """
 policy no_read_up {
@@ -181,6 +182,19 @@ class TestAlgebraMode:
         assert code == EXIT_OK
         assert "policy no_read_up_null {" in text
         assert "req:" not in text
+
+    def test_nullify_output_parses_with_small_floats(self, tmp_path):
+        (tmp_path / "tiny.policy").write_text(
+            "policy tiny {\n node n domain: level < 0.00001 && score in {0.000002, 1} && kind = $K req: $K < 3\n}\n"
+        )
+        code, text = cli(
+            "--policies", tmp_path / "tiny.policy",
+            "--mode", "algebra", "--op", "nullify", "--targets", "tiny",
+        )
+        assert code == EXIT_OK
+        assert "level < 0.00001" in text and "e-" not in text
+        original = parse_policy((tmp_path / "tiny.policy").read_text())
+        assert parse_policy(text).domain_preds == original.domain_preds
 
     def test_and_same_domain_prints_graph_form(self, tmp_path):
         (tmp_path / "two.policy").write_text(

@@ -1,7 +1,7 @@
 """Static checks over the package source: no dead imports or constants,
-and one evaluator.
+one evaluator, and no raised recursion limit.
 
-Each module of src/policygraph is parsed with `ast`, not imported.
+Each module of src/policygraph and tests is parsed with `ast`, not imported.
 """
 
 import ast
@@ -12,6 +12,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "policygraph"
 MODULES = sorted(PACKAGE.glob("*.py"))
+TEST_MODULES = sorted(Path(__file__).resolve().parent.glob("*.py"))
 NOQA_F401 = re.compile(r"#\s*noqa:.*\bF401\b")
 CONSTANT = re.compile(r"^_?[A-Z][A-Z0-9_]*$")
 INTERPRETER = frozenset(
@@ -153,6 +154,17 @@ def test_only_predicates_calls_the_interpreter(path):
     assert calls_of(parse(path), INTERPRETER) == []
 
 
+def test_no_module_raises_the_recursion_limit():
+    """Deep or wide predicates are walked iteratively or rejected; raising
+    the interpreter's recursion limit would only hide where they are not."""
+    raised = [
+        f"{path.parent.name}/{path.name}:{call}"
+        for path in MODULES + TEST_MODULES
+        for call in calls_of(parse(path), frozenset({"setrecursionlimit"}))
+    ]
+    assert raised == []
+
+
 def test_the_checks_see_what_they_look_for(tmp_path):
     module = tmp_path / "sample.py"
     module.write_text(
@@ -183,3 +195,5 @@ def test_the_checks_see_what_they_look_for(tmp_path):
     assert "UNREAD" not in names_read(ast.parse("UNREAD = 1\nREAD = 2\nprint(READ)"))
     calls = ast.parse("from p import evaluate, satisfy\nimport p\nf = satisfy\nevaluate(1)\np.satisfy(2)\n")
     assert calls_of(calls, INTERPRETER) == ["evaluate:4", "satisfy:5"]
+    limit = ast.parse("import sys\nsys.setrecursionlimit(5000)\n")
+    assert calls_of(limit, frozenset({"setrecursionlimit"})) == ["setrecursionlimit:2"]

@@ -20,7 +20,7 @@ from policygraph.matching import (
     verdict_all,
 )
 from policygraph.monitor import Monitor
-from policygraph.policy import PatternGraph, domain_of, parse_policy
+from policygraph.policy import PatternGraph, domain_of, parse_policy, validate_policy
 from policygraph.predicates import PredicateTypeError, parse_predicate
 from policygraph.system import TraceError, ingest_trace
 
@@ -555,3 +555,37 @@ class TestBindingRule:
         )
         (match,) = find_matches(p, g)
         assert repr(match.bindings) == "{'X': 2.0}"
+
+
+def wide_domain_policy(width: int):
+    """One node whose domain is a width-way && chain: width - 1 tests on
+    level (ten distinct ones, which keeps the oracle's value pool small),
+    then the capture of $K."""
+    tests = " && ".join(f"level != {100 + i % 10}" for i in range(width - 1))
+    return parse_policy(f"policy wide {{\n node n domain: {tests} && kind = $K req: $K < 3\n}}\n")
+
+
+class TestWideDomains:
+    """A wide && domain is parsed, validated and matched without deep recursion."""
+
+    RECORDS = [
+        {"t": 1, "object": {"id": "a", "attrs": {"kind": 1, "level": 5}}},
+        {"t": 1, "object": {"id": "b", "attrs": {"kind": 4, "level": 5}}},
+        {"t": 1, "object": {"id": "c", "attrs": {"kind": 0}}},
+        {"t": 2, "object": {"id": "d", "attrs": {"kind": 7, "level": 101}}},
+    ]
+
+    def test_ten_thousand_conjuncts(self):
+        p = wide_domain_policy(10_000)
+        assert validate_policy(p) == []
+        v = verdict(p, ingest_trace(self.RECORDS))
+        assert not v.upheld
+        assert sorted((w.match.isolated_objects["n"], w.satisfied) for w in v.witnesses) == [
+            (("a", 1), True), (("a", 2), True), (("b", 1), False), (("b", 2), False),
+        ]
+
+    def test_agrees_with_the_oracle(self):
+        p, g = wide_domain_policy(400), ingest_trace(self.RECORDS)
+        assert verdict(p, g).upheld == oracle_verdict(p, g) is False
+        g = ingest_trace(self.RECORDS[:1] + self.RECORDS[2:])
+        assert verdict(p, g).upheld == oracle_verdict(p, g) is True

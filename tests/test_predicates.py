@@ -22,6 +22,8 @@ from policygraph.predicates import (
     ParseError,
     PredicateTypeError,
     Var,
+    attributes_of,
+    constants_of,
     evaluate,
     extract_bindings,
     fold_constants,
@@ -125,6 +127,26 @@ class TestParsing:
         assert parse_predicate("a = 1 # trailing words\n&& b = 2") == parse_predicate(
             "a = 1 && b = 2"
         )
+
+    # the binary operators by binding strength, loosest first
+    OPERATOR_LEVELS = [
+        ["||"],
+        ["&&"],
+        ["=", "!=", "<", ">", "<=", ">=", "in", "subset", "subseteq"],
+        ["intersect", "union"],
+        ["+", "-"],
+        ["*", "/"],
+    ]
+
+    def test_operators_nest_by_level_and_associate_left(self):
+        a, b, c = Attr("a"), Attr("b"), Attr("c")
+        level = {op: i for i, ops in enumerate(self.OPERATOR_LEVELS) for op in ops}
+        for first, second in itertools.product(level, repeat=2):
+            if level[first] < level[second]:
+                want = BinOp(first, a, BinOp(second, b, c))
+            else:
+                want = BinOp(second, BinOp(first, a, b), c)
+            assert parse_predicate(f"a {first} b {second} c") == want, (first, second)
 
     @pytest.mark.parametrize("bad", ["1 +", "(a = 1", "a ~ b", "= 3", "$ x", "{1", "a in in b"])
     def test_errors_carry_positions(self, bad):
@@ -291,9 +313,19 @@ def _strip_negative_consts(e):
 class TestPrinterRoundTrip:
     def test_random_expressions_round_trip(self):
         rng = random.Random(1001)
+        floats = random.Random(1002)
         for _ in range(400):
             e = _strip_negative_consts(random_expr(rng, depth=4))
             assert parse_predicate(format_expr(e)) == e
+            # floats whose repr has an exponent, alone and as set members
+            tiny = floats.random() * 10.0 ** -floats.randrange(4, 320)
+            e = BinOp("||", BinOp("<", e, Const(tiny)), BinOp("in", Const(tiny), Const(ValueSet([tiny, 2]))))
+            assert parse_predicate(format_expr(e)) == e
+
+    def test_small_floats_print_without_exponent(self):
+        assert format_expr(BinOp("<", Attr("level"), Const(0.00001))) == "level < 0.00001"
+        assert format_expr(Const(ValueSet([-2.5e-7]))) == "{-0.00000025}"
+        assert parse_predicate(format_expr(Const(5e-324))) == Const(5e-324)
 
     def test_negative_constants_print_as_parseable_equivalent(self):
         text = format_expr(BinOp("=", Const(-3), Var("x")))
@@ -305,6 +337,22 @@ class TestPrinterRoundTrip:
     def test_sets_with_negative_members_round_trip(self):
         e = Const(ValueSet([-3, 1.5, "x"]))
         assert parse_predicate(format_expr(e)) == e
+
+
+class TestWideExpressions:
+    """The tree walks are iterative: a 10 000-way chain needs no deeper
+    recursion than one term."""
+
+    def test_walks_over_a_wide_disjunction(self):
+        n = 10_000
+        e = parse_predicate(" || ".join(f"a{i % 10} + {i % 50} = $V{i % 5}" for i in range(n)))
+        assert variables_of(e) == {f"V{i}" for i in range(5)}
+        assert attributes_of(e) == {f"a{i}" for i in range(10)}
+        assert constants_of(e) == list(range(50))
+
+    def test_constants_keep_tree_order_and_flatten_sets(self):
+        e = parse_predicate("$x in {3, {1, 4}} || 2 = y && !(1 = z)")
+        assert constants_of(e) == [ValueSet([3, ValueSet([1, 4])]), 3, ValueSet([1, 4]), 1, 4, 2]
 
 
 class TestEvaluateAgainstOracle:
