@@ -47,7 +47,7 @@ from .matching import DEFAULT_MATCH_CAP, check_requirement, find_matches, match_
 from .policy import PatternGraph, PolicyGraph, domain_of, requirement_of
 from .predicates import FALSE, TRUE, BinOp, Not, PredicateTypeError, attributes_of, constants_of, fold_constants
 from .system import SystemGraph, ingest_trace
-from .values import values_equal
+from .values import Distinct
 
 log = logging.getLogger(__name__)
 _record_time = itemgetter("t")
@@ -411,14 +411,13 @@ def orbit_systems(u: UniverseBounds, renaming: bool = True) -> Iterator[tuple[Sy
             yield frame.system(attrs, chosen), (len(renamings) + 1) // stabilizer
 
 
-def _binding_pool(pattern: PatternGraph, u: UniverseBounds) -> list[Any]:
-    pool = list(u.values)
+def _binding_pool(pattern: PatternGraph, u: UniverseBounds) -> Distinct:
+    pool = Distinct(u.values)
     for pred in pattern.preds.values():
         if pred == TRUE:  # an element without a predicate adds no value to try
             continue
         for const in constants_of(pred):
-            if not any(values_equal(const, existing) for existing in pool):
-                pool.append(const)
+            pool.add(const)
     return pool
 
 
@@ -521,11 +520,10 @@ def pair_matchers(
         first = _exact_matcher(g1)
         return first, (first if g2 == g1 else _exact_matcher(g2))
     pool = _binding_pool(g1, u)
-    for extra in _binding_pool(g2, u):
-        if not any(values_equal(extra, existing) for existing in pool):
-            pool.append(extra)
-    first = _pool_matcher(g1, pool)
-    return first, (first if g2 == g1 else _pool_matcher(g2, pool))
+    for extra in _binding_pool(g2, u).values:
+        pool.add(extra)
+    first = _pool_matcher(g1, pool.values)
+    return first, (first if g2 == g1 else _pool_matcher(g2, pool.values))
 
 
 def _exact_matcher(pattern: PatternGraph) -> Callable[[SystemGraph], set[tuple]]:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Any, Mapping, Optional, Sequence
+from typing import Any, Callable, Mapping, Optional, Sequence
 
 from .policy import PatternGraph, PolicyGraph, domain_of, validate_policy
 from .predicates import Const, PredicateTypeError
@@ -207,11 +207,12 @@ def _edge_candidates(pattern: PatternGraph, graph: SystemGraph) -> dict[str, lis
     return out
 
 
-def _iso_candidates(pattern: PatternGraph, graph: SystemGraph) -> dict[str, list[tuple[str, int, tuple]]]:
-    """Per isolated policy node, the (object, instant) pairs whose snapshot
-    its tests and captures do not falsify, each with (captures, snapshot).
-    A snapshot holds over a span of instants, so each is judged once."""
-    out: dict[str, list[tuple[str, int, tuple]]] = {}
+def _iso_candidates(pattern: PatternGraph, graph: SystemGraph) -> dict[str, list[tuple[str, int, int, Mapping, Mapping]]]:
+    """Per isolated policy node, the snapshot spans whose attributes its
+    tests and captures do not falsify, as (object, first, last, captures,
+    attrs): the node may take the object at any instant first..last.  A
+    snapshot holds over its whole span, so each is judged once."""
+    out: dict[str, list[tuple[str, int, int, Mapping, Mapping]]] = {}
     for node_id in pattern.key_ids[1]:
         plan = pattern.plans[node_id]
         candidates = []
@@ -219,8 +220,7 @@ def _iso_candidates(pattern: PatternGraph, graph: SystemGraph) -> dict[str, list
             for first, last, attrs in graph.snapshot_spans(obj_id):
                 found, captures = plan(attrs), {}
                 if found is not None and _bind((found,), captures) is not None:
-                    held = (captures, attrs)
-                    candidates += [(obj_id, instant, held) for instant in range(first, last + 1)]
+                    candidates.append((obj_id, first, last, captures, attrs))
         out[node_id] = candidates
     return out
 
@@ -232,20 +232,49 @@ def match_pattern(
     policy_name: str = "?",
     edge_cands: Optional[Mapping[str, Sequence[_EdgeCandidate]]] = None,
 ) -> list[Match]:
-    """Backtracking enumeration of every match of a pattern.
+    """Every match of a pattern, in Match.key() order (see each_match).  More
+    than `cap` matches raise MatchCapExceeded."""
+    matches: list[Match] = []
+
+    def finish(edge_events, iso_objects, node_objects, bindings) -> None:
+        matches.append(Match(policy_name, dict(edge_events), dict(iso_objects), dict(node_objects), bindings))
+        if len(matches) > cap:
+            raise MatchCapExceeded(policy_name, cap)
+
+    each_match(pattern, graph, finish, policy_name, edge_cands)
+    if len(matches) > 1:
+        # Match.key() order: an assignment fixes its bindings, so its events by
+        # sorted edge id, then its pairs by sorted node id, decide the order
+        edges, pairs = (itemgetter(*ids) if ids else lambda _: () for ids in pattern.key_ids)
+        matches.sort(key=lambda m: (edges(m.edge_events), pairs(m.isolated_objects)))
+    return matches
+
+
+def each_match(
+    pattern: PatternGraph,
+    graph: SystemGraph,
+    on_match: Callable[[Mapping[str, int], Mapping, Mapping[str, str], dict[str, Any]], None],
+    policy_name: str = "?",
+    edge_cands: Optional[Mapping[str, Sequence[_EdgeCandidate]]] = None,
+) -> None:
+    """Backtracking enumeration of every match of a pattern: calls
+    on_match(edge_events, isolated_objects, node_objects, bindings) once
+    per match, with the fields of its Match.  The three assignment dicts
+    are the join's own, valid only during the call; an exception from
+    on_match ends the search.
 
     Edges are assigned first, in ascending candidate-count order, then
-    isolated nodes.  Each step binds the candidate's captures, pruning where
-    one differs from its variable's value, and runs every filter whose
-    variables are now all bound, older ones first.  The enumeration visits
-    each assignment once, so the result is duplicate-free; it is returned in
-    Match.key() order.  A match reports, for each variable, the capture of
-    the first element in elements() order that captures it (a connected
-    node's capture as its first incident edge reads it), whatever order the
-    join met them in.  `edge_cands`, when given, replaces
-    _edge_candidates(): the matches are then those whose events come from
-    these lists.  A variable that no plan captures (rule R1) raises
-    MatchingError before any candidate is listed.
+    isolated nodes, in ascending order of the instants their spans cover.
+    Each step binds the candidate's captures, pruning where one differs
+    from its variable's value, and runs every filter whose variables are
+    now all bound, older ones first.  The enumeration visits each
+    assignment once, so no match comes twice.  A match reports, for each
+    variable, the capture of the first element in elements() order that
+    captures it (a connected node's capture as its first incident edge
+    reads it), whatever order the join met them in.  `edge_cands`, when
+    given, replaces _edge_candidates(): the matches are then those whose
+    events come from these lists.  A variable that no plan captures (rule
+    R1) raises MatchingError before any candidate is listed.
     """
     owners = pattern.owners
     unowned = pattern.variables - owners.keys()
@@ -257,10 +286,9 @@ def match_pattern(
         edge_cands = _edge_candidates(pattern, graph)
     edge_order = sorted(edge_cands, key=lambda e: (len(edge_cands[e]), e))
     iso_cands = _iso_candidates(pattern, graph)
-    iso_order = sorted(iso_cands, key=lambda n: (len(iso_cands[n]), n))
-    edge_specs, plans = pattern.graph.edges, pattern.plans
+    iso_order = sorted(iso_cands, key=lambda n: (sum(last - first + 1 for _, first, last, _, _ in iso_cands[n]), n))
+    edge_specs, plans, variables = pattern.graph.edges, pattern.plans, pattern.variables
 
-    matches: list[Match] = []
     # The assignment dicts hold every id from the start, by sorted id, so a
     # match lists its assignments in that order whatever order the join
     # placed them in; placing fills an entry, backtracking blanks it again
@@ -303,25 +331,20 @@ def match_pattern(
         for var in added:
             del bindings[var]
 
-    def finish() -> None:
-        found = {v: captured[owners[v]][v] for v in pattern.variables}
-        matches.append(Match(policy_name, dict(edge_events), dict(iso_objects), dict(node_objects), found))
-        if len(matches) > cap:
-            raise MatchCapExceeded(policy_name, cap)
-
     def assign_iso(position: int, waiting: tuple) -> None:
         if position == len(iso_order):
-            finish()
+            on_match(edge_events, iso_objects, node_objects, {v: captured[owners[v]][v] for v in variables})
             return
         node_id = iso_order[position]
         node_filters = plans[node_id].filters
-        for obj_id, instant, (captures, attrs) in iso_cands[node_id]:
+        for obj_id, first, last, captures, attrs in iso_cands[node_id]:
             claimed = claim(node_id, obj_id)
             if claimed is None:
                 continue
-            iso_objects[node_id] = (obj_id, instant)
             due = waiting + tuple((f, attrs) for f in node_filters) if node_filters else waiting
-            place(node_id, captures, due, assign_iso, position)
+            for instant in range(first, last + 1):
+                iso_objects[node_id] = (obj_id, instant)
+                place(node_id, captures, due, assign_iso, position)
             iso_objects[node_id] = None
             release(claimed)
 
@@ -349,16 +372,12 @@ def match_pattern(
             release(claimed_dest)
             release(claimed_src)
 
-    assign_edges(0, ())
-    # The recursive closures refer to themselves; dropping them frees the
-    # candidate lists now rather than at the collector's next pass.
-    del assign_edges, assign_iso, place
-    if len(matches) > 1:
-        # Match.key() order: an assignment fixes its bindings, so its events by
-        # sorted edge id, then its pairs by sorted node id, decide the order
-        edges, pairs = (itemgetter(*ids) if ids else lambda _: () for ids in pattern.key_ids)
-        matches.sort(key=lambda m: (edges(m.edge_events), pairs(m.isolated_objects)))
-    return matches
+    try:
+        assign_edges(0, ())
+    finally:
+        # The recursive closures refer to themselves; dropping them frees
+        # the candidate lists now rather than at the collector's next pass.
+        del assign_edges, assign_iso, place
 
 
 def find_matches(p: PolicyGraph, graph: SystemGraph, cap: int = DEFAULT_MATCH_CAP) -> list[Match]:
@@ -399,7 +418,15 @@ class CompositeVerdict:
 
 
 def check_requirement(p: PolicyGraph, m: Match, graph: SystemGraph) -> tuple[bool, tuple[str, ...]]:
-    """Evaluate the requirement predicates at a domain match.
+    """Evaluate the requirement predicates at a domain match (see judge_requirement)."""
+    return judge_requirement(p, m.edge_events, m.bindings, graph)
+
+
+def judge_requirement(
+    p: PolicyGraph, edge_events: Mapping[str, int], bindings: Mapping[str, Any], graph: SystemGraph
+) -> tuple[bool, tuple[str, ...]]:
+    """Evaluate the requirement predicates at the match with these edge
+    events and bindings: whether all hold, and the elements that do not.
 
     Edge requirements see the matched event's parameters; node requirements
     see no attributes (rule R2 bans them) and run on bindings alone.  The
@@ -409,8 +436,8 @@ def check_requirement(p: PolicyGraph, m: Match, graph: SystemGraph) -> tuple[boo
     failing: list[str] = []
     ground = p.requirement.ground
     for elt in p.checked_requirements:
-        ctx = graph.events[m.edge_events[elt]].params if elt in p.graph.edges else {}
-        value = ground[elt](ctx, m.bindings)
+        ctx = graph.events[edge_events[elt]].params if elt in p.graph.edges else {}
+        value = ground[elt](ctx, bindings)
         if value is False:
             failing.append(elt)
         elif value is not True:

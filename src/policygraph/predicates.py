@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from decimal import Decimal
 from typing import Any, Callable, Iterator, Mapping, Optional, Sequence
 
-from .values import ValueSet, canonical, is_number, maps_equal, values_equal
+from .values import Distinct, ValueSet, canonical, is_number, maps_equal, values_equal
 
 
 class ParseError(ValueError):
@@ -150,12 +150,12 @@ def attributes_of(e: Expr) -> frozenset[str]:
 
 
 def constants_of(e: Expr) -> list[Any]:
-    """Every constant in the tree, with set members flattened in as well."""
-    found: list[Any] = []
+    """Every constant in the tree, with set members flattened in as well:
+    one of each group of equal values, in first-seen order."""
+    found = Distinct()
 
     def add(v: Any) -> None:
-        if not any(values_equal(v, f) for f in found):
-            found.append(v)
+        found.add(v)
         if isinstance(v, ValueSet):
             for m in v:
                 add(m)
@@ -163,7 +163,7 @@ def constants_of(e: Expr) -> list[Any]:
     for x in _subtrees(e):
         if isinstance(x, Const):
             add(x.value)
-    return found
+    return found.values
 
 
 # --- lexer ---------------------------------------------------------------
@@ -427,14 +427,20 @@ def format_expr(e: Expr) -> str:
             inner = f"({inner})"
         return "!" + inner
     if isinstance(e, BinOp):
+        # a chain of one binding strength leans left, as the parser builds
+        # it, and is walked down its left spine in a loop
         prec = _PREC[e.op]
-        left = format_expr(e.left)
-        if _prec_of(e.left) < prec:
+        tail = []  # " op right" of each link, outermost first
+        while isinstance(e, BinOp) and _PREC[e.op] == prec:
+            right = format_expr(e.right)
+            if _prec_of(e.right) <= prec:
+                right = f"({right})"
+            tail.append(f" {e.op} {right}")
+            e = e.left
+        left = format_expr(e)
+        if _prec_of(e) < prec:
             left = f"({left})"
-        right = format_expr(e.right)
-        if _prec_of(e.right) <= prec:
-            right = f"({right})"
-        return f"{left} {e.op} {right}"
+        return left + "".join(reversed(tail))
     raise TypeError(f"not an expression: {e!r}")
 
 

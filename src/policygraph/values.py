@@ -50,6 +50,34 @@ def canonical(v: Any):
     raise TypeError(f"not a value: {v!r}")
 
 
+class Distinct:
+    """A list of values that values_equal tells apart, in first-seen order.
+
+    Each value is compared only with those in its bucket, so adding one
+    takes time independent of the list's length.  Values are bucketed by
+    Python's own == and hash, under which equal values always meet (1,
+    1.0 and true share a bucket, which values_equal then tells apart); a
+    key from canonical() would round integers beyond 2**53 together and
+    overflow beyond the largest float.
+    """
+
+    __slots__ = ("values", "_buckets")
+
+    def __init__(self, values: Iterable[Any] = ()):
+        self.values: list[Any] = []
+        self._buckets: dict[Any, list[Any]] = {}
+        for v in values:
+            self.add(v)
+
+    def add(self, v: Any) -> None:
+        """Append v unless an equal value is there.  A NaN, equal to
+        nothing, is always appended."""
+        bucket = self._buckets.setdefault(v, [])
+        if not any(values_equal(v, w) for w in bucket):
+            bucket.append(v)
+            self.values.append(v)
+
+
 def sort_key(v: Any):
     kind, payload = canonical(v)
     order = {"num": 0, "text": 1, "flag": 2, "set": 3}[kind]

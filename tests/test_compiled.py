@@ -353,7 +353,7 @@ class TestBindingPlanAgainstInterpreter:
             else:
                 got = None
                 if cands:
-                    (_, _, (captures, attrs)), = cands
+                    (_, _, _, captures, attrs), = cands
                     bound = dict(partial)
                     try:
                         if _bind((captures.items(),), bound) is not None:

@@ -1,9 +1,11 @@
 """Match enumeration and verdicts, checked against a brute-force oracle."""
 
 import random
+import tracemalloc
 
 import pytest
 
+from policygraph.corpus import load_corpus_policy, load_manifest
 from policygraph.matching import (
     InvalidPolicyError,
     Match,
@@ -211,9 +213,10 @@ class TestIsolatedNodes:
 
     def test_span_walk_gives_the_per_instant_candidates(self):
         """_iso_candidates judges each snapshot once over its span of
-        instants; the candidates, in order, are those of judging every
-        (object, instant) pair.  The graphs redeclare snapshots within an
-        instant and roll the horizon back on denied events."""
+        instants; its spans, expanded to their instants in order, are the
+        candidates of judging every (object, instant) pair.  The graphs
+        redeclare snapshots within an instant and roll the horizon back on
+        denied events."""
         rng = random.Random(4242)
         deny = parse_policy('policy deny {\n node a\n node b\n edge e: a -> b domain: act = "alpha" req: false\n}')
         patterns = [domain_of(p) for i in range(60) for p in [random_policy(rng, f"r{i}", lone_node=True)]]
@@ -233,9 +236,35 @@ class TestIsolatedNodes:
                     latest[record["object"]["id"]] = record["t"]
                 rolled_back += any(not d.allowed for d in decisions) and record["t"] > horizon
                 for pattern in rng.sample(patterns, 3):
-                    assert _iso_candidates(pattern, mon.graph) == per_instant_candidates(pattern, mon.graph)
+                    spans = _iso_candidates(pattern, mon.graph)
+                    assert expand_spans(spans) == per_instant_candidates(pattern, mon.graph)
                     checked += 1
         assert checked > 600 and redeclared > 5 and rolled_back > 5
+
+    def test_epoch_horizon_costs_no_memory_per_instant(self):
+        """/etc/passwd observed at t = 1.7e9 and again one week, or ten
+        weeks, later: the isolated node has one candidate span, so the
+        search reaches the cap with the same peak memory either way."""
+        entry = next(e for e in load_manifest() if e.policy == "password_file_never_world_writable")
+        p = load_corpus_policy(entry)
+        attrs = {"name": "/etc/passwd", "world_writable": False}
+        peaks = []
+        for weeks in (1, 10):
+            t0 = 1_700_000_000
+            g = ingest_trace(
+                [
+                    {"t": t0, "object": {"id": "/etc/passwd", "attrs": attrs}},
+                    {"t": t0 + weeks * 7 * 86_400, "object": {"id": "/etc/passwd", "attrs": attrs}},
+                ]
+            )
+            tracemalloc.start()
+            try:
+                with pytest.raises(MatchCapExceeded):
+                    verdict(p, g, cap=10_000)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.2 * peaks[0], peaks
 
     def test_snapshot_spans_end_at_a_rolled_back_horizon(self):
         mon = Monitor([parse_policy("policy deny {\n node n\n edge e: n -> n req: false\n}")])
@@ -268,6 +297,19 @@ def random_span_records(rng: random.Random) -> list[dict]:
 
 def random_attrs(rng: random.Random) -> dict:
     return {name: rng.choice(GEN_VALUES) for name in GEN_ATTRS if rng.random() < 0.85}
+
+
+def expand_spans(spans: dict) -> dict:
+    """_iso_candidates() spans as one (object, instant, (captures, attrs))
+    candidate per instant of each span."""
+    return {
+        node_id: [
+            (obj_id, instant, (captures, attrs))
+            for obj_id, first, last, captures, attrs in node_spans
+            for instant in range(first, last + 1)
+        ]
+        for node_id, node_spans in spans.items()
+    }
 
 
 def per_instant_candidates(pattern: PatternGraph, graph) -> dict:

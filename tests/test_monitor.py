@@ -14,6 +14,7 @@ from policygraph.matching import (
 )
 from policygraph.monitor import Decision, Monitor
 from policygraph.policy import parse_policy
+from policygraph.predicates import PredicateTypeError
 from policygraph.system import ingest_trace, read_jsonl
 
 from oracle import oracle_failing, random_policy, random_trace_records
@@ -128,6 +129,59 @@ class TestGuards:
         assert mon.graph.attrs_at("x", 3)["v"] == 2
 
 
+class TestSearchAndStop:
+    """A decision stops its search at the first failing match, so the
+    matches after it are neither counted nor judged."""
+
+    TWO_EDGES = 'policy p {\n node a\n node b\n edge e1: a -> b req: act != "bad"\n edge e2: a -> b\n}'
+
+    def test_violation_found_before_the_cap_denies(self):
+        mon = Monitor([parse_policy(self.TWO_EDGES)], match_cap=3)
+        mon.step({"t": 1, "object": {"id": "x", "attrs": {}}})
+        mon.step({"t": 1, "object": {"id": "y", "attrs": {}}})
+        for t in (1, 2):
+            (decision,) = mon.step({"t": t, "event": {"src": "x", "dest": "y", "params": {"act": "ok"}}})
+            assert decision.allowed
+        # 4 matches, over the cap; the first the search completes puts the
+        # new event on e1, where it fails
+        (decision,) = mon.step({"t": 3, "event": {"src": "x", "dest": "y", "params": {"act": "bad"}}})
+        assert not decision.allowed and decision.denied_by == ("p",)
+        assert len(mon.graph.events) == 2
+        with pytest.raises(MatchCapExceeded):  # the same 4 matches, all passing
+            mon.step({"t": 3, "event": {"src": "x", "dest": "y", "params": {"act": "ok"}}})
+
+    RANKED = """
+    policy ranked {
+      node a
+      node b
+      node c domain: level = $V
+      edge e: a -> b req: $V > 1
+    }
+    """
+
+    def ranked_stream(self, levels):
+        mon = Monitor([parse_policy(self.RANKED)])
+        mon.step({"t": 1, "object": {"id": "x", "attrs": {}}})
+        mon.step({"t": 1, "object": {"id": "y", "attrs": {}}})
+        for i, level in enumerate(levels):
+            mon.step({"t": 1, "object": {"id": f"c{i}", "attrs": {"level": level}}})
+        return mon
+
+    def test_violation_wins_over_a_raising_requirement(self):
+        """c0 makes the requirement raise ("high" > 1), c1 makes it fail:
+        the event is denied, whichever match the search meets first."""
+        mon = self.ranked_stream(["high", 0])
+        (decision,) = mon.step({"t": 1, "event": {"src": "x", "dest": "y", "params": {}}})
+        assert not decision.allowed and decision.denied_by == ("ranked",)
+        assert mon.graph.events == []
+
+    def test_raising_requirement_without_violation_raises(self):
+        mon = self.ranked_stream(["high", 5])
+        with pytest.raises(PredicateTypeError, match="ordered comparison needs numbers"):
+            mon.step({"t": 1, "event": {"src": "x", "dest": "y", "params": {}}})
+        assert mon.graph.events == []
+
+
 class TestAgainstBatch:
     def test_upheld_traces_stream_without_denials(self):
         for entry in load_manifest():
@@ -210,11 +264,18 @@ class TestAgainstBatch:
     def test_random_streams_with_filters_deny_like_the_oracle(self):
         """Policies with a conjunct that the join runs as a filter: a
         decision names exactly the policies with a brute-forced match that
-        assigns the new event to an edge and fails its requirement."""
+        assigns the new event to an edge and fails its requirement.  The
+        second half adds parallel edges, where the search meets one event
+        under both edge orders, and policies of one isolated node."""
         rng = random.Random(20261021)
-        denies = allows = 0
-        for i in range(120):
-            policies = [random_policy(rng, f"p{j}", filters=True) for j in range(2)]
+        denies = allows = parallel = 0
+        for i in range(240):
+            shapes = {"parallel": True, "lone_node": True} if i >= 120 else {}
+            policies = [random_policy(rng, f"p{j}", filters=True, **shapes) for j in range(2)]
+            parallel += any(
+                len(p.graph.edges) == 2 and len({(s.src, s.dest) for s in p.graph.edges.values()}) == 1
+                for p in policies
+            )
             mon = Monitor(policies)
             committed: list[dict] = []
             for record in random_trace_records(rng, n_objects=3, n_events=5):
@@ -237,7 +298,7 @@ class TestAgainstBatch:
                 else:
                     denies += 1
             assert mon.graph == ingest_trace(committed)
-        assert denies > 40 and allows > 150
+        assert denies > 70 and allows > 500 and parallel > 40
 
     def test_verdicts_match_batch_on_committed_history(self):
         rng = random.Random(77)

@@ -109,6 +109,18 @@ class TestPrinting:
         for p in parse_policy_set(corpus_text(name)):
             assert parse_policy(print_policy(p)) == p
 
+    @pytest.mark.parametrize("op", ["&&", "||"])
+    def test_wide_chains_print_at_the_default_recursion_limit(self, op):
+        """A 10 000-way chain prints with a loop down its left spine.  The
+        round trip compares printed text, since dataclass == recurses once
+        per link."""
+        terms = f" {op} ".join(f"level != {i}" for i in range(10_000))
+        domain = f"{terms} && kind = $K" if op == "&&" else f"({terms}) && kind = $K"
+        text = f"policy wide {{\n  node n domain: {domain} req: $K < 3\n}}\n"
+        printed = print_policy(parse_policy(text))
+        assert printed == text
+        assert print_policy(parse_policy(printed)) == printed
+
     def test_true_predicates_are_left_implicit(self):
         p = parse_policy("policy p {\n node n domain: true req: true\n}")
         assert print_policy(p) == "policy p {\n  node n\n}\n"

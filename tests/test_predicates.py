@@ -7,6 +7,7 @@ engine against the independent evaluator in oracle.py under fixed seeds.
 
 import itertools
 import random
+import time
 
 import pytest
 
@@ -353,6 +354,52 @@ class TestWideExpressions:
     def test_constants_keep_tree_order_and_flatten_sets(self):
         e = parse_predicate("$x in {3, {1, 4}} || 2 = y && !(1 = z)")
         assert constants_of(e) == [ValueSet([3, ValueSet([1, 4])]), 3, ValueSet([1, 4]), 1, 4, 2]
+
+    def test_constants_dedupe_like_a_linear_scan(self):
+        """constants_of keeps what a scan comparing each value with every
+        one found before keeps, in the same order: 1 and 1.0 meet, true
+        and "1" do not, and a NaN is never equal to anything found."""
+
+        def scanned(e):
+            found = []
+
+            def add(v):
+                if not any(values_equal(v, f) for f in found):
+                    found.append(v)
+                if isinstance(v, ValueSet):
+                    for m in v:
+                        add(m)
+
+            def walk(x):
+                if isinstance(x, Const):
+                    add(x.value)
+                elif isinstance(x, BinOp):
+                    walk(x.left)
+                    walk(x.right)
+                elif isinstance(x, Not):
+                    walk(x.operand)
+
+            walk(e)
+            return found
+
+        nan = float("nan")
+        pool = [1, 1.0, True, False, "1", "true", 0, -0.0, 2**60, 2**60 + 1, float(2**60), nan, float("nan"),
+                ValueSet([1]), ValueSet([1.0]), ValueSet([True, "1"]), ValueSet([ValueSet([1]), 2]),
+                ValueSet([nan]), ValueSet()]
+        rng = random.Random(1311)
+        for _ in range(300):
+            values = [rng.choice(pool) for _ in range(rng.randrange(1, 12))]
+            e = Const(values[0])
+            for v in values[1:]:
+                e = BinOp("||", e, BinOp("=", Var("x"), Const(v)))
+            assert constants_of(e) == scanned(e)
+
+    def test_constants_of_a_wide_disjunction_in_linear_time(self):
+        n = 10_000
+        e = parse_predicate(" || ".join(f"a = {i}" for i in range(n)))
+        start = time.perf_counter()
+        assert constants_of(e) == list(range(n))
+        assert time.perf_counter() - start < 5  # a scan against every value found took about half a minute
 
 
 class TestEvaluateAgainstOracle:
