@@ -30,7 +30,7 @@ from operator import itemgetter
 from typing import Any, Callable, Mapping, Optional, Sequence
 
 from .policy import PatternGraph, PolicyGraph, domain_of, validate_policy
-from .predicates import Const, PredicateTypeError
+from .predicates import BindingPlan, Const, PredicateTypeError
 from .predicates import evaluate, merge_conditions, satisfy  # noqa: F401  perfbench/tracing.py wraps them here
 from .system import SystemEvent, SystemGraph
 from .values import canonical, values_equal
@@ -160,25 +160,39 @@ class _EdgeCandidate:
 
 
 def edge_candidate(
-    pattern: PatternGraph, edge_id: str, index: int, event: SystemEvent, graph: SystemGraph
+    pattern: PatternGraph,
+    edge_id: str,
+    index: int,
+    event: SystemEvent,
+    graph: SystemGraph,
+    outcomes: dict,
 ) -> Optional[_EdgeCandidate]:
     """The event at `index` as a candidate for a policy edge, or None where
     the edge's own, source or destination domain is false there: a test
     fails, two captures of one variable differ, or a filter whose
     variables those captures bind fails.  Once the outcome is false, a
     plan that cannot raise is skipped; one that can is still run, since the
-    interpreter would report its error."""
+    interpreter would report its error.
+
+    A node plan's result depends only on the snapshot it reads, so it is
+    judged once per snapshot: `outcomes` memoises it, keyed by the plan and
+    the snapshot's id, with the snapshot kept in the entry so that id is
+    not reused (a plan that raises stores nothing).  The caller owns the
+    memo and must drop it before any snapshot it saw can change in place:
+    _edge_candidates keeps one per call, a Monitor one for its life.  A
+    node plan without steps is not called, and its snapshot is looked up
+    only where a filter reads it."""
     spec, plans = pattern.graph.edges[edge_id], pattern.plans
     edge, src, dest = plans[edge_id], plans[spec.src], plans[spec.dest]
     on_edge = edge(event.params)
     if on_edge is None and not (src.may_raise or dest.may_raise):
         return None
-    src_ctx = graph.src_attr(event)
-    on_src = src(src_ctx)
+    src_ctx = graph.src_attr(event) if src.steps or src.filters else None
+    on_src = _judged(src, src_ctx, outcomes) if src.steps else ()
     if on_src is None and not dest.may_raise:
         return None
-    dest_ctx = graph.dest_attr(event)
-    on_dest = dest(dest_ctx)
+    dest_ctx = graph.dest_attr(event) if dest.steps or dest.filters else None
+    on_dest = _judged(dest, dest_ctx, outcomes) if dest.steps else ()
     if on_edge is None or on_src is None or on_dest is None:
         return None
     captures: Mapping[str, Any] = _NO_CAPTURES
@@ -194,13 +208,23 @@ def edge_candidate(
     return None if filters is None else _EdgeCandidate(index, event.src, event.dest, captures, filters)
 
 
+def _judged(plan: BindingPlan, attrs: Mapping[str, Any], outcomes: dict) -> Optional[list[tuple[str, Any]]]:
+    """plan(attrs), looked up in or added to the memo `outcomes`."""
+    key = (plan, id(attrs))
+    entry = outcomes.get(key)
+    if entry is None:
+        entry = outcomes[key] = (attrs, plan(attrs))
+    return entry[1]
+
+
 def _edge_candidates(pattern: PatternGraph, graph: SystemGraph) -> dict[str, list[_EdgeCandidate]]:
     """Per policy edge, every event's edge_candidate() that is not None."""
     out: dict[str, list[_EdgeCandidate]] = {}
+    outcomes: dict = {}
     for edge_id in sorted(pattern.graph.edges):
         candidates = []
         for index, event in enumerate(graph.events):
-            cand = edge_candidate(pattern, edge_id, index, event, graph)
+            cand = edge_candidate(pattern, edge_id, index, event, graph, outcomes)
             if cand is not None:
                 candidates.append(cand)
         out[edge_id] = candidates
@@ -269,15 +293,14 @@ def each_match(
     from its variable's value, and runs every filter whose variables are
     now all bound, older ones first.  The enumeration visits each
     assignment once, so no match comes twice.  A match reports, for each
-    variable, the capture of the first element in elements() order that
-    captures it (a connected node's capture as its first incident edge
-    reads it), whatever order the join met them in.  `edge_cands`, when
-    given, replaces _edge_candidates(): the matches are then those whose
-    events come from these lists.  A variable that no plan captures (rule
+    variable by sorted name, the capture of the first element in
+    elements() order that captures it (a connected node's capture as its
+    first incident edge reads it), whatever order the join met them in.
+    `edge_cands`, when given, replaces _edge_candidates(): the matches are
+    then those whose events come from these lists.  A variable that no plan captures (rule
     R1) raises MatchingError before any candidate is listed.
     """
-    owners = pattern.owners
-    unowned = pattern.variables - owners.keys()
+    unowned = pattern.variables - pattern.owners.keys()
     if unowned:
         raise MatchingError(
             f"policy {policy_name!r}: variables {sorted(unowned)} have no capture and would be unbound at completion"
@@ -287,7 +310,7 @@ def each_match(
     edge_order = sorted(edge_cands, key=lambda e: (len(edge_cands[e]), e))
     iso_cands = _iso_candidates(pattern, graph)
     iso_order = sorted(iso_cands, key=lambda n: (sum(last - first + 1 for _, first, last, _, _ in iso_cands[n]), n))
-    edge_specs, plans, variables = pattern.graph.edges, pattern.plans, pattern.variables
+    edge_specs, plans, binding_owners = pattern.graph.edges, pattern.plans, pattern.binding_owners
 
     # The assignment dicts hold every id from the start, by sorted id, so a
     # match lists its assignments in that order whatever order the join
@@ -333,7 +356,7 @@ def each_match(
 
     def assign_iso(position: int, waiting: tuple) -> None:
         if position == len(iso_order):
-            on_match(edge_events, iso_objects, node_objects, {v: captured[owners[v]][v] for v in variables})
+            on_match(edge_events, iso_objects, node_objects, {v: captured[owner][v] for v, owner in binding_owners})
             return
         node_id = iso_order[position]
         node_filters = plans[node_id].filters

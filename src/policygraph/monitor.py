@@ -97,6 +97,9 @@ class Monitor:
             if p.graph.edges
         ]
         self._cursor = 0
+        # node plan outcomes per snapshot (see edge_candidate); a snapshot
+        # never changes in place, so they hold for the monitor's life
+        self._outcomes: dict = {}
 
     def step(self, record: Mapping[str, Any]) -> list[Decision]:
         """Apply one record; an event record yields exactly one decision."""
@@ -123,7 +126,7 @@ class Monitor:
             for policy, pattern, committed in self._watched:
                 cands = {}
                 for edge_id in committed:
-                    cand = edge_candidate(pattern, edge_id, index, event, self.graph)
+                    cand = edge_candidate(pattern, edge_id, index, event, self.graph, self._outcomes)
                     if cand is not None:
                         cands[edge_id] = cand
                 fresh.append(cands)

@@ -134,6 +134,12 @@ class PatternGraph:
                 owners.setdefault(var, readers[0] if readers else elt)
         return owners
 
+    @cached_property
+    def binding_owners(self) -> tuple[tuple[str, str], ...]:
+        """The (variable, owner) pairs of `owners` by sorted variable name:
+        the order in which a match lists its bindings."""
+        return tuple(sorted(self.owners.items()))
+
 
 @dataclass(frozen=True)
 class PolicyGraph:

@@ -786,6 +786,8 @@ def _compile(e: Expr) -> Callable[[Mapping[str, Any], Mapping[str, Any]], Any]:
     if isinstance(e, Var):
         name = e.name
         return lambda ctx, bindings: bindings[name]
+    if isinstance(e, BinOp) and e.op in BOOL_OPS:
+        return _compile_chain(e)
     fn = _compile_node(e)
     names = tuple(sorted(_guard_names(e))) if is_boolean_node(e) else ()
     if not names:
@@ -798,6 +800,53 @@ def _compile(e: Expr) -> Callable[[Mapping[str, Any], Mapping[str, Any]], Any]:
         return fn(ctx, bindings)
 
     return guarded
+
+
+def _compile_chain(e: BinOp) -> Callable[[Mapping[str, Any], Mapping[str, Any]], Any]:
+    """The closure of a left-nested chain of one connective, `((o0 op o1)
+    op o2) ... op oK`, as one loop over its operands, so a chain of any
+    width compiles and runs without recursion.  It gives what nested
+    closures would: each link, outermost first, is false where one of its
+    guard names is absent, and nothing inside that link is evaluated; an
+    operand that is no boolean raises at the innermost link that holds it."""
+    op, links = e.op, []  # the chain's nodes, innermost first: links[i] holds operand i + 1
+    while isinstance(e, BinOp) and e.op == op:
+        links.append(e)
+        e = e.left
+    links.reverse()
+    first, steps = _compile(e), tuple((_compile(link.right), link) for link in links)
+    # per link with guard names, outermost first: the steps after it
+    guards = [(i + 1, tuple(sorted(names))) for i, link in enumerate(links) if (names := _guard_names(link))]
+    guards.reverse()
+    # && goes on to its right operand after true and stops at false,
+    # || the other way round
+    go_on, stop = op == "&&", op == "||"
+
+    def chain(ctx, bindings):
+        if guards and (after := _false_link(guards, ctx)):
+            value, rest = False, steps[after:]
+        else:
+            value, rest = first(ctx, bindings), steps
+        for right, link in rest:
+            if value is go_on:
+                value = right(ctx, bindings)
+            elif value is stop:
+                return stop
+            if value is not True and value is not False:
+                raise _type_error("expected a boolean", link, ctx, bindings)
+        return value
+
+    return chain
+
+
+def _false_link(guards: list[tuple[int, tuple[str, ...]]], ctx: Mapping[str, Any]) -> int:
+    """For a chain's guarded links, outermost first: the steps after the
+    first link with a guard name absent from ctx, or 0 where there is none."""
+    for after, names in guards:
+        for name in names:
+            if name not in ctx:
+                return after
+    return 0
 
 
 def _compile_node(e: Expr) -> Callable[[Mapping[str, Any], Mapping[str, Any]], Any]:
@@ -813,22 +862,6 @@ def _compile_node(e: Expr) -> Callable[[Mapping[str, Any], Mapping[str, Any]], A
         return negate
     left, right = _compile(e.left), _compile(e.right)
     op = e.op
-    if op in BOOL_OPS:
-        # && goes on to its right operand after true and stops at false,
-        # || the other way round
-        go_on, stop = op == "&&", op == "||"
-
-        def connective(ctx, bindings):
-            value = left(ctx, bindings)
-            if value is go_on:
-                value = right(ctx, bindings)
-            elif value is stop:
-                return stop
-            if value is True or value is False:
-                return value
-            raise _type_error("expected a boolean", e, ctx, bindings)
-
-        return connective
     if op in ("=", "!="):
         negate = op == "!="
         return lambda ctx, bindings: values_equal(left(ctx, bindings), right(ctx, bindings)) != negate
@@ -847,18 +880,21 @@ def _compile_node(e: Expr) -> Callable[[Mapping[str, Any], Mapping[str, Any]], A
 
 def _always_flag(e: Expr) -> bool:
     """Whether a variable-free e always evaluates to a flag, never raising."""
-    if isinstance(e, Const):
-        return isinstance(e.value, bool)
-    if isinstance(e, Not):
-        return _always_flag(e.operand)
-    if isinstance(e, BinOp):
-        if e.op in BOOL_OPS:
-            return _always_flag(e.left) and _always_flag(e.right)
-        if e.op in ("=", "!="):
-            return _never_raises(e.left) and _never_raises(e.right)
-        if e.op == "in":
-            return _never_raises(e.left) and isinstance(e.right, Const) and isinstance(e.right.value, ValueSet)
-    return False
+    pending = [e]  # subtrees that must always give a flag
+    while pending:
+        x = pending.pop()
+        if isinstance(x, Not):
+            pending.append(x.operand)
+        elif isinstance(x, BinOp) and x.op in BOOL_OPS:
+            pending += (x.left, x.right)
+        elif isinstance(x, BinOp) and x.op in ("=", "!=", "in"):
+            if x.op == "in" and not (isinstance(x.right, Const) and isinstance(x.right.value, ValueSet)):
+                return False
+            # an operand never raises when it is a leaf or always a flag
+            pending += (y for y in (x.left, x.right) if not isinstance(y, (Const, Attr)))
+        elif not (isinstance(x, Const) and isinstance(x.value, bool)):
+            return False
+    return True
 
 
 def _never_raises(e: Expr) -> bool:
@@ -876,17 +912,31 @@ def _capture_of(e: Expr) -> Optional[tuple[str, Expr]]:
     return None
 
 
-_TEST, _CAPTURE, _BIND, _COMPUTE, _REQUIRE = range(5)
+def _constant_equality(e: Expr) -> Optional[tuple[str, Any]]:
+    """For `attr = c` with c a constant, either way round: the attribute's
+    name and c's value."""
+    if isinstance(e, BinOp) and e.op == "=":
+        for attr, const in ((e.left, e.right), (e.right, e.left)):
+            if isinstance(attr, Attr) and isinstance(const, Const):
+                return attr.name, const.value
+    return None
+
+
+_EQUAL, _TEST, _CAPTURE, _BIND, _COMPUTE, _REQUIRE = range(6)
 
 
 class BindingPlan:
     """A domain predicate split for bind-then-filter matching.
 
-    Its top-level conjuncts, in order: a variable-free conjunct is a test;
-    `$X = e` with e variable-free, either way round, is a capture, and e's
-    value (read or computed) binds $X; any other conjunct with a variable
-    is a filter, which the matcher runs, as `(expr, variables,
-    compile_ground(expr))` from `filters`, once its variables are bound.
+    Its top-level conjuncts, in order: `true` is no step at all; any other
+    variable-free conjunct is a test, and one of the form `attr = c` with c
+    a constant, either way round, is an equality step, which compares the
+    attribute's value (None where it is absent) with c by values_equal in
+    place and never raises; `$X = e` with e variable-free, either way
+    round, is a capture, and e's value (read or computed) binds $X; any
+    other conjunct with a variable is a filter, which the matcher runs, as
+    `(expr, variables, compile_ground(expr))` from `filters`, once its
+    variables are bound.
     Where an absent attribute falsifies a conjunction or a filter whatever
     the bindings, a step checks for it where substitute_attrs puts the false.
 
@@ -901,7 +951,10 @@ class BindingPlan:
     predicate, as satisfy() would: a conjunct that keeps a variable may
     fold to false before the step is reached.  So the plan raises the error
     the interpreter reports, or else gives None.  `may_raise` tells whether
-    a call can raise at all.
+    a call can raise at all.  The result depends on the context alone, and
+    a plan with no steps always gives [], so the matcher judges a node's
+    plan once per snapshot and does not call a plan without steps (see
+    matching.edge_candidate).
     """
 
     __slots__ = ("pred", "steps", "filters", "may_raise", "captured")
@@ -925,8 +978,14 @@ class BindingPlan:
             self.steps.append((_REQUIRE, tuple(sorted(names)), None))
 
     def _add_conjunct(self, e: Expr) -> None:
+        if e == TRUE:
+            return  # a step that always passes
         variables = variables_of(e)
         if not variables:
+            equality = _constant_equality(e)
+            if equality is not None:
+                self.steps.append((_EQUAL, *equality))
+                return
             self.steps.append((_TEST, _compile(e), None))
             self.may_raise |= not _always_flag(e)
             return
@@ -950,7 +1009,10 @@ class BindingPlan:
         captures = []
         try:
             for kind, a, b in self.steps:
-                if kind == _TEST:
+                if kind == _EQUAL:
+                    if not values_equal(ctx.get(a), b):
+                        return None
+                elif kind == _TEST:
                     value = a(ctx, _NO_BINDINGS)
                     if value is not True:
                         if value is False:

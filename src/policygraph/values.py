@@ -8,6 +8,7 @@ sets get a dedicated class with structural membership.
 
 from __future__ import annotations
 
+import sys
 from typing import Any, Iterable, Iterator, Mapping
 
 
@@ -38,11 +39,14 @@ def maps_equal(a: Mapping[str, Any], b: Mapping[str, Any]) -> bool:
 
 
 def canonical(v: Any):
-    """Hashable, kind-tagged form of a value; used for set storage and match keys."""
+    """Hashable, kind-tagged form of a value; used for set storage and match
+    keys.  A number stays exact: Python's == and hash agree between int and
+    float, so 1 and 1.0 still give equal forms, while integers beyond a
+    float's precision or range keep distinct ones."""
     if isinstance(v, bool):
         return ("flag", v)
     if is_number(v):
-        return ("num", float(v))
+        return ("num", v)
     if isinstance(v, str):
         return ("text", v)
     if isinstance(v, ValueSet):
@@ -56,9 +60,7 @@ class Distinct:
     Each value is compared only with those in its bucket, so adding one
     takes time independent of the list's length.  Values are bucketed by
     Python's own == and hash, under which equal values always meet (1,
-    1.0 and true share a bucket, which values_equal then tells apart); a
-    key from canonical() would round integers beyond 2**53 together and
-    overflow beyond the largest float.
+    1.0 and true share a bucket, which values_equal then tells apart).
     """
 
     __slots__ = ("values", "_buckets")
@@ -79,9 +81,16 @@ class Distinct:
 
 
 def sort_key(v: Any):
+    """Orders set members: by kind, then by the repr of the canonical form,
+    with a number a float holds exactly shown as that float."""
     kind, payload = canonical(v)
+    if kind == "num" and isinstance(payload, int) and abs(payload) <= _LARGEST_FLOAT and float(payload) == payload:
+        payload = float(payload)
     order = {"num": 0, "text": 1, "flag": 2, "set": 3}[kind]
     return (order, repr(payload))
+
+
+_LARGEST_FLOAT = sys.float_info.max  # float() overflows on integers beyond it
 
 
 class ValueSet:

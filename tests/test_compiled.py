@@ -155,6 +155,24 @@ class TestGroundAgainstInterpreter:
             assert ground_outcome(e, ctx, bindings) == ("value", evaluate(e, ctx, bindings).value)
 
 
+class TestChainsAgainstInterpreter:
+    """A chain of one connective compiles into one loop over its operands.
+    An operand that is no boolean raises at the smallest link that holds
+    it, and a link whose guard name is absent is false, as in the
+    interpreter."""
+
+    @pytest.mark.parametrize("op", ["&&", "||"])
+    @pytest.mark.parametrize("position", [0, 1, 299])
+    @pytest.mark.parametrize("odd", ["level", "level + 1", '"x"', "!kind"])
+    def test_an_operand_of_the_wrong_kind(self, op, position, odd):
+        term = "kind != {}" if op == "&&" else "kind = {}"
+        operands = [term.format(i) for i in range(300)]
+        operands[position] = odd
+        e = parse_predicate(f" {op} ".join(operands))
+        for ctx in ({"kind": 500, "level": 3}, {"kind": 500}, {"kind": 5, "level": 3}, {"level": True}):
+            assert ground_outcome(e, ctx, {}) == reference_outcome(e, ctx, {}), ctx
+
+
 # --- binding plans -------------------------------------------------------------
 
 
@@ -317,7 +335,7 @@ class TestBindingPlanAgainstInterpreter:
                 return [satisfy(e, ctx, {}) for e, ctx in zip(preds, contexts)]
 
             try:
-                cand = edge_candidate(pattern, "e", 0, event, graph)
+                cand = edge_candidate(pattern, "e", 0, event, graph, {})
             except PredicateTypeError as error:
                 got = extended = (ERROR, str(error))
             else:
@@ -509,7 +527,7 @@ class TestRules:
             (match,) = find_matches(p, graph)
             assert same(match.bindings["X"], m), (n, m, k)
             assert values_equal(merge_conditions(satisfied).bindings["X"], m)
-            assert same(edge_candidate(p.domain, "e", 0, event, graph).captures["X"], m)
+            assert same(edge_candidate(p.domain, "e", 0, event, graph, {}).captures["X"], m)
 
     def test_computed_captures_are_compiled(self):
         e = parse_predicate('kind = "a" && $X = level + 1 && (level > 0) = $Y')

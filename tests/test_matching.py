@@ -1,6 +1,9 @@
 """Match enumeration and verdicts, checked against a brute-force oracle."""
 
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
@@ -25,8 +28,11 @@ from policygraph.monitor import Monitor
 from policygraph.policy import PatternGraph, domain_of, parse_policy, validate_policy
 from policygraph.predicates import PredicateTypeError, parse_predicate
 from policygraph.system import TraceError, ingest_trace
+from policygraph.values import ValueSet, canonical
 
 from oracle import GEN_ATTRS, GEN_VALUES, oracle_matches, oracle_verdict, random_policy, random_trace_records
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 NO_READ_UP = """
 policy no_read_up {
@@ -631,3 +637,92 @@ class TestWideDomains:
         assert verdict(p, g).upheld == oracle_verdict(p, g) is False
         g = ingest_trace(self.RECORDS[:1] + self.RECORDS[2:])
         assert verdict(p, g).upheld == oracle_verdict(p, g) is True
+
+    @pytest.mark.parametrize("op", ["&&", "||"])
+    @pytest.mark.parametrize("where", ["domain", "requirement"])
+    def test_ten_thousand_way_chains_at_the_default_recursion_limit(self, op, where):
+        """A chain of one connective compiles into one loop over its
+        operands, so a 10 000-way chain gets a verdict in a domain and in a
+        requirement."""
+        assert sys.getrecursionlimit() <= 1000
+        p = wide_chain_policy(10_000, op, where)
+        assert validate_policy(p) == []
+        v = verdict(p, ingest_trace(self.RECORDS))
+        # the || chain allows the kinds below 3 (objects a and c), the && chain forbids them
+        allowed = op == "||"
+        if where == "domain":
+            want = {(obj, True) for obj in ("a", "b", "c", "d") if (obj in "ac") == allowed}
+        else:
+            want = {(obj, (obj in "ac") == allowed) for obj in ("a", "b", "c", "d")}
+        assert {(w.match.node_objects["n"], w.satisfied) for w in v.witnesses} == want
+        assert v.upheld == (where == "domain")
+
+    @pytest.mark.parametrize("op", ["&&", "||"])
+    @pytest.mark.parametrize("where", ["domain", "requirement"])
+    def test_four_hundred_way_chains_agree_with_the_oracle(self, op, where):
+        p, g = wide_chain_policy(400, op, where), ingest_trace(self.RECORDS)
+        assert verdict(p, g).upheld == oracle_verdict(p, g)
+        assert {m.key() for m in find_matches(p, g)} == oracle_matches(p, g)
+
+
+def wide_chain_policy(width: int, op: str, where: str):
+    """One node with a width-way chain of `op` over kind: an allow-list
+    `kind = 0 || kind = 1 || ...` of the kinds below 3 (the rest repeat
+    100), or a deny-list `kind != 0 && ...`, in the domain or, on the
+    captured $K, in the requirement."""
+    term = "kind = {}" if op == "||" else "kind != {}"
+    chain = f" {op} ".join(term.format(i if i < 3 else 100) for i in range(width))
+    if where == "domain":
+        return parse_policy(f"policy wide {{\n node n domain: ({chain}) && kind = $K\n}}\n")
+    chain = chain.replace("kind", "$K")
+    return parse_policy(f"policy wide {{\n node n domain: kind = $K req: {chain}\n}}\n")
+
+
+class TestSortedBindings:
+    PROBE = """
+import sys
+from policygraph.matching import find_matches
+from policygraph.policy import parse_policy
+from policygraph.system import ingest_trace
+p = parse_policy("policy p {\\n node a domain: x = $X && y = $Y && z = $Z\\n}")
+g = ingest_trace([{"t": 1, "object": {"id": "o", "attrs": {"x": 1, "y": 2, "z": 3}}}])
+print(repr(find_matches(p, g)))
+"""
+
+    def test_match_repr_does_not_depend_on_the_hash_seed(self):
+        """Bindings are listed by sorted variable name, not in the
+        iteration order of a frozenset of names, which the hash seed sets."""
+        outputs = set()
+        for seed in ("1", "5"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+            done = subprocess.run([sys.executable, "-c", self.PROBE], env=env, capture_output=True, text=True, check=True)
+            outputs.add(done.stdout)
+        (output,) = outputs
+        assert "bindings={'X': 1, 'Y': 2, 'Z': 3}" in output
+
+
+class TestExactNumberKeys:
+    """Match keys keep numbers exact: integers beyond a float's precision
+    or range stay distinct and never overflow, while 1 and 1.0 still
+    meet and true does not."""
+
+    POLICY = "policy p {\n node n domain: level = $L\n}"
+
+    def keys(self, *levels):
+        records = [{"t": 1, "object": {"id": f"o{i}", "attrs": {"level": v}}} for i, v in enumerate(levels)]
+        return [m.key() for m in find_matches(parse_policy(self.POLICY), ingest_trace(records))]
+
+    def test_a_binding_beyond_the_float_range(self):
+        (key,) = self.keys(10**400)
+        assert key[2] == (("L", canonical(10**400)),)
+
+    def test_integers_one_apart_beyond_float_precision(self):
+        first, second = self.keys(2**60, 2**60 + 1)
+        assert first[2] != second[2]
+        assert ValueSet([2**60 + 1, 2**60]) == ValueSet([2**60, 2**60 + 1])
+
+    def test_one_and_one_point_zero_meet_and_true_does_not(self):
+        assert canonical(1) == canonical(1.0) and hash(canonical(1)) == hash(canonical(1.0))
+        assert canonical(True) != canonical(1)
+        (one,), (one_point_zero,), (true,) = self.keys(1), self.keys(1.0), self.keys(True)
+        assert one[2] == one_point_zero[2] and one[2] != true[2]
