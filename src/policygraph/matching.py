@@ -254,7 +254,6 @@ def match_pattern(
     graph: SystemGraph,
     cap: int = DEFAULT_MATCH_CAP,
     policy_name: str = "?",
-    edge_cands: Optional[Mapping[str, Sequence[_EdgeCandidate]]] = None,
 ) -> list[Match]:
     """Every match of a pattern, in Match.key() order (see each_match).  More
     than `cap` matches raise MatchCapExceeded."""
@@ -265,7 +264,7 @@ def match_pattern(
         if len(matches) > cap:
             raise MatchCapExceeded(policy_name, cap)
 
-    each_match(pattern, graph, finish, policy_name, edge_cands)
+    each_match(pattern, graph, finish, policy_name)
     if len(matches) > 1:
         # Match.key() order: an assignment fixes its bindings, so its events by
         # sorted edge id, then its pairs by sorted node id, decide the order

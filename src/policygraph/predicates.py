@@ -137,6 +137,19 @@ def _spine(e: Expr) -> Iterator[Expr]:
             stack.append(x.left)
 
 
+def _chain(e: BinOp) -> tuple[Expr, list[BinOp]]:
+    """The left-nested chain of e's operator, `((o0 op o1) op o2) ... op
+    oK`: its innermost operand o0 and its links, innermost first, so that
+    links[i] holds operand i + 1 as its right.  Walks that take the links
+    in a loop handle a chain of any width without recursion."""
+    op, links = e.op, []
+    while isinstance(e, BinOp) and e.op == op:
+        links.append(e)
+        e = e.left
+    links.reverse()
+    return e, links
+
+
 def _is_and(e: Expr) -> bool:
     return isinstance(e, BinOp) and e.op == "&&"
 
@@ -470,13 +483,15 @@ def substitute_attrs(e: Expr, ctx: Mapping[str, Any]) -> Expr:
                 return FALSE
             return Not(inner)
         if isinstance(x, BinOp):
-            left = sub(x.left)
-            right = sub(x.right)
-            if left is _MISSING or right is _MISSING:
-                if is_boolean_node(x):
-                    return FALSE
-                return _MISSING
-            return BinOp(x.op, left, right)
+            first, links = _chain(x)
+            done = sub(first)
+            for link in links:
+                right = sub(link.right)
+                if done is _MISSING or right is _MISSING:
+                    done = FALSE if is_boolean_node(link) else _MISSING
+                else:
+                    done = BinOp(link.op, done, right)
+            return done
         raise TypeError(f"not an expression: {x!r}")
 
     result = sub(e)
@@ -492,7 +507,11 @@ def substitute_vars(e: Expr, bindings: Mapping[str, Any]) -> Expr:
     if isinstance(e, Not):
         return Not(substitute_vars(e.operand, bindings))
     if isinstance(e, BinOp):
-        return BinOp(e.op, substitute_vars(e.left, bindings), substitute_vars(e.right, bindings))
+        first, links = _chain(e)
+        done = substitute_vars(first, bindings)
+        for link in links:
+            done = BinOp(link.op, done, substitute_vars(link.right, bindings))
+        return done
     return e
 
 
@@ -550,8 +569,18 @@ def fold_constants(e: Expr) -> Expr:
         if isinstance(inner, Const):
             return Const(not _require_flag(inner.value, e))
         return Not(inner)
-    if isinstance(e, BinOp) and e.op in BOOL_OPS:
-        left = fold_constants(e.left)
+    if isinstance(e, BinOp):
+        first, links = _chain(e)
+        done = fold_constants(first)
+        for link in links:
+            done = _fold_link(link, done)
+        return done
+    raise TypeError(f"not an expression: {e!r}")
+
+
+def _fold_link(e: BinOp, left: Expr) -> Expr:
+    """e folded, given its left operand folded to `left`."""
+    if e.op in BOOL_OPS:
         if isinstance(left, Const):
             lv = _require_flag(left.value, e)
             if e.op == "&&" and not lv:
@@ -569,13 +598,10 @@ def fold_constants(e: Expr) -> Expr:
                 return left if rv else FALSE
             return TRUE if rv else left
         return BinOp(e.op, left, right)
-    if isinstance(e, BinOp):
-        left = fold_constants(e.left)
-        right = fold_constants(e.right)
-        if isinstance(left, Const) and isinstance(right, Const):
-            return Const(_apply_op(e.op, left.value, right.value, e))
-        return BinOp(e.op, left, right)
-    raise TypeError(f"not an expression: {e!r}")
+    right = fold_constants(e.right)
+    if isinstance(left, Const) and isinstance(right, Const):
+        return Const(_apply_op(e.op, left.value, right.value, e))
+    return BinOp(e.op, left, right)
 
 
 def evaluate(e: Expr, ctx: Mapping[str, Any], bindings: Mapping[str, Any]) -> Expr:
@@ -809,11 +835,8 @@ def _compile_chain(e: BinOp) -> Callable[[Mapping[str, Any], Mapping[str, Any]],
     closures would: each link, outermost first, is false where one of its
     guard names is absent, and nothing inside that link is evaluated; an
     operand that is no boolean raises at the innermost link that holds it."""
-    op, links = e.op, []  # the chain's nodes, innermost first: links[i] holds operand i + 1
-    while isinstance(e, BinOp) and e.op == op:
-        links.append(e)
-        e = e.left
-    links.reverse()
+    op = e.op
+    e, links = _chain(e)
     first, steps = _compile(e), tuple((_compile(link.right), link) for link in links)
     # per link with guard names, outermost first: the steps after it
     guards = [(i + 1, tuple(sorted(names))) for i, link in enumerate(links) if (names := _guard_names(link))]

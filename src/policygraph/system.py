@@ -62,11 +62,16 @@ class SystemGraph:
         self._snapshots: dict[str, list[tuple[int, dict[str, Any]]]] = {}
         self.events: list[SystemEvent] = []
         self.horizon: int = 0
-        # (id, t) pairs whose effective snapshot an event has already read;
-        # redeclaring one would silently rewrite history, so it is an error
-        self._used_at: set[tuple[str, int]] = set()
-        self._last_event_marks: set[tuple[str, int]] = set()
-        self._horizon_before_event: int = 0
+        # the objects whose effective snapshot at instant _read_at an event
+        # has read; redeclaring one there would silently rewrite history, so
+        # it is an error.  Records never go back in time, so the latest
+        # event's instant is the only one that needs marks.
+        self._read_at: int = -1
+        self._read: set[str] = set()
+        # what _drop_last_event restores: (horizon, _read_at, _read) before
+        # the last event, and the marks that event added
+        self._before_event: tuple[int, int, set[str]] = (0, -1, self._read)
+        self._last_event_marks: set[str] = set()
         self._derived: Optional[dict] = None  # see derived()
 
     # internal mutators, used by ingest_trace and the monitor; each one
@@ -74,7 +79,7 @@ class SystemGraph:
 
     def _declare_object(self, obj_id: str, attrs: dict[str, Any], t: int, record_no: int = 0) -> None:
         self._derived = None
-        if (obj_id, t) in self._used_at:
+        if t == self._read_at and obj_id in self._read:
             raise TraceError(
                 f"snapshot for {obj_id!r} at t={t} declared after an event already used it", record_no
             )
@@ -90,9 +95,11 @@ class SystemGraph:
         for endpoint in (src, dest):
             if endpoint not in self._snapshots:
                 raise TraceError(f"event endpoint {endpoint!r} was never declared", record_no)
-        self._last_event_marks = {(e, t) for e in (src, dest)} - self._used_at
-        self._used_at |= self._last_event_marks
-        self._horizon_before_event = self.horizon
+        self._before_event = (self.horizon, self._read_at, self._read)
+        if t != self._read_at:
+            self._read_at, self._read = t, set()
+        self._last_event_marks = {src, dest} - self._read
+        self._read |= self._last_event_marks
         event = SystemEvent(src, dest, params, t)
         self.events.append(event)
         self.horizon = max(self.horizon, t)
@@ -103,9 +110,8 @@ class SystemGraph:
         including any horizon growth it would have caused."""
         self._derived = None
         self.events.pop()
-        self._used_at -= self._last_event_marks
-        self._last_event_marks = set()
-        self.horizon = self._horizon_before_event
+        self._read -= self._last_event_marks
+        self.horizon, self._read_at, self._read = self._before_event
 
     # queries
 

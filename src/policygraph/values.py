@@ -79,6 +79,10 @@ class Distinct:
             bucket.append(v)
             self.values.append(v)
 
+    def __contains__(self, v: Any) -> bool:
+        """Whether a value equal to v is there; a NaN never is."""
+        return any(values_equal(v, w) for w in self._buckets.get(v, ()))
+
 
 def sort_key(v: Any):
     """Orders set members: by kind, then by the repr of the canonical form,
@@ -98,23 +102,27 @@ class ValueSet:
 
     Members are deduplicated with values_equal and kept in a canonical order,
     so two sets with the same members compare and hash equal regardless of
-    construction order.
+    construction order.  Both equality jobs go through a Distinct: a
+    temporary one dedupes the members, and the first membership test
+    indexes them (see _Indexed), so a set that is never probed holds
+    nothing but its members.
     """
 
     __slots__ = ("_items",)
 
     def __init__(self, items: Iterable[Any] = ()):
-        kept: list[Any] = []
+        kept = Distinct()
         for item in items:
             if not is_value(item):
                 raise TypeError(f"not a value: {item!r}")
-            if not any(values_equal(item, k) for k in kept):
-                kept.append(item)
-        kept.sort(key=sort_key)
-        self._items = tuple(kept)
+            kept.add(item)
+        self._items = tuple(sorted(kept.values, key=sort_key))
 
     def __contains__(self, v: Any) -> bool:
-        return any(values_equal(v, item) for item in self._items)
+        items = self._items
+        if items.__class__ is tuple:
+            items = self._items = _Indexed(items)
+        return v in items.distinct
 
     def __iter__(self) -> Iterator[Any]:
         return iter(self._items)
@@ -146,6 +154,16 @@ class ValueSet:
 
     def ispropersubset(self, other: "ValueSet") -> bool:
         return self.issubset(other) and len(self) < len(other)
+
+
+class _Indexed(tuple):
+    """A set's members, in order, with the Distinct that finds them; a set
+    swaps it in for its plain tuple on its first membership test."""
+
+    def __new__(cls, members: tuple) -> "_Indexed":
+        self = super().__new__(cls, members)
+        self.distinct = Distinct(members)
+        return self
 
 
 def from_json(x: Any) -> Any:

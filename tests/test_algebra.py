@@ -4,6 +4,7 @@ import gc
 import itertools
 import math
 import random
+import sys
 
 import pytest
 
@@ -37,7 +38,7 @@ from policygraph import algebra
 from policygraph.algebra import _Frame, _system_count
 from policygraph.matching import InvalidPolicyError, MatchCapExceeded, find_matches, verdict
 from policygraph.monitor import Monitor
-from policygraph.policy import PolicyGraph, domain_of, parse_policy, requirement_of
+from policygraph.policy import PolicyGraph, domain_of, parse_policy, print_policy, requirement_of
 from policygraph.predicates import BinOp, PredicateTypeError, parse_predicate
 from policygraph.system import ingest_trace
 
@@ -807,3 +808,40 @@ def narrowed(rng: random.Random, p: PolicyGraph, names: dict) -> PolicyGraph:
     domain = dict(p.domain_preds)
     domain[elt] = BinOp("&&", domain[elt], parse_predicate(clause))
     return PolicyGraph(p.name + "_n", p.graph, domain, dict(p.requirement_preds))
+
+
+class TestWideRequirements:
+    """Reversal and same-domain conjunction fold a 10 000-way requirement
+    in a loop over its links, at the default recursion limit."""
+
+    WIDTH = 10_000
+    RECORDS = [{"t": 1, "object": {"id": obj, "attrs": {"kind": kind}}} for obj, kind in (("a", 1), ("b", 7))]
+
+    def policy(self):
+        chain = " || ".join(f"$K = {i if i < 3 else 100}" for i in range(self.WIDTH))
+        return parse_policy(f"policy wide {{\n node n domain: kind = $K req: {chain}\n}}\n")
+
+    def round_trips(self, p):
+        text = print_policy(p)
+        assert print_policy(parse_policy(text)) == text
+
+    def test_reverse(self):
+        assert sys.getrecursionlimit() <= 1000
+        (atom,) = reverse(self.policy()).operands
+        assert print_policy(atom.policy).count(" || ") == self.WIDTH - 1
+        self.round_trips(atom.policy)
+        g = ingest_trace(self.RECORDS)
+        assert {w.match.node_objects["n"]: w.satisfied for w in verdict(atom.policy, g).witnesses} == {
+            "a": False, "b": True,
+        }
+
+    def test_conjoin_same_domain(self):
+        assert sys.getrecursionlimit() <= 1000
+        p = self.policy()
+        both = conjoin_same_domain(p, p)
+        assert print_policy(both).count(" || ") == 2 * (self.WIDTH - 1)
+        self.round_trips(both)
+        g = ingest_trace(self.RECORDS)
+        assert {w.match.node_objects["n"]: w.satisfied for w in verdict(both, g).witnesses} == {
+            "a": True, "b": False,
+        }

@@ -665,6 +665,33 @@ class TestWideDomains:
         assert {m.key() for m in find_matches(p, g)} == oracle_matches(p, g)
 
 
+    @pytest.mark.parametrize("where", ["domain", "requirement"])
+    @pytest.mark.parametrize("width", [400, 10_000])
+    def test_a_number_in_a_wide_chain_raises_the_interpreters_error(self, where, width):
+        """The error shows the smallest link holding the number, with the
+        snapshot substituted, as the parent engine printed it at 400 links;
+        at 10 000 links it is still that error, not a RecursionError."""
+        assert sys.getrecursionlimit() <= 1000
+        g = ingest_trace([{"t": 1, "object": {"id": "a", "attrs": {"kind": 7, "level": 3}}}])
+        for pos in (0, width // 2, width - 1):
+            shown = [f"7 = {i if i < 3 else 100}" for i in range(max(pos, 1) + 1)]
+            shown[pos] = "3"
+            with pytest.raises(PredicateTypeError) as info:
+                verdict(chain_with_a_number(width, where, pos), g)
+            assert str(info.value) == "expected a boolean: " + " || ".join(shown)
+
+
+def chain_with_a_number(width: int, where: str, pos: int):
+    """wide_chain_policy's || chain with operand pos replaced by the number
+    `level` (or $L, captured from it)."""
+    terms = [f"kind = {i if i < 3 else 100}" for i in range(width)]
+    terms[pos] = "level"
+    if where == "domain":
+        return parse_policy(f"policy e {{\n node n domain: ({' || '.join(terms)}) && kind = $K\n}}\n")
+    chain = " || ".join(terms).replace("kind", "$K").replace("level", "$L")
+    return parse_policy(f"policy e {{\n node n domain: kind = $K && level = $L req: {chain}\n}}\n")
+
+
 def wide_chain_policy(width: int, op: str, where: str):
     """One node with a width-way chain of `op` over kind: an allow-list
     `kind = 0 || kind = 1 || ...` of the kinds below 3 (the rest repeat

@@ -2,9 +2,12 @@
 
 import json
 import random
+import tracemalloc
 
 import pytest
 
+from policygraph.monitor import Monitor
+from policygraph.policy import parse_policy
 from policygraph.system import (
     SystemGraph,
     TraceError,
@@ -144,6 +147,74 @@ class TestSnapshots:
         g = ingest_trace([{"t": t, "object": {"id": "s", "attrs": {"v": t}}} for t in times])
         for t in range(2, 25):
             assert g.attrs_at("s", t)["v"] == max(st for st in times if st <= t)
+
+
+class TestReadMarks:
+    """Only the objects read at the latest event's instant are marked:
+    records never go back in time, so no other instant can be redeclared."""
+
+    GUARD = parse_policy(
+        """
+        policy no_secret_reads {
+          node u domain: true
+          node d domain: level = $L
+          edge r: u -> d req: $L < 2
+        }
+        """
+    )
+
+    def monitor(self):
+        mon = Monitor([self.GUARD])
+        for obj, level in (("u", 0), ("open", 0), ("secret", 2)):
+            mon.step({"t": 1, "object": {"id": obj, "attrs": {"level": level}}})
+        return mon
+
+    def test_an_object_an_allowed_event_read_cannot_be_redeclared(self):
+        mon = self.monitor()
+        (decision,) = mon.step({"t": 2, "event": {"src": "u", "dest": "open", "params": {}}})
+        assert decision.allowed
+        with pytest.raises(TraceError, match="'open' at t=2 declared after an event already used it"):
+            mon.step({"t": 2, "object": {"id": "open", "attrs": {"level": 1}}})
+        mon.step({"t": 3, "object": {"id": "open", "attrs": {"level": 1}}})  # a later instant is free
+
+    def test_an_object_only_a_denied_event_read_can_be_redeclared(self):
+        mon = self.monitor()
+        mon.step({"t": 2, "event": {"src": "u", "dest": "open", "params": {}}})
+        (decision,) = mon.step({"t": 2, "event": {"src": "u", "dest": "secret", "params": {}}})
+        assert not decision.allowed
+        mon.step({"t": 2, "object": {"id": "secret", "attrs": {"level": 0}}})
+        assert mon.graph.attrs_at("secret", 2)["level"] == 0
+        with pytest.raises(TraceError, match="already used"):  # the allowed event's read stays marked
+            mon.step({"t": 2, "object": {"id": "u", "attrs": {"level": 1}}})
+
+    def test_dropping_an_event_restores_the_marks_before_it(self):
+        g = ingest_trace(
+            [{"t": 1, "object": {"id": obj, "attrs": {}}} for obj in ("x", "y")]
+            + [{"t": 1, "event": {"src": "x", "dest": "x", "params": {}}}]
+        )
+        g._append_event("x", "y", {"time": 2}, 2)
+        g._drop_last_event()
+        with pytest.raises(TraceError, match="already used"):
+            g._declare_object("x", {"id": "x"}, 1)
+        g._declare_object("y", {"id": "y", "v": 1}, 1)
+
+    def test_marks_do_not_grow_with_the_instants(self):
+        """20 000 events at distinct instants hold no more than 20 000 at
+        one instant; one mark per (object, instant) took about 4 MiB."""
+
+        def traced(same_instant):
+            records = [{"t": 0, "object": {"id": obj, "attrs": {}}} for obj in ("a", "b")]
+            records += [{"t": 0 if same_instant else t, "event": {"src": "a", "dest": "b"}} for t in range(20_000)]
+            tracemalloc.start()
+            try:
+                graph = ingest_trace(records)
+                return tracemalloc.get_traced_memory()[0], graph
+            finally:
+                tracemalloc.stop()
+
+        one_instant, _ = traced(True)
+        many_instants, _ = traced(False)
+        assert many_instants < one_instant + 256 * 1024
 
 
 class TestErrors:
