@@ -901,8 +901,9 @@ def _compile_node(e: Expr) -> Callable[[Mapping[str, Any], Mapping[str, Any]], A
     return lambda ctx, bindings: _apply_at(e, left(ctx, bindings), right(ctx, bindings), ctx, bindings)
 
 
-def _always_flag(e: Expr) -> bool:
-    """Whether a variable-free e always evaluates to a flag, never raising."""
+def always_flag(e: Expr) -> bool:
+    """Whether e always evaluates to a flag, never raising, whatever the
+    context and whatever values bind its variables."""
     pending = [e]  # subtrees that must always give a flag
     while pending:
         x = pending.pop()
@@ -914,7 +915,7 @@ def _always_flag(e: Expr) -> bool:
             if x.op == "in" and not (isinstance(x.right, Const) and isinstance(x.right.value, ValueSet)):
                 return False
             # an operand never raises when it is a leaf or always a flag
-            pending += (y for y in (x.left, x.right) if not isinstance(y, (Const, Attr)))
+            pending += (y for y in (x.left, x.right) if not isinstance(y, (Const, Attr, Var)))
         elif not (isinstance(x, Const) and isinstance(x.value, bool)):
             return False
     return True
@@ -922,7 +923,7 @@ def _always_flag(e: Expr) -> bool:
 
 def _never_raises(e: Expr) -> bool:
     """Whether evaluating a variable-free e can never raise."""
-    return isinstance(e, (Const, Attr)) or _always_flag(e)
+    return isinstance(e, (Const, Attr)) or always_flag(e)
 
 
 def _capture_of(e: Expr) -> Optional[tuple[str, Expr]]:
@@ -1010,7 +1011,7 @@ class BindingPlan:
                 self.steps.append((_EQUAL, *equality))
                 return
             self.steps.append((_TEST, _compile(e), None))
-            self.may_raise |= not _always_flag(e)
+            self.may_raise |= not always_flag(e)
             return
         capture = _capture_of(e)
         if capture is None:

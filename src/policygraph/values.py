@@ -8,7 +8,6 @@ sets get a dedicated class with structural membership.
 
 from __future__ import annotations
 
-import sys
 from typing import Any, Iterable, Iterator, Mapping
 
 
@@ -85,16 +84,20 @@ class Distinct:
 
 
 def sort_key(v: Any):
-    """Orders set members: by kind, then by the repr of the canonical form,
-    with a number a float holds exactly shown as that float."""
-    kind, payload = canonical(v)
-    if kind == "num" and isinstance(payload, int) and abs(payload) <= _LARGEST_FLOAT and float(payload) == payload:
-        payload = float(payload)
-    order = {"num": 0, "text": 1, "flag": 2, "set": 3}[kind]
-    return (order, repr(payload))
-
-
-_LARGEST_FLOAT = sys.float_info.max  # float() overflows on integers beyond it
+    """Orders set members: by kind (numbers, text, flags, sets), then by
+    value.  Numbers compare exactly, so -0.0 and 0 share a key, 9 comes
+    before 10 and integers beyond a float's range keep their place; a NaN
+    comes after every other number.  A set compares by its members' keys,
+    in order.  So values_equal values have equal keys."""
+    if isinstance(v, bool):
+        return (2, v)
+    if is_number(v):
+        return (0, 1) if v != v else (0, 0, v)
+    if isinstance(v, str):
+        return (1, v)
+    if isinstance(v, ValueSet):
+        return (3, tuple(sort_key(m) for m in v))
+    raise TypeError(f"not a value: {v!r}")
 
 
 class ValueSet:

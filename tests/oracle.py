@@ -234,19 +234,26 @@ def value_pool(policy: PolicyGraph, graph: SystemGraph) -> list[Any]:
     return pool
 
 
-def oracle_matches(policy: PolicyGraph, graph: SystemGraph) -> set[tuple]:
+def oracle_matches(policy: PolicyGraph, graph: SystemGraph, including: int | None = None) -> set[tuple]:
     """Brute-force the match set; returns keys comparable with Match.key().
 
     Enumerates every injective edge-to-event map, every consistent
     node-object assignment, every isolated-node placement, and every
     complete binding over the finite value pool, then tests all domain
-    predicates with the independent evaluator.
+    predicates with the independent evaluator.  With `including`, only
+    the maps that assign the event at that index to some edge.
     """
-    return brute_matches(policy.graph, policy.domain_preds, policy.variables, value_pool(policy, graph), graph)
+    pool = value_pool(policy, graph)
+    return brute_matches(policy.graph, policy.domain_preds, policy.variables, pool, graph, including)
 
 
 def brute_matches(
-    g: BasicGraph, preds: Mapping[str, Expr], variables: frozenset[str], pool: list[Any], graph: SystemGraph
+    g: BasicGraph,
+    preds: Mapping[str, Expr],
+    variables: frozenset[str],
+    pool: list[Any],
+    graph: SystemGraph,
+    including: int | None = None,
 ) -> set[tuple]:
     """The keys of every assignment of the basic graph `g` at which every
     predicate of `preds` holds, under every binding of `variables` over
@@ -260,6 +267,8 @@ def brute_matches(
     found: set[tuple] = set()
 
     for picked in itertools.permutations(event_indexes, len(edge_ids)):
+        if including is not None and including not in picked:
+            continue
         assignment = dict(zip(edge_ids, picked))
         node_objects: dict[str, str] = {}
         consistent = True
@@ -336,6 +345,23 @@ def oracle_failing(policy: PolicyGraph, graph: SystemGraph) -> set[tuple]:
         ):
             failing.add(key)
     return failing
+
+
+def oracle_outcomes(policy: PolicyGraph, graph: SystemGraph, including: int | None = None) -> dict[tuple, bool | None]:
+    """Per brute-forced match (as key; see oracle_matches for `including`):
+    whether every requirement holds, or None where one raises or gives no
+    boolean, since the engine then raises whatever the others give."""
+    g = policy.graph
+    outcomes: dict[tuple, bool | None] = {}
+    for key in oracle_matches(policy, graph, including):
+        edges, bindings = dict(key[0]), {v: _uncanonical(c) for v, c in key[2]}
+        contexts = [(node_id, {}) for node_id in g.nodes] + [(e, graph.events[i].params) for e, i in edges.items()]
+        try:
+            values = [oracle_eval(policy.requirement_preds[elt], ctx, bindings) for elt, ctx in contexts]
+        except OracleTypeError:
+            values = [None]
+        outcomes[key] = None if any(not isinstance(v, bool) for v in values) else all(values)
+    return outcomes
 
 
 def oracle_verdict(policy: PolicyGraph, graph: SystemGraph) -> bool:
@@ -572,6 +598,7 @@ def random_policy(
     params=GEN_PARAMS,
     lone_node: bool = False,
     filters: bool = False,
+    keyed: bool = False,
 ) -> PolicyGraph:
     """Small random policy: 1-2 edges or an edge plus an isolated node,
     0-2 variables.  With `parallel`, the two edges of the two-edge shape
@@ -582,10 +609,14 @@ def random_policy(
     _filter_conjunct), on an element other than the variable's host where
     there is one.
 
+    With `keyed`, the shape is instead one of _keyed_policy's.
+
     Every variable is bound by an `attr = $v` conjunct on some domain
     predicate's top spine, so the result always passes validation and the
     oracle's finite pool covers all bindings.
     """
+    if keyed:
+        return _keyed_policy(rng, name, values, attrs, params)
     n_vars = rng.randrange(3)
     variables = [f"V{i}" for i in range(n_vars)]
     # 0: one edge, 1: two edges, 2: edge + isolated, 3: one isolated node
@@ -642,6 +673,71 @@ def random_policy(
             e: (src, dest, domains[e], requirements[e])
             for e, (src, dest) in edge_ends.items()
         },
+    )
+
+
+# Trace values whose kinds mix: 1 and 1.0 are one value, -0.0 and 0 are
+# one, and true and "1" differ from both.
+MIXED_VALUES = [1, 1.0, True, "1", -0.0, 0]
+
+
+def _keyed_policy(rng: random.Random, name: str, values, attrs, params) -> PolicyGraph:
+    """Two or three edges that share nodes.  The first two edges capture
+    $V0 and $V1, each on itself or an endpoint, and the last edge may
+    capture $V0 again.  The requirement, on one edge, is `$A != $B` or
+    `$A = $B` across edges, or an || of it with a test of a parameter,
+    `$A < $B` (which raises on values that are no numbers) or both;
+    sometimes a second edge has a requirement too.  Some policies get a domain filter, `$A != $B` or the
+    raising `$A < $B`.  These are the shapes whose keys a Monitor's
+    lookup is built from, and the ones where it must not be used."""
+    n_edges = rng.choice([2, 3])
+    ends = {"e1": ("n1", "n2")}
+    ends["e2"] = rng.choice([("n1", "n3"), ("n3", "n2"), ("n1", "n2"), ("n2", "n1")])
+    if n_edges == 3:
+        ends["e3"] = rng.choice([("n1", "n3"), ("n3", "n1"), ("n2", "n3"), ("n1", "n2")])
+    node_ids = sorted({n for pair in ends.values() for n in pair})
+    edge_ids = sorted(ends)
+    elements = node_ids + edge_ids
+    domains: dict[str, Expr] = {}
+    for elt in elements:
+        names = params if elt.startswith("e") else attrs
+        domains[elt] = _domain_clause(rng, names, values) if rng.random() < 0.3 else Const(True)
+
+    def capture(var: str, edge_id: str) -> None:
+        elt = rng.choice([edge_id, *ends[edge_id]])
+        domains[elt] = BinOp("&&", domains[elt], _binding_conjunct(rng, var, params if elt.startswith("e") else attrs))
+
+    variables = ["V0", "V1"]
+    capture("V0", "e1")
+    capture("V1", "e2")
+    if rng.random() < 0.5:
+        capture("V0", edge_ids[-1])
+
+    def pair() -> tuple[Var, Var]:
+        a, b = rng.sample(variables, 2)
+        return Var(a), Var(b)
+
+    operands: list[Expr] = [BinOp("!=" if rng.random() < 0.75 else "=", *pair())]
+    if rng.random() < 0.4:
+        operands.append(_domain_clause(rng, params, values))
+    if rng.random() < 0.2:
+        operands.append(BinOp("<", *pair()))
+    rng.shuffle(operands)
+    requirement = operands[0]
+    for operand in operands[1:]:
+        requirement = BinOp("||", requirement, operand)
+    requirements: dict[str, Expr] = {elt: Const(True) for elt in elements}
+    requirements[rng.choice(edge_ids)] = requirement
+    if rng.random() < 0.15:
+        other = rng.choice([e for e in edge_ids if requirements[e] == Const(True)])
+        requirements[other] = BinOp("!=", Var(rng.choice(variables)), Const(rng.choice(values)))
+    if rng.random() < 0.3:
+        elt = rng.choice(elements)
+        domains[elt] = BinOp("&&", domains[elt], BinOp(rng.choice(["!=", "<"]), *pair()))
+    return make_policy(
+        name,
+        nodes={n: (domains[n], requirements[n]) for n in node_ids},
+        edges={e: (*ends[e], domains[e], requirements[e]) for e in edge_ids},
     )
 
 

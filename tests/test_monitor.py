@@ -1,15 +1,22 @@
 """Streaming enforcement: per-event decisions against the batch engine."""
 
+import gc
 import random
+import tracemalloc
 
 import pytest
 
+from policygraph import monitor as monitor_module
 from policygraph.corpus import corpus_text, load_manifest, load_corpus_policy
 from policygraph.matching import (
+    DEFAULT_MATCH_CAP,
     InvalidPolicyError,
     MatchCapExceeded,
+    _edge_candidates,
     check_requirement,
+    each_match,
     find_matches,
+    judge_requirement,
     verdict_all,
 )
 from policygraph.monitor import Decision, Monitor
@@ -17,7 +24,7 @@ from policygraph.policy import parse_policy
 from policygraph.predicates import PredicateTypeError
 from policygraph.system import ingest_trace, read_jsonl
 
-from oracle import oracle_failing, random_policy, random_trace_records
+from oracle import MIXED_VALUES, oracle_failing, oracle_outcomes, random_policy, random_trace_records
 
 NO_READ_UP = """
 policy no_read_up {
@@ -307,6 +314,252 @@ class TestAgainstBatch:
             mon = Monitor(policies)
             list(mon.run(random_trace_records(rng)))
             assert mon.verdicts() == verdict_all(policies, mon.graph)
+
+
+def flat_decision(policies, graph, cap=DEFAULT_MATCH_CAP):
+    """The decision on graph's last event when every other edge draws from
+    all the candidates of the events before it, as a Monitor decided
+    before its lookup was keyed: the names of the policies with a failing
+    match, or the error the decision raises."""
+    new = len(graph.events) - 1
+    denied, error = [], None
+
+    class Violation(Exception):
+        pass
+
+    for p in policies:
+        if not p.graph.edges:
+            continue
+        every = _edge_candidates(p.domain, graph)
+        committed = {e: [c for c in cands if c.event_index != new] for e, cands in every.items()}
+        count = 0
+
+        def judge(edge_events, _isolated, _nodes, bindings):
+            nonlocal count, error
+            count += 1
+            if count > cap:
+                raise MatchCapExceeded(p.name, cap)
+            try:
+                holds = judge_requirement(p, edge_events, bindings, graph)[0]
+            except PredicateTypeError as exc:
+                error = error or exc
+                return
+            if not holds:
+                raise Violation
+
+        try:
+            for e, cands in every.items():
+                for cand in cands:
+                    if cand.event_index == new:
+                        each_match(p.domain, graph, judge, p.name, {**committed, e: [cand]})
+        except Violation:
+            denied.append(p.name)
+    if error is not None and not denied:
+        raise error
+    return tuple(denied)
+
+
+def outcome(decide):
+    """A decision's denied_by, or the type and message of what it raised."""
+    try:
+        return decide()
+    except (PredicateTypeError, MatchCapExceeded) as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestKeyedLookup:
+    """A decision looks up, per other edge, the committed candidates that
+    share its key with the new event's candidate: endpoint objects,
+    captured values and, for a requirement that never raises, the values
+    its `$A != $B` operands must share for the match to fail."""
+
+    @staticmethod
+    def lookups(mon_records, policy):
+        """Per decision, whether it allowed, and the lengths of the lists
+        the other edges drew from, with their candidates."""
+        seen, calls = [], []
+
+        def spy(pattern, graph, on_match, policy_name="?", edge_cands=None):
+            new = len(graph.events) - 1
+            calls.append({e: list(cands) for e, cands in edge_cands.items() if [c.event_index for c in cands] != [new]})
+            return each_match(pattern, graph, on_match, policy_name, edge_cands)
+
+        mon = Monitor([policy])
+        original, monitor_module.each_match = monitor_module.each_match, spy
+        try:
+            for record in mon_records:
+                for decision in mon.step(record):
+                    seen.append((decision.allowed, calls[:]))
+                calls.clear()
+        finally:
+            monitor_module.each_match = original
+        return mon, seen
+
+    @pytest.mark.parametrize("name", ["purchase_separation_of_duty", "exam_submit_before_key_post"])
+    def test_other_edge_lists_stay_small_over_many_keys(self, name):
+        """800 keys: a flat list of the other edge's committed candidates
+        would grow to 800; the lookup finds at most the one it pairs with."""
+        n = 800
+        if name == "purchase_separation_of_duty":
+            records = [{"t": 1, "object": {"id": f"s{u}", "attrs": {"type": "session", "user": f"u{u}"}}} for u in range(4)]
+            records += [{"t": 1, "object": {"id": f"po{i}", "attrs": {"type": "purchase_order"}}} for i in range(n)]
+            for i in range(n):
+                records.append({"t": 2 + 2 * i, "event": {"src": f"s{i % 4}", "dest": f"po{i}", "params": {"method": "request"}}})
+                records.append({"t": 3 + 2 * i, "event": {"src": f"s{(i + 1) % 4}", "dest": f"po{i}", "params": {"method": "approve"}}})
+        else:
+            kinds = (("st", "student"), ("es", "exam_server"), ("inst", "instructor"))
+            records = [{"t": 1, "object": {"id": obj, "attrs": {"type": kind}}} for obj, kind in kinds]
+            for i in range(n):
+                exam = {"course": f"c{i}", "exam": 1}
+                records.append({"t": 2 + 2 * i, "event": {"src": "st", "dest": "es", "params": {"method": "submit", **exam}}})
+                records.append({"t": 3 + 2 * i, "event": {"src": "inst", "dest": "es", "params": {"method": "post_key", **exam}}})
+        policy = next(load_corpus_policy(e) for e in load_manifest() if e.policy == name)
+        mon, seen = self.lookups(records, policy)
+        assert len(seen) == 2 * n and all(allowed for allowed, _ in seen)
+        assert len(mon.graph.events) == 2 * n
+        lengths = [len(cands) for _, calls in seen for call in calls for cands in call.values()]
+        assert len(lengths) == 2 * n and max(lengths) <= 1
+
+    def test_an_allowed_chinese_wall_read_meets_only_same_owner_candidates(self):
+        policy = next(load_corpus_policy(e) for e in load_manifest() if e.policy == "chinese_wall")
+        rng = random.Random(1603)
+        records = [{"t": 1, "object": {"id": f"c{i}", "attrs": {"type": "consultant"}}} for i in range(2)]
+        docs = [(f"d{k}{o}", f"own{k}{o}", f"class{k}") for k in range(3) for o in range(3)]
+        records += [{"t": 1, "object": {"id": d, "attrs": {"type": "data", "owner": w, "coi_class": k}}} for d, w, k in docs]
+        for t in range(2, 120):
+            doc = rng.choice(docs)[0]
+            records.append({"t": t, "event": {"src": f"c{rng.randrange(2)}", "dest": doc, "params": {"method": "read"}}})
+        mon, seen = self.lookups(records, policy)
+        owner = {d: w for d, w, _ in docs}
+        allowed = denied = 0
+        for (ok, calls), record in zip(seen, [r for r in records if "event" in r]):
+            if not ok:
+                denied += 1
+                continue
+            allowed += 1
+            for call in calls:
+                for cands in call.values():
+                    assert all(owner[c.dest_obj] == owner[record["event"]["dest"]] for c in cands)
+        assert allowed > 20 and denied > 20
+
+    def test_reads_across_classes_stay_under_the_cap(self):
+        """The documented cap change: with match_cap=2, a flat search of the
+        committed reads raised MatchCapExceeded at the third read, since
+        every pair of reads in different classes is a match, though none
+        can fail.  The keyed search completes no match at all."""
+        policy = next(load_corpus_policy(e) for e in load_manifest() if e.policy == "chinese_wall")
+        records = [{"t": 1, "object": {"id": "c", "attrs": {"type": "consultant"}}}]
+        records += [
+            {"t": 1, "object": {"id": f"d{k}", "attrs": {"type": "data", "owner": f"o{k}", "coi_class": f"k{k}"}}}
+            for k in range(4)
+        ]
+        records += [{"t": 2 + k, "event": {"src": "c", "dest": f"d{k}", "params": {"method": "read"}}} for k in range(4)]
+        mon = Monitor([policy], match_cap=2)
+        decisions = list(mon.run(records))
+        assert [d.allowed for d in decisions] == [True] * 4 and len(mon.graph.events) == 4
+        with pytest.raises(MatchCapExceeded):
+            flat_decision([policy], ingest_trace(records[:-1]), cap=2)
+
+    def test_more_than_two_edges_stay_flat_where_a_requirement_raises(self):
+        """The join places the shorter list first, so keyed lists (3 e1
+        candidates, 2 e2 ones) would meet (a2, b1), which raises on "r",
+        before (a1, b2), which raises on "q", where the flat lists (3 and
+        5) meet them the other way round.  The policy keeps flat lists, so
+        the error is the flat search's."""
+        policy = parse_policy(
+            """
+            policy three {
+              node u
+              node x
+              node y
+              node z
+              edge e1: u -> x domain: method = "one" && arg = $X
+              edge e2: u -> y domain: method = "two" && arg = $Y && tag = $T
+              edge e3: u -> z domain: method = "three" && tag = $T req: $X < $Y
+            }
+            """
+        )
+        objects = ["u", "p1", "p2", "p3", "q1", "q2", "q3", "q4", "q5", "r"]
+        records = [{"t": 1, "object": {"id": obj, "attrs": {}}} for obj in objects]
+        events = [("p1", "one", 1, None), ("p2", "one", "r", None), ("p3", "one", 0, None)]
+        events += [("q1", "two", 5, "t"), ("q2", "two", "q", "t")]
+        events += [(f"q{i}", "two", 9, "other") for i in (3, 4, 5)]
+        for t, (dest, method, arg, tag) in enumerate(events, 2):
+            params = {"method": method, "arg": arg, **({"tag": tag} if tag else {})}
+            records.append({"t": t, "event": {"src": "u", "dest": dest, "params": params}})
+        records.append({"t": 20, "event": {"src": "u", "dest": "r", "params": {"method": "three", "tag": "t"}}})
+        mon = Monitor([policy])
+        assert all(d.allowed for d in mon.run(records[:-1]))
+        expected = outcome(lambda: flat_decision([policy], ingest_trace(records)))
+        assert expected == ("PredicateTypeError", 'ordered comparison needs numbers: 1 < "q"')
+        assert outcome(lambda: mon.step(records[-1])) == expected
+
+    def test_random_keyed_shapes_decide_like_the_flat_search_and_the_oracle(self):
+        """Two- and three-edge policies that share nodes and variables, over
+        values of mixed kinds; some requirements and filters raise, where
+        the lookup must stay flat.  Each decision, or the error it raises,
+        equals the flat search's; where nothing raises, it names exactly
+        the policies with a brute-forced failing match of the new event."""
+        rng = random.Random(1604)
+        denies = allows = raised = three = 0
+        for i in range(150):
+            policies = [random_policy(rng, f"p{j}", values=MIXED_VALUES, keyed=True) for j in range(2)]
+            three += any(len(p.graph.edges) == 3 for p in policies)
+            mon = Monitor(policies)
+            committed: list[dict] = []
+            for record in random_trace_records(rng, n_objects=3, n_events=16, values=MIXED_VALUES):
+                hypothetical = ingest_trace(committed + [record])
+                got = outcome(lambda: [(d.allowed, d.denied_by) for d in mon.step(record)])
+                if "event" not in record:
+                    assert got == []
+                    committed.append(record)
+                    continue
+                expected = outcome(lambda: flat_decision(policies, hypothetical))
+                if isinstance(expected, tuple) and expected and expected[0] == "PredicateTypeError":
+                    assert got == expected, (i, record)
+                    raised += 1
+                    continue
+                assert got == [(not expected, expected)], (i, record)
+                new = len(hypothetical.events) - 1
+                failing = tuple(p.name for p in policies if False in oracle_outcomes(p, hypothetical, new).values())
+                assert expected == failing, (i, record)
+                if expected:
+                    denies += 1
+                else:
+                    allows += 1
+                    committed.append(record)
+            assert mon.graph == ingest_trace(committed)
+        assert denies > 20 and allows > 800 and raised > 40 and three > 80
+
+
+class TestRetained:
+    def test_one_edge_policies_keep_no_committed_candidates(self):
+        """A one-edge policy pins its only edge to the new event, so the
+        monitor keeps nothing of its committed candidates: 20 000 allowed
+        reads of one file by one user retain at most 400 B each: about
+        300 B is the committed history itself, and a list of the committed
+        candidates made it about 590 B."""
+        records = [
+            {"t": 1, "object": {"id": "u", "attrs": {"type": "user", "sec_level": 2}}},
+            {"t": 1, "object": {"id": "f", "attrs": {"type": "file", "sec_level": 0}}},
+        ]
+        n = 20_000
+        reads = [{"t": t, "event": {"src": "u", "dest": "f", "params": {"method": "read"}}} for t in range(1, n + 1)]
+        mon = Monitor([parse_policy(NO_READ_UP)])
+        for record in records + reads[:1]:
+            mon.step(record)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for record in reads[1:]:
+                mon.step(record)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(mon.graph.events) == n
+        assert retained / (n - 1) <= 400, retained / (n - 1)
 
 
 class TestDecisionShape:

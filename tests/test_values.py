@@ -5,6 +5,7 @@ what a scan comparing each value with every member by values_equal gives,
 and construction and membership must stay linear on large sets.
 """
 
+import itertools
 import pickle
 import random
 import time
@@ -13,7 +14,7 @@ import tracemalloc
 from policygraph.matching import verdict
 from policygraph.policy import parse_policy
 from policygraph.system import ingest_trace
-from policygraph.values import Distinct, ValueSet, sort_key, values_equal
+from policygraph.values import Distinct, ValueSet, canonical, sort_key, values_equal
 
 NAN = float("nan")
 
@@ -106,6 +107,71 @@ class TestAgainstAScan:
         assert 1 not in ValueSet([True]) and True not in ValueSet([1.0])
         nested = ValueSet([ValueSet([1, 2]), ValueSet([2.0, 1.0])])
         assert len(nested) == 1 and ValueSet([2, 1]) in nested and ValueSet([True, 2]) not in nested
+
+
+def twin(v, rng):
+    """A value equal to v built anew: a number of the other type where one
+    holds it, -0.0 for 0, and a set from its members' twins, shuffled."""
+    if isinstance(v, ValueSet):
+        members = [twin(m, rng) for m in v]
+        rng.shuffle(members)
+        return ValueSet(members)
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or v != v:
+        return v
+    if v == 0:
+        return rng.choice([0, 0.0, -0.0])
+    if isinstance(v, float) and v.is_integer():
+        return int(v)
+    return float(v) if isinstance(v, int) and float(v) == v else v
+
+
+def has_nan(v):
+    if isinstance(v, ValueSet):
+        return any(has_nan(m) for m in v)
+    return v != v
+
+
+class TestOrder:
+    """Set members are ordered by value, so equal sets list equal members
+    in the same order: values_equal then implies equal canonical forms,
+    hashes and printed forms, which the monitor's keyed lookup relies on."""
+
+    def test_equal_values_have_equal_forms(self):
+        rng = random.Random(1601)
+        for _ in range(3000):
+            a = random_value(rng)
+            for b in (twin(a, rng), random_value(rng)):
+                if values_equal(a, b):
+                    assert canonical(a) == canonical(b) and hash(canonical(a)) == hash(canonical(b))
+                    assert sort_key(a) == sort_key(b)
+                    if isinstance(a, ValueSet):
+                        assert hash(a) == hash(b)
+
+    def test_every_permutation_gives_one_set(self):
+        """Any order of a set's members (a set keeps the first-seen of equal
+        values, so 1 and 1.0 are never both members) gives the same set,
+        and so do equal members of other types, such as 0.0 for -0.0."""
+        rng = random.Random(1602)
+        for _ in range(400):
+            extra = rng.choice([-0.0, 0, 1, 1.0, True, "1", NAN])
+            items = list(ValueSet(random_values(rng)[:5] + [extra]))
+            first = ValueSet(items)
+            for perm in itertools.permutations(items):
+                s = ValueSet(perm)
+                assert repr(s) == repr(first)
+                if not has_nan(first):
+                    assert s == first and hash(s) == hash(first) and canonical(s) == canonical(first)
+                    twins = ValueSet(twin(m, rng) for m in perm)
+                    assert twins == first and hash(twins) == hash(first) and canonical(twins) == canonical(first)
+
+    def test_numbers_are_ordered_by_value(self):
+        assert ValueSet([-0.0, -1.0]) == ValueSet([0.0, -1.0])
+        assert hash(ValueSet([-0.0, -1.0])) == hash(ValueSet([0.0, -1.0]))
+        assert repr(ValueSet([10, 9, 100])) == "ValueSet({9, 10, 100})"
+        huge = 10**400
+        s = ValueSet(["a", huge, NAN, 1e308, -huge, 2**60 + 1, float(2**60), True, 0.5])
+        assert list(s)[:6] == [-huge, 0.5, float(2**60), 2**60 + 1, 1e308, huge]
+        assert list(s)[6] != list(s)[6] and list(s)[7:] == ["a", True]
 
 
 class TestFootprint:
