@@ -88,7 +88,6 @@ from .matching import (
     Witness,
     check_requirement,
     find_matches,
-    match_graph,
     match_pattern,
     verdict,
     verdict_all,
@@ -157,7 +156,7 @@ __all__ = [
     # matching
     "Match", "Witness", "Verdict", "CompositeVerdict", "DEFAULT_MATCH_CAP",
     "MatchCapExceeded", "InvalidPolicyError", "MatchingError", "find_matches",
-    "match_graph", "match_pattern",
+    "match_pattern",
     "check_requirement", "verdict", "verdict_all",
     # monitor
     "Monitor", "Decision",

@@ -41,9 +41,9 @@ import weakref
 from dataclasses import dataclass
 from functools import partial
 from operator import itemgetter
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, Union
+from typing import Any, Callable, Iterator, Optional, Sequence, Union
 
-from .matching import DEFAULT_MATCH_CAP, check_requirement, find_matches, match_graph, match_key, match_pattern
+from .matching import DEFAULT_MATCH_CAP, MatchCapExceeded, check_requirement, each_match, find_matches, match_key
 from .policy import PatternGraph, PolicyGraph, domain_of, requirement_of
 from .predicates import FALSE, TRUE, BinOp, Not, PredicateTypeError, attributes_of, constants_of, fold_constants
 from .system import SystemGraph, ingest_trace
@@ -411,70 +411,50 @@ def orbit_systems(u: UniverseBounds, renaming: bool = True) -> Iterator[tuple[Sy
             yield frame.system(attrs, chosen), (len(renamings) + 1) // stabilizer
 
 
-def _binding_pool(pattern: PatternGraph, u: UniverseBounds) -> Distinct:
-    pool = Distinct(u.values)
-    for pred in pattern.preds.values():
-        if pred == TRUE:  # an element without a predicate adds no value to try
-            continue
-        for const in constants_of(pred):
-            pool.add(const)
-    return pool
+def pattern_matches_bounded(
+    pattern: PatternGraph,
+    graph: SystemGraph,
+    pool: Optional[Distinct] = None,
+    free: Sequence[str] = (),
+    choices: Sequence[tuple] = ((),),
+) -> set[tuple]:
+    """The Match.key()s of a pattern's matches on a system, found by the
+    shared join, matching.each_match (see pair_matchers).
 
-
-def pattern_matches_bounded(pattern: PatternGraph, graph: SystemGraph, pool: Sequence[Any]) -> set[tuple]:
-    """All matches of a pattern with bindings enumerated over a value pool.
-
-    Unlike find_matches this needs no binding-equality rule: requirement
-    patterns rarely force their variables, so completeness comes from brute
-    enumeration instead.  A binding under which a predicate raises
-    PredicateTypeError is no match: the pool holds both patterns'
-    constants, which the system may never bind.
+    Without a pool the match is exact, as match_pattern's: every variable
+    binds what its capture finds, a PredicateTypeError raises, and more
+    than DEFAULT_MATCH_CAP matches raise MatchCapExceeded.  With one, every
+    variable ranges over the pool: a captured value not `in pool` (a NaN
+    never is) is no match, and the variables in `free`, which nothing
+    captures, take each tuple of `choices`, under which the filters that
+    waited for them run.  A binding under which a predicate raises
+    PredicateTypeError is then no match, as in brute enumeration: the pool
+    holds both patterns' constants, which the system may never bind.
     """
-    g = pattern.graph
-    edge_ids, iso_ids = pattern.key_ids
-    events = graph.events
     keys: set[tuple] = set()
-    variables = sorted(pattern.variables)
-    pairs = [(obj, t) for obj in graph.object_ids() for t in graph.instants(obj)] if iso_ids else []
-    iso_choices = [pairs] * len(iso_ids)  # the same (object, instant) list for every isolated node
-    for edge_assignment in _injective_maps(edge_ids, range(len(events))):
-        node_objects: dict[str, str] = {}
-        ok = True
-        for edge_id, idx in edge_assignment.items():
-            spec = g.edges[edge_id]
-            for node_id, obj in ((spec.src, events[idx].src), (spec.dest, events[idx].dest)):
-                if node_objects.setdefault(node_id, obj) != obj:
-                    ok = False
-        if not ok or not _injective(node_objects):
-            continue
-        for iso_combo in itertools.product(*iso_choices):
-            iso_assignment = dict(zip(iso_ids, iso_combo))
-            all_nodes = dict(node_objects)
-            for node_id, (obj, _t) in iso_assignment.items():
-                all_nodes[node_id] = obj
-            if not _injective(all_nodes):
+    if pool is None:
+        def found(edge_events, iso_objects, _nodes, bindings, _waiting) -> None:
+            keys.add(match_key(edge_events, iso_objects, bindings))
+            if len(keys) > DEFAULT_MATCH_CAP:
+                raise MatchCapExceeded("?", DEFAULT_MATCH_CAP)
+
+        each_match(pattern, graph, found)
+        return keys
+
+    def found(edge_events, iso_objects, _nodes, bindings, waiting) -> None:
+        if not all(value in pool for value in bindings.values()):
+            return
+        for choice in choices:
+            full = bindings | dict(zip(free, choice))
+            try:
+                held = all(check(ctx, full) is True for (_, _, check), ctx in waiting)
+            except PredicateTypeError:
                 continue
-            for combo in itertools.product(pool, repeat=len(variables)):
-                bindings = dict(zip(variables, combo))
-                try:
-                    held = match_graph(pattern, edge_assignment, iso_assignment, graph, bindings)
-                except PredicateTypeError:
-                    held = False
-                if held:
-                    keys.add(match_key(edge_assignment, iso_assignment, bindings))
+            if held:
+                keys.add(match_key(edge_events, iso_objects, full))
+
+    each_match(pattern, graph, found, prune_errors=True)
     return keys
-
-
-def _injective_maps(keys: Sequence[str], values: Iterable[int]) -> Iterator[dict[str, int]]:
-    values = list(values)
-    if len(values) < len(keys):
-        return
-    for perm in itertools.permutations(values, len(keys)):
-        yield dict(zip(keys, perm))
-
-
-def _injective(mapping: Mapping[str, str]) -> bool:
-    return len(set(mapping.values())) == len(mapping)
 
 
 GREATER = "greater"
@@ -508,30 +488,33 @@ def pair_matchers(
     """Each pattern's set of Match.key()s on a system, as a function of the
     system; one function for both when the patterns are equal.
 
-    When both patterns' own predicates force every variable (rule R1, as
-    every domain of a valid policy does), both are matched exactly by
-    match_pattern, so a capture of an object id or an instant binds what it
-    finds.  Otherwise both are matched by pattern_matches_bounded over the
-    pair's value pool, the universe's values plus both patterns' constants:
-    an exact match on one side only would bind ids and instants that the
-    pool side can never bind.
+    Both run pattern_matches_bounded.  When both patterns' own predicates
+    force every variable (rule R1, as every domain of a valid policy does),
+    both are matched exactly, so a capture of an object id or an instant
+    binds what it finds.  Otherwise both are matched over the pair's value
+    pool, the universe's values plus both patterns' constants: an exact
+    match on one side only would bind ids and instants that the pool side
+    can never bind.  A free variable takes every pool value, or in a
+    pattern with an edge those equal to themselves: merging an edge's
+    predicates rejects a NaN binding, as the interpreter does.  The pool
+    and each pattern's free variables and their value tuples are worked
+    out here, once per pair, not once per system.
     """
     if g1.variables <= g1.owners.keys() and g2.variables <= g2.owners.keys():
-        first = _exact_matcher(g1)
-        return first, (first if g2 == g1 else _exact_matcher(g2))
-    pool = _binding_pool(g1, u)
-    for extra in _binding_pool(g2, u).values:
-        pool.add(extra)
-    first = _pool_matcher(g1, pool.values)
-    return first, (first if g2 == g1 else _pool_matcher(g2, pool.values))
+        def matcher(g: PatternGraph) -> Callable[[SystemGraph], set[tuple]]:
+            return lambda system: pattern_matches_bounded(g, system)
+    else:
+        pool = Distinct(u.values)
+        for const in (c for g in (g1, g2) for pred in g.preds.values() if pred != TRUE for c in constants_of(pred)):
+            pool.add(const)  # an element without a predicate adds no value to try
+        self_equal = [v for v in pool.values if v == v]
 
-
-def _exact_matcher(pattern: PatternGraph) -> Callable[[SystemGraph], set[tuple]]:
-    return lambda system: {m.key() for m in match_pattern(pattern, system)}
-
-
-def _pool_matcher(pattern: PatternGraph, pool: list[Any]) -> Callable[[SystemGraph], set[tuple]]:
-    return lambda system: pattern_matches_bounded(pattern, system, pool)
+        def matcher(g: PatternGraph) -> Callable[[SystemGraph], set[tuple]]:
+            free = tuple(sorted(g.variables - g.owners.keys()))
+            choices = list(itertools.product(self_equal if g.graph.edges else pool.values, repeat=len(free)))
+            return lambda system: pattern_matches_bounded(g, system, pool, free, choices)
+    first = matcher(g1)
+    return first, (first if g2 == g1 else matcher(g2))
 
 
 class _Comparison:

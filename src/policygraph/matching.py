@@ -85,38 +85,6 @@ def match_key(
     )
 
 
-def match_graph(
-    pattern: PatternGraph,
-    edge_events: Mapping[str, int],
-    isolated_objects: Mapping[str, tuple[str, int]],
-    graph: SystemGraph,
-    bindings: Mapping[str, Any],
-) -> bool:
-    """Whether the pattern holds at the given assignment under complete
-    bindings.  Purely predicate-level; injectivity and node-object agreement
-    are the enumerator's business.  An empty pattern holds trivially, and a
-    pattern with a variable left unbound does not hold.
-    """
-    if not pattern.variables <= bindings.keys():
-        return False
-    ground = pattern.ground
-    # the interpreter's merge of an edge's three predicates rejects a
-    # binding that is not equal to itself (NaN), once they have been judged
-    self_equal = all(v == v for v in bindings.values())
-    for edge_id, spec in pattern.graph.edges.items():
-        event = graph.events[edge_events[edge_id]]
-        held = self_equal
-        for elt, ctx in ((edge_id, event.params), (spec.src, graph.src_attr(event)), (spec.dest, graph.dest_attr(event))):
-            held = ground[elt](ctx, bindings) is True and held
-        if not held:
-            return False
-    for node_id in pattern.key_ids[1]:
-        obj_id, instant = isolated_objects[node_id]
-        if ground[node_id](graph.attrs_at(obj_id, instant), bindings) is not True:
-            return False
-    return True
-
-
 def _bind(groups, bindings: dict[str, Any]) -> Optional[list[str]]:
     """Add groups of captures to bindings, in place and in order: a
     variable keeps its first value.  Returns the variables added, or None,
@@ -217,32 +185,42 @@ def _judged(plan: BindingPlan, attrs: Mapping[str, Any], outcomes: dict) -> Opti
     return entry[1]
 
 
-def _edge_candidates(pattern: PatternGraph, graph: SystemGraph) -> dict[str, list[_EdgeCandidate]]:
-    """Per policy edge, every event's edge_candidate() that is not None."""
+def _edge_candidates(pattern: PatternGraph, graph: SystemGraph, pruned=()) -> dict[str, list[_EdgeCandidate]]:
+    """Per policy edge, every event's edge_candidate() that is neither None
+    nor raises one of the exceptions `pruned`."""
     out: dict[str, list[_EdgeCandidate]] = {}
     outcomes: dict = {}
-    for edge_id in sorted(pattern.graph.edges):
+    for edge_id in pattern.key_ids[0]:  # sorted
         candidates = []
         for index, event in enumerate(graph.events):
-            cand = edge_candidate(pattern, edge_id, index, event, graph, outcomes)
+            try:
+                cand = edge_candidate(pattern, edge_id, index, event, graph, outcomes)
+            except pruned:
+                continue
             if cand is not None:
                 candidates.append(cand)
         out[edge_id] = candidates
     return out
 
 
-def _iso_candidates(pattern: PatternGraph, graph: SystemGraph) -> dict[str, list[tuple[str, int, int, Mapping, Mapping]]]:
+def _iso_candidates(
+    pattern: PatternGraph, graph: SystemGraph, pruned=()
+) -> dict[str, list[tuple[str, int, int, Mapping, Mapping]]]:
     """Per isolated policy node, the snapshot spans whose attributes its
     tests and captures do not falsify, as (object, first, last, captures,
     attrs): the node may take the object at any instant first..last.  A
-    snapshot holds over its whole span, so each is judged once."""
+    snapshot holds over its whole span, so each is judged once.  A span
+    whose plan raises one of the exceptions `pruned` is none."""
     out: dict[str, list[tuple[str, int, int, Mapping, Mapping]]] = {}
     for node_id in pattern.key_ids[1]:
         plan = pattern.plans[node_id]
         candidates = []
         for obj_id in graph.object_ids():
             for first, last, attrs in graph.snapshot_spans(obj_id):
-                found, captures = plan(attrs), {}
+                try:
+                    found, captures = plan(attrs), {}
+                except pruned:
+                    continue
                 if found is not None and _bind((found,), captures) is not None:
                     candidates.append((obj_id, first, last, captures, attrs))
         out[node_id] = candidates
@@ -256,10 +234,16 @@ def match_pattern(
     policy_name: str = "?",
 ) -> list[Match]:
     """Every match of a pattern, in Match.key() order (see each_match).  More
-    than `cap` matches raise MatchCapExceeded."""
+    than `cap` matches raise MatchCapExceeded.  A variable that no plan
+    captures (rule R1) raises MatchingError before any candidate is listed."""
+    unowned = pattern.variables - pattern.owners.keys()
+    if unowned:
+        raise MatchingError(
+            f"policy {policy_name!r}: variables {sorted(unowned)} have no capture and would be unbound at completion"
+        )
     matches: list[Match] = []
 
-    def finish(edge_events, iso_objects, node_objects, bindings) -> None:
+    def finish(edge_events, iso_objects, node_objects, bindings, _waiting) -> None:
         matches.append(Match(policy_name, dict(edge_events), dict(iso_objects), dict(node_objects), bindings))
         if len(matches) > cap:
             raise MatchCapExceeded(policy_name, cap)
@@ -276,15 +260,18 @@ def match_pattern(
 def each_match(
     pattern: PatternGraph,
     graph: SystemGraph,
-    on_match: Callable[[Mapping[str, int], Mapping, Mapping[str, str], dict[str, Any]], None],
+    on_match: Callable[[Mapping[str, int], Mapping, Mapping[str, str], dict[str, Any], tuple], None],
     policy_name: str = "?",
     edge_cands: Optional[Mapping[str, Sequence[_EdgeCandidate]]] = None,
+    *,
+    prune_errors: bool = False,
 ) -> None:
     """Backtracking enumeration of every match of a pattern: calls
-    on_match(edge_events, isolated_objects, node_objects, bindings) once
-    per match, with the fields of its Match.  The three assignment dicts
-    are the join's own, valid only during the call; an exception from
-    on_match ends the search.
+    on_match(edge_events, isolated_objects, node_objects, bindings,
+    waiting) once per match, with the fields of its Match and the
+    (filter, context) pairs still waiting for a variable that no plan
+    captured.  The three assignment dicts are the join's own, valid only
+    during the call; an exception from on_match ends the search.
 
     Edges are assigned first, in ascending candidate-count order, then
     isolated nodes, in ascending order of the instants their spans cover.
@@ -296,18 +283,22 @@ def each_match(
     elements() order that captures it (a connected node's capture as its
     first incident edge reads it), whatever order the join met them in.
     `edge_cands`, when given, replaces _edge_candidates(): the matches are
-    then those whose events come from these lists.  A variable that no plan captures (rule
-    R1) raises MatchingError before any candidate is listed.
+    then those whose events come from these lists.  Where every variable
+    has a capture (rule R1), `waiting` is always empty.
+
+    A PredicateTypeError raised while screening or filtering ends the
+    search, unless `prune_errors` is set: then the candidate, span or
+    branch it was raised for is dropped.  Each step and filter is a
+    top-level conjunct of its element's predicate, so once it raises that
+    predicate holds under no bindings the branch can still take.
     """
-    unowned = pattern.variables - pattern.owners.keys()
-    if unowned:
-        raise MatchingError(
-            f"policy {policy_name!r}: variables {sorted(unowned)} have no capture and would be unbound at completion"
-        )
+    pruned = PredicateTypeError if prune_errors else ()  # () catches nothing
     if edge_cands is None:
-        edge_cands = _edge_candidates(pattern, graph)
+        edge_cands = _edge_candidates(pattern, graph, pruned)
     edge_order = sorted(edge_cands, key=lambda e: (len(edge_cands[e]), e))
-    iso_cands = _iso_candidates(pattern, graph)
+    iso_cands = _iso_candidates(pattern, graph, pruned)
+    if edge_order and not edge_cands[edge_order[0]]:
+        return  # an edge without candidates: nothing is placed and no filter runs
     iso_order = sorted(iso_cands, key=lambda n: (sum(last - first + 1 for _, first, last, _, _ in iso_cands[n]), n))
     edge_specs, plans, binding_owners = pattern.graph.edges, pattern.plans, pattern.binding_owners
 
@@ -346,7 +337,10 @@ def each_match(
         if added is None:
             return
         if waiting:
-            waiting = _settle(waiting, bindings)
+            try:
+                waiting = _settle(waiting, bindings)
+            except pruned:
+                waiting = None
         if waiting is not None:
             captured[elt] = captures
             descend(position + 1, waiting)
@@ -355,7 +349,7 @@ def each_match(
 
     def assign_iso(position: int, waiting: tuple) -> None:
         if position == len(iso_order):
-            on_match(edge_events, iso_objects, node_objects, {v: captured[owner][v] for v, owner in binding_owners})
+            on_match(edge_events, iso_objects, node_objects, {v: captured[owner][v] for v, owner in binding_owners}, waiting)
             return
         node_id = iso_order[position]
         node_filters = plans[node_id].filters

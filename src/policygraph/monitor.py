@@ -265,7 +265,7 @@ def _search(
     count = 0
     error = None
 
-    def judge(edge_events, _isolated, _nodes, bindings) -> None:
+    def judge(edge_events, _isolated, _nodes, bindings, _waiting) -> None:
         nonlocal count, error
         count += 1
         if count > cap:

@@ -92,11 +92,22 @@ class Not(Expr):
     operand: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BinOp(Expr):
     op: str
     left: Expr
     right: Expr
+
+    def __eq__(self, other: Any) -> bool:
+        """Structural, with Const's values_equal at the leaves.  A left
+        chain of one operator compares as the list of its operands (see
+        _chain), so parsed chains of any width compare without recursion."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.op == other.op and _operands(self) == _operands(other)
+
+    def __hash__(self) -> int:
+        return hash((self.op, *_operands(self)))
 
 
 TRUE = Const(True)
@@ -148,6 +159,12 @@ def _chain(e: BinOp) -> tuple[Expr, list[BinOp]]:
         e = e.left
     links.reverse()
     return e, links
+
+
+def _operands(e: BinOp) -> list[Expr]:
+    """The operands of e's left chain, innermost first (see _chain)."""
+    first, links = _chain(e)
+    return [first, *(link.right for link in links)]
 
 
 def _is_and(e: Expr) -> bool:

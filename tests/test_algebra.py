@@ -748,6 +748,76 @@ class TestExactDomains:
         assert coverage_compare(req, requirement_of(p), u).relation == EQUAL
 
 
+class TestPoolMatching:
+    """Pool pairs run on the shared join, where a binding under which a
+    pool-matched predicate raises is no match, as brute_matches counts it."""
+
+    RAISING = [
+        "$A > 0",
+        "act > 0 && $A = 1",
+        '$A = 1 && $A > "x"',
+        '$A = "a" && $A > 0',
+        "!$A",
+        "$A / 0 = 1 || $B = 1",
+    ]
+    # none holds under a NaN binding, which the engine rejects at an edge
+    # and brute_matches does not (see CHANGES.md)
+    PLAIN = ["$A = 0 || $A = 1", "$A = $B", "$A <= 1", "act = 0 && $A = 0"]
+    DOMAINS = ["act = $A", "act = $A && act != 0", "true"]
+    UNIVERSES = [
+        UniverseBounds(2, 1, ("kind",), ("act",), (0, "a"), max_events=1),
+        UniverseBounds(2, 1, ("kind",), ("act",), (0, 1, True), max_events=1),
+        UniverseBounds(2, 1, ("kind",), ("act",), (0, 1.0, math.nan), max_events=1),
+    ]
+
+    @staticmethod
+    def flow(name, domain, req):
+        return parse_policy(f"policy {name} {{\n node a\n node b\n edge f: a -> b domain: {domain} req: {req}\n}}")
+
+    @staticmethod
+    def holds_or_raises(check):
+        try:
+            return check().holds
+        except PredicateTypeError:
+            return PredicateTypeError
+
+    @pytest.mark.parametrize("case", range(3))
+    def test_mixed_kind_universes_against_the_oracle(self, case):
+        """contains agrees with the plain walk on every pair, and raises
+        PredicateTypeError exactly where it does; the two walks may meet
+        different systems first, so messages are not compared.  Every
+        raising requirement is met on each universe."""
+        u, rng = self.UNIVERSES[case], random.Random(1717 + case)
+        reqs = self.RAISING + self.PLAIN
+        pairs = [(req, rng.choice(reqs)) for req in self.RAISING] + [
+            (rng.choice(reqs), rng.choice(reqs)) for _ in range(18)
+        ]
+        outcomes = set()
+        for i, (r1, r2) in enumerate(pairs):
+            p = self.flow(f"p{i}", rng.choice(self.DOMAINS), r1)
+            q = self.flow(f"q{i}", rng.choice(self.DOMAINS), r2)
+            p, q = (p, q) if rng.random() < 0.5 else (q, p)
+            got = self.holds_or_raises(lambda: contains(p, q, u))
+            assert got == self.holds_or_raises(lambda: reference_contains(p, q, u)[0]), (p, q)
+            outcomes.add(got)
+        assert outcomes >= {True, False}
+
+    def test_an_ill_typed_pool_requirement_is_no_match(self):
+        """`!$A` raises under every value of the pair's pool, so p's
+        requirement has no match and reads as the strictest one: p contains
+        q, as in the oracle.  Where the requirement binds $A itself, it is
+        matched exactly and its type error raises."""
+        u = UniverseBounds(2, 1, ("kind",), ("act",), (0, 1, 2), max_events=1)
+        p, q = self.flow("p", "act = $A", "!$A"), self.flow("q", "act = $A", "$A > 0")
+        result = contains(p, q, u)
+        assert result.holds and result.systems_checked == 130
+        assert result == reference_contains(p, q, u)[0]
+        exact_p = self.flow("exact_p", "act = $A", "act = $A && !$A")
+        exact_q = self.flow("exact_q", "act = $A", "act = $A && $A > 0")
+        with pytest.raises(PredicateTypeError, match="expected a boolean: !0"):
+            contains(exact_p, exact_q, u)
+
+
 # (universe, random policy pairs on it): 320 pairs, fewer on the larger universes
 DIFFERENTIAL_UNIVERSES = [
     (UniverseBounds(2, 1, ("kind",), ("act",), (0, 1), max_events=1), 60),
@@ -834,6 +904,23 @@ class TestWideRequirements:
         assert {w.match.node_objects["n"]: w.satisfied for w in verdict(atom.policy, g).witnesses} == {
             "a": False, "b": True,
         }
+
+    def test_equal_policies_compare_and_hash_equal(self):
+        assert sys.getrecursionlimit() <= 1000
+        p, q = self.policy(), self.policy()
+        assert p == q and p.requirement_preds["n"] is not q.requirement_preds["n"]
+        assert hash(p.requirement_preds["n"]) == hash(q.requirement_preds["n"])
+        other = parse_policy(print_policy(p).replace("$K = 100 ||", "$K = 101 ||", 1))
+        assert other != p
+
+    def test_contains(self):
+        """The pair's requirement patterns compare equal, and each of the
+        pool's 10 000 values is tried for $A."""
+        assert sys.getrecursionlimit() <= 1000
+        chain = " || ".join(f"act = {i}" for i in range(self.WIDTH))
+        text = f"policy wide {{\n node a\n node b\n edge f: a -> b domain: act = $A req: {chain}\n}}\n"
+        u = UniverseBounds(1, 1, (), ("act",), (0, 1), max_events=1)
+        assert contains(parse_policy(text), parse_policy(text), u)
 
     def test_conjoin_same_domain(self):
         assert sys.getrecursionlimit() <= 1000

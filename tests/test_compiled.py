@@ -26,7 +26,6 @@ from policygraph.matching import (
     check_requirement,
     edge_candidate,
     find_matches,
-    match_graph,
     verdict,
 )
 from policygraph.policy import make_policy, parse_policy
@@ -53,14 +52,11 @@ from policygraph.values import ValueSet, to_json, values_equal
 
 from oracle import (
     ATTR_NAMES,
-    GEN_VALUES,
     VAR_NAMES,
     _forced_names,
     random_bool_expr,
     random_context,
     random_expr,
-    random_policy,
-    random_trace_records,
     random_value,
     typed_bindings,
     typed_context,
@@ -381,61 +377,6 @@ class TestBindingPlanAgainstInterpreter:
                         got = (ERROR, str(error))
             seen[check_against_merge(got, merged(lambda: [Conditions(partial, TRUE), satisfy(e, ctx, {})]), has_filters)] += 1
         assert min(seen.values()) > 50, seen
-
-
-# --- fully bound checks (match_graph) -------------------------------------------
-
-
-def tree_match_graph(pattern, edge_events, isolated_objects, graph, bindings):
-    """match_graph as the interpreter alone computes it: every predicate
-    folds to true under the bindings, and, as merging an edge's three
-    results requires, no binding is unequal to itself."""
-    self_equal = all(values_equal(v, v) for v in bindings.values())
-    for edge_id, spec in pattern.graph.edges.items():
-        event = graph.events[edge_events[edge_id]]
-        held = [
-            satisfy(pattern.preds[edge_id], event.params, bindings).is_true,
-            satisfy(pattern.preds[spec.src], graph.src_attr(event), bindings).is_true,
-            satisfy(pattern.preds[spec.dest], graph.dest_attr(event), bindings).is_true,
-        ]
-        if not (self_equal and all(held)):
-            return False
-    for node_id in pattern.graph.isolated_nodes():
-        obj_id, instant = isolated_objects[node_id]
-        if not satisfy(pattern.preds[node_id], graph.attrs_at(obj_id, instant), bindings).is_true:
-            return False
-    return True
-
-
-class TestMatchGraph:
-    def test_random_assignments_and_bindings(self):
-        """Domain and requirement patterns at random assignments, under
-        complete, partial and not-a-number bindings."""
-        rng = random.Random(8301)
-        holds = 0
-        for i in range(400):
-            p = random_policy(rng, f"g{i}")
-            graph = ingest_trace(random_trace_records(rng))
-            edges = sorted(p.graph.edges)
-            if len(graph.events) < len(edges):
-                continue
-            for pattern in (p.domain, p.requirement):
-                for _ in range(4):
-                    edge_events = dict(zip(edges, rng.sample(range(len(graph.events)), len(edges))))
-                    isolated = {}
-                    for node_id in p.graph.isolated_nodes():
-                        obj_id = rng.choice(graph.object_ids())
-                        isolated[node_id] = (obj_id, rng.choice(graph.instants(obj_id)))
-                    pool = GEN_VALUES + [1.0, float("nan")]
-                    bindings = {v: rng.choice(pool) for v in p.variables if rng.random() < 0.8}
-                    args = (pattern, edge_events, isolated, graph, bindings)
-                    got = outcome(lambda: match_graph(*args))
-                    if pattern.variables <= bindings.keys():
-                        assert got == outcome(lambda: tree_match_graph(*args)), (p, args)
-                    else:
-                        assert got is False, (p, args)
-                    holds += got is True
-        assert holds > 100
 
 
 # --- the rules, case by case ----------------------------------------------------

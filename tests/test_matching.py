@@ -19,7 +19,6 @@ from policygraph.matching import (
     _iso_candidates,
     check_requirement,
     find_matches,
-    match_graph,
     match_pattern,
     verdict,
     verdict_all,
@@ -80,11 +79,6 @@ class TestNoReadUp:
         (bad,) = v.violations
         assert bad.match.edge_events == {"r": 1}
         assert bad.failing == ("r",)
-
-    def test_found_matches_pass_match_graph(self):
-        pattern = domain_of(self.policy)
-        for m in find_matches(self.policy, self.graph):
-            assert match_graph(pattern, m.edge_events, m.isolated_objects, self.graph, m.bindings)
 
     def test_check_requirement_uses_only_bindings_on_nodes(self):
         m = find_matches(self.policy, self.graph)[1]

@@ -334,7 +334,7 @@ def flat_decision(policies, graph, cap=DEFAULT_MATCH_CAP):
         committed = {e: [c for c in cands if c.event_index != new] for e, cands in every.items()}
         count = 0
 
-        def judge(edge_events, _isolated, _nodes, bindings):
+        def judge(edge_events, _isolated, _nodes, bindings, _waiting):
             nonlocal count, error
             count += 1
             if count > cap:
