@@ -21,6 +21,19 @@ demands a policy that validates cleanly.
 The compiled forms are the evaluator: under complete bindings each gives
 the value the interpreter (predicates.evaluate) folds to, or raises its
 error.  A value that is no boolean does not hold.
+
+Events are screened before any edge plan runs, as Rete's alpha network
+tests constant conditions once (Forgy, AI 1982).  A pattern's screen
+(policy.EdgeScreen) indexes its edges by the constant c of an `attr = c`
+equality step on one event attribute, so one dict probe with the event's
+value gives the edges that event can take.  The screen is exact: it
+rejects an edge only by an equality that no step able to raise precedes,
+where the edge's plan gives None and raises nothing, and for rejected
+edges it still has edge_candidate judge the endpoint plans that may
+raise, in the same sorted edge order (once where several share them), so
+every error is raised where it was.
+An event's two snapshots are looked up at most once per pass or decision,
+whatever the number of edges and policies that read them.
 """
 
 from __future__ import annotations
@@ -38,6 +51,7 @@ from .values import canonical, values_equal
 DEFAULT_MATCH_CAP = 100_000
 _ABSENT = object()
 _NO_CAPTURES: Mapping[str, Any] = {}
+_NO_SNAPSHOT = (None, None)
 
 
 class MatchCapExceeded(RuntimeError):
@@ -132,35 +146,37 @@ def edge_candidate(
     edge_id: str,
     index: int,
     event: SystemEvent,
-    graph: SystemGraph,
-    outcomes: dict,
+    ends: Optional[tuple[tuple, tuple]],
+    screened_out: bool = False,
 ) -> Optional[_EdgeCandidate]:
     """The event at `index` as a candidate for a policy edge, or None where
     the edge's own, source or destination domain is false there: a test
     fails, two captures of one variable differ, or a filter whose
     variables those captures bind fails.  Once the outcome is false, a
     plan that cannot raise is skipped; one that can is still run, since the
-    interpreter would report its error.
+    interpreter would report its error.  `screened_out` says that the
+    pattern's screen has found the edge's own plan false at the event, so
+    it is not called.
 
-    A node plan's result depends only on the snapshot it reads, so it is
-    judged once per snapshot: `outcomes` memoises it, keyed by the plan and
-    the snapshot's id, with the snapshot kept in the entry so that id is
-    not reused (a plan that raises stores nothing).  The caller owns the
-    memo and must drop it before any snapshot it saw can change in place:
-    _edge_candidates keeps one per call, a Monitor one for its life.  A
-    node plan without steps is not called, and its snapshot is looked up
-    only where a filter reads it."""
+    `ends` holds the memo entries (see snapshot_entry) of the event's
+    source and destination snapshots, looked up once per event by the
+    caller and shared by every edge and policy that judges it; it may be
+    None where no endpoint plan of the pattern has steps or filters.  A
+    node plan's result depends only on the snapshot it reads, so it is
+    judged once per snapshot, and a node plan without steps is not called.
+    A plan that raises stores nothing, so it raises again wherever it is
+    reached."""
     spec, plans = pattern.graph.edges[edge_id], pattern.plans
     edge, src, dest = plans[edge_id], plans[spec.src], plans[spec.dest]
-    on_edge = edge(event.params)
+    on_edge = None if screened_out else edge(event.params)
     if on_edge is None and not (src.may_raise or dest.may_raise):
         return None
-    src_ctx = graph.src_attr(event) if src.steps or src.filters else None
-    on_src = _judged(src, src_ctx, outcomes) if src.steps else ()
+    src_ctx, src_outcomes = ends[0] if src.steps or src.filters else _NO_SNAPSHOT
+    on_src = _judged(src, src_ctx, src_outcomes) if src.steps else ()
     if on_src is None and not dest.may_raise:
         return None
-    dest_ctx = graph.dest_attr(event) if dest.steps or dest.filters else None
-    on_dest = _judged(dest, dest_ctx, outcomes) if dest.steps else ()
+    dest_ctx, dest_outcomes = ends[1] if dest.steps or dest.filters else _NO_SNAPSHOT
+    on_dest = _judged(dest, dest_ctx, dest_outcomes) if dest.steps else ()
     if on_edge is None or on_src is None or on_dest is None:
         return None
     captures: Mapping[str, Any] = _NO_CAPTURES
@@ -177,24 +193,49 @@ def edge_candidate(
 
 
 def _judged(plan: BindingPlan, attrs: Mapping[str, Any], outcomes: dict) -> Optional[list[tuple[str, Any]]]:
-    """plan(attrs), looked up in or added to the memo `outcomes`."""
-    key = (plan, id(attrs))
-    entry = outcomes.get(key)
+    """plan(attrs), looked up in or added to the snapshot's memo `outcomes`."""
+    found = outcomes.get(plan, _ABSENT)
+    if found is _ABSENT:
+        found = outcomes[plan] = plan(attrs)
+    return found
+
+
+def snapshot_entry(outcomes: dict, attrs: Mapping[str, Any]) -> tuple[Mapping[str, Any], dict]:
+    """The entry (attrs, {node plan: its outcome there}) of a snapshot in
+    one pass's memo `outcomes`, keyed by the snapshot's id; the entry keeps
+    the snapshot, so the id is not reused while the memo lives.  The
+    caller owns the memo and must drop it before a snapshot it saw can
+    change in place."""
+    entry = outcomes.get(id(attrs))
     if entry is None:
-        entry = outcomes[key] = (attrs, plan(attrs))
-    return entry[1]
+        entry = outcomes[id(attrs)] = (attrs, {})
+    return entry
 
 
 def _edge_candidates(pattern: PatternGraph, graph: SystemGraph, pruned=()) -> dict[str, list[_EdgeCandidate]]:
     """Per policy edge, every event's edge_candidate() that is neither None
-    nor raises one of the exceptions `pruned`."""
+    nor raises one of the exceptions `pruned`.  Each event is routed by the
+    pattern's screen once, and judged only for the edges on its route; its
+    snapshots are looked up once, when the first edge judges it."""
     out: dict[str, list[_EdgeCandidate]] = {}
-    outcomes: dict = {}
+    events, screen = graph.events, pattern.screen
+    routes = [screen.route(event.params) for event in events] if screen.routes else [screen.default] * len(events)
+    ends: list[Optional[tuple]] = [None] * len(events)
+    outcomes: dict = {}  # the memo of node-plan outcomes, for this pass
     for edge_id in pattern.key_ids[0]:  # sorted
         candidates = []
-        for index, event in enumerate(graph.events):
+        for index, route in enumerate(routes):
+            screened_out = route.get(edge_id)
+            if screened_out is None:
+                continue
+            event, event_ends = events[index], ends[index]
+            if event_ends is None and screen.reads_ends:
+                event_ends = ends[index] = (
+                    snapshot_entry(outcomes, graph.src_attr(event)),
+                    snapshot_entry(outcomes, graph.dest_attr(event)),
+                )
             try:
-                cand = edge_candidate(pattern, edge_id, index, event, graph, outcomes)
+                cand = edge_candidate(pattern, edge_id, index, event, event_ends, screened_out)
             except pruned:
                 continue
             if cand is not None:

@@ -15,6 +15,15 @@ object record completes (a new snapshot for an isolated node, or any match
 of a policy without edges) is never denied, and its violation shows up in
 verdicts() instead.
 
+The new event is screened first (see matching): each policy's edge screen
+gives, with one dict probe, the edges the event can take, and only those
+run their plans.  In a stream where most events take no edge, such an
+event costs each policy that probe, and at most the judgement of the
+endpoint plans that may raise, which the screen keeps so that the same
+error is raised.  Node-plan outcomes are memoised on each object's newest
+snapshot, the only one an event can read, and dropped when an object
+record supersedes it, so the memo holds one entry per object.
+
 The committed candidates are looked up, not scanned.  For each ordered
 pair of edges (pinned e, other f) the monitor works out, once, a key that
 any failing match forces e's candidate and f's to share, and keeps f's
@@ -86,7 +95,7 @@ from .system import SystemEvent, SystemGraph, apply_record
 from .values import canonical
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Decision:
     time: int
     src: str
@@ -121,15 +130,18 @@ class Monitor:
         self.match_cap = match_cap
         self.graph = SystemGraph()
         self._watched = [_Watched(p) for p in self.policies if p.graph.edges]
+        self._reads_ends = any(watched.screen.reads_ends for watched in self._watched)
         self._cursor = 0
-        # node plan outcomes per snapshot (see edge_candidate); a snapshot
-        # never changes in place, so they hold for the monitor's life
-        self._outcomes: dict = {}
+        # per object, the memo entry (newest snapshot, {node plan: outcome}),
+        # as matching.snapshot_entry keeps one per snapshot in a batch pass
+        self._outcomes: dict[str, tuple[Mapping[str, Any], dict]] = {}
 
     def step(self, record: Mapping[str, Any]) -> list[Decision]:
         """Apply one record; an event record yields exactly one decision."""
         self._cursor, event = apply_record(self.graph, dict(record), self._cursor)
         if event is None:
+            if self._outcomes:  # an object record: no later event reads the snapshot it superseded
+                self._outcomes.pop(record["object"]["id"], None)
             return []
         return [self._decide(event)]
 
@@ -147,11 +159,15 @@ class Monitor:
         denied_by: list[str] = []
         error = None  # the first requirement that raised; raised only if nothing denies
         fresh = []  # per watched policy, the new event's candidate per edge
+        ends = None  # the memo entries of the event's snapshots, looked up once
         try:
             for watched in self._watched:
                 cands = {}
-                for edge_id in watched.lookups:
-                    cand = edge_candidate(watched.pattern, edge_id, index, event, self.graph, self._outcomes)
+                route = watched.screen.route(event.params)
+                if route and ends is None and self._reads_ends:
+                    ends = (self._snapshot_entry(event.src, event.time), self._snapshot_entry(event.dest, event.time))
+                for edge_id, screened_out in route.items():
+                    cand = edge_candidate(watched.pattern, edge_id, index, event, ends, screened_out)
                     if cand is not None:
                         cands[edge_id] = cand
                 fresh.append(cands)
@@ -174,12 +190,22 @@ class Monitor:
                     index.setdefault(key(cand), []).append(cand)
         return Decision(event.time, event.src, event.dest, True, ())
 
+    def _snapshot_entry(self, obj_id: str, t: int) -> tuple[Mapping[str, Any], dict]:
+        """The memo entry of the object's snapshot at t.  Events read only
+        an object's newest snapshot, and step() drops the entry when an
+        object record supersedes it, so it is looked up once per snapshot."""
+        entry = self._outcomes.get(obj_id)
+        if entry is None:
+            entry = self._outcomes[obj_id] = (self.graph.attrs_at(obj_id, t), {})
+        return entry
+
 
 _Key = Callable[[Any], tuple]
 
 
 class _Watched:
-    """A policy with edges, with the indexes of its committed candidates.
+    """A policy with edges, with its domain's edge screen and the indexes
+    of its committed candidates.
 
     Per pinned edge e, in sorted edge id order, `lookups` lists the (other
     edge f, key of e's candidate, index of f's committed candidates)
@@ -189,10 +215,11 @@ class _Watched:
     parts agree on f's side share one.
     """
 
-    __slots__ = ("policy", "pattern", "lookups", "stores")
+    __slots__ = ("policy", "pattern", "screen", "lookups", "stores")
 
     def __init__(self, policy: PolicyGraph):
         self.policy, self.pattern = policy, domain_of(policy)
+        self.screen = self.pattern.screen
         edges = sorted(policy.graph.edges)
         self.lookups: dict[str, list[tuple[str, _Key, dict]]] = {e: [] for e in edges}
         self.stores: dict[str, list[tuple[_Key, dict]]] = {e: [] for e in edges}

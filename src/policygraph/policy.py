@@ -20,6 +20,7 @@ the inline predicates); attribute names may not collide with them there.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Any, Callable, Mapping, Optional
@@ -85,13 +86,80 @@ def _fields_only(self) -> dict[str, Any]:
     return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
+class EdgeScreen:
+    """A pattern's edges indexed by the constant of an equality step on one
+    event attribute, so that an event is taken only to the edges it can be
+    a candidate for (the alpha network of Rete: Forgy, AI 1982).
+
+    `attr` is the attribute that most edges' plans have a screening
+    equality on (BindingPlan.screening_equalities; ties go to the first
+    name), and such an edge is screened by its first one: where an event's
+    value there is not that constant, the edge's plan gives None and raises
+    nothing.  route(params) lists, by sorted edge id, the edges an event
+    with these parameters must still be judged for, each with whether its
+    plan is known to give None there.  That is every edge it does not
+    screen out, and every screened-out edge with an endpoint plan that may
+    raise, which matching.edge_candidate still judges so that the error is
+    raised where it was before; but not a screened-out edge whose raising
+    endpoint plans, on the same ends, an earlier one on the route already
+    judges.  A plan's outcome on a snapshot never changes, so if the
+    earlier judgement did not raise, this one would not either.
+
+    The routes are keyed by the constants themselves and probed with the
+    raw value.  values_equal values are equal, and hash alike, under
+    Python's own ==, so a probe finds the route of every constant that
+    values_equal its value.  It may find more (1 meets true, which share a
+    key), and the edge's plan then rejects the event.
+    """
+
+    __slots__ = ("attr", "routes", "default", "reads_ends")
+
+    def __init__(self, pattern: "PatternGraph"):
+        plans, edges = pattern.plans, pattern.graph.edges
+        firsts: dict[str, dict[str, Any]] = {}  # per edge, its first screening constant per attribute
+        for e in sorted(edges):
+            firsts[e] = {}
+            for attr, c in plans[e].screening_equalities:
+                firsts[e].setdefault(attr, c)
+        counts = Counter(attr for found in firsts.values() for attr in found)
+        self.attr = min(counts, key=lambda attr: (-counts[attr], attr)) if counts else None
+        screened = {e: found[self.attr] for e, found in firsts.items() if self.attr in found}
+        admits: dict[Any, set[str]] = {}
+        for e, c in screened.items():
+            admits.setdefault(c, set()).add(e)
+        # per edge, the endpoint plans that may raise, with the end they judge
+        raising = {
+            e: {(end, plans[node]) for end, node in (("src", spec.src), ("dest", spec.dest)) if plans[node].may_raise}
+            for e, spec in edges.items()
+        }
+
+        def route(admitted: set[str]) -> dict[str, bool]:
+            out, judged = {}, set()
+            for e in firsts:
+                if e in admitted or e not in screened:
+                    out[e] = False
+                elif not raising[e] <= judged:
+                    out[e] = True
+                    judged |= raising[e]
+            return out
+
+        self.routes = {c: route(admitted) for c, admitted in admits.items()}
+        self.default = route(set())
+        # whether judging an event for an edge can read its endpoints' snapshots
+        ends = {node for spec in edges.values() for node in (spec.src, spec.dest)}
+        self.reads_ends = any(plans[node].steps or plans[node].filters for node in ends)
+
+    def route(self, params: Mapping[str, Any]) -> dict[str, bool]:
+        return self.routes.get(params.get(self.attr), self.default)
+
+
 @dataclass(frozen=True)
 class PatternGraph:
     """A basic graph with one predicate per element; what matching consumes.
 
     Its predicates are compiled on first use and kept: `plans` for finding
-    candidates and binding variables, `ground` for checks under complete
-    bindings.
+    candidates and binding variables, `screen` for routing events to the
+    edges they can take, `ground` for checks under complete bindings.
     """
 
     graph: BasicGraph
@@ -116,6 +184,10 @@ class PatternGraph:
     @cached_property
     def plans(self) -> dict[str, BindingPlan]:
         return {elt: BindingPlan(e) for elt, e in self.preds.items()}
+
+    @cached_property
+    def screen(self) -> EdgeScreen:
+        return EdgeScreen(self)
 
     @cached_property
     def ground(self) -> dict[str, Callable[[Mapping[str, Any], Mapping[str, Any]], Any]]:
@@ -226,7 +298,7 @@ def parse_policy_set(text: str) -> list[PolicyGraph]:
     policies: list[PolicyGraph] = []
     i = 0
     while i < len(lines):
-        tokens = tokenize(lines[i])
+        tokens = tokenize(lines[i], i + 1)
         if tokens[0][0] == "eof":
             i += 1
             continue
@@ -258,7 +330,7 @@ def _collect_block(lines: list[str], start: int) -> tuple[list[tuple[int, list]]
     body: list[tuple[int, list]] = []
     i = start
     while i < len(lines):
-        tokens = tokenize(lines[i])
+        tokens = tokenize(lines[i], i + 1)
         if tokens[0][0] == "eof":
             i += 1
             continue

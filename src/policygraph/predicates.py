@@ -19,7 +19,8 @@ runs to the end of the line.
 Bare identifiers name attributes (on nodes) or event parameters (on edges).
 Inside {...} set literals a bare identifier is shorthand for the string of the
 same spelling.  Parentheses are surface syntax only; the parser drops them and
-the printer re-derives them from precedence.
+the printer re-derives them from precedence.  Parentheses, `!` and set
+braces nest at most MAX_NESTING deep, counted together.
 """
 
 from __future__ import annotations
@@ -216,9 +217,10 @@ _TOKEN_RE = re.compile(
 WORD_OPS = frozenset({"in", "subset", "subseteq", "intersect", "union"})
 
 
-def tokenize(text: str) -> list[Token]:
+def tokenize(text: str, first_line: int = 1) -> list[Token]:
+    """The tokens of text, numbering its lines from first_line."""
     tokens: list[Token] = []
-    line, line_start = 1, 0
+    line, line_start = first_line, 0
     pos = 0
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
@@ -252,6 +254,13 @@ def _quote(s: str) -> str:
     return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
+# The deepest nesting of parentheses, `!` and set braces, counted together,
+# that the parser accepts.  Parsing recurses about ten frames deep per
+# parenthesis, and the printer, compiler and evaluator recurse on nested
+# operands, so deeper input raises ParseError rather than RecursionError.
+MAX_NESTING = 64
+
+
 class TokenCursor:
     """Shared scanner for predicates and policy files."""
 
@@ -259,6 +268,14 @@ class TokenCursor:
         self.tokens = tokens
         self.pos = 0
         self.reserved = reserved
+        self.depth = 0  # open parentheses, `!` and set braces around the current token
+
+    def nest(self) -> None:
+        """Open one more level of nesting at the current token; past
+        MAX_NESTING, a ParseError there."""
+        if self.depth == MAX_NESTING:
+            raise self.error(f"nesting deeper than {MAX_NESTING} levels")
+        self.depth += 1
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -309,17 +326,22 @@ def _parse_level(cur: TokenCursor, level: int) -> Expr:
 
 def _parse_unary(cur: TokenCursor) -> Expr:
     if cur.at_op("!"):
+        cur.nest()
         cur.advance()
-        return Not(_parse_unary(cur))
+        operand = _parse_unary(cur)
+        cur.depth -= 1
+        return Not(operand)
     return _parse_primary(cur)
 
 
 def _parse_primary(cur: TokenCursor) -> Expr:
     kind, text, line, col = cur.peek()
     if kind == "op" and text == "(":
+        cur.nest()
         cur.advance()
         inner = parse_expression(cur)
         cur.expect("op", ")")
+        cur.depth -= 1
         return inner
     if kind == "op" and text == "{":
         return Const(_parse_set_literal(cur))
@@ -349,6 +371,7 @@ def _number(text: str) -> int | float:
 
 
 def _parse_set_literal(cur: TokenCursor) -> ValueSet:
+    cur.nest()
     cur.expect("op", "{")
     members: list[Any] = []
     if not cur.at_op("}"):
@@ -359,6 +382,7 @@ def _parse_set_literal(cur: TokenCursor) -> ValueSet:
                 continue
             break
     cur.expect("op", "}")
+    cur.depth -= 1
     return ValueSet(members)
 
 
@@ -1013,6 +1037,21 @@ class BindingPlan:
             else:
                 self._add_conjunct(x)
         self.captured = frozenset(var for kind, var, _ in self.steps if kind in (_CAPTURE, _BIND, _COMPUTE))
+
+    @property
+    def screening_equalities(self) -> list[tuple[str, Any]]:
+        """The (attribute, constant) pairs of the equality steps that no
+        step able to raise precedes, in order.  Where the attribute's value
+        differs from one of these constants, a call gives None and raises
+        nothing.  A test or computed capture counts as able to raise only
+        where the plan may raise at all."""
+        found = []
+        for kind, a, b in self.steps:
+            if kind == _EQUAL:
+                found.append((a, b))
+            elif self.may_raise and kind in (_TEST, _COMPUTE):
+                break
+        return found
 
     def _require(self, names: frozenset[str]) -> None:
         if names:

@@ -41,7 +41,7 @@ class ObjectSnapshot:
     time: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SystemEvent:
     src: str
     dest: str

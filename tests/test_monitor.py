@@ -536,9 +536,9 @@ class TestRetained:
     def test_one_edge_policies_keep_no_committed_candidates(self):
         """A one-edge policy pins its only edge to the new event, so the
         monitor keeps nothing of its committed candidates: 20 000 allowed
-        reads of one file by one user retain at most 400 B each: about
-        300 B is the committed history itself, and a list of the committed
-        candidates made it about 590 B."""
+        reads of one file by one user retain at most 320 B each: about
+        260 B is the committed history itself (slotted events), and a list
+        of the committed candidates made it about 590 B."""
         records = [
             {"t": 1, "object": {"id": "u", "attrs": {"type": "user", "sec_level": 2}}},
             {"t": 1, "object": {"id": "f", "attrs": {"type": "file", "sec_level": 0}}},
@@ -559,7 +559,7 @@ class TestRetained:
         finally:
             tracemalloc.stop()
         assert len(mon.graph.events) == n
-        assert retained / (n - 1) <= 400, retained / (n - 1)
+        assert retained / (n - 1) <= 320, retained / (n - 1)
 
 
 class TestDecisionShape:

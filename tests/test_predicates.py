@@ -11,10 +11,14 @@ import time
 
 import pytest
 
+from policygraph.matching import find_matches
+from policygraph.policy import parse_policy, validate_policy
 from policygraph.predicates import (
     BOTTOM,
     FALSE,
+    MAX_NESTING,
     TRUE,
+    BindingPlan,
     Attr,
     BinOp,
     Conditions,
@@ -24,6 +28,7 @@ from policygraph.predicates import (
     PredicateTypeError,
     Var,
     attributes_of,
+    compile_ground,
     constants_of,
     evaluate,
     extract_bindings,
@@ -37,6 +42,7 @@ from policygraph.predicates import (
     substitute_vars,
     variables_of,
 )
+from policygraph.system import ingest_trace
 from policygraph.values import ValueSet, values_equal
 
 from oracle import (
@@ -400,6 +406,73 @@ class TestWideExpressions:
         start = time.perf_counter()
         assert constants_of(e) == list(range(n))
         assert time.perf_counter() - start < 5  # a scan against every value found took about half a minute
+
+
+def nested(kind: str, n: int) -> str:
+    """A predicate nested n levels deep, each parenthesis, `!` and set
+    brace counting one level."""
+    if kind == "parens":
+        return "(" * n + "a = 1" + ")" * n
+    if kind == "right-nested ||":
+        return "a = 0" + "".join(f" || (a = {i}" for i in range(n)) + ")" * n
+    if kind == "!":
+        return "!" * n + "flag"
+    if kind == "!(":
+        return "!(" * (n // 2) + "flag" + ")" * (n // 2)
+    if kind == "sets":
+        return "a in " + "{" * n + "1" + "}" * n
+    if kind == "arithmetic":
+        return "a = " + "(1 + " * n + "1" + ")" * n
+    raise ValueError(kind)
+
+
+NESTINGS = ["parens", "right-nested ||", "!", "!(", "sets", "arithmetic"]
+
+
+class TestNestingLimit:
+    """Parentheses, `!` and set braces nest at most MAX_NESTING deep, so no
+    input reaches the recursion limit: deeper input is a ParseError."""
+
+    @pytest.mark.parametrize("kind", NESTINGS)
+    def test_the_deepest_nesting_works_everywhere(self, kind):
+        """At the limit a predicate parses, validates, prints, compiles,
+        evaluates and matches at the default recursion limit."""
+        from policygraph.matching import find_matches
+        from policygraph.policy import parse_policy, validate_policy
+        from policygraph.system import ingest_trace
+
+        text = nested(kind, MAX_NESTING)
+        e = parse_predicate(text)
+        assert parse_predicate(format_expr(e)) == e
+        ctx = {"a": 1, "flag": True}
+        assert compile_ground(e)(ctx, {}) == evaluate(e, ctx, {}).value
+        BindingPlan(e)(ctx)
+        p = parse_policy(f"policy p {{\n node u\n node f\n edge r: u -> f domain: {text}\n}}")
+        assert validate_policy(p) == []
+        graph = ingest_trace([
+            {"t": 1, "object": {"id": "u"}},
+            {"t": 1, "object": {"id": "f"}},
+            {"t": 1, "event": {"src": "u", "dest": "f", "params": {"a": 1, "flag": True}}},
+        ])
+        assert len(find_matches(p, graph)) == int(evaluate(e, ctx, {}).value is True)
+
+    @pytest.mark.parametrize("kind", NESTINGS)
+    def test_one_level_deeper_is_a_parse_error(self, kind):
+        text = nested(kind, MAX_NESTING + 2 if kind == "!(" else MAX_NESTING + 1)
+        with pytest.raises(ParseError, match=f"nesting deeper than {MAX_NESTING} levels") as raised:
+            parse_predicate(text)
+        assert raised.value.line == 1
+        assert text[raised.value.col - 1] in "(!{"
+
+    @pytest.mark.parametrize("kind", ["parens", "right-nested ||", "!"])
+    def test_ten_thousand_levels_are_a_parse_error(self, kind):
+        """10 000 levels stop at the first level past the limit, in a
+        standalone predicate and on its line of a policy file."""
+        text = nested(kind, 10_000)
+        with pytest.raises(ParseError, match="nesting deeper"):
+            parse_predicate(text)
+        with pytest.raises(ParseError, match="line 3, col"):
+            parse_policy(f"policy p {{\n node u\n node f domain: {text}\n}}")
 
 
 class TestEvaluateAgainstOracle:
