@@ -23,12 +23,10 @@ The pieces:
 
 from .values import ValueSet, canonical, from_json, to_json, values_equal
 from .predicates import (
-    BOTTOM,
     FALSE,
     TRUE,
     Attr,
     BinOp,
-    Conditions,
     Const,
     Expr,
     Not,
@@ -37,13 +35,9 @@ from .predicates import (
     Var,
     attributes_of,
     evaluate,
-    extract_bindings,
     fold_constants,
     format_expr,
-    merge_conditions,
     parse_predicate,
-    reduce_conditions,
-    satisfy,
     substitute_attrs,
     substitute_vars,
     variables_of,
@@ -142,9 +136,8 @@ __all__ = [
     # predicates
     "Expr", "Const", "Attr", "Var", "Not", "BinOp", "TRUE", "FALSE",
     "ParseError", "PredicateTypeError", "parse_predicate", "format_expr",
-    "evaluate", "satisfy", "Conditions", "BOTTOM", "merge_conditions",
-    "reduce_conditions", "extract_bindings", "substitute_attrs",
-    "substitute_vars", "fold_constants", "variables_of", "attributes_of",
+    "evaluate", "substitute_attrs", "substitute_vars", "fold_constants",
+    "variables_of", "attributes_of",
     # system
     "SystemGraph", "ObjectSnapshot", "SystemEvent", "TraceError",
     "apply_record", "ingest_trace", "load_trace", "read_jsonl", "write_jsonl",

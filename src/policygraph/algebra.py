@@ -426,10 +426,11 @@ def pattern_matches_bounded(
     than DEFAULT_MATCH_CAP matches raise MatchCapExceeded.  With one, every
     variable ranges over the pool: a captured value not `in pool` (a NaN
     never is) is no match, and the variables in `free`, which nothing
-    captures, take each tuple of `choices`, under which the filters that
-    waited for them run.  A binding under which a predicate raises
-    PredicateTypeError is then no match, as in brute enumeration: the pool
-    holds both patterns' constants, which the system may never bind.
+    captures, take each tuple of `choices`, NaN as any other pool value,
+    under which the filters that waited for them run.  A binding under
+    which a predicate raises PredicateTypeError is then no match, as in
+    brute enumeration: the pool holds both patterns' constants, which the
+    system may never bind.
     """
     keys: set[tuple] = set()
     if pool is None:
@@ -494,11 +495,10 @@ def pair_matchers(
     binds what it finds.  Otherwise both are matched over the pair's value
     pool, the universe's values plus both patterns' constants: an exact
     match on one side only would bind ids and instants that the pool side
-    can never bind.  A free variable takes every pool value, or in a
-    pattern with an edge those equal to themselves: merging an edge's
-    predicates rejects a NaN binding, as the interpreter does.  The pool
-    and each pattern's free variables and their value tuples are worked
-    out here, once per pair, not once per system.
+    can never bind.  A free variable takes every pool value, NaN included,
+    in every pattern, as a binding the oracle enumerates.  The pool and
+    each pattern's free variables and their value tuples are worked out
+    here, once per pair, not once per system.
     """
     if g1.variables <= g1.owners.keys() and g2.variables <= g2.owners.keys():
         def matcher(g: PatternGraph) -> Callable[[SystemGraph], set[tuple]]:
@@ -507,11 +507,10 @@ def pair_matchers(
         pool = Distinct(u.values)
         for const in (c for g in (g1, g2) for pred in g.preds.values() if pred != TRUE for c in constants_of(pred)):
             pool.add(const)  # an element without a predicate adds no value to try
-        self_equal = [v for v in pool.values if v == v]
 
         def matcher(g: PatternGraph) -> Callable[[SystemGraph], set[tuple]]:
             free = tuple(sorted(g.variables - g.owners.keys()))
-            choices = list(itertools.product(self_equal if g.graph.edges else pool.values, repeat=len(free)))
+            choices = list(itertools.product(pool.values, repeat=len(free)))
             return lambda system: pattern_matches_bounded(g, system, pool, free, choices)
     first = matcher(g1)
     return first, (first if g2 == g1 else matcher(g2))

@@ -115,23 +115,18 @@ def _run_algebra(args, policies, out) -> int:
     if op is None:
         print("algebra mode needs --op", file=sys.stderr)
         return EXIT_USAGE
+    arity = 1 if op in ("nullify", "reverse") else 2
+    if len(targets) != arity:
+        print(f"{op} takes {'one target' if arity == 1 else 'two targets'}", file=sys.stderr)
+        return EXIT_USAGE
     if op == "nullify":
-        if len(targets) != 1:
-            print("nullify takes one target", file=sys.stderr)
-            return EXIT_USAGE
         print(print_policy(nullify_graph(targets[0])), end="", file=out)
         return EXIT_OK
     if op == "reverse":
-        if len(targets) != 1:
-            print("reverse takes one target", file=sys.stderr)
-            return EXIT_USAGE
         for disjunct in reverse(targets[0]).operands:
             print(print_policy(disjunct.policy), end="", file=out)
         return EXIT_OK
     if op in ("and", "or"):
-        if len(targets) != 2:
-            print(f"{op} takes two targets", file=sys.stderr)
-            return EXIT_USAGE
         a, b = targets
         if op == "and":
             try:
@@ -148,9 +143,6 @@ def _run_algebra(args, policies, out) -> int:
         print(f"{op}({a.name}, {b.name}): {'upheld' if upheld else 'violated'}", file=out)
         return EXIT_OK if upheld else EXIT_VIOLATION
     # contains / coverage need universe bounds
-    if len(targets) != 2:
-        print(f"{op} takes two targets", file=sys.stderr)
-        return EXIT_USAGE
     if not args.universe:
         print(f"{op} needs --universe", file=sys.stderr)
         return EXIT_USAGE

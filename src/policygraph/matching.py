@@ -32,8 +32,13 @@ where the edge's plan gives None and raises nothing, and for rejected
 edges it still has edge_candidate judge the endpoint plans that may
 raise, in the same sorted edge order (once where several share them), so
 every error is raised where it was.
-An event's two snapshots are looked up at most once per pass or decision,
-whatever the number of edges and policies that read them.
+
+A batch pass walks the events in trace order, as the monitor meets them,
+and judges each for the edges on its route in sorted order.  Node-plan
+outcomes are memoised per object, on the snapshot last asked for
+(snapshot_entry); a pass and a monitor keep the same memo.  An event's two
+snapshots are looked up at most once per pass or decision, whatever the
+number of edges and policies that read them.
 """
 
 from __future__ import annotations
@@ -200,47 +205,55 @@ def _judged(plan: BindingPlan, attrs: Mapping[str, Any], outcomes: dict) -> Opti
     return found
 
 
-def snapshot_entry(outcomes: dict, attrs: Mapping[str, Any]) -> tuple[Mapping[str, Any], dict]:
-    """The entry (attrs, {node plan: its outcome there}) of a snapshot in
-    one pass's memo `outcomes`, keyed by the snapshot's id; the entry keeps
-    the snapshot, so the id is not reused while the memo lives.  The
-    caller owns the memo and must drop it before a snapshot it saw can
-    change in place."""
-    entry = outcomes.get(id(attrs))
-    if entry is None:
-        entry = outcomes[id(attrs)] = (attrs, {})
+def snapshot_entry(memo: dict, obj_id: str, attrs: Mapping[str, Any]) -> tuple[Mapping[str, Any], dict]:
+    """The entry (attrs, {node plan: its outcome there}) of the object's
+    snapshot `attrs` in `memo`, which keeps per object the entry of the
+    snapshot last asked for: an entry whose snapshot is not `attrs` is
+    replaced.  The caller owns the memo and must drop an object's entry
+    before its snapshot can change in place."""
+    entry = memo.get(obj_id)
+    if entry is None or entry[0] is not attrs:
+        entry = memo[obj_id] = (attrs, {})
     return entry
 
 
 def _edge_candidates(pattern: PatternGraph, graph: SystemGraph, pruned=()) -> dict[str, list[_EdgeCandidate]]:
     """Per policy edge, every event's edge_candidate() that is neither None
-    nor raises one of the exceptions `pruned`.  Each event is routed by the
-    pattern's screen once, and judged only for the edges on its route; its
-    snapshots are looked up once, when the first edge judges it."""
-    out: dict[str, list[_EdgeCandidate]] = {}
-    events, screen = graph.events, pattern.screen
-    routes = [screen.route(event.params) for event in events] if screen.routes else [screen.default] * len(events)
-    ends: list[Optional[tuple]] = [None] * len(events)
-    outcomes: dict = {}  # the memo of node-plan outcomes, for this pass
-    for edge_id in pattern.key_ids[0]:  # sorted
-        candidates = []
-        for index, route in enumerate(routes):
-            screened_out = route.get(edge_id)
-            if screened_out is None:
-                continue
-            event, event_ends = events[index], ends[index]
-            if event_ends is None and screen.reads_ends:
-                event_ends = ends[index] = (
-                    snapshot_entry(outcomes, graph.src_attr(event)),
-                    snapshot_entry(outcomes, graph.dest_attr(event)),
-                )
+    nor raises one of the exceptions `pruned`, in event order.  The events
+    are walked in trace order, as the monitor meets them: each is routed by
+    the pattern's screen once, its snapshots are looked up once, and it is
+    judged for the edges on its route in sorted order.
+
+    The error raised is that of the first edge, by sorted id, that raises
+    at any event, at the first event where it does, as if each edge were
+    walked over the whole trace in turn.  So once an edge has raised, later
+    events are judged only for the edges before it, and the error is raised
+    when the walk ends."""
+    out: dict[str, list[_EdgeCandidate]] = {edge_id: [] for edge_id in pattern.key_ids[0]}
+    screen, memo = pattern.screen, {}
+    error, raised = None, None  # the error to raise, and the edge that raised it
+    for index, event in enumerate(graph.events):
+        route = screen.route(event.params)
+        if not route:
+            continue
+        ends = (
+            snapshot_entry(memo, event.src, graph.src_attr(event)),
+            snapshot_entry(memo, event.dest, graph.dest_attr(event)),
+        ) if screen.reads_ends else None
+        for edge_id, screened_out in route.items():
+            if raised is not None and edge_id >= raised:
+                break
             try:
-                cand = edge_candidate(pattern, edge_id, index, event, event_ends, screened_out)
+                cand = edge_candidate(pattern, edge_id, index, event, ends, screened_out)
             except pruned:
                 continue
+            except Exception as exc:
+                error, raised = exc, edge_id
+                break
             if cand is not None:
-                candidates.append(cand)
-        out[edge_id] = candidates
+                out[edge_id].append(cand)
+    if error is not None:
+        raise error
     return out
 
 
@@ -289,7 +302,7 @@ def match_pattern(
         if len(matches) > cap:
             raise MatchCapExceeded(policy_name, cap)
 
-    each_match(pattern, graph, finish, policy_name)
+    each_match(pattern, graph, finish)
     if len(matches) > 1:
         # Match.key() order: an assignment fixes its bindings, so its events by
         # sorted edge id, then its pairs by sorted node id, decide the order
@@ -302,7 +315,6 @@ def each_match(
     pattern: PatternGraph,
     graph: SystemGraph,
     on_match: Callable[[Mapping[str, int], Mapping, Mapping[str, str], dict[str, Any], tuple], None],
-    policy_name: str = "?",
     edge_cands: Optional[Mapping[str, Sequence[_EdgeCandidate]]] = None,
     *,
     prune_errors: bool = False,

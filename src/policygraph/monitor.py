@@ -21,8 +21,9 @@ run their plans.  In a stream where most events take no edge, such an
 event costs each policy that probe, and at most the judgement of the
 endpoint plans that may raise, which the screen keeps so that the same
 error is raised.  Node-plan outcomes are memoised on each object's newest
-snapshot, the only one an event can read, and dropped when an object
-record supersedes it, so the memo holds one entry per object.
+snapshot, the only one an event can read, in the memo a batch pass keeps
+(matching.snapshot_entry); an object record drops its object's entry, so
+an entry found is current and needs no snapshot lookup.
 
 The committed candidates are looked up, not scanned.  For each ordered
 pair of edges (pinned e, other f) the monitor works out, once, a key that
@@ -85,6 +86,7 @@ from .matching import (
     each_match,
     edge_candidate,
     judge_requirement,
+    snapshot_entry,
     verdict_all,
 )
 from .matching import check_requirement  # noqa: F401  perfbench/tracing.py wraps it here
@@ -130,10 +132,9 @@ class Monitor:
         self.match_cap = match_cap
         self.graph = SystemGraph()
         self._watched = [_Watched(p) for p in self.policies if p.graph.edges]
-        self._reads_ends = any(watched.screen.reads_ends for watched in self._watched)
         self._cursor = 0
-        # per object, the memo entry (newest snapshot, {node plan: outcome}),
-        # as matching.snapshot_entry keeps one per snapshot in a batch pass
+        # the memo of node-plan outcomes (see matching.snapshot_entry); an
+        # object's entry is always that of its newest snapshot
         self._outcomes: dict[str, tuple[Mapping[str, Any], dict]] = {}
 
     def step(self, record: Mapping[str, Any]) -> list[Decision]:
@@ -160,12 +161,19 @@ class Monitor:
         error = None  # the first requirement that raised; raised only if nothing denies
         fresh = []  # per watched policy, the new event's candidate per edge
         ends = None  # the memo entries of the event's snapshots, looked up once
+        memo = self._outcomes
         try:
             for watched in self._watched:
                 cands = {}
                 route = watched.screen.route(event.params)
-                if route and ends is None and self._reads_ends:
-                    ends = (self._snapshot_entry(event.src, event.time), self._snapshot_entry(event.dest, event.time))
+                if route and ends is None and watched.screen.reads_ends:
+                    # an entry found is current, as step() drops it when an
+                    # object record supersedes its snapshot
+                    src, dest, t = event.src, event.dest, event.time
+                    ends = (
+                        memo.get(src) or snapshot_entry(memo, src, self.graph.attrs_at(src, t)),
+                        memo.get(dest) or snapshot_entry(memo, dest, self.graph.attrs_at(dest, t)),
+                    )
                 for edge_id, screened_out in route.items():
                     cand = edge_candidate(watched.pattern, edge_id, index, event, ends, screened_out)
                     if cand is not None:
@@ -189,15 +197,6 @@ class Monitor:
                 for key, index in watched.stores[edge_id]:
                     index.setdefault(key(cand), []).append(cand)
         return Decision(event.time, event.src, event.dest, True, ())
-
-    def _snapshot_entry(self, obj_id: str, t: int) -> tuple[Mapping[str, Any], dict]:
-        """The memo entry of the object's snapshot at t.  Events read only
-        an object's newest snapshot, and step() drops the entry when an
-        object record supersedes it, so it is looked up once per snapshot."""
-        entry = self._outcomes.get(obj_id)
-        if entry is None:
-            entry = self._outcomes[obj_id] = (self.graph.attrs_at(obj_id, t), {})
-        return entry
 
 
 _Key = Callable[[Any], tuple]
@@ -310,7 +309,7 @@ def _search(
             edge_cands = {edge_id: [cand]}
             for other, key, index in watched.lookups[edge_id]:
                 edge_cands[other] = index.get(key(cand), ())
-            each_match(watched.pattern, graph, judge, policy.name, edge_cands)
+            each_match(watched.pattern, graph, judge, edge_cands)
     except _Violation:
         return True, None
     return False, error

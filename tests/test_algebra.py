@@ -760,9 +760,7 @@ class TestPoolMatching:
         "!$A",
         "$A / 0 = 1 || $B = 1",
     ]
-    # none holds under a NaN binding, which the engine rejects at an edge
-    # and brute_matches does not (see CHANGES.md)
-    PLAIN = ["$A = 0 || $A = 1", "$A = $B", "$A <= 1", "act = 0 && $A = 0"]
+    PLAIN = ["$A = 0 || $A = 1", "$A = $B", "$A <= 1", "act = 0 && $A = 0", "$A != 1"]
     DOMAINS = ["act = $A", "act = $A && act != 0", "true"]
     UNIVERSES = [
         UniverseBounds(2, 1, ("kind",), ("act",), (0, "a"), max_events=1),
@@ -816,6 +814,16 @@ class TestPoolMatching:
         exact_q = self.flow("exact_q", "act = $A", "act = $A && $A > 0")
         with pytest.raises(PredicateTypeError, match="expected a boolean: !0"):
             contains(exact_p, exact_q, u)
+
+    def test_a_free_variable_takes_nan_at_an_edge(self):
+        """Over a pool with NaN, a requirement variable that nothing
+        captures takes NaN in a pattern with an edge too, as in the oracle:
+        `$A != 1` holds there and `$A = 0` does not, so p does not contain q."""
+        u = UniverseBounds(2, 1, ("kind",), ("act",), (0, math.nan), max_events=1)
+        p, q = self.flow("p", "act = $A", "$A != 1"), self.flow("q", "act = $A", "$A = 0")
+        result = contains(p, q, u)
+        assert not result.holds
+        assert result == reference_contains(p, q, u)[0]
 
 
 # (universe, random policy pairs on it): 320 pairs, fewer on the larger universes

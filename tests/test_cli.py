@@ -297,6 +297,21 @@ class TestAlgebraMode:
         code, _ = cli("--policies", workspace / "no_read_up.policy", "--mode", "algebra")
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("op, targets, message", [
+        ("nullify", ["no_read_up", "no_read_up"], "nullify takes one target"),
+        ("reverse", [], "reverse takes one target"),
+        ("and", ["no_read_up"], "and takes two targets"),
+        ("or", ["no_read_up", "no_read_up", "no_read_up"], "or takes two targets"),
+        ("contains", ["no_read_up"], "contains takes two targets"),
+        ("coverage", [], "coverage takes two targets"),
+    ])
+    def test_wrong_number_of_targets(self, workspace, capsys, op, targets, message):
+        code, text = cli(
+            "--policies", workspace / "no_read_up.policy", "--mode", "algebra", "--op", op, "--targets", *targets,
+        )
+        assert (code, text) == (EXIT_USAGE, "")
+        assert capsys.readouterr().err == message + "\n"
+
 
 class TestErrorPaths:
     def test_policy_parse_error(self, tmp_path):

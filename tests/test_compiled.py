@@ -77,7 +77,7 @@ def same(a, b) -> bool:
 def ends(graph, event) -> tuple:
     """The memo entries of an event's two snapshots, in a fresh memo."""
     memo: dict = {}
-    return snapshot_entry(memo, graph.src_attr(event)), snapshot_entry(memo, graph.dest_attr(event))
+    return snapshot_entry(memo, event.src, graph.src_attr(event)), snapshot_entry(memo, event.dest, graph.dest_attr(event))
 
 
 def outcome(thunk):

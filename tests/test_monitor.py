@@ -351,7 +351,7 @@ def flat_decision(policies, graph, cap=DEFAULT_MATCH_CAP):
             for e, cands in every.items():
                 for cand in cands:
                     if cand.event_index == new:
-                        each_match(p.domain, graph, judge, p.name, {**committed, e: [cand]})
+                        each_match(p.domain, graph, judge, {**committed, e: [cand]})
         except Violation:
             denied.append(p.name)
     if error is not None and not denied:
@@ -379,10 +379,10 @@ class TestKeyedLookup:
         the other edges drew from, with their candidates."""
         seen, calls = [], []
 
-        def spy(pattern, graph, on_match, policy_name="?", edge_cands=None):
+        def spy(pattern, graph, on_match, edge_cands=None):
             new = len(graph.events) - 1
             calls.append({e: list(cands) for e, cands in edge_cands.items() if [c.event_index for c in cands] != [new]})
-            return each_match(pattern, graph, on_match, policy_name, edge_cands)
+            return each_match(pattern, graph, on_match, edge_cands)
 
         mon = Monitor([policy])
         original, monitor_module.each_match = monitor_module.each_match, spy

@@ -19,7 +19,8 @@ import tracemalloc
 
 import pytest
 
-from policygraph.matching import each_match, find_matches, verdict
+from policygraph import matching
+from policygraph.matching import each_match, edge_candidate, find_matches, snapshot_entry, verdict
 from policygraph.monitor import Monitor
 from policygraph.policy import PatternGraph, make_policy, parse_policy, parse_policy_set, validate_policy
 from policygraph.predicates import (
@@ -411,6 +412,30 @@ def engine_results(policies, records) -> list:
     return out
 
 
+def edge_by_edge(pattern, graph, pruned=()) -> dict:
+    """matching._edge_candidates as a walk over the whole trace for each
+    edge in turn, by sorted id: the reference for which error the
+    event-by-event walk raises."""
+    out, memo = {}, {}
+    for edge_id in pattern.key_ids[0]:
+        out[edge_id] = []
+        for index, event in enumerate(graph.events):
+            screened_out = pattern.screen.route(event.params).get(edge_id)
+            if screened_out is None:
+                continue
+            ends = (
+                snapshot_entry(memo, event.src, graph.src_attr(event)),
+                snapshot_entry(memo, event.dest, graph.dest_attr(event)),
+            )
+            try:
+                cand = edge_candidate(pattern, edge_id, index, event, ends, screened_out)
+            except pruned:
+                continue
+            if cand is not None:
+                out[edge_id].append(cand)
+    return out
+
+
 class TestEdgeScreen:
     def test_screened_like_flat(self, monkeypatch):
         """Random policies and streams: the screen changes no decision,
@@ -425,10 +450,36 @@ class TestEdgeScreen:
             with monkeypatch.context() as patched:
                 patched.setattr(PatternGraph, "screen", property(FlatScreen))
                 flat = engine_results(policies, records)
-            assert got == flat, (i, policies, records)
+            with monkeypatch.context() as patched:
+                patched.setattr(matching, "_edge_candidates", edge_by_edge)
+                by_edge = engine_results(policies, records)
+            assert got == flat == by_edge, (i, policies, records)
             errors += sum(isinstance(r, tuple) and r[:1] == ("error",) for r in got)
             denials += sum(1 for r in got if isinstance(r, list) and r and r[0][:1] == (False,))
         assert errors > 1000 and denials > 20 and screened > 1000, (errors, denials, screened)
+
+    def test_the_first_edge_to_raise_is_the_one_raised(self):
+        """The batch pass walks event by event, yet raises the error of the
+        first edge, by sorted id, that raises anywhere: e1's at the second
+        event, not e2's at the first."""
+        p = parse_policy("""
+        policy p {
+          node a
+          node b
+          edge e1: a -> b domain: m = 1 && k > 0
+          edge e2: a -> b domain: m = 1 && j > 0
+        }
+        """)
+        records = [
+            {"t": 1, "object": {"id": "x", "attrs": {}}},
+            {"t": 1, "object": {"id": "y", "attrs": {}}},
+            {"t": 2, "event": {"src": "x", "dest": "y", "params": {"m": 1, "k": 1, "j": "late"}}},
+            {"t": 3, "event": {"src": "x", "dest": "y", "params": {"m": 1, "k": "early", "j": 1}}},
+        ]
+        graph = ingest_trace(records)
+        for check in (find_matches, verdict):
+            with pytest.raises(PredicateTypeError, match='^ordered comparison needs numbers: "early" > 0$'):
+                check(p, graph)
 
     def test_raw_probe_admits_every_equal_constant(self):
         """1, 1.0 and true share a route, which admits all three edges; the
