@@ -39,6 +39,13 @@ outcomes are memoised per object, on the snapshot last asked for
 (snapshot_entry); a pass and a monitor keep the same memo.  An event's two
 snapshots are looked up at most once per pass or decision, whatever the
 number of edges and policies that read them.
+
+The join looks each edge after the first up in a hash index of its
+candidates (Candidates.lookup), as Rete's hashed beta memories do
+(Doorenbos, "Production Matching for Large Learning Systems", CMU 1995).
+The index drops only candidates that placing them would reject before any
+filter runs, and keeps list and edge order, so a scan would find the same
+matches, in the same order, and raise the same errors.
 """
 
 from __future__ import annotations
@@ -57,6 +64,7 @@ DEFAULT_MATCH_CAP = 100_000
 _ABSENT = object()
 _NO_CAPTURES: Mapping[str, Any] = {}
 _NO_SNAPSHOT = (None, None)
+_NO_KEY = ((None, (), ()),)  # a lone edge's: it is scanned
 
 
 class MatchCapExceeded(RuntimeError):
@@ -146,6 +154,30 @@ class _EdgeCandidate:
     filters: tuple  # (filter, context) pairs whose variables those leave unbound
 
 
+class Candidates(list):
+    """One edge's candidates, with a hash index per key it was looked up
+    by, built at the first lookup and extended at each later one to the
+    members appended since.  Members may only be appended."""
+
+    __slots__ = ("_indexes",)  # set at the first lookup
+
+    def lookup(self, parts: tuple[tuple[str, ...], tuple[str, ...]], probe: tuple) -> Sequence[_EdgeCandidate]:
+        """The members, in list order, whose fields parts[0], then captures
+        of the variables parts[1], equal `probe` under == and hash, as
+        values_equal values always do (see values.Distinct)."""
+        indexes = getattr(self, "_indexes", None)
+        if indexes is None:
+            indexes = self._indexes = {}
+        index, done = entry = indexes.get(parts) or indexes.setdefault(parts, [{}, 0])
+        if done < len(self):
+            fields, names = parts
+            for cand in self[done:]:
+                key = (*[getattr(cand, f) for f in fields], *[cand.captures[n] for n in names])
+                index.setdefault(key, []).append(cand)
+            entry[1] = len(self)
+        return index.get(probe, ())
+
+
 def edge_candidate(
     pattern: PatternGraph,
     edge_id: str,
@@ -217,7 +249,7 @@ def snapshot_entry(memo: dict, obj_id: str, attrs: Mapping[str, Any]) -> tuple[M
     return entry
 
 
-def _edge_candidates(pattern: PatternGraph, graph: SystemGraph, pruned=()) -> dict[str, list[_EdgeCandidate]]:
+def _edge_candidates(pattern: PatternGraph, graph: SystemGraph, pruned=()) -> dict[str, Candidates]:
     """Per policy edge, every event's edge_candidate() that is neither None
     nor raises one of the exceptions `pruned`, in event order.  The events
     are walked in trace order, as the monitor meets them: each is routed by
@@ -229,7 +261,7 @@ def _edge_candidates(pattern: PatternGraph, graph: SystemGraph, pruned=()) -> di
     walked over the whole trace in turn.  So once an edge has raised, later
     events are judged only for the edges before it, and the error is raised
     when the walk ends."""
-    out: dict[str, list[_EdgeCandidate]] = {edge_id: [] for edge_id in pattern.key_ids[0]}
+    out = {edge_id: Candidates() for edge_id in pattern.key_ids[0]}
     screen, memo = pattern.screen, {}
     error, raised = None, None  # the error to raise, and the edge that raised it
     for index, event in enumerate(graph.events):
@@ -317,6 +349,7 @@ def each_match(
     on_match: Callable[[Mapping[str, int], Mapping, Mapping[str, str], dict[str, Any], tuple], None],
     edge_cands: Optional[Mapping[str, Sequence[_EdgeCandidate]]] = None,
     *,
+    equal: tuple[tuple[str, str], ...] = (),
     prune_errors: bool = False,
 ) -> None:
     """Backtracking enumeration of every match of a pattern: calls
@@ -339,6 +372,9 @@ def each_match(
     then those whose events come from these lists.  Where every variable
     has a capture (rule R1), `waiting` is always empty.
 
+    `equal` lists pairs of variables to bind equal values: a branch where
+    they differ is pruned once both are bound, before any filter runs.
+
     A PredicateTypeError raised while screening or filtering ends the
     search, unless `prune_errors` is set: then the candidate, span or
     branch it was raised for is dropped.  Each step and filter is a
@@ -354,6 +390,7 @@ def each_match(
         return  # an edge without candidates: nothing is placed and no filter runs
     iso_order = sorted(iso_cands, key=lambda n: (sum(last - first + 1 for _, first, last, _, _ in iso_cands[n]), n))
     edge_specs, plans, binding_owners = pattern.graph.edges, pattern.plans, pattern.binding_owners
+    keys = pattern.join_keys.get((*edge_order, equal)) or _join_keys(pattern, edge_order, equal) if edge_order[1:] else _NO_KEY
 
     # The assignment dicts hold every id from the start, by sorted id, so a
     # match lists its assignments in that order whatever order the join
@@ -389,6 +426,11 @@ def each_match(
         added = _bind((captures.items(),), bindings) if captures else []
         if added is None:
             return
+        if equal and added:
+            for a, b in equal:
+                if a in bindings and b in bindings and not values_equal(bindings[a], bindings[b]):
+                    waiting = None
+                    break
         if waiting:
             try:
                 waiting = _settle(waiting, bindings)
@@ -423,7 +465,13 @@ def each_match(
             return
         edge_id = edge_order[position]
         spec = edge_specs[edge_id]
-        for cand in edge_cands[edge_id]:
+        parts, nodes, variables = keys[position]
+        cands = edge_cands[edge_id]
+        if parts is not None:
+            if not isinstance(cands, Candidates):
+                cands = Candidates(cands)  # a list of the caller's own, indexed afresh
+            cands = cands.lookup(parts, (*[node_objects[n] for n in nodes], *[bindings[v] for v in variables]))
+        for cand in cands:
             if cand.event_index in edge_events.values():
                 continue
             if spec.src == spec.dest and cand.src_obj != cand.dest_obj:
@@ -447,6 +495,26 @@ def each_match(
         # The recursive closures refer to themselves; dropping them frees
         # the candidate lists now rather than at the collector's next pass.
         del assign_edges, assign_iso, place
+
+
+def _join_keys(pattern: PatternGraph, edge_order: Sequence[str], equal: tuple[tuple[str, str], ...]) -> list:
+    """Per edge in join order, its lookup's (parts, nodes, variables), parts
+    None for none: its claimed endpoints against `nodes`, and its captures
+    against the bound `variables`, its own or their `equal` partners'."""
+    edge_specs, plans = pattern.graph.edges, pattern.plans
+    claimed, bound, keys = set(), set(), []
+    for edge_id in edge_order:
+        spec = edge_specs[edge_id]
+        captured = plans[edge_id].captured | plans[spec.src].captured | plans[spec.dest].captured
+        ends = [(f, n) for f, n in (("src_obj", spec.src), ("dest_obj", spec.dest)) if n in claimed]
+        pairs = [(v, v) for v in sorted(captured & bound)]  # (captured, bound)
+        pairs += [(b, a) for x, y in equal for a, b in ((x, y), (y, x)) if a in bound and b in captured - bound]
+        parts = (tuple(f for f, _ in ends), tuple(c for c, _ in pairs)) if ends or pairs else None
+        keys.append((parts, tuple(n for _, n in ends), tuple(v for _, v in pairs)))
+        claimed |= {spec.src, spec.dest}
+        bound |= captured
+    pattern.join_keys[(*edge_order, equal)] = keys
+    return keys
 
 
 def find_matches(p: PolicyGraph, graph: SystemGraph, cap: int = DEFAULT_MATCH_CAP) -> list[Match]:

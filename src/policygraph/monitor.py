@@ -25,32 +25,12 @@ snapshot, the only one an event can read, in the memo a batch pass keeps
 (matching.snapshot_entry); an object record drops its object's entry, so
 an entry found is current and needs no snapshot lookup.
 
-The committed candidates are looked up, not scanned.  For each ordered
-pair of edges (pinned e, other f) the monitor works out, once, a key that
-any failing match forces e's candidate and f's to share, and keeps f's
-committed candidates in a hash index under that key.  The key joins:
-
-- the objects of the policy nodes that are endpoints of both e and f,
-  which claim would otherwise compare;
-- the values of the variables both edges' candidates capture, which _bind
-  would otherwise compare;
-- violation equalities.  Where exactly one element has a requirement other
-  than true, and that requirement never raises, it is false only when each
-  operand of its top-level || is.  So each operand $A != $B, with A
-  captured by e's candidates and B by f's, pairs A's value in the pinned
-  candidate with B's in f's: a failing match needs them equal.
-
-Values enter a key through values.canonical, under which equal values
-meet.  The first two parts drop only pairs the join rejects anyway, the
-third only matches whose requirement holds; each_match is unchanged and
-merely receives shorter lists.  An edge that is the other edge of no pair,
-as in a policy of one edge, keeps no committed candidates at all.  A
-skipped candidate's domain filters never run, and shorter lists can change
-the order in which the join places edges and meets matches, so a policy is
-keyed only where neither shows: all its domain filters never raise, and,
-with more than two edges, its requirements never raise either.  With two
-edges the join meets the matches in the order of the other edge's list,
-which the index keeps.  Other policies keep one flat list per edge.
+The join looks the committed candidates up (see matching); a one-edge
+policy keeps none.  Where a policy's only requirement other than true, and
+every domain filter, never raises, each operand $A != $B of its top-level
+|| is an `equal` pair, as in Nicolas's violation-directed check (ACM TODS
+1982): a failing match binds A and B equal, so a branch where they differ,
+between any two elements, is pruned.
 
 A decision only asks whether a failing match exists, so it is made inside
 the join: each completed match is counted and its requirement judged as
@@ -64,22 +44,22 @@ whatever that order is:
   its PredicateTypeError only when no policy denies the event.  A domain
   predicate that raises still raises where the search meets it, which a
   search stopped at a violation never does.
-- The cap counts the matches the keyed search completes.  The matches one
+- The cap counts the matches the search completes.  The matches one
   event makes for one policy are counted as the search completes them,
   over all edges pinned in turn, and the event raises MatchCapExceeded
   when the count passes match_cap before a failing match is found.  The
-  matches that violation equalities skip, whose requirement holds, are
-  not counted.
+  matches that `equal` pairs prune, whose requirement holds, are not
+  counted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
-from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .matching import (
     DEFAULT_MATCH_CAP,
+    Candidates,
     CompositeVerdict,
     InvalidPolicyError,
     MatchCapExceeded,
@@ -94,7 +74,6 @@ from .policy import PolicyGraph, domain_of, validate_policy
 from .predicates import BinOp, Expr, PredicateTypeError, Var, always_flag
 from .predicates import merge_conditions  # noqa: F401  perfbench/tracing.py wraps it here
 from .system import SystemEvent, SystemGraph, apply_record
-from .values import canonical
 
 
 @dataclass(frozen=True, slots=True)
@@ -118,7 +97,7 @@ class Monitor:
     The committed history is exposed as .graph; verdicts() evaluates every
     policy against it, which after a denial-free stream equals the batch
     verdict on the same trace.  match_cap bounds the matches one event
-    makes for one policy, as the keyed search completes and counts them
+    makes for one policy, as the search completes and counts them
     (see the module docstring); exceeding it raises MatchCapExceeded and
     keeps nothing of the event.
     """
@@ -193,86 +172,39 @@ class Monitor:
             self.graph._drop_last_event()
             return Decision(event.time, event.src, event.dest, False, tuple(sorted(denied_by)))
         for watched, cands in zip(self._watched, fresh):
-            for edge_id, cand in cands.items():
-                for key, index in watched.stores[edge_id]:
-                    index.setdefault(key(cand), []).append(cand)
+            if watched.committed:
+                for edge_id, cand in cands.items():
+                    watched.committed[edge_id].append(cand)
         return Decision(event.time, event.src, event.dest, True, ())
 
 
-_Key = Callable[[Any], tuple]
-
-
 class _Watched:
-    """A policy with edges, with its domain's edge screen and the indexes
-    of its committed candidates.
+    """A policy with edges, its domain's edge screen, its committed
+    candidates per edge and its `equal` pairs (see the module docstring)."""
 
-    Per pinned edge e, in sorted edge id order, `lookups` lists the (other
-    edge f, key of e's candidate, index of f's committed candidates)
-    triples; per edge f, `stores` lists the (key of f's candidate, index)
-    pairs of the indexes a committed candidate of f joins.  An index maps a
-    key to the candidates, in commit order, that have it; pairs whose key
-    parts agree on f's side share one.
-    """
-
-    __slots__ = ("policy", "pattern", "screen", "lookups", "stores")
+    __slots__ = ("policy", "pattern", "screen", "committed", "equal")
 
     def __init__(self, policy: PolicyGraph):
         self.policy, self.pattern = policy, domain_of(policy)
         self.screen = self.pattern.screen
-        edges = sorted(policy.graph.edges)
-        self.lookups: dict[str, list[tuple[str, _Key, dict]]] = {e: [] for e in edges}
-        self.stores: dict[str, list[tuple[_Key, dict]]] = {e: [] for e in edges}
-        indexes: dict[tuple, dict] = {}
-        for (e, f), (e_parts, f_parts) in _key_parts(policy).items():
-            index = indexes.get((f, f_parts))
-            if index is None:
-                index = indexes[f, f_parts] = {}
-                self.stores[f].append((_key(f_parts), index))
-            self.lookups[e].append((f, _key(e_parts), index))
+        self.committed = {e: Candidates() for e in policy.graph.edges} if len(policy.graph.edges) > 1 else {}
+        requirements = [policy.requirement_preds[elt] for elt in policy.checked_requirements]
+        filters = [expr for plan in self.pattern.plans.values() for expr, _, _ in plan.filters]
+        quiet = len(requirements) == 1 and all(always_flag(e) for e in requirements + filters)
+        self.equal = _unequal_operands(requirements[0]) if quiet else ()
 
 
-def _key_parts(policy: PolicyGraph) -> dict[tuple[str, str], tuple[tuple, tuple]]:
-    """Per ordered pair (pinned edge e, other edge f): the parts of the key
-    of e's candidate and of f's, in step, each (is an object field, name
-    of the field or of a captured variable).  Empty, so one flat list,
-    where the policy is not keyed (see the module docstring)."""
-    edges, plans = policy.graph.edges, policy.domain.plans
-    requirements = [policy.requirement_preds[elt] for elt in policy.checked_requirements]
-    quiet = all(always_flag(r) for r in requirements)
-    filters_quiet = all(always_flag(expr) for plan in plans.values() for expr, _, _ in plan.filters)
-    keyed = filters_quiet and (len(edges) <= 2 or quiet)
-    unequal = _unequal_operands(requirements[0]) if keyed and quiet and len(requirements) == 1 else []
-    captured = {e: plans[e].captured | plans[s.src].captured | plans[s.dest].captured for e, s in edges.items()}
-    ends = {e: {s.src: (True, "src_obj"), s.dest: (True, "dest_obj")} for e, s in edges.items()}
-    parts = {}
-    for e, f in permutations(sorted(edges), 2):
-        pairs = []
-        if keyed:
-            pairs += [(ends[e][n], ends[f][n]) for n in sorted(ends[e].keys() & ends[f].keys())]
-            pairs += [((False, v), (False, v)) for v in sorted(captured[e] & captured[f])]
-            pairs += [((False, a), (False, b)) for a, b in unequal if a in captured[e] and b in captured[f]]
-        pairs = list(dict.fromkeys(pairs))
-        parts[e, f] = tuple(a for a, _ in pairs), tuple(b for _, b in pairs)
-    return parts
-
-
-def _unequal_operands(requirement: Expr) -> list[tuple[str, str]]:
-    """The variable pairs (A, B), either way round, of the operands $A != $B
-    of a requirement's top-level ||, or of the requirement itself."""
+def _unequal_operands(requirement: Expr) -> tuple[tuple[str, str], ...]:
+    """The variable pairs (A, B) of the operands $A != $B of a
+    requirement's top-level ||, or of the requirement itself."""
     pairs, pending = [], [requirement]
     while pending:
         x = pending.pop()
         if isinstance(x, BinOp) and x.op == "||":
             pending += (x.right, x.left)
         elif isinstance(x, BinOp) and x.op == "!=" and isinstance(x.left, Var) and isinstance(x.right, Var):
-            pairs += [(x.left.name, x.right.name), (x.right.name, x.left.name)]
-    return pairs
-
-
-def _key(parts: tuple[tuple[bool, str], ...]) -> _Key:
-    """The key a candidate has under these parts: an object field's value,
-    or a captured variable's canonical value."""
-    return lambda cand: tuple(getattr(cand, n) if field else canonical(cand.captures[n]) for field, n in parts)
+            pairs.append((x.left.name, x.right.name))
+    return tuple(pairs)
 
 
 class _Violation(Exception):
@@ -283,8 +215,8 @@ def _search(
     watched: _Watched, cands: Mapping[str, Any], graph: SystemGraph, cap: int
 ) -> tuple[bool, Optional[PredicateTypeError]]:
     """Whether a match that pins the new event's candidate (cands, per
-    edge) to one edge, the others drawn from the committed candidates its
-    keys find, fails the policy's requirement; and, where none fails, the
+    edge) to one edge, the others drawn from the committed candidates,
+    fails the policy's requirement; and, where none fails, the
     first PredicateTypeError a requirement raised.  Counting more than
     `cap` matches before a failing one raises MatchCapExceeded."""
     policy = watched.policy
@@ -306,10 +238,7 @@ def _search(
 
     try:
         for edge_id, cand in cands.items():
-            edge_cands = {edge_id: [cand]}
-            for other, key, index in watched.lookups[edge_id]:
-                edge_cands[other] = index.get(key(cand), ())
-            each_match(watched.pattern, graph, judge, edge_cands)
+            each_match(watched.pattern, graph, judge, {**watched.committed, edge_id: [cand]}, equal=watched.equal)
     except _Violation:
         return True, None
     return False, error

@@ -194,6 +194,10 @@ class PatternGraph:
         return {elt: compile_ground(e) for elt, e in self.preds.items()}
 
     @cached_property
+    def join_keys(self) -> dict[tuple, list]:
+        return {}  # matching.each_match's lookup keys, per edge order and `equal` pairs
+
+    @cached_property
     def owners(self) -> dict[str, str]:
         """Per variable some plan captures (rule R1), the element whose
         capture a match reports: the first in elements() order that

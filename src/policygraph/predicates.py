@@ -694,10 +694,9 @@ def extract_bindings(cond: Expr) -> tuple[dict[str, Any], Expr]:
     """Harvest variable equalities forced by top-level conjuncts.
 
     Only conjuncts of shape $v = const or const = $v count; anything beneath
-    a disjunction or negation is contingent and stays untouched.  Two
-    conjuncts forcing one variable to different values are a contradiction:
-    ({}, false).  The harvested conjuncts are replaced by true and the
-    remainder folded.
+    a disjunction or negation is contingent and stays untouched.  Conjuncts
+    forcing one variable to different values, or to a NaN, which equals
+    nothing, are a contradiction: ({}, false).  The rest are folded.
     """
     bound: dict[str, Any] = {}
     rest: list[Expr] = []
@@ -709,7 +708,7 @@ def extract_bindings(cond: Expr) -> tuple[dict[str, Any], Expr]:
             rest.append(c)
             continue
         name, value = pair
-        if name in bound and not values_equal(bound[name], value):
+        if not values_equal(bound.get(name, value), value):
             return {}, FALSE
         bound[name] = value
     remainder: Expr = TRUE
@@ -1011,15 +1010,16 @@ class BindingPlan:
 
     Called on a context, the plan gives None where its steps are false
     there, or else its captures as (variable, value) pairs, in order and
-    not yet checked against each other.  Where a test or a computed capture
-    raises, or a test gives no boolean, the interpreter judges the whole
-    predicate, as satisfy() would: a conjunct that keeps a variable may
-    fold to false before the step is reached.  So the plan raises the error
-    the interpreter reports, or else gives None.  `may_raise` tells whether
-    a call can raise at all.  The result depends on the context alone, and
-    a plan with no steps always gives [], so the matcher judges a node's
-    plan once per snapshot and does not call a plan without steps (see
-    matching.edge_candidate).
+    not yet checked against each other.  A capture of a NaN, which equals
+    no value, is false, as extract_bindings makes it.  Where a test or a
+    computed capture raises, or a test gives no boolean, the interpreter
+    judges the whole predicate, as satisfy() would: a conjunct that keeps a
+    variable may fold to false before the step is reached.  So the plan
+    raises the error the interpreter reports, or else gives None.
+    `may_raise` tells whether a call can raise at all.  The result depends
+    on the context alone, and a plan with no steps always gives [], so the
+    matcher judges a node's plan once per snapshot and does not call a plan
+    without steps (see matching.edge_candidate).
     """
 
     __slots__ = ("pred", "steps", "filters", "may_raise", "captured")
@@ -1098,15 +1098,13 @@ class BindingPlan:
                         if value is False:
                             return None
                         break  # no boolean: judged below
-                elif kind == _CAPTURE:
-                    value = ctx.get(b, _ABSENT)
-                    if value is _ABSENT:
-                        return None  # substitute_attrs makes the equality false
+                elif kind == _CAPTURE or kind == _COMPUTE:
+                    value = ctx.get(b, _ABSENT) if kind == _CAPTURE else b(ctx, _NO_BINDINGS)
+                    if value is _ABSENT or value != value:
+                        return None  # substitute_attrs makes the equality false; a NaN equals nothing
                     captures.append((a, value))
                 elif kind == _BIND:
                     captures.append((a, b))
-                elif kind == _COMPUTE:
-                    captures.append((a, b(ctx, _NO_BINDINGS)))
                 else:
                     for name in a:
                         if name not in ctx:

@@ -154,6 +154,16 @@ def test_only_predicates_calls_the_interpreter(path):
     assert calls_of(parse(path), INTERPRETER) == []
 
 
+def test_only_matching_knows_join_keys():
+    """The monitor hands the join its committed lists and `equal` pairs;
+    it imports nothing from values, reads no canonical form and looks
+    nothing up itself, so the join's keys are matching's alone."""
+    tree = parse(PACKAGE / "monitor.py")
+    imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert "values" not in imported
+    assert names_read(tree) & {"canonical", "lookup", "_indexes", "join_keys"} == set()
+
+
 def test_no_module_raises_the_recursion_limit():
     """Deep or wide predicates are walked iteratively or rejected; raising
     the interpreter's recursion limit would only hide where they are not."""

@@ -8,8 +8,10 @@ import tracemalloc
 
 import pytest
 
+from policygraph.algebra import pattern_matches_bounded
 from policygraph.corpus import load_corpus_policy, load_manifest
 from policygraph.matching import (
+    Candidates,
     InvalidPolicyError,
     Match,
     MatchCapExceeded,
@@ -18,6 +20,7 @@ from policygraph.matching import (
     _edge_candidates,
     _iso_candidates,
     check_requirement,
+    each_match,
     find_matches,
     match_pattern,
     verdict,
@@ -25,11 +28,31 @@ from policygraph.matching import (
 )
 from policygraph.monitor import Monitor
 from policygraph.policy import PatternGraph, domain_of, parse_policy, validate_policy
-from policygraph.predicates import PredicateTypeError, parse_predicate
-from policygraph.system import TraceError, ingest_trace
+from policygraph.predicates import (
+    FALSE,
+    TRUE,
+    BinOp,
+    Const,
+    PredicateTypeError,
+    Var,
+    extract_bindings,
+    parse_predicate,
+    reduce_conditions,
+    satisfy,
+)
+from policygraph.system import TraceError, ingest_trace, read_jsonl
 from policygraph.values import ValueSet, canonical
 
-from oracle import GEN_ATTRS, GEN_VALUES, oracle_matches, oracle_verdict, random_policy, random_trace_records
+from oracle import (
+    GEN_ATTRS,
+    GEN_VALUES,
+    MIXED_VALUES,
+    oracle_matches,
+    oracle_verdict,
+    random_policy,
+    random_trace_records,
+)
+from test_screening import _raised, engine_results, screened_policy, screened_records
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -747,3 +770,94 @@ class TestExactNumberKeys:
         assert canonical(True) != canonical(1)
         (one,), (one_point_zero,), (true,) = self.keys(1), self.keys(1.0), self.keys(True)
         assert one[2] == one_point_zero[2] and one[2] != true[2]
+
+
+def join_results(policies, records) -> list:
+    """test_screening.engine_results, plus per policy the order in which
+    the join meets the matches on the whole trace, and a monitor's
+    decisions under a match cap of 1."""
+    out = engine_results(policies, records)
+    graph = ingest_trace(records)
+    for p in policies:
+        met: list = []
+        try:
+            each_match(p.domain, graph, lambda edges, iso, _nodes, bindings, _waiting: met.append(repr((edges, iso, bindings))))
+        except Exception as error:  # noqa: BLE001  compared, not handled
+            met.append(_raised(error))
+        out.append(met)
+    mon = Monitor(policies, match_cap=1)
+    for record in records:
+        try:
+            out.append([(d.allowed, d.denied_by) for d in mon.step(record)])
+        except Exception as error:  # noqa: BLE001
+            out.append(_raised(error))
+    return out
+
+
+class TestIndexedLikeScanned:
+    def test_lookups_change_nothing(self, monkeypatch):
+        """With every lookup giving the whole list, as a scan would try it,
+        batch matches, their order, verdicts and errors, and monitor
+        decisions, errors and MatchCapExceeded stay the same, over random
+        policies of two and three edges that share nodes and variables,
+        whose requirements and filters may raise."""
+        rng = random.Random(2001)
+        original = Candidates.lookup
+        dropped = 0
+
+        def counting(self, parts, probe):
+            nonlocal dropped
+            found = original(self, parts, probe)
+            dropped += len(self) - len(found)
+            return found
+
+        seen = {"error": 0, "cap": 0, "deny": 0, "three edges": 0}
+        for i in range(500):
+            if i % 2:
+                policies = [random_policy(rng, f"p{j}", values=MIXED_VALUES, keyed=True) for j in range(2)]
+                records = random_trace_records(rng, n_objects=3, n_events=16, values=MIXED_VALUES)
+            else:
+                policies = [screened_policy(rng, f"p{j}") for j in range(rng.randrange(1, 3))]
+                records = screened_records(rng)
+            with monkeypatch.context() as patched:
+                patched.setattr(Candidates, "lookup", counting)
+                indexed = join_results(policies, records)
+            with monkeypatch.context() as patched:
+                patched.setattr(Candidates, "lookup", lambda self, parts, probe: self)
+                scanned = join_results(policies, records)
+            assert indexed == scanned, (i, policies, records)
+            flat = repr(indexed)
+            seen["error"] += flat.count("'error'")
+            seen["cap"] += flat.count("MatchCapExceeded")
+            seen["deny"] += flat.count("(False, (")
+            seen["three edges"] += any(len(p.graph.edges) == 3 for p in policies)
+        assert seen["error"] > 500 and seen["cap"] > 20 and seen["deny"] > 40, seen
+        assert seen["three edges"] > 100 and dropped > 10000, (seen, dropped)
+
+
+class TestNanCapture:
+    """A JSON trace may carry NaN (json.loads accepts it).  A capture of a
+    NaN, or of a set holding one, equals no value, so it binds nothing and
+    makes no match, as the oracle and the Conditions reference find."""
+
+    @pytest.mark.parametrize(
+        "capture, act",
+        [("act = $A", "NaN"), ("$A = act", "NaN"), ("$A = act + 0", "NaN"), ("act = $A", "[NaN]"), ("$A = act", "[1, NaN]")],
+    )
+    def test_no_match_and_no_denial(self, capture, act):
+        p = parse_policy("policy flow {\n node a\n node b\n edge e: a -> b domain: %s req: $A = 0\n}" % capture)
+        event = '{"t": 1, "event": {"src": "x", "dest": "y", "params": {"act": %s}}}' % act
+        records = list(read_jsonl(['{"t": 1, "object": {"id": "x"}}', '{"t": 1, "object": {"id": "y"}}', event]))
+        graph = ingest_trace(records)
+        assert find_matches(p, graph) == [] and oracle_matches(p, graph) == set()
+        assert verdict(p, graph).upheld
+        assert pattern_matches_bounded(p.domain, graph) == set()
+        mon = Monitor([p])
+        assert [d.allowed for d in mon.run(records)] == [True] and len(mon.graph.events) == 1
+
+    def test_the_conditions_reference_finds_no_binding(self):
+        nan = float("nan")
+        for value in (nan, ValueSet([nan])):
+            assert extract_bindings(BinOp("=", Var("A"), Const(value))) == ({}, FALSE)
+            assert reduce_conditions(satisfy(parse_predicate("act = $A"), {"act": value}, {})).is_false
+        assert extract_bindings(BinOp("=", Var("A"), Const(1.5))) == ({"A": 1.5}, TRUE)

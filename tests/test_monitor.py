@@ -6,10 +6,10 @@ import tracemalloc
 
 import pytest
 
-from policygraph import monitor as monitor_module
 from policygraph.corpus import corpus_text, load_manifest, load_corpus_policy
 from policygraph.matching import (
     DEFAULT_MATCH_CAP,
+    Candidates,
     InvalidPolicyError,
     MatchCapExceeded,
     _edge_candidates,
@@ -17,6 +17,7 @@ from policygraph.matching import (
     each_match,
     find_matches,
     judge_requirement,
+    verdict,
     verdict_all,
 )
 from policygraph.monitor import Decision, Monitor
@@ -367,60 +368,90 @@ def outcome(decide):
         return type(exc).__name__, str(exc)
 
 
+def key_join_records(name: str, n: int) -> list[dict]:
+    """A stream whose n matches a join finds by key: n purchase orders each
+    requested and approved through two sessions, or n courses whose exam is
+    submitted and then has its key posted."""
+    if name == "purchase_separation_of_duty":
+        records = [{"t": 1, "object": {"id": f"s{u}", "attrs": {"type": "session", "user": f"u{u}"}}} for u in range(4)]
+        records += [{"t": 1, "object": {"id": f"po{i}", "attrs": {"type": "purchase_order"}}} for i in range(n)]
+        for i in range(n):
+            records.append({"t": 2 + 2 * i, "event": {"src": f"s{i % 4}", "dest": f"po{i}", "params": {"method": "request"}}})
+            records.append({"t": 3 + 2 * i, "event": {"src": f"s{(i + 1) % 4}", "dest": f"po{i}", "params": {"method": "approve"}}})
+        return records
+    kinds = (("st", "student"), ("es", "exam_server"), ("inst", "instructor"))
+    records = [{"t": 1, "object": {"id": obj, "attrs": {"type": kind}}} for obj, kind in kinds]
+    for i in range(n):
+        exam = {"course": f"c{i}", "exam": 1}
+        records.append({"t": 2 + 2 * i, "event": {"src": "st", "dest": "es", "params": {"method": "submit", **exam}}})
+        records.append({"t": 3 + 2 * i, "event": {"src": "inst", "dest": "es", "params": {"method": "post_key", **exam}}})
+    return records
+
+
+def tried(monkeypatch) -> list[list]:
+    """Records, from now on, the candidates each lookup of the join gives
+    it to try: every edge after the first in join order that shares an
+    endpoint or a variable with those before it is looked up."""
+    lookups: list[list] = []
+    original = Candidates.lookup
+
+    def spy(self, parts, probe):
+        found = original(self, parts, probe)
+        lookups.append(list(found))
+        return found
+
+    monkeypatch.setattr(Candidates, "lookup", spy)
+    return lookups
+
+
 class TestKeyedLookup:
-    """A decision looks up, per other edge, the committed candidates that
-    share its key with the new event's candidate: endpoint objects,
-    captured values and, for a requirement that never raises, the values
-    its `$A != $B` operands must share for the match to fail."""
+    """The join looks each edge after the first up by the key it shares
+    with what is placed: endpoint objects, captured values and, where the
+    monitor hands it the `$A != $B` operands of a requirement that never
+    raises, the values those operands must share for the match to fail."""
 
     @staticmethod
-    def lookups(mon_records, policy):
-        """Per decision, whether it allowed, and the lengths of the lists
-        the other edges drew from, with their candidates."""
-        seen, calls = [], []
-
-        def spy(pattern, graph, on_match, edge_cands=None):
-            new = len(graph.events) - 1
-            calls.append({e: list(cands) for e, cands in edge_cands.items() if [c.event_index for c in cands] != [new]})
-            return each_match(pattern, graph, on_match, edge_cands)
-
-        mon = Monitor([policy])
-        original, monitor_module.each_match = monitor_module.each_match, spy
-        try:
-            for record in mon_records:
-                for decision in mon.step(record):
-                    seen.append((decision.allowed, calls[:]))
-                calls.clear()
-        finally:
-            monitor_module.each_match = original
+    def decisions(mon_records, policy, monkeypatch):
+        """Per decision, whether it allowed, and the candidates each lookup
+        of its search gave the join to try."""
+        lookups = tried(monkeypatch)
+        mon, seen = Monitor([policy]), []
+        for record in mon_records:
+            for decision in mon.step(record):
+                seen.append((decision.allowed, lookups[:]))
+            lookups.clear()
         return mon, seen
 
     @pytest.mark.parametrize("name", ["purchase_separation_of_duty", "exam_submit_before_key_post"])
-    def test_other_edge_lists_stay_small_over_many_keys(self, name):
-        """800 keys: a flat list of the other edge's committed candidates
-        would grow to 800; the lookup finds at most the one it pairs with."""
+    def test_other_edge_lists_stay_small_over_many_keys(self, name, monkeypatch):
+        """800 keys: a scan of the other edge's committed candidates would
+        try up to 800; each decision but the first, whose other edge has no
+        candidates yet, looks up once and tries at most the one candidate
+        it pairs with."""
         n = 800
-        if name == "purchase_separation_of_duty":
-            records = [{"t": 1, "object": {"id": f"s{u}", "attrs": {"type": "session", "user": f"u{u}"}}} for u in range(4)]
-            records += [{"t": 1, "object": {"id": f"po{i}", "attrs": {"type": "purchase_order"}}} for i in range(n)]
-            for i in range(n):
-                records.append({"t": 2 + 2 * i, "event": {"src": f"s{i % 4}", "dest": f"po{i}", "params": {"method": "request"}}})
-                records.append({"t": 3 + 2 * i, "event": {"src": f"s{(i + 1) % 4}", "dest": f"po{i}", "params": {"method": "approve"}}})
-        else:
-            kinds = (("st", "student"), ("es", "exam_server"), ("inst", "instructor"))
-            records = [{"t": 1, "object": {"id": obj, "attrs": {"type": kind}}} for obj, kind in kinds]
-            for i in range(n):
-                exam = {"course": f"c{i}", "exam": 1}
-                records.append({"t": 2 + 2 * i, "event": {"src": "st", "dest": "es", "params": {"method": "submit", **exam}}})
-                records.append({"t": 3 + 2 * i, "event": {"src": "inst", "dest": "es", "params": {"method": "post_key", **exam}}})
         policy = next(load_corpus_policy(e) for e in load_manifest() if e.policy == name)
-        mon, seen = self.lookups(records, policy)
+        mon, seen = self.decisions(key_join_records(name, n), policy, monkeypatch)
         assert len(seen) == 2 * n and all(allowed for allowed, _ in seen)
         assert len(mon.graph.events) == 2 * n
-        lengths = [len(cands) for _, calls in seen for call in calls for cands in call.values()]
-        assert len(lengths) == 2 * n and max(lengths) <= 1
+        lengths = [len(found) for _, lookups in seen for found in lookups]
+        assert len(lengths) == 2 * n - 1 and max(lengths) <= 1
 
-    def test_an_allowed_chinese_wall_read_meets_only_same_owner_candidates(self):
+    @pytest.mark.parametrize("name", ["purchase_separation_of_duty", "exam_submit_before_key_post"])
+    def test_batch_verdicts_try_linearly_many_candidates(self, name, monkeypatch):
+        """The batch counterpart: verdict scans the first edge's n
+        candidates and, for each, tries at most the one candidate of the
+        other edge that its lookup gives, so the candidates tried grow
+        linearly in n where a scan of every pair would try n * n."""
+        policy = next(load_corpus_policy(e) for e in load_manifest() if e.policy == name)
+        lookups = tried(monkeypatch)
+        for n in (200, 400, 800):
+            graph = ingest_trace(key_join_records(name, n))
+            lookups.clear()
+            result = verdict(policy, graph)
+            assert result.upheld and len(result.witnesses) == n
+            assert len(lookups) == n and sum(len(found) for found in lookups) <= n
+
+    def test_an_allowed_chinese_wall_read_meets_only_same_owner_candidates(self, monkeypatch):
         policy = next(load_corpus_policy(e) for e in load_manifest() if e.policy == "chinese_wall")
         rng = random.Random(1603)
         records = [{"t": 1, "object": {"id": f"c{i}", "attrs": {"type": "consultant"}}} for i in range(2)]
@@ -429,18 +460,18 @@ class TestKeyedLookup:
         for t in range(2, 120):
             doc = rng.choice(docs)[0]
             records.append({"t": t, "event": {"src": f"c{rng.randrange(2)}", "dest": doc, "params": {"method": "read"}}})
-        mon, seen = self.lookups(records, policy)
+        mon, seen = self.decisions(records, policy, monkeypatch)
         owner = {d: w for d, w, _ in docs}
-        allowed = denied = 0
-        for (ok, calls), record in zip(seen, [r for r in records if "event" in r]):
+        allowed = denied = tries = 0
+        for (ok, lookups), record in zip(seen, [r for r in records if "event" in r]):
             if not ok:
                 denied += 1
                 continue
             allowed += 1
-            for call in calls:
-                for cands in call.values():
-                    assert all(owner[c.dest_obj] == owner[record["event"]["dest"]] for c in cands)
-        assert allowed > 20 and denied > 20
+            for found in lookups:
+                tries += len(found)
+                assert all(owner[c.dest_obj] == owner[record["event"]["dest"]] for c in found)
+        assert allowed > 20 and denied > 20 and tries > 20
 
     def test_reads_across_classes_stay_under_the_cap(self):
         """The documented cap change: with match_cap=2, a flat search of the
@@ -461,11 +492,12 @@ class TestKeyedLookup:
             flat_decision([policy], ingest_trace(records[:-1]), cap=2)
 
     def test_more_than_two_edges_stay_flat_where_a_requirement_raises(self):
-        """The join places the shorter list first, so keyed lists (3 e1
-        candidates, 2 e2 ones) would meet (a2, b1), which raises on "r",
-        before (a1, b2), which raises on "q", where the flat lists (3 and
-        5) meet them the other way round.  The policy keeps flat lists, so
-        the error is the flat search's."""
+        """The join places the shorter list first, so lists cut down to
+        what can pair (3 e1 candidates, 2 e2 ones) would meet (a2, b1),
+        which raises on "r", before (a1, b2), which raises on "q", where the
+        flat lists (3 and 5) meet them the other way round.  The join
+        orders edges by the lengths of the lists it is handed and looks up
+        inside them, so the error is the flat search's."""
         policy = parse_policy(
             """
             policy three {
