@@ -1,61 +1,53 @@
 """Enumerating the places where a policy's domain holds in a system graph.
 
 A match assigns policy edges to distinct events and isolated policy nodes to
-(object, instant) pairs, together with the variable bindings the domain
-forces.  Connected policy nodes are not assigned directly: each incident
-event fixes them, and all events incident to one policy node must agree on
-the object.  Distinct policy nodes must map to distinct objects.
+(object, instant) pairs, together with the variable bindings the domain forces.
+Connected policy nodes are not assigned directly: each incident event fixes
+them, and all events incident to one policy node must agree on the object.
+Distinct policy nodes must map to distinct objects.
 
-Bindings are never guessed from the value universe.  Each domain predicate
-is compiled once (predicates.BindingPlan, kept on the pattern) into tests,
-captures and filters.  A candidate for an element passes its tests and
-binds its captures, the `$X = e` equalities with e variable-free; the join
-carries the bindings as a plain dict and prunes where two captures of one
-variable differ.  Each filter, any other conjunct with a variable, runs
-once its element is placed and every variable in it is bound.  This is
-sideways information passing (Beeri & Ramakrishnan, "On the Power of
-Magic", PODS 1987).  Rule R1 guarantees that every variable has a capture,
-so every filter runs before a match completes; that is why find_matches
-demands a policy that validates cleanly.
-
-The compiled forms are the evaluator: under complete bindings each gives
-the value the interpreter (predicates.evaluate) folds to, or raises its
+Bindings are never guessed from the value universe.  Each domain predicate is
+compiled once (predicates.BindingPlan, kept on the pattern) into tests,
+captures and filters.  A candidate for an element passes its tests and binds
+its captures, the `$X = e` equalities with e variable-free; the join carries
+the bindings as a plain dict and prunes where two captures of one variable
+differ.  Each filter, any other conjunct with a variable, runs once its element
+is placed and every variable in it is bound.  This is sideways information
+passing (Beeri & Ramakrishnan, "On the Power of Magic", PODS 1987).  Rule R1
+guarantees that every variable has a capture, so every filter runs before a
+match completes; that is why find_matches demands a policy that validates
+cleanly.  The compiled forms are the evaluator: under complete bindings each
+gives the value the interpreter (predicates.evaluate) folds to, or raises its
 error.  A value that is no boolean does not hold.
 
-Events are screened before any edge plan runs, as Rete's alpha network
-tests constant conditions once (Forgy, AI 1982).  A pattern's screen
-(policy.EdgeScreen) indexes its edges by the constant c of an `attr = c`
-equality step on one event attribute, so one dict probe with the event's
-value gives the edges that event can take.  The screen is exact: it
-rejects an edge only by an equality that no step able to raise precedes,
-where the edge's plan gives None and raises nothing, and for rejected
-edges it still has edge_candidate judge the endpoint plans that may
-raise, in the same sorted edge order (once where several share them), so
-every error is raised where it was.
+Events are screened before any edge plan runs, as Rete's alpha network tests
+constant conditions once (Forgy, AI 1982): a pattern's screen
+(policy.EdgeScreen) gives, with one dict probe on an event attribute, the edges
+the event can take, and still has edge_candidate judge the endpoint plans that
+may raise of the edges it rejects, so every error is raised where it was.  A
+batch pass walks the events in trace order, as the monitor meets them, and
+judges each for the edges on its route in sorted order.  Node-plan outcomes are
+memoised per object, on the snapshot last asked for (snapshot_entry), so an
+event's two snapshots are looked up at most once per pass or decision.
 
-A batch pass walks the events in trace order, as the monitor meets them,
-and judges each for the edges on its route in sorted order.  Node-plan
-outcomes are memoised per object, on the snapshot last asked for
-(snapshot_entry); a pass and a monitor keep the same memo.  An event's two
-snapshots are looked up at most once per pass or decision, whatever the
-number of edges and policies that read them.
-
-The join looks each edge after the first up in a hash index of its
-candidates (Candidates.lookup), as Rete's hashed beta memories do
-(Doorenbos, "Production Matching for Large Learning Systems", CMU 1995).
-The index drops only candidates that placing them would reject before any
-filter runs, and keeps list and edge order, so a scan would find the same
-matches, in the same order, and raise the same errors.
-"""
+The join is compiled once per (edge order, isolated-node order, `equal`) into a
+JoinPlan kept in the pattern's join_plans (query compilation; Neumann, VLDB
+2011): per position, the element, the nodes it claims, its lookup key and an
+isolated node's filters, and no per-call state.  Each edge after the first is
+looked up in a hash index of its candidates (Candidates.lookup), as Rete's
+hashed beta memories do (Doorenbos, CMU 1995).  The index drops only candidates
+that placing them would reject before any filter runs, and keeps list and edge
+order, so a scan would find the same matches, in the same order, and raise the
+same errors."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Any, Callable, Mapping, Optional, Sequence
+from typing import Any, Callable, Mapping, NamedTuple, Optional, Sequence
 
 from .policy import PatternGraph, PolicyGraph, domain_of, validate_policy
-from .predicates import BindingPlan, Const, PredicateTypeError
+from .predicates import BindingPlan, Const, PredicateTypeError, always_flag
 from .predicates import evaluate, merge_conditions, satisfy  # noqa: F401  perfbench/tracing.py wraps them here
 from .system import SystemEvent, SystemGraph
 from .values import canonical, values_equal
@@ -64,7 +56,6 @@ DEFAULT_MATCH_CAP = 100_000
 _ABSENT = object()
 _NO_CAPTURES: Mapping[str, Any] = {}
 _NO_SNAPSHOT = (None, None)
-_NO_KEY = ((None, (), ()),)  # a lone edge's: it is scanned
 
 
 class MatchCapExceeded(RuntimeError):
@@ -131,17 +122,20 @@ def _bind(groups, bindings: dict[str, Any]) -> Optional[list[str]]:
     return added
 
 
-def _settle(waiting: tuple, bindings: Mapping[str, Any]) -> Optional[tuple]:
+def _settle(waiting: tuple, bindings: Mapping[str, Any], pruned=()) -> Optional[tuple]:
     """Run, in order, each waiting (filter, context) pair whose variables
-    are all bound.  None where one fails; otherwise those still waiting."""
+    are all bound.  None where one fails or raises one of the exceptions
+    `pruned`; otherwise those still waiting."""
     still = []
-    for pair in waiting:
-        (_, variables, check), ctx = pair
-        if variables <= bindings.keys():
-            if check(ctx, bindings) is not True:
+    try:
+        for pair in waiting:
+            (_, variables, check), ctx = pair
+            if not variables <= bindings.keys():
+                still.append(pair)
+            elif check(ctx, bindings) is not True:
                 return None
-        else:
-            still.append(pair)
+    except pruned:
+        return None
     return tuple(still)
 
 
@@ -343,6 +337,14 @@ def match_pattern(
     return matches
 
 
+class JoinPlan(NamedTuple):
+    """A pattern's join for one (edge order, isolated-node order, `equal`)."""
+
+    positions: tuple[tuple, ...]  # (element, is_edge, src, dest, filters, fixes, fresh, checks): see _compile_join
+    keys: tuple  # per position, its lookup's (parts, nodes, variables), or None where its list is scanned
+    owners: tuple[tuple[str, str], ...]  # the pattern's binding_owners
+
+
 def each_match(
     pattern: PatternGraph,
     graph: SystemGraph,
@@ -351,170 +353,162 @@ def each_match(
     *,
     equal: tuple[tuple[str, str], ...] = (),
     prune_errors: bool = False,
+    pinned: Optional[tuple[str, _EdgeCandidate]] = None,
 ) -> None:
     """Backtracking enumeration of every match of a pattern: calls
     on_match(edge_events, isolated_objects, node_objects, bindings,
-    waiting) once per match, with the fields of its Match and the
-    (filter, context) pairs still waiting for a variable that no plan
-    captured.  The three assignment dicts are the join's own, valid only
+    waiting) once per match, with the fields of its Match and the (filter,
+    context) pairs still waiting for a variable no plan captured (none
+    under rule R1).  The assignment dicts are the join's own, valid only
     during the call; an exception from on_match ends the search.
 
-    Edges are assigned first, in ascending candidate-count order, then
-    isolated nodes, in ascending order of the instants their spans cover.
-    Each step binds the candidate's captures, pruning where one differs
-    from its variable's value, and runs every filter whose variables are
-    now all bound, older ones first.  The enumeration visits each
-    assignment once, so no match comes twice.  A match reports, for each
-    variable by sorted name, the capture of the first element in
-    elements() order that captures it (a connected node's capture as its
-    first incident edge reads it), whatever order the join met them in.
-    `edge_cands`, when given, replaces _edge_candidates(): the matches are
-    then those whose events come from these lists.  Where every variable
-    has a capture (rule R1), `waiting` is always empty.
-
-    `equal` lists pairs of variables to bind equal values: a branch where
-    they differ is pruned once both are bound, before any filter runs.
+    The pattern's JoinPlan for the order, compiled when first met, places
+    edges by ascending candidate count, ties by id, then isolated nodes by
+    ascending instants covered, in one loop with a cursor and an undo record
+    per position.  A placement claims the element's nodes, binds its
+    captures, pruning where one differs from its variable's value or a pair
+    of `equal` differs, and runs every filter whose variables are now all
+    bound, older first.  A match reports, per variable by sorted name, the
+    capture of the first element in elements() order that captures it.
+    `edge_cands` replaces _edge_candidates(); `pinned`, an (edge, candidate)
+    pair, gives that edge the one candidate and has the lookups it alone
+    keys made first, in edge_cands' Candidates: where one is empty and no
+    filter can raise, nothing is placed.
 
     A PredicateTypeError raised while screening or filtering ends the
     search, unless `prune_errors` is set: then the candidate, span or
-    branch it was raised for is dropped.  Each step and filter is a
-    top-level conjunct of its element's predicate, so once it raises that
-    predicate holds under no bindings the branch can still take.
+    branch it was raised for is dropped, as its top-level conjunct holds
+    under no bindings the branch can still take.
     """
     pruned = PredicateTypeError if prune_errors else ()  # () catches nothing
-    if edge_cands is None:
-        edge_cands = _edge_candidates(pattern, graph, pruned)
-    edge_order = sorted(edge_cands, key=lambda e: (len(edge_cands[e]), e))
-    iso_cands = _iso_candidates(pattern, graph, pruned)
-    if edge_order and not edge_cands[edge_order[0]]:
+    edge_cands = _edge_candidates(pattern, graph, pruned) if edge_cands is None else edge_cands
+    edge_order, iso_order = pattern.key_ids
+    pin_id, pin = pinned or (None, None)
+    if len(edge_order) > 1:  # the ids are sorted, so ties keep id order
+        edge_order = tuple(e for _, e in sorted((1 if e == pin_id else len(edge_cands[e]), e) for e in edge_order))
+    sources = [(pin,) if e == pin_id else edge_cands[e] for e in edge_order]
+    if iso_order:
+        iso_cands = _iso_candidates(pattern, graph, pruned)
+        iso_order = tuple(n for _, n in sorted((sum(l - f + 1 for _, f, l, _, _ in iso_cands[n]), n) for n in iso_order))
+        sources += map(iso_cands.get, iso_order)
+    if edge_order and not sources[0]:
         return  # an edge without candidates: nothing is placed and no filter runs
-    iso_order = sorted(iso_cands, key=lambda n: (sum(last - first + 1 for _, first, last, _, _ in iso_cands[n]), n))
-    edge_specs, plans, binding_owners = pattern.graph.edges, pattern.plans, pattern.binding_owners
-    keys = pattern.join_keys.get((*edge_order, equal)) or _join_keys(pattern, edge_order, equal) if edge_order[1:] else _NO_KEY
+    positions, keys, owners = pattern.join_plans.get((edge_order, iso_order, equal)) or _compile_join(
+        pattern, edge_order, iso_order, equal)
+    if pin is not None:  # looked up where its position has a key; the probes go first, and their lists are scanned
+        p = edge_order.index(pin_id)
+        sources[p] = Candidates(sources[p]) if keys[p] is not None else sources[p]
+        for q, fields, variables in positions[p][5]:
+            probe = (*[getattr(pin, f) for f in fields], *[pin.captures[v] for v in variables])
+            sources[q] = sources[q].lookup(keys[q][0], probe)
+            if not sources[q]:
+                return
 
-    # The assignment dicts hold every id from the start, by sorted id, so a
-    # match lists its assignments in that order whatever order the join
-    # placed them in; placing fills an entry, backtracking blanks it again
-    # (-1 is no event index, so the used-event test is not disturbed).
-    blank_edges, blank_iso, blank_nodes = pattern.blank_assignment
-    edge_events: dict[str, int] = blank_edges.copy()
-    node_objects: dict[str, Optional[str]] = blank_nodes.copy()
-    object_nodes: dict[str, str] = {}  # inverse view, for the injectivity check
-    iso_objects: dict[str, Optional[tuple[str, int]]] = blank_iso.copy()
-    bindings: dict[str, Any] = {}
-    captured: dict[str, Mapping[str, Any]] = {}  # per placed edge or isolated node, its captures
-
-    def claim(node_id: str, obj_id: str) -> Optional[list[str]]:
-        """Try to map node_id to obj_id; returns the rollback list or None."""
-        bound = node_objects[node_id]
-        if bound is not None:
-            return [] if bound == obj_id else None
-        if obj_id in object_nodes:
-            return None
-        node_objects[node_id] = obj_id
-        object_nodes[obj_id] = node_id
-        return [node_id]
-
-    def release(claimed: list[str]) -> None:
-        for node_id in claimed:
-            object_nodes.pop(node_objects[node_id])
-            node_objects[node_id] = None
-
-    def place(elt: str, captures: Mapping[str, Any], waiting: tuple, descend, position: int) -> None:
-        """Bind an element's captures, run the filters now due, and go on
-        to the next position."""
-        added = _bind((captures.items(),), bindings) if captures else []
-        if added is None:
-            return
-        if equal and added:
-            for a, b in equal:
-                if a in bindings and b in bindings and not values_equal(bindings[a], bindings[b]):
-                    waiting = None
-                    break
-        if waiting:
-            try:
-                waiting = _settle(waiting, bindings)
-            except pruned:
-                waiting = None
-        if waiting is not None:
+    edge_events, iso_objects, node_objects = map(dict.copy, pattern.blank_assignment)
+    object_nodes, bindings, captured = {}, {}, {}  # node_objects inverted; bindings; each placed element's captures
+    cursors, undo, waits = [None] * (n := len(positions)), [None] * n, [()] * n  # per position: see the loop
+    if not n:
+        return on_match(edge_events, iso_objects, node_objects, {}, ())
+    i, last = 0, n - 1
+    while i >= 0:  # at position i: take back its last placement, place its cursor's next one, go on or go back
+        elt, is_edge, src, dest, filters, _, fresh, checks = positions[i]
+        if undo[i] is not None:
+            (claimed, added), undo[i] = undo[i], None
+            for node_id in claimed:
+                del object_nodes[node_objects[node_id]]
+                node_objects[node_id] = None
+            for var in added:
+                del bindings[var]
+            (edge_events if is_edge else iso_objects)[elt] = -1 if is_edge else None  # -1: no event index
+        if (cursor := cursors[i]) is None:
+            cands = sources[i]
+            if keys[i] is not None and isinstance(cands, Candidates):  # any other list is scanned, to the same end
+                parts, nodes, variables = keys[i]
+                cands = cands.lookup(parts, (*[node_objects[x] for x in nodes], *[bindings[v] for v in variables]))
+            elif not is_edge and i < last:  # a span stands for each of its instants; the last position emits them
+                cands = ((obj, t, t, caps, attrs) for obj, first, end, caps, attrs in cands for t in range(first, end + 1))
+            cursor = cursors[i] = iter(cands)
+        for cand in cursor:
+            if is_edge:
+                if cand.event_index in edge_events.values():
+                    continue
+                obj, other, captures, due, slot = cand.src_obj, cand.dest_obj, cand.captures, cand.filters, cand.event_index
+            else:
+                obj, first, end, captures, attrs = cand
+                other, due, slot = obj, tuple((f, attrs) for f in filters) if filters else (), (obj, first)
+            claimed, bound = [], node_objects[src]
+            if bound is None and obj not in object_nodes:
+                node_objects[src], object_nodes[obj] = obj, src
+                claimed.append(src)
+            elif bound != obj:
+                continue
+            undo[i] = (claimed, ())  # from here on a failure breaks, and the loop takes the claims back
+            bound = node_objects[dest]  # src again for a self-loop or an isolated node
+            if bound is None and other not in object_nodes:
+                node_objects[dest], object_nodes[other] = other, dest
+                claimed.append(dest)
+            elif bound != other:
+                break
+            (edge_events if is_edge else iso_objects)[elt] = slot
+            if fresh:  # none of its variables is bound yet
+                bindings.update(captures)
+                added = captures
+            elif (added := _bind((captures.items(),), bindings)) is None:
+                break
+            undo[i] = (claimed, added)
+            if checks and not all(values_equal(bindings[a], bindings[b]) for a, b in checks):
+                break
+            due = waits[i] + due
+            if due and (due := _settle(due, bindings, pruned)) is None:
+                break
             captured[elt] = captures
-            descend(position + 1, waiting)
-        for var in added:
-            del bindings[var]
-
-    def assign_iso(position: int, waiting: tuple) -> None:
-        if position == len(iso_order):
-            on_match(edge_events, iso_objects, node_objects, {v: captured[owner][v] for v, owner in binding_owners}, waiting)
-            return
-        node_id = iso_order[position]
-        node_filters = plans[node_id].filters
-        for obj_id, first, last, captures, attrs in iso_cands[node_id]:
-            claimed = claim(node_id, obj_id)
-            if claimed is None:
-                continue
-            due = waiting + tuple((f, attrs) for f in node_filters) if node_filters else waiting
-            for instant in range(first, last + 1):
-                iso_objects[node_id] = (obj_id, instant)
-                place(node_id, captures, due, assign_iso, position)
-            iso_objects[node_id] = None
-            release(claimed)
-
-    def assign_edges(position: int, waiting: tuple) -> None:
-        if position == len(edge_order):
-            assign_iso(0, waiting)
-            return
-        edge_id = edge_order[position]
-        spec = edge_specs[edge_id]
-        parts, nodes, variables = keys[position]
-        cands = edge_cands[edge_id]
-        if parts is not None:
-            if not isinstance(cands, Candidates):
-                cands = Candidates(cands)  # a list of the caller's own, indexed afresh
-            cands = cands.lookup(parts, (*[node_objects[n] for n in nodes], *[bindings[v] for v in variables]))
-        for cand in cands:
-            if cand.event_index in edge_events.values():
-                continue
-            if spec.src == spec.dest and cand.src_obj != cand.dest_obj:
-                continue
-            claimed_src = claim(spec.src, cand.src_obj)
-            if claimed_src is None:
-                continue
-            claimed_dest = claim(spec.dest, cand.dest_obj) if spec.dest != spec.src else []
-            if claimed_dest is None:
-                release(claimed_src)
-                continue
-            edge_events[edge_id] = cand.event_index
-            place(edge_id, cand.captures, waiting + cand.filters, assign_edges, position)
-            edge_events[edge_id] = -1
-            release(claimed_dest)
-            release(claimed_src)
-
-    try:
-        assign_edges(0, ())
-    finally:
-        # The recursive closures refer to themselves; dropping them frees
-        # the candidate lists now rather than at the collector's next pass.
-        del assign_edges, assign_iso, place
+            if i < last:
+                waits[i + 1] = due
+                i += 1
+            elif is_edge:  # a match; the loop takes this placement back and goes on
+                on_match(edge_events, iso_objects, node_objects, {v: captured[o][v] for v, o in owners}, due)
+            else:  # a match at each instant of the span
+                for instant in range(first, end + 1):
+                    iso_objects[elt] = (obj, instant)
+                    on_match(edge_events, iso_objects, node_objects, {v: captured[o][v] for v, o in owners}, due)
+            break
+        else:
+            cursors[i] = None
+            i -= 1
 
 
-def _join_keys(pattern: PatternGraph, edge_order: Sequence[str], equal: tuple[tuple[str, str], ...]) -> list:
-    """Per edge in join order, its lookup's (parts, nodes, variables), parts
-    None for none: its claimed endpoints against `nodes`, and its captures
-    against the bound `variables`, its own or their `equal` partners'."""
+def _compile_join(pattern: PatternGraph, edge_order: tuple, iso_order: tuple, equal: tuple) -> JoinPlan:
+    """The plan that places the edges in edge_order, then the isolated nodes
+    in iso_order, each its own src and dest.  An edge's lookup key holds its
+    claimed endpoints against `nodes`, and its captures against the bound
+    `variables` (or partners).  `fixes` are the later lookups the position's
+    candidate alone keys, where no filter can raise; `fresh`, that it binds
+    no bound variable; `checks`, the `equal` pairs whose last variable it
+    binds; `filters`, an isolated node's."""
     edge_specs, plans = pattern.graph.edges, pattern.plans
-    claimed, bound, keys = set(), set(), []
-    for edge_id in edge_order:
-        spec = edge_specs[edge_id]
-        captured = plans[edge_id].captured | plans[spec.src].captured | plans[spec.dest].captured
-        ends = [(f, n) for f, n in (("src_obj", spec.src), ("dest_obj", spec.dest)) if n in claimed]
+    claimed, bound, keys, positions = set(), set(), [], []
+    for elt in (*edge_order, *iso_order):
+        spec = edge_specs.get(elt)
+        src, dest = (spec.src, spec.dest) if spec else (elt, elt)
+        captured = plans[elt].captured | plans[src].captured | plans[dest].captured
+        found = [(f, n) for f, n in (("src_obj", src), ("dest_obj", dest)) if n in claimed]
         pairs = [(v, v) for v in sorted(captured & bound)]  # (captured, bound)
         pairs += [(b, a) for x, y in equal for a, b in ((x, y), (y, x)) if a in bound and b in captured - bound]
-        parts = (tuple(f for f, _ in ends), tuple(c for c, _ in pairs)) if ends or pairs else None
-        keys.append((parts, tuple(n for _, n in ends), tuple(v for _, v in pairs)))
-        claimed |= {spec.src, spec.dest}
+        parts = (tuple(f for f, _ in found), tuple(c for c, _ in pairs))
+        keys.append((parts, tuple(n for _, n in found), tuple(v for _, v in pairs)) if spec and (found or pairs) else None)
+        filters = () if spec else tuple(plans[elt].filters)
+        checks = tuple(pair for pair in equal if set(pair) <= bound | captured and not set(pair) <= bound)
+        positions.append([elt, bool(spec), src, dest, filters, captured, not captured & bound, checks])
+        claimed |= {src, dest}
         bound |= captured
-    pattern.join_keys[(*edge_order, equal)] = keys
-    return keys
+    quiet = all(always_flag(expr) for plan in plans.values() for expr, _, _ in plan.filters)
+    for p, (_, _, src, dest, _, captured, _, _) in enumerate(positions):  # the captured variables give way to the fixes
+        fields, later = {dest: "dest_obj", src: "src_obj"}, enumerate(keys[p + 1:] if quiet else (), p + 1)
+        positions[p][5] = tuple((q, tuple(fields[n] for n in key[1]), key[2]) for q, key in later
+                                if key and fields.keys() >= set(key[1]) and captured >= set(key[2]))
+    plan = JoinPlan(tuple(map(tuple, positions)), tuple(keys), pattern.binding_owners)
+    pattern.join_plans[(edge_order, iso_order, equal)] = plan
+    return plan
 
 
 def find_matches(p: PolicyGraph, graph: SystemGraph, cap: int = DEFAULT_MATCH_CAP) -> list[Match]:

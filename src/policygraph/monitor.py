@@ -26,7 +26,12 @@ snapshot, the only one an event can read, in the memo a batch pass keeps
 an entry found is current and needs no snapshot lookup.
 
 The join looks the committed candidates up (see matching); a one-edge
-policy keeps none.  Where a policy's only requirement other than true, and
+policy keeps none.  Each search hands the join the new event's candidate
+pinned to one edge.  Where that candidate alone keys the lookup of a later
+edge, its endpoint objects and captures, and no domain filter of the
+policy can raise, the join makes that lookup before it places anything:
+an empty one ends the search, so a candidate with nothing to pair with
+costs one probe.  Where a policy's only requirement other than true, and
 every domain filter, never raises, each operand $A != $B of its top-level
 || is an `equal` pair, as in Nicolas's violation-directed check (ACM TODS
 1982): a failing match binds A and B equal, so a branch where they differ,
@@ -238,7 +243,7 @@ def _search(
 
     try:
         for edge_id, cand in cands.items():
-            each_match(watched.pattern, graph, judge, {**watched.committed, edge_id: [cand]}, equal=watched.equal)
+            each_match(watched.pattern, graph, judge, watched.committed, equal=watched.equal, pinned=(edge_id, cand))
     except _Violation:
         return True, None
     return False, error

@@ -194,8 +194,8 @@ class PatternGraph:
         return {elt: compile_ground(e) for elt, e in self.preds.items()}
 
     @cached_property
-    def join_keys(self) -> dict[tuple, list]:
-        return {}  # matching.each_match's lookup keys, per edge order and `equal` pairs
+    def join_plans(self) -> dict[tuple, Any]:
+        return {}  # matching.each_match's JoinPlans, per (edge order, isolated-node order, `equal`)
 
     @cached_property
     def owners(self) -> dict[str, str]:

@@ -161,7 +161,7 @@ def test_only_matching_knows_join_keys():
     tree = parse(PACKAGE / "monitor.py")
     imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
     assert "values" not in imported
-    assert names_read(tree) & {"canonical", "lookup", "_indexes", "join_keys"} == set()
+    assert names_read(tree) & {"canonical", "lookup", "_indexes", "join_keys", "join_plans"} == set()
 
 
 def test_no_module_raises_the_recursion_limit():

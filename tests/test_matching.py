@@ -1,5 +1,6 @@
 """Match enumeration and verdicts, checked against a brute-force oracle."""
 
+import gc
 import os
 import random
 import subprocess
@@ -9,7 +10,7 @@ import tracemalloc
 import pytest
 
 from policygraph.algebra import pattern_matches_bounded
-from policygraph.corpus import load_corpus_policy, load_manifest
+from policygraph.corpus import corpus_text, load_corpus_policy, load_manifest
 from policygraph.matching import (
     Candidates,
     InvalidPolicyError,
@@ -26,7 +27,7 @@ from policygraph.matching import (
     verdict,
     verdict_all,
 )
-from policygraph.monitor import Monitor
+from policygraph.monitor import Monitor, _Violation
 from policygraph.policy import PatternGraph, domain_of, parse_policy, validate_policy
 from policygraph.predicates import (
     FALSE,
@@ -861,3 +862,110 @@ class TestNanCapture:
             assert extract_bindings(BinOp("=", Var("A"), Const(value))) == ({}, FALSE)
             assert reduce_conditions(satisfy(parse_predicate("act = $A"), {"act": value}, {})).is_false
         assert extract_bindings(BinOp("=", Var("A"), Const(1.5))) == ({"A": 1.5}, TRUE)
+
+
+ORDER_POLICY = """
+policy order {
+  node a
+  node b
+  node n domain: kind = "iso" && level = $L
+  edge e1: a -> b domain: m = "x" && v = $X
+  edge e2: b -> b domain: m = "loop" && v = $Y
+  edge e3: a -> b domain: m = "x" && w = $W && $W != $L + 4
+}
+"""
+
+ORDER_RECORDS = [
+    {"t": 1, "object": {"id": "A", "attrs": {}}},
+    {"t": 1, "object": {"id": "B", "attrs": {}}},
+    {"t": 1, "object": {"id": "N", "attrs": {"kind": "iso", "level": 1}}},
+    {"t": 1, "event": {"src": "A", "dest": "B", "params": {"m": "x", "v": 1, "w": 5}}},
+    {"t": 2, "event": {"src": "B", "dest": "B", "params": {"m": "loop", "v": 1}}},
+    {"t": 2, "object": {"id": "N", "attrs": {"kind": "iso", "level": 2}}},
+    {"t": 2, "event": {"src": "A", "dest": "B", "params": {"m": "x", "v": 2, "w": 6}}},
+    {"t": 3, "event": {"src": "B", "dest": "B", "params": {"m": "loop", "v": 2}}},
+    {"t": 3, "event": {"src": "A", "dest": "A", "params": {"m": "loop", "v": 2}}},
+    {"t": 3, "event": {"src": "A", "dest": "B", "params": {"m": "x", "v": 1, "w": 7}}},
+    {"t": 3, "object": {"id": "C", "attrs": {}}},
+    {"t": 3, "event": {"src": "C", "dest": "B", "params": {"m": "x", "v": 2, "w": 8}}},
+]
+
+
+def order_call(e1, e2, e3, instant, L, W, X):
+    """One on_match call of the order pattern, as recorded by met_in_order."""
+    edges = {"e1": e1, "e2": e2, "e3": e3}
+    return edges, {"n": ("N", instant)}, {"a": "A", "b": "B", "n": "N"}, {"L": L, "W": W, "X": X, "Y": X}, ()
+
+
+def met_in_order(pattern, graph, stop_at=None, error=None) -> list:
+    """The on_match calls of each_match with `equal` (X, Y), in the order
+    they come; the call numbered stop_at raises `error` instead."""
+    met: list = []
+
+    def record(edges, iso, nodes, bindings, waiting):
+        if len(met) == stop_at:
+            raise error
+        met.append((dict(edges), dict(iso), dict(nodes), dict(bindings), waiting))
+
+    each_match(pattern, graph, record, equal=(("X", "Y"),))
+    return met
+
+
+class TestJoinPlan:
+    def test_enumeration_order(self):
+        """The join's own order, which the monitor's first error and its cap
+        count depend on: e2 (3 candidates) before e1 and e3 (4 each), then
+        the isolated node; the self-loop e2 on A pairs with nothing, the
+        `equal` pair keeps X = Y, and e3's filter waits for n's $L."""
+        met = met_in_order(domain_of(parse_policy(ORDER_POLICY)), ingest_trace(ORDER_RECORDS))
+        assert met == [
+            order_call(0, 1, 2, 1, 1, 6, 1),
+            order_call(0, 1, 5, 1, 1, 7, 1),
+            order_call(0, 1, 5, 2, 2, 7, 1),
+            order_call(0, 1, 5, 3, 2, 7, 1),
+            order_call(5, 1, 0, 2, 2, 5, 1),
+            order_call(5, 1, 0, 3, 2, 5, 1),
+            order_call(5, 1, 2, 1, 1, 6, 1),
+            order_call(2, 3, 0, 2, 2, 5, 2),
+            order_call(2, 3, 0, 3, 2, 5, 2),
+            order_call(2, 3, 5, 1, 1, 7, 2),
+            order_call(2, 3, 5, 2, 2, 7, 2),
+            order_call(2, 3, 5, 3, 2, 7, 2),
+        ]
+
+    @pytest.mark.parametrize("error", [MatchCapExceeded("order", 1), _Violation()], ids=["cap", "violation"])
+    def test_a_search_ended_by_on_match_leaves_nothing_behind(self, error):
+        """The plan a search ran holds no per-call state: after on_match
+        raised at any call, the next search of the same pattern meets what a
+        fresh pattern meets, in the same order."""
+        graph = ingest_trace(ORDER_RECORDS)
+        fresh = met_in_order(domain_of(parse_policy(ORDER_POLICY)), graph)
+        pattern = domain_of(parse_policy(ORDER_POLICY))
+        for stop_at in range(len(fresh)):
+            with pytest.raises(type(error)):
+                met_in_order(pattern, graph, stop_at, error)
+            assert met_in_order(pattern, graph) == fresh
+        assert len(pattern.join_plans) == 1
+
+    def test_the_join_leaves_no_reference_cycles(self):
+        """A batch verdict on a corpus trace and 100 monitor decisions, a
+        third of them denials that end their search by raising, leave
+        nothing for the collector."""
+        entry = next(e for e in load_manifest() if e.policy == "chinese_wall")
+        policy = load_corpus_policy(entry)
+        case = next(c for c in entry.cases if c.expected == "violated")
+        records = list(read_jsonl(corpus_text(case.trace).splitlines()))
+        rng = random.Random(1603)
+        docs = [(f"d{k}{o}", f"own{k}{o}", f"class{k}") for k in range(3) for o in range(3)]
+        stream = [{"t": 1, "object": {"id": f"c{i}", "attrs": {"type": "consultant"}}} for i in range(2)]
+        stream += [{"t": 1, "object": {"id": d, "attrs": {"type": "data", "owner": w, "coi_class": k}}} for d, w, k in docs]
+        stream += [
+            {"t": t, "event": {"src": f"c{rng.randrange(2)}", "dest": rng.choice(docs)[0], "params": {"method": "read"}}}
+            for t in range(2, 102)
+        ]
+        gc.collect()
+        assert not verdict(policy, ingest_trace(records)).upheld
+        mon = Monitor([policy])
+        decisions = [d for record in stream for d in mon.step(record)]
+        assert len(decisions) == 100 and sum(not d.allowed for d in decisions) > 30
+        assert gc.collect() == 0

@@ -21,7 +21,7 @@ from policygraph.matching import (
     verdict_all,
 )
 from policygraph.monitor import Decision, Monitor
-from policygraph.policy import parse_policy
+from policygraph.policy import PatternGraph, domain_of, parse_policy
 from policygraph.predicates import PredicateTypeError
 from policygraph.system import ingest_trace, read_jsonl
 
@@ -562,6 +562,68 @@ class TestKeyedLookup:
                     committed.append(record)
             assert mon.graph == ingest_trace(committed)
         assert denies > 20 and allows > 800 and raised > 40 and three > 80
+
+
+class TestProbeFirst:
+    """A decision whose pinned candidate alone keys a later edge's lookup,
+    in a policy none of whose domain filters can raise, makes that lookup
+    before it places anything; an empty one ends the decision."""
+
+    @staticmethod
+    def placing(policy, records, monkeypatch) -> tuple[list, list]:
+        """The decisions of a Monitor over records and, per decision, how
+        many of its searches went on to place a candidate: each such search
+        sets up its assignments from the pattern's blank_assignment."""
+        searches = [0]
+        blank = PatternGraph.__dict__["blank_assignment"].func
+
+        def counting(pattern):
+            searches[0] += 1
+            return blank(pattern)
+
+        placed, decisions, mon = [], [], Monitor([policy])
+        with monkeypatch.context() as patched:
+            patched.setattr(PatternGraph, "blank_assignment", property(counting))
+            for record in records:
+                searches[0] = 0
+                for decision in mon.step(record):
+                    decisions.append((decision.allowed, decision.denied_by))
+                    placed.append(searches[0])
+        return decisions, placed
+
+    def test_unpaired_candidates_place_nothing(self, monkeypatch):
+        """purchase_separation_of_duty over 800 orders: no approval's user
+        is its request's, so no candidate pairs, and every decision allows,
+        as the batch verdict upholds the stream.  Only the second decision
+        places anything: there the committed request goes first and the
+        pinned approval is looked up after it.  A search that placed its
+        pinned candidate before its lookup (1 599 of them) finds the same."""
+        name = "purchase_separation_of_duty"
+        policy = next(load_corpus_policy(e) for e in load_manifest() if e.policy == name)
+        records = key_join_records(name, 800)
+        decisions, placed = self.placing(policy, records, monkeypatch)
+        assert decisions == [(True, ())] * 1600 and verdict(policy, ingest_trace(records)).upheld
+        assert [i for i, n in enumerate(placed) if n] == [1]
+
+    def test_the_plan_cache_stops_growing(self):
+        """A 2 000-event chinese_wall stream meets each edge order once:
+        the pattern keeps one plan per (edge order, isolated-node order,
+        `equal`) it met, and none after the orders are all met."""
+        policy = next(load_corpus_policy(e) for e in load_manifest() if e.policy == "chinese_wall")
+        rng = random.Random(2100)
+        docs = [(f"d{k}{o}", f"own{k}{o}", f"class{k}") for k in range(4) for o in range(3)]
+        records = [{"t": 1, "object": {"id": f"c{i}", "attrs": {"type": "consultant"}}} for i in range(20)]
+        records += [{"t": 1, "object": {"id": d, "attrs": {"type": "data", "owner": w, "coi_class": k}}} for d, w, k in docs]
+        records += [
+            {"t": t, "event": {"src": f"c{rng.randrange(20)}", "dest": rng.choice(docs)[0], "params": {"method": "read"}}}
+            for t in range(2, 2002)
+        ]
+        mon = Monitor([policy])
+        plans = domain_of(policy).join_plans
+        sizes = [len(plans) for record in records for _ in mon.step(record)]
+        assert len(sizes) == 2000 and len(set(sizes[100:])) == 1
+        equal = (("C1", "C2"),)
+        assert set(plans) == {(("r1", "r2"), (), equal), (("r2", "r1"), (), equal)}
 
 
 class TestRetained:
