@@ -268,15 +268,39 @@ class UniverseBounds:
 
     @staticmethod
     def from_json(text: str) -> "UniverseBounds":
+        """Bounds from a JSON object.  Text that is not JSON raises
+        json.JSONDecodeError; a field that is missing or of the wrong type
+        raises a ValueError that names it."""
         raw = json.loads(text)
+        if not isinstance(raw, dict):
+            raise ValueError(f"universe bounds must be a JSON object, got {raw!r}")
+
+        def field(name: str, what: str, ok: Callable[[Any], bool], *default: Any) -> Any:
+            if name not in raw and default:
+                return default[0]
+            if name not in raw:
+                raise ValueError(f"universe bounds lack the field {name!r}")
+            if not ok(raw[name]):
+                raise ValueError(f"universe bounds field {name!r} must be {what}, got {raw[name]!r}")
+            return raw[name]
+
+        def count(v: Any) -> bool:
+            return isinstance(v, int) and not isinstance(v, bool)
+
+        def names(v: Any) -> bool:
+            return isinstance(v, list) and all(isinstance(m, str) for m in v)
+
+        def scalars(v: Any) -> bool:
+            return isinstance(v, list) and all(isinstance(m, (str, int, float)) for m in v)
+
         return UniverseBounds(
-            max_objects=raw["max_objects"],
-            max_instances=raw["max_instances"],
-            attributes=tuple(raw["attributes"]),
-            parameters=tuple(raw["parameters"]),
-            values=tuple(raw["values"]),
-            max_events=raw.get("max_events", 2),
-            ceiling=raw.get("ceiling", 500_000),
+            max_objects=field("max_objects", "an integer", count),
+            max_instances=field("max_instances", "an integer", count),
+            attributes=tuple(field("attributes", "a list of names", names)),
+            parameters=tuple(field("parameters", "a list of names", names)),
+            values=tuple(field("values", "a list of numbers, strings and booleans", scalars)),
+            max_events=field("max_events", "an integer", count, 2),
+            ceiling=field("ceiling", "an integer", count, 500_000),
         )
 
 

@@ -10,7 +10,8 @@ Modes:
                of the form  time<TAB>src->dest<TAB>allow|deny<TAB>policy
     algebra    apply an operator (--op) to the named policies
 
-Exit codes: 0 success/upheld, 1 violation found, 2 parse error,
+Exit codes: 0 success/upheld, 1 violation found, 2 parse error or an
+input file (policies, trace, universe) that cannot be read or is malformed,
 3 validation error, 4 match cap exceeded, 64 usage error.
 """
 
@@ -146,8 +147,12 @@ def _run_algebra(args, policies, out) -> int:
     if not args.universe:
         print(f"{op} needs --universe", file=sys.stderr)
         return EXIT_USAGE
-    with open(args.universe, "r", encoding="utf-8") as handle:
-        universe = UniverseBounds.from_json(handle.read())
+    try:
+        with open(args.universe, "r", encoding="utf-8") as handle:
+            universe = UniverseBounds.from_json(handle.read())
+    except ValueError as exc:  # not UTF-8 or JSON, or a field missing or ill-typed
+        print(f"error: {args.universe}: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     a, b = targets
     if op == "contains":
         result = contains(a, b, universe)
@@ -191,7 +196,7 @@ def run(argv: Optional[Sequence[str]] = None, out=None) -> int:
         rendered = render_jsonl(report) if args.report == "jsonl" else render_text(report)
         out.write(rendered)
         return EXIT_OK if report.upheld else EXIT_VIOLATION
-    except (ParseError, TraceError, PredicateTypeError, PolicyError) as exc:
+    except (ParseError, TraceError, PredicateTypeError, PolicyError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except InvalidPolicyError as exc:

@@ -1,6 +1,7 @@
 """Streaming enforcement: decide each event as it arrives.
 
-The monitor consumes the same records as ingest_trace, strictly serialized.
+The monitor consumes the same records as ingest_trace, strictly serialized,
+and checks and numbers them the same way.
 Object records update snapshots silently.  An event record is admitted
 tentatively; every policy is re-checked, restricted to matches whose edge
 assignment includes the new event.  If any such match fails its requirement
@@ -117,20 +118,23 @@ class Monitor:
         self.graph = SystemGraph()
         self._watched = [_Watched(p) for p in self.policies if p.graph.edges]
         self._cursor = 0
+        self._records = 0  # records stepped, to number them as ingest_trace does
         # the memo of node-plan outcomes (see matching.snapshot_entry); an
         # object's entry is always that of its newest snapshot
         self._outcomes: dict[str, tuple[Mapping[str, Any], dict]] = {}
 
-    def step(self, record: Mapping[str, Any]) -> list[Decision]:
-        """Apply one record; an event record yields exactly one decision."""
-        self._cursor, event = apply_record(self.graph, dict(record), self._cursor)
+    def step(self, record: dict[str, Any]) -> list[Decision]:
+        """Apply one record, a decoded JSON object, checked and numbered as
+        ingest_trace does; an event record yields exactly one decision."""
+        self._records += 1
+        self._cursor, event = apply_record(self.graph, record, self._cursor, self._records)
         if event is None:
             if self._outcomes:  # an object record: no later event reads the snapshot it superseded
                 self._outcomes.pop(record["object"]["id"], None)
             return []
         return [self._decide(event)]
 
-    def run(self, records: Iterable[Mapping[str, Any]]) -> Iterator[Decision]:
+    def run(self, records: Iterable[dict[str, Any]]) -> Iterator[Decision]:
         for record in records:
             yield from self.step(record)
 

@@ -300,22 +300,28 @@ def parse_policy_set(text: str) -> list[PolicyGraph]:
     """Parse a policy file, which holds one or more policy blocks."""
     lines = text.split("\n")
     policies: list[PolicyGraph] = []
-    i = 0
-    while i < len(lines):
-        tokens = tokenize(lines[i], i + 1)
-        if tokens[0][0] == "eof":
-            i += 1
+    name: Optional[str] = None  # of the open block, whose tokenized lines gather in body
+    body: list[tuple[int, list]] = []
+    for line_no, line in enumerate(lines, start=1):
+        tokens = tokenize(line, line_no)
+        cur = TokenCursor(tokens)
+        kind, word, _, col = cur.advance()
+        if kind == "eof":
             continue
-        header = TokenCursor(tokens)
-        kind, word, line, col = header.peek()
-        if kind != "ident" or word != "policy":
-            raise ParseError(f"expected 'policy', found {word!r}", i + 1, col)
-        header.advance()
-        name_tok = header.expect("ident")
-        header.expect("op", "{")
-        header.expect("eof")
-        body, i = _collect_block(lines, i + 1)
-        policies.append(_parse_block(name_tok[1], body))
+        if name is None:
+            if kind != "ident" or word != "policy":
+                raise ParseError(f"expected 'policy', found {word!r}", line_no, col)
+            name = cur.expect("ident")[1]
+            cur.expect("op", "{")
+            cur.expect("eof")
+        elif (kind, word) == ("op", "}"):
+            cur.expect("eof")
+            policies.append(_parse_block(name, body))
+            name, body = None, []
+        else:
+            body.append((line_no, tokens))
+    if name is not None:
+        raise ParseError("policy block never closed with '}'", len(lines))
     if not policies:
         raise ParseError("no policy blocks found")
     return policies
@@ -329,29 +335,9 @@ def parse_policy(text: str) -> PolicyGraph:
     return policies[0]
 
 
-def _collect_block(lines: list[str], start: int) -> tuple[list[tuple[int, list]], int]:
-    """Gather tokenized body lines until the closing brace line."""
-    body: list[tuple[int, list]] = []
-    i = start
-    while i < len(lines):
-        tokens = tokenize(lines[i], i + 1)
-        if tokens[0][0] == "eof":
-            i += 1
-            continue
-        if tokens[0][:2] == ("op", "}"):
-            cur = TokenCursor(tokens)
-            cur.advance()
-            cur.expect("eof")
-            return body, i + 1
-        body.append((i + 1, tokens))
-        i += 1
-    raise ParseError("policy block never closed with '}'", len(lines))
-
-
 def _parse_block(name: str, body: list[tuple[int, list]]) -> PolicyGraph:
     nodes: dict[str, tuple[Optional[Expr], Optional[Expr]]] = {}
     edges: dict[str, tuple[str, str, Optional[Expr], Optional[Expr]]] = {}
-    declared: set[str] = set()
     for line_no, tokens in body:
         cur = TokenCursor(tokens, reserved=_POLICY_RESERVED)
         kind, word, _, col = cur.peek()
@@ -359,12 +345,10 @@ def _parse_block(name: str, body: list[tuple[int, list]]) -> PolicyGraph:
             raise ParseError("expected a 'node' or 'edge' declaration", line_no, col)
         cur.advance()
         elt_id = cur.expect("ident")[1]
-        if elt_id in declared:
+        if elt_id in nodes or elt_id in edges:
             raise PolicyError(f"policy {name!r}: duplicate element id {elt_id!r}")
-        declared.add(elt_id)
         if word == "node":
-            dom, req = _parse_predicate_tail(cur, line_no)
-            nodes[elt_id] = (dom, req)
+            nodes[elt_id] = _parse_predicate_tail(cur, line_no)
         else:
             cur.expect("op", ":")
             src = cur.expect("ident")[1]
@@ -372,34 +356,23 @@ def _parse_block(name: str, body: list[tuple[int, list]]) -> PolicyGraph:
             dest = cur.expect("ident")[1]
             if src not in nodes or dest not in nodes:
                 raise PolicyError(f"policy {name!r}: edge {elt_id!r} endpoint not declared as a node")
-            dom, req = _parse_predicate_tail(cur, line_no)
-            edges[elt_id] = (src, dest, dom, req)
-    try:
-        return make_policy(name, nodes, edges)
-    except PolicyError as exc:
-        raise PolicyError(f"policy {name!r}: {exc}") from exc
+            edges[elt_id] = (src, dest, *_parse_predicate_tail(cur, line_no))
+    return make_policy(name, nodes, edges)
 
 
 def _parse_predicate_tail(cur: TokenCursor, line_no: int) -> tuple[Optional[Expr], Optional[Expr]]:
-    dom: Optional[Expr] = None
-    req: Optional[Expr] = None
+    """The 'domain:' and 'req:' sections that end a declaration, each at most once."""
+    sections: dict[str, Expr] = {}
     while cur.peek()[0] != "eof":
-        kind, word, _, col = cur.peek()
-        if kind == "ident" and word in ("domain", "req"):
-            cur.advance()
-            cur.expect("op", ":")
-            expr = parse_expression(cur)
-            if word == "domain":
-                if dom is not None:
-                    raise ParseError("duplicate 'domain:' section", line_no, col)
-                dom = expr
-            else:
-                if req is not None:
-                    raise ParseError("duplicate 'req:' section", line_no, col)
-                req = expr
-        else:
+        kind, word, _, col = cur.advance()
+        if kind != "ident" or word not in _POLICY_RESERVED:
             raise ParseError(f"expected 'domain:' or 'req:', found {word!r}", line_no, col)
-    return dom, req
+        cur.expect("op", ":")
+        expr = parse_expression(cur)
+        if word in sections:
+            raise ParseError(f"duplicate '{word}:' section", line_no, col)
+        sections[word] = expr
+    return sections.get("domain"), sections.get("req")
 
 
 def print_policy(p: PolicyGraph) -> str:

@@ -199,21 +199,15 @@ class SystemGraph:
         events follow in their stored order, with the injected "time"
         parameter stripped.
         """
-        by_time_objects: dict[int, list[tuple[str, dict[str, Any]]]] = {}
-        for obj_id, history in self._snapshots.items():
-            for t, attrs in history:
-                by_time_objects.setdefault(t, []).append((obj_id, attrs))
-        by_time_events: dict[int, list[SystemEvent]] = {}
-        for event in self.events:
-            by_time_events.setdefault(event.time, []).append(event)
         records: list[dict[str, Any]] = []
-        for t in sorted(set(by_time_objects) | set(by_time_events)):
-            for obj_id, attrs in sorted(by_time_objects.get(t, [])):
+        for obj_id in sorted(self._snapshots):
+            for t, attrs in self._snapshots[obj_id]:
                 payload = {k: to_json(v) for k, v in attrs.items() if k != "id"}
                 records.append({"t": t, "object": {"id": obj_id, "attrs": payload}})
-            for event in by_time_events.get(t, []):
-                payload = {k: to_json(v) for k, v in event.params.items() if k != "time"}
-                records.append({"t": t, "event": {"src": event.src, "dest": event.dest, "params": payload}})
+        for event in self.events:
+            payload = {k: to_json(v) for k, v in event.params.items() if k != "time"}
+            records.append({"t": event.time, "event": {"src": event.src, "dest": event.dest, "params": payload}})
+        records.sort(key=lambda r: (r["t"], "event" in r))  # stable: ids, then arrival order, within an instant
         return records
 
 

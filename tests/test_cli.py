@@ -313,6 +313,17 @@ class TestAlgebraMode:
         assert capsys.readouterr().err == message + "\n"
 
 
+UNIVERSE = {"max_objects": 1, "max_instances": 1, "attributes": [], "parameters": [], "values": [0], "max_events": 0}
+
+
+def _error_line(capsys) -> str:
+    """The one line the command wrote to stderr, which must carry no traceback."""
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    (line,) = err.splitlines()
+    return line
+
+
 class TestErrorPaths:
     def test_policy_parse_error(self, tmp_path):
         bad = tmp_path / "broken.policy"
@@ -353,6 +364,74 @@ class TestErrorPaths:
             "--trace", workspace / "upheld.jsonl",
         )
         assert code == EXIT_PARSE
+
+    @pytest.mark.parametrize("missing", ["policies", "trace", "universe"])
+    def test_input_file_that_does_not_exist(self, workspace, tmp_path, capsys, missing):
+        files = {
+            "policies": workspace / "no_read_up.policy",
+            "trace": workspace / "upheld.jsonl",
+            "universe": tmp_path / "universe.json",
+        }
+        files["universe"].write_text(json.dumps(UNIVERSE))
+        files[missing] = tmp_path / "nonesuch"
+        if missing == "trace":
+            code, _ = cli("--policies", files["policies"], "--trace", files["trace"])
+        else:
+            code, _ = cli(
+                "--policies", files["policies"], "--mode", "algebra", "--op", "contains",
+                "--targets", "no_read_up", "no_read_up", "--universe", files["universe"],
+            )
+        assert code == EXIT_PARSE
+        assert _error_line(capsys) == f"error: [Errno 2] No such file or directory: {str(tmp_path / 'nonesuch')!r}"
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("{max_objects: 1}", "Expecting property name enclosed in double quotes"),
+            ("[1, 1]", "universe bounds must be a JSON object, got [1, 1]"),
+            (json.dumps({k: v for k, v in UNIVERSE.items() if k != "max_objects"}),
+             "universe bounds lack the field 'max_objects'"),
+            (json.dumps({**UNIVERSE, "values": 3}),
+             "universe bounds field 'values' must be a list of numbers, strings and booleans, got 3"),
+            (json.dumps({**UNIVERSE, "values": [[1]]}),
+             "universe bounds field 'values' must be a list of numbers, strings and booleans, got [[1]]"),
+            (json.dumps({**UNIVERSE, "attributes": [1]}),
+             "universe bounds field 'attributes' must be a list of names, got [1]"),
+            (json.dumps({**UNIVERSE, "max_events": "2"}),
+             "universe bounds field 'max_events' must be an integer, got '2'"),
+        ],
+    )
+    def test_malformed_universe(self, workspace, tmp_path, capsys, text, message):
+        universe = tmp_path / "universe.json"
+        universe.write_text(text)
+        code, _ = cli(
+            "--policies", workspace / "no_read_up.policy", "--mode", "algebra", "--op", "contains",
+            "--targets", "no_read_up", "no_read_up", "--universe", universe,
+        )
+        assert code == EXIT_PARSE
+        assert _error_line(capsys).startswith(f"error: {universe}: {message}")
+
+    def test_trace_that_is_not_utf8(self, workspace, tmp_path, capsys):
+        binary = tmp_path / "binary.jsonl"
+        binary.write_bytes(b"\xff\xfe\n")
+        code, _ = cli("--policies", workspace / "no_read_up.policy", "--trace", binary)
+        assert code == EXIT_PARSE
+        assert "can't decode byte 0xff" in _error_line(capsys)
+
+    @pytest.mark.parametrize(
+        "second,message",
+        [
+            ("[1, 2]", "error: record 2: record must be a JSON object, got [1, 2]"),
+            ('{"t": 0, "object": {"id": "y"}}', "error: record 2: time went backwards (1 -> 0)"),
+        ],
+    )
+    def test_check_and_monitor_reject_a_bad_record_alike(self, workspace, tmp_path, capsys, second, message):
+        trace = tmp_path / "bad.jsonl"
+        trace.write_text('{"t": 1, "object": {"id": "x", "attrs": {}}}\n' + second + "\n")
+        for mode in ("check", "monitor"):
+            code, text = cli("--policies", workspace / "no_read_up.policy", "--trace", trace, "--mode", mode)
+            assert (code, text) == (EXIT_PARSE, "")
+            assert _error_line(capsys) == message
 
     def test_usage_error_from_argparse(self):
         with pytest.raises(SystemExit) as info:

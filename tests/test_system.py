@@ -231,11 +231,28 @@ class TestErrors:
             ({"t": 1, "object": {"id": ""}}, "non-empty"),
             ({"t": 1, "object": {"id": "x", "attrs": {"v": None}}}, "unsupported"),
             ({"t": 1, "object": {"id": "x", "attrs": {"v": {"nested": 1}}}}, "unsupported"),
+            ([1, 2], "record must be a JSON object"),
+            ({"t": 1, "object": {"id": "x", "attrs": [1]}}, "attrs must be an object"),
+            ({"t": 1, "event": {"src": "w", "dest": "w", "params": "read"}}, "params must be an object"),
+            ({"t": 1, "event": {"src": "w"}}, "needs 'src', 'dest'"),
+            ({"t": 1, "event": {"dest": "w", "params": {}}}, "needs 'src', 'dest'"),
+            ({"t": 1, "event": {"src": 1, "dest": "w"}}, "endpoints must be strings"),
+            ({"t": 1, "event": {"src": "w", "dest": ["w"]}}, "endpoints must be strings"),
         ],
     )
     def test_bad_records(self, record, fragment):
-        with pytest.raises(TraceError, match=fragment):
-            ingest_trace([record])
+        """The batch ingest and the monitor reject a record with the same
+        error, numbered alike."""
+        records = [{"t": 0, "object": {"id": "w", "attrs": {}}}, record]
+        with pytest.raises(TraceError, match=fragment) as batch:
+            ingest_trace(records)
+        monitor = Monitor([])
+        with pytest.raises(TraceError) as stream:
+            for r in records:
+                monitor.step(r)
+        assert batch.value.record_no == stream.value.record_no == 2
+        assert str(stream.value) == str(batch.value)
+        assert str(batch.value).startswith("record 2: ")
 
     def test_decreasing_time(self):
         records = [
