@@ -27,8 +27,8 @@ the event can take, and still has edge_candidate judge the endpoint plans that
 may raise of the edges it rejects, so every error is raised where it was.  A
 batch pass walks the events in trace order, as the monitor meets them, and
 judges each for the edges on its route in sorted order.  Node-plan outcomes are
-memoised per object, on the snapshot last asked for (snapshot_entry), so an
-event's two snapshots are looked up at most once per pass or decision.
+memoised with the snapshot they read, in the entry the graph keeps per object
+(SystemGraph.snapshot_at), so a node plan is judged once per snapshot.
 
 The join is compiled once per (edge order, isolated-node order, `equal`) into a
 JoinPlan kept in the pattern's join_plans (query compilation; Neumann, VLDB
@@ -45,6 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Any, Callable, Mapping, NamedTuple, Optional, Sequence
+from weakref import ref
 
 from .policy import PatternGraph, PolicyGraph, domain_of, validate_policy
 from .predicates import BindingPlan, Const, PredicateTypeError, always_flag
@@ -177,7 +178,7 @@ def edge_candidate(
     edge_id: str,
     index: int,
     event: SystemEvent,
-    ends: Optional[tuple[tuple, tuple]],
+    graph: SystemGraph,
     screened_out: bool = False,
 ) -> Optional[_EdgeCandidate]:
     """The event at `index` as a candidate for a policy edge, or None where
@@ -189,24 +190,21 @@ def edge_candidate(
     pattern's screen has found the edge's own plan false at the event, so
     it is not called.
 
-    `ends` holds the memo entries (see snapshot_entry) of the event's
-    source and destination snapshots, looked up once per event by the
-    caller and shared by every edge and policy that judges it; it may be
-    None where no endpoint plan of the pattern has steps or filters.  A
-    node plan's result depends only on the snapshot it reads, so it is
-    judged once per snapshot, and a node plan without steps is not called.
-    A plan that raises stores nothing, so it raises again wherever it is
-    reached."""
+    An endpoint's snapshot and its memo come from graph.snapshot_at,
+    asked only where that node plan has steps or filters.  A node plan's
+    result depends only on the snapshot it reads, so it is judged once per
+    snapshot, and a node plan without steps is not called.  A plan that
+    raises stores nothing, so it raises again wherever it is reached."""
     spec, plans = pattern.graph.edges[edge_id], pattern.plans
     edge, src, dest = plans[edge_id], plans[spec.src], plans[spec.dest]
     on_edge = None if screened_out else edge(event.params)
     if on_edge is None and not (src.may_raise or dest.may_raise):
         return None
-    src_ctx, src_outcomes = ends[0] if src.steps or src.filters else _NO_SNAPSHOT
+    src_ctx, src_outcomes = graph.snapshot_at(event.src, event.time) if src.steps or src.filters else _NO_SNAPSHOT
     on_src = _judged(src, src_ctx, src_outcomes) if src.steps else ()
     if on_src is None and not dest.may_raise:
         return None
-    dest_ctx, dest_outcomes = ends[1] if dest.steps or dest.filters else _NO_SNAPSHOT
+    dest_ctx, dest_outcomes = graph.snapshot_at(event.dest, event.time) if dest.steps or dest.filters else _NO_SNAPSHOT
     on_dest = _judged(dest, dest_ctx, dest_outcomes) if dest.steps else ()
     if on_edge is None or on_src is None or on_dest is None:
         return None
@@ -224,31 +222,25 @@ def edge_candidate(
 
 
 def _judged(plan: BindingPlan, attrs: Mapping[str, Any], outcomes: dict) -> Optional[list[tuple[str, Any]]]:
-    """plan(attrs), looked up in or added to the snapshot's memo `outcomes`."""
-    found = outcomes.get(plan, _ABSENT)
+    """plan(attrs), looked up in or added to the snapshot's memo `outcomes`,
+    which the graph keeps as long as the snapshot, past the plan's policy: it
+    holds plans weakly, and at every 16th plan added forgets the dead ones."""
+    key = ref(plan)  # Python keeps one such reference per plan, so it is found by identity
+    found = outcomes.get(key, _ABSENT)
     if found is _ABSENT:
-        found = outcomes[plan] = plan(attrs)
+        if len(outcomes) % 16 == 15:
+            for dead in [k for k in outcomes if k() is None]:
+                del outcomes[dead]
+        found = outcomes[key] = plan(attrs)
     return found
-
-
-def snapshot_entry(memo: dict, obj_id: str, attrs: Mapping[str, Any]) -> tuple[Mapping[str, Any], dict]:
-    """The entry (attrs, {node plan: its outcome there}) of the object's
-    snapshot `attrs` in `memo`, which keeps per object the entry of the
-    snapshot last asked for: an entry whose snapshot is not `attrs` is
-    replaced.  The caller owns the memo and must drop an object's entry
-    before its snapshot can change in place."""
-    entry = memo.get(obj_id)
-    if entry is None or entry[0] is not attrs:
-        entry = memo[obj_id] = (attrs, {})
-    return entry
 
 
 def _edge_candidates(pattern: PatternGraph, graph: SystemGraph, pruned=()) -> dict[str, Candidates]:
     """Per policy edge, every event's edge_candidate() that is neither None
     nor raises one of the exceptions `pruned`, in event order.  The events
     are walked in trace order, as the monitor meets them: each is routed by
-    the pattern's screen once, its snapshots are looked up once, and it is
-    judged for the edges on its route in sorted order.
+    the pattern's screen once and judged for the edges on its route in
+    sorted order.
 
     The error raised is that of the first edge, by sorted id, that raises
     at any event, at the first event where it does, as if each edge were
@@ -256,21 +248,14 @@ def _edge_candidates(pattern: PatternGraph, graph: SystemGraph, pruned=()) -> di
     events are judged only for the edges before it, and the error is raised
     when the walk ends."""
     out = {edge_id: Candidates() for edge_id in pattern.key_ids[0]}
-    screen, memo = pattern.screen, {}
+    route = pattern.screen.route
     error, raised = None, None  # the error to raise, and the edge that raised it
     for index, event in enumerate(graph.events):
-        route = screen.route(event.params)
-        if not route:
-            continue
-        ends = (
-            snapshot_entry(memo, event.src, graph.src_attr(event)),
-            snapshot_entry(memo, event.dest, graph.dest_attr(event)),
-        ) if screen.reads_ends else None
-        for edge_id, screened_out in route.items():
+        for edge_id, screened_out in route(event.params).items():
             if raised is not None and edge_id >= raised:
                 break
             try:
-                cand = edge_candidate(pattern, edge_id, index, event, ends, screened_out)
+                cand = edge_candidate(pattern, edge_id, index, event, graph, screened_out)
             except pruned:
                 continue
             except Exception as exc:

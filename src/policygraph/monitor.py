@@ -21,10 +21,10 @@ gives, with one dict probe, the edges the event can take, and only those
 run their plans.  In a stream where most events take no edge, such an
 event costs each policy that probe, and at most the judgement of the
 endpoint plans that may raise, which the screen keeps so that the same
-error is raised.  Node-plan outcomes are memoised on each object's newest
-snapshot, the only one an event can read, in the memo a batch pass keeps
-(matching.snapshot_entry); an object record drops its object's entry, so
-an entry found is current and needs no snapshot lookup.
+error is raised.  Node-plan outcomes are memoised with each object's newest
+snapshot, the only one an event can read, in the entry the graph keeps for
+it (SystemGraph.snapshot_at), as a batch pass does; an object record drops
+its object's entry, so an entry found is current and needs no lookup.
 
 The join looks the committed candidates up (see matching); a one-edge
 policy keeps none.  Each search hands the join the new event's candidate
@@ -72,7 +72,6 @@ from .matching import (
     each_match,
     edge_candidate,
     judge_requirement,
-    snapshot_entry,
     verdict_all,
 )
 from .matching import check_requirement  # noqa: F401  perfbench/tracing.py wraps it here
@@ -119,20 +118,13 @@ class Monitor:
         self._watched = [_Watched(p) for p in self.policies if p.graph.edges]
         self._cursor = 0
         self._records = 0  # records stepped, to number them as ingest_trace does
-        # the memo of node-plan outcomes (see matching.snapshot_entry); an
-        # object's entry is always that of its newest snapshot
-        self._outcomes: dict[str, tuple[Mapping[str, Any], dict]] = {}
 
     def step(self, record: dict[str, Any]) -> list[Decision]:
         """Apply one record, a decoded JSON object, checked and numbered as
         ingest_trace does; an event record yields exactly one decision."""
         self._records += 1
         self._cursor, event = apply_record(self.graph, record, self._cursor, self._records)
-        if event is None:
-            if self._outcomes:  # an object record: no later event reads the snapshot it superseded
-                self._outcomes.pop(record["object"]["id"], None)
-            return []
-        return [self._decide(event)]
+        return [] if event is None else [self._decide(event)]
 
     def run(self, records: Iterable[dict[str, Any]]) -> Iterator[Decision]:
         for record in records:
@@ -148,22 +140,11 @@ class Monitor:
         denied_by: list[str] = []
         error = None  # the first requirement that raised; raised only if nothing denies
         fresh = []  # per watched policy, the new event's candidate per edge
-        ends = None  # the memo entries of the event's snapshots, looked up once
-        memo = self._outcomes
         try:
             for watched in self._watched:
                 cands = {}
-                route = watched.screen.route(event.params)
-                if route and ends is None and watched.screen.reads_ends:
-                    # an entry found is current, as step() drops it when an
-                    # object record supersedes its snapshot
-                    src, dest, t = event.src, event.dest, event.time
-                    ends = (
-                        memo.get(src) or snapshot_entry(memo, src, self.graph.attrs_at(src, t)),
-                        memo.get(dest) or snapshot_entry(memo, dest, self.graph.attrs_at(dest, t)),
-                    )
-                for edge_id, screened_out in route.items():
-                    cand = edge_candidate(watched.pattern, edge_id, index, event, ends, screened_out)
+                for edge_id, screened_out in watched.screen.route(event.params).items():
+                    cand = edge_candidate(watched.pattern, edge_id, index, event, self.graph, screened_out)
                     if cand is not None:
                         cands[edge_id] = cand
                 fresh.append(cands)

@@ -112,7 +112,7 @@ class EdgeScreen:
     key), and the edge's plan then rejects the event.
     """
 
-    __slots__ = ("attr", "routes", "default", "reads_ends")
+    __slots__ = ("attr", "routes", "default")
 
     def __init__(self, pattern: "PatternGraph"):
         plans, edges = pattern.plans, pattern.graph.edges
@@ -145,9 +145,6 @@ class EdgeScreen:
 
         self.routes = {c: route(admitted) for c, admitted in admits.items()}
         self.default = route(set())
-        # whether judging an event for an edge can read its endpoints' snapshots
-        ends = {node for spec in edges.values() for node in (spec.src, spec.dest)}
-        self.reads_ends = any(plans[node].steps or plans[node].filters for node in ends)
 
     def route(self, params: Mapping[str, Any]) -> dict[str, bool]:
         return self.routes.get(params.get(self.attr), self.default)

@@ -1022,7 +1022,7 @@ class BindingPlan:
     without steps (see matching.edge_candidate).
     """
 
-    __slots__ = ("pred", "steps", "filters", "may_raise", "captured")
+    __slots__ = ("pred", "steps", "filters", "may_raise", "captured", "__weakref__")  # weakly held by snapshot memos
 
     def __init__(self, e: Expr):
         self.pred = e

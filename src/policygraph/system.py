@@ -24,6 +24,7 @@ from typing import Any, Iterable, Iterator, Mapping, Optional
 from .values import from_json, maps_equal, to_json, values_equal
 
 _snapshot_time = itemgetter(0)
+_FOREVER = float("inf")
 
 
 class TraceError(ValueError):
@@ -56,6 +57,11 @@ class SystemGraph:
     immutable afterwards.  Events keep their arrival order; several identical
     events inside one instant are distinct entries and can match distinct
     policy edges.
+
+    It keeps two memos, as only its mutators can tell when one is stale:
+    derived(), for results read from the whole graph, which every mutation
+    drops; and per object a snapshot entry (snapshot_at), which only
+    declaring that object again drops.
     """
 
     def __init__(self) -> None:
@@ -73,12 +79,14 @@ class SystemGraph:
         self._before_event: tuple[int, int, set[str]] = (0, -1, self._read)
         self._last_event_marks: set[str] = set()
         self._derived: Optional[dict] = None  # see derived()
+        self._entries: dict[str, tuple[int, float, tuple[Mapping[str, Any], dict]]] = {}  # see snapshot_at()
 
     # internal mutators, used by ingest_trace and the monitor; each one
     # drops the results derived from the state it changes
 
     def _declare_object(self, obj_id: str, attrs: dict[str, Any], t: int, record_no: int = 0) -> None:
         self._derived = None
+        self._entries.pop(obj_id, None)
         if t == self._read_at and obj_id in self._read:
             raise TraceError(
                 f"snapshot for {obj_id!r} at t={t} declared after an event already used it", record_no
@@ -161,6 +169,21 @@ class SystemGraph:
         if newer == 0:
             raise KeyError(f"object {obj_id!r} has no snapshot at or before t={t}")
         return history[newer - 1][1]
+
+    def snapshot_at(self, obj_id: str, t: int) -> tuple[Mapping[str, Any], dict]:
+        """The object's effective snapshot at t, as (attrs, memo): a dict kept
+        with the snapshot for results read from attrs alone.  One entry per
+        object, the snapshot last asked for, covers the instant asked, or all
+        later ones if it is the newest; a covered instant needs no lookup, any
+        other goes through attrs_at, and a snapshot found again keeps its memo."""
+        entry = self._entries.get(obj_id)
+        if entry is not None and entry[0] <= t <= entry[1]:
+            return entry[2]
+        attrs = self.attrs_at(obj_id, t)
+        snapshot = entry[2] if entry is not None and entry[2][0] is attrs else (attrs, {})
+        last = _FOREVER if self._snapshots[obj_id][-1][1] is attrs else t
+        self._entries[obj_id] = (t, last, snapshot)
+        return snapshot
 
     def src_attr(self, event: SystemEvent) -> Mapping[str, Any]:
         return self.attrs_at(event.src, event.time)
@@ -283,15 +306,12 @@ def ingest_trace(records: Iterable[dict[str, Any]]) -> SystemGraph:
 
 
 def read_jsonl(lines: Iterable[str]) -> Iterator[dict[str, Any]]:
-    """Decode JSON Lines, skipping blank lines; errors carry line numbers."""
-    for line_no, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
+    """Decode JSON Lines, skipping blank lines; an error carries its record's number."""
+    for record_no, line in enumerate(filter(None, map(str.strip, lines)), start=1):
         try:
             yield json.loads(line)
         except json.JSONDecodeError as exc:
-            raise TraceError(f"bad JSON: {exc}", line_no) from exc
+            raise TraceError(f"bad JSON: {exc}", record_no) from exc
 
 
 def load_trace(path: str) -> SystemGraph:

@@ -719,6 +719,15 @@ class TestExactDomains:
         assert coverage_compare(kind_0, any_id, u).relation == LESSER
         assert str(coverage_compare(any_id, kind_0, u)) == "greater (bounded: 43 systems checked)"
 
+    def test_an_exact_match_past_the_cap_raises(self, monkeypatch):
+        g = ingest_trace([{"t": 1, "object": {"id": obj, "attrs": {}}} for obj in ("x", "y", "z")])
+        any_id = pattern(" node n domain: id = $X")
+        monkeypatch.setattr(algebra, "DEFAULT_MATCH_CAP", 3)
+        assert len(algebra.pattern_matches_bounded(any_id, g)) == 3
+        monkeypatch.setattr(algebra, "DEFAULT_MATCH_CAP", 2)
+        with pytest.raises(MatchCapExceeded, match="exceeded the match cap of 2"):
+            algebra.pattern_matches_bounded(any_id, g)
+
     def test_instant_capture(self):
         u = UniverseBounds(1, 3, ("kind",), ("act",), (0, 1), max_events=1)
         late = pattern(" node n\n edge e: n -> n domain: time = $T && time > 1")

@@ -293,6 +293,32 @@ class TestAlgebraMode:
             assert code == EXIT_OK
             assert f"coverage({targets[0]}, {targets[1]}): {relation} (bounded: 43 systems checked)" in text
 
+    @pytest.mark.parametrize("op", ["contains", "coverage"])
+    def test_bounded_operators_need_a_universe(self, workspace, capsys, op):
+        code, text = cli(
+            "--policies", workspace / "no_read_up.policy", "--mode", "algebra", "--op", op,
+            "--targets", "no_read_up", "no_read_up",
+        )
+        assert (code, text) == (EXIT_USAGE, "")
+        assert capsys.readouterr().err == f"{op} needs --universe\n"
+
+    def test_universe_over_its_ceiling(self, workspace, tmp_path, capsys):
+        universe = tmp_path / "universe.json"
+        universe.write_text(json.dumps({**UNIVERSE, "attributes": ["level"], "values": [0, 1], "ceiling": 2}))
+        code, text = cli(
+            "--policies", workspace / "no_read_up.policy", "--mode", "algebra", "--op", "contains",
+            "--targets", "no_read_up", "no_read_up", "--universe", universe,
+        )
+        assert (code, text) == (EXIT_USAGE, "")
+        assert _error_line(capsys) == "error: universe holds 3 systems, over the ceiling of 2"
+
+    def test_refuses_ill_formed(self, tmp_path, capsys):
+        bad = tmp_path / "bad.policy"
+        bad.write_text("policy bad {\n node n req: level = $X\n}\n")
+        code, text = cli("--policies", bad, "--mode", "algebra", "--op", "nullify", "--targets", "bad")
+        assert (code, text) == (EXIT_VALIDATION, "")
+        assert "[R1]" in capsys.readouterr().err
+
     def test_missing_op(self, workspace):
         code, _ = cli("--policies", workspace / "no_read_up.policy", "--mode", "algebra")
         assert code == EXIT_USAGE
@@ -432,6 +458,23 @@ class TestErrorPaths:
             code, text = cli("--policies", workspace / "no_read_up.policy", "--trace", trace, "--mode", mode)
             assert (code, text) == (EXIT_PARSE, "")
             assert _error_line(capsys) == message
+
+    @pytest.mark.parametrize(
+        "fourth,message",
+        [
+            ('{"t": 1, "object": {"id": "y"}}', "error: record 2: time went backwards (2 -> 1)"),
+            ('{"t": 1, "object": {"id"', "error: record 2: bad JSON: Expecting ':' delimiter"),
+        ],
+    )
+    def test_records_are_numbered_without_blank_lines(self, workspace, tmp_path, capsys, fourth, message):
+        """A trace whose first and third lines are blank: the error on its
+        fourth line is about record 2, whether ingestion or decoding finds it."""
+        trace = tmp_path / "blanks.jsonl"
+        trace.write_text('\n{"t": 2, "object": {"id": "x", "attrs": {}}}\n\n' + fourth + "\n")
+        for mode in ("check", "monitor"):
+            code, text = cli("--policies", workspace / "no_read_up.policy", "--trace", trace, "--mode", mode)
+            assert (code, text) == (EXIT_PARSE, "")
+            assert _error_line(capsys).startswith(message)
 
     def test_usage_error_from_argparse(self):
         with pytest.raises(SystemExit) as info:

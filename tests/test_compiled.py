@@ -26,7 +26,6 @@ from policygraph.matching import (
     check_requirement,
     edge_candidate,
     find_matches,
-    snapshot_entry,
     verdict,
 )
 from policygraph.policy import make_policy, parse_policy
@@ -72,12 +71,6 @@ def same(a, b) -> bool:
     if isinstance(a, ValueSet) and isinstance(b, ValueSet):
         return len(a) == len(b) and all(same(x, y) for x, y in zip(a, b))
     return type(a) is type(b) and values_equal(a, b)
-
-
-def ends(graph, event) -> tuple:
-    """The memo entries of an event's two snapshots, in a fresh memo."""
-    memo: dict = {}
-    return snapshot_entry(memo, event.src, graph.src_attr(event)), snapshot_entry(memo, event.dest, graph.dest_attr(event))
 
 
 def outcome(thunk):
@@ -338,7 +331,7 @@ class TestBindingPlanAgainstInterpreter:
                 return [satisfy(e, ctx, {}) for e, ctx in zip(preds, contexts)]
 
             try:
-                cand = edge_candidate(pattern, "e", 0, event, ends(graph, event))
+                cand = edge_candidate(pattern, "e", 0, event, graph)
             except PredicateTypeError as error:
                 got = extended = (ERROR, str(error))
             else:
@@ -475,7 +468,7 @@ class TestRules:
             (match,) = find_matches(p, graph)
             assert same(match.bindings["X"], m), (n, m, k)
             assert values_equal(merge_conditions(satisfied).bindings["X"], m)
-            assert same(edge_candidate(p.domain, "e", 0, event, ends(graph, event)).captures["X"], m)
+            assert same(edge_candidate(p.domain, "e", 0, event, graph).captures["X"], m)
 
     def test_computed_captures_are_compiled(self):
         e = parse_predicate('kind = "a" && $X = level + 1 && (level > 0) = $Y')

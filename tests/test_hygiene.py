@@ -1,5 +1,5 @@
 """Static checks over the package source: no dead imports or constants,
-one evaluator, and no raised recursion limit.
+one evaluator, one owner of snapshot memos, and no raised recursion limit.
 
 Each module of src/policygraph and tests is parsed with `ast`, not imported.
 """
@@ -162,6 +162,14 @@ def test_only_matching_knows_join_keys():
     imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
     assert "values" not in imported
     assert names_read(tree) & {"canonical", "lookup", "_indexes", "join_keys", "join_plans"} == set()
+
+
+def test_only_the_graph_keeps_snapshot_entries():
+    """Node-plan outcomes live with the snapshots the graph keeps, which
+    only its mutators can tell are stale: only system.py reads the
+    entries, and the monitor holds no snapshot state of its own."""
+    assert [path.name for path in MODULES if "_entries" in names_read(parse(path))] == ["system.py"]
+    assert names_read(parse(PACKAGE / "monitor.py")) & {"snapshot_entry", "attrs_at", "_outcomes"} == set()
 
 
 def test_no_module_raises_the_recursion_limit():

@@ -3,11 +3,11 @@ judged once per snapshot, and events routed to the edges they can take.
 
 A top-level `attr = c` conjunct is an equality step of its binding plan,
 which must decide exactly as the interpreter does.  The matcher memoises a
-node plan's outcome per snapshot, for one batch pass or for one monitor's
-life: decisions must not change where objects are redeclared, a plan that
+node plan's outcome per snapshot, in the memo the graph keeps with it:
+decisions must not change where objects are redeclared, a plan that
 raises must raise again wherever the parent engine reached it, and the
-memo must go with the pass or the monitor that owns it, and hold no more
-than one entry per object in a monitor.  A pattern's edge screen must
+memo must go with its graph, keep no plan of a dropped policy alive, and
+hold no more than one entry per object.  A pattern's edge screen must
 change nothing but the work done: batch and monitor results, errors
 included, equal those of a flat screen that judges every edge for every
 event.
@@ -20,7 +20,7 @@ import tracemalloc
 import pytest
 
 from policygraph import matching
-from policygraph.matching import each_match, edge_candidate, find_matches, snapshot_entry, verdict
+from policygraph.matching import each_match, edge_candidate, find_matches, verdict
 from policygraph.monitor import Monitor
 from policygraph.policy import PatternGraph, make_policy, parse_policy, parse_policy_set, validate_policy
 from policygraph.predicates import (
@@ -259,6 +259,31 @@ class TestNodeOutcomesPerSnapshot:
             tracemalloc.stop()
         assert grown < 16_384, grown
 
+    def test_the_memo_does_not_outlive_its_policy(self):
+        """The graph keeps each snapshot's memo as long as the snapshot;
+        500 fresh policies checked on one graph leave no plans in it."""
+        graph = ingest_trace([
+            {"t": 1, "object": {"id": "john", "attrs": {"type": "user", "sec_level": 0}}},
+            {"t": 1, "object": {"id": "a", "attrs": {"type": "file", "sec_level": 0}}},
+            {"t": 1, "event": {"src": "john", "dest": "a", "params": {"method": "read"}}},
+        ])
+
+        def churn(n):
+            for _ in range(n):
+                assert verdict(parse_policy(NO_READ_UP), graph).upheld
+
+        churn(50)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            churn(500)
+            gc.collect()
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert grown < 16_384, grown
+
 
 # --- the edge screen against a flat one ----------------------------------
 
@@ -416,19 +441,15 @@ def edge_by_edge(pattern, graph, pruned=()) -> dict:
     """matching._edge_candidates as a walk over the whole trace for each
     edge in turn, by sorted id: the reference for which error the
     event-by-event walk raises."""
-    out, memo = {}, {}
+    out = {}
     for edge_id in pattern.key_ids[0]:
         out[edge_id] = []
         for index, event in enumerate(graph.events):
             screened_out = pattern.screen.route(event.params).get(edge_id)
             if screened_out is None:
                 continue
-            ends = (
-                snapshot_entry(memo, event.src, graph.src_attr(event)),
-                snapshot_entry(memo, event.dest, graph.dest_attr(event)),
-            )
             try:
-                cand = edge_candidate(pattern, edge_id, index, event, ends, screened_out)
+                cand = edge_candidate(pattern, edge_id, index, event, graph, screened_out)
             except pruned:
                 continue
             if cand is not None:
@@ -596,8 +617,8 @@ class TestScreeningWork:
 
     def test_the_memo_holds_one_entry_per_object(self):
         """50 000 redeclarations of one file, each read once, keep the
-        monitor's memo at one entry per object: it retains no more than
-        the committed history of the same records does."""
+        graph's snapshot memo at one entry per object: the monitor retains
+        no more than the committed history of the same records does."""
         p = parse_policy(NO_READ_UP)
         user = {"t": 0, "object": {"id": "john", "attrs": {"type": "user", "sec_level": 2}}}
         records = [user]
@@ -633,5 +654,5 @@ class TestScreeningWork:
                 cursor, _ = apply_record(graph, dict(record), cursor)
 
         by_monitor, by_graph = retained(monitored), retained(ingested)
-        assert mon.graph == graph and len(mon._outcomes) == 2
+        assert mon.graph == graph and len(mon.graph._entries) == 2
         assert by_monitor <= by_graph + 8, (by_monitor, by_graph)

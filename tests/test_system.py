@@ -121,6 +121,32 @@ class TestSnapshots:
         with pytest.raises(TraceError, match="already used"):
             ingest_trace(records)
 
+    def test_snapshot_at_keeps_each_snapshots_memo(self, monkeypatch):
+        """An entry answers the instants it covers without a lookup, keeps
+        its memo for the same snapshot at another instant, and only
+        declaring its object again drops it."""
+        g = ingest_trace([
+            {"t": 1, "object": {"id": "s", "attrs": {"level": 1}}},
+            {"t": 3, "object": {"id": "s", "attrs": {"level": 2}}},
+        ])
+        lookups = []
+        attrs_at = SystemGraph.attrs_at
+        monkeypatch.setattr(SystemGraph, "attrs_at", lambda graph, *args: lookups.append(args) or attrs_at(graph, *args))
+        old, memo = g.snapshot_at("s", 1)
+        memo["seen"] = True
+        assert old["level"] == 1 and g.snapshot_at("s", 1)[1] is memo and g.snapshot_at("s", 2)[1] is memo
+        new, memo = g.snapshot_at("s", 3)
+        assert new["level"] == 2 and memo == {}
+        memo["seen"] = True
+        assert g.snapshot_at("s", 9)[1] is memo  # the newest snapshot covers every later instant
+        assert lookups == [("s", 1), ("s", 2), ("s", 3)]
+        g._append_event("s", "s", {"time": 9}, 9)
+        g._drop_last_event()
+        assert g.snapshot_at("s", 9)[1] is memo and len(lookups) == 3  # events keep entries
+        g._declare_object("s", {"id": "s", "level": 3}, 9)
+        newest, memo = g.snapshot_at("s", 9)
+        assert newest["level"] == 3 and memo == {} and len(lookups) == 4
+
     def test_instants_run_from_first_sight_to_horizon(self):
         records = [
             {"t": 2, "object": {"id": "s", "attrs": {}}},
@@ -238,6 +264,7 @@ class TestErrors:
             ({"t": 1, "event": {"dest": "w", "params": {}}}, "needs 'src', 'dest'"),
             ({"t": 1, "event": {"src": 1, "dest": "w"}}, "endpoints must be strings"),
             ({"t": 1, "event": {"src": "w", "dest": ["w"]}}, "endpoints must be strings"),
+            ({"t": 1, "object": {"id": "x", "attrs": {1: "one"}}}, "attrs key 1 is not a string"),
         ],
     )
     def test_bad_records(self, record, fragment):
@@ -284,11 +311,13 @@ class TestErrors:
         assert info.value.record_no == 2
         assert "record 2" in str(info.value)
 
-    def test_jsonl_reports_line_numbers(self):
+    def test_jsonl_numbers_records_as_ingestion_does(self):
+        """A bad line is numbered by the non-blank lines up to it, as
+        ingestion numbers records."""
         lines = ['{"t": 1, "object": {"id": "x", "attrs": {}}}', "", "{不valid"]
         with pytest.raises(TraceError) as info:
             list(read_jsonl(lines))
-        assert info.value.record_no == 3
+        assert info.value.record_no == 2
 
 
 class TestRoundTrip:
