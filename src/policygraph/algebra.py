@@ -269,8 +269,8 @@ class UniverseBounds:
     @staticmethod
     def from_json(text: str) -> "UniverseBounds":
         """Bounds from a JSON object.  Text that is not JSON raises
-        json.JSONDecodeError; a field that is missing or of the wrong type
-        raises a ValueError that names it."""
+        json.JSONDecodeError; a field that is missing or of the wrong type,
+        or a negative count, raises a ValueError that names it."""
         raw = json.loads(text)
         if not isinstance(raw, dict):
             raise ValueError(f"universe bounds must be a JSON object, got {raw!r}")
@@ -284,8 +284,11 @@ class UniverseBounds:
                 raise ValueError(f"universe bounds field {name!r} must be {what}, got {raw[name]!r}")
             return raw[name]
 
-        def count(v: Any) -> bool:
-            return isinstance(v, int) and not isinstance(v, bool)
+        def count(name: str, *default: int) -> int:
+            n = field(name, "an integer", lambda v: isinstance(v, int) and not isinstance(v, bool), *default)
+            if n < 0:
+                raise ValueError(f"universe bounds field {name!r} must not be negative, got {n}")
+            return n
 
         def names(v: Any) -> bool:
             return isinstance(v, list) and all(isinstance(m, str) for m in v)
@@ -294,13 +297,13 @@ class UniverseBounds:
             return isinstance(v, list) and all(isinstance(m, (str, int, float)) for m in v)
 
         return UniverseBounds(
-            max_objects=field("max_objects", "an integer", count),
-            max_instances=field("max_instances", "an integer", count),
+            max_objects=count("max_objects"),
+            max_instances=count("max_instances"),
             attributes=tuple(field("attributes", "a list of names", names)),
             parameters=tuple(field("parameters", "a list of names", names)),
             values=tuple(field("values", "a list of numbers, strings and booleans", scalars)),
-            max_events=field("max_events", "an integer", count, 2),
-            ceiling=field("ceiling", "an integer", count, 500_000),
+            max_events=count("max_events", 2),
+            ceiling=count("ceiling", 500_000),
         )
 
 

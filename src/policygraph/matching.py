@@ -27,8 +27,8 @@ the event can take, and still has edge_candidate judge the endpoint plans that
 may raise of the edges it rejects, so every error is raised where it was.  A
 batch pass walks the events in trace order, as the monitor meets them, and
 judges each for the edges on its route in sorted order.  Node-plan outcomes are
-memoised with the snapshot they read, in the entry the graph keeps per object
-(SystemGraph.snapshot_at), so a node plan is judged once per snapshot.
+kept by the graph, in the entry it holds per object for the snapshot they read
+(SystemGraph.judged_at), so a node plan is judged once per snapshot.
 
 The join is compiled once per (edge order, isolated-node order, `equal`) into a
 JoinPlan kept in the pattern's join_plans (query compilation; Neumann, VLDB
@@ -45,10 +45,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Any, Callable, Mapping, NamedTuple, Optional, Sequence
-from weakref import ref
 
 from .policy import PatternGraph, PolicyGraph, domain_of, validate_policy
-from .predicates import BindingPlan, Const, PredicateTypeError, always_flag
+from .predicates import Const, PredicateTypeError, always_flag
 from .predicates import evaluate, merge_conditions, satisfy  # noqa: F401  perfbench/tracing.py wraps them here
 from .system import SystemEvent, SystemGraph
 from .values import canonical, values_equal
@@ -56,7 +55,7 @@ from .values import canonical, values_equal
 DEFAULT_MATCH_CAP = 100_000
 _ABSENT = object()
 _NO_CAPTURES: Mapping[str, Any] = {}
-_NO_SNAPSHOT = (None, None)
+_UNREAD = (None, ())  # an endpoint whose plan has neither steps nor filters
 
 
 class MatchCapExceeded(RuntimeError):
@@ -190,22 +189,20 @@ def edge_candidate(
     pattern's screen has found the edge's own plan false at the event, so
     it is not called.
 
-    An endpoint's snapshot and its memo come from graph.snapshot_at,
-    asked only where that node plan has steps or filters.  A node plan's
-    result depends only on the snapshot it reads, so it is judged once per
-    snapshot, and a node plan without steps is not called.  A plan that
-    raises stores nothing, so it raises again wherever it is reached."""
+    An endpoint's snapshot and its node plan's outcome come from
+    graph.judged_at, asked only where that plan has steps or filters.  A
+    node plan's result depends only on the snapshot it reads, so it is
+    judged once per snapshot.  A plan that raises stores nothing, so it
+    raises again wherever it is reached."""
     spec, plans = pattern.graph.edges[edge_id], pattern.plans
     edge, src, dest = plans[edge_id], plans[spec.src], plans[spec.dest]
     on_edge = None if screened_out else edge(event.params)
     if on_edge is None and not (src.may_raise or dest.may_raise):
         return None
-    src_ctx, src_outcomes = graph.snapshot_at(event.src, event.time) if src.steps or src.filters else _NO_SNAPSHOT
-    on_src = _judged(src, src_ctx, src_outcomes) if src.steps else ()
+    src_ctx, on_src = graph.judged_at(event.src, event.time, src) if src.steps or src.filters else _UNREAD
     if on_src is None and not dest.may_raise:
         return None
-    dest_ctx, dest_outcomes = graph.snapshot_at(event.dest, event.time) if dest.steps or dest.filters else _NO_SNAPSHOT
-    on_dest = _judged(dest, dest_ctx, dest_outcomes) if dest.steps else ()
+    dest_ctx, on_dest = graph.judged_at(event.dest, event.time, dest) if dest.steps or dest.filters else _UNREAD
     if on_edge is None or on_src is None or on_dest is None:
         return None
     captures: Mapping[str, Any] = _NO_CAPTURES
@@ -219,20 +216,6 @@ def edge_candidate(
         contexts = ((edge, event.params), (src, src_ctx), (dest, dest_ctx))
         filters = _settle(tuple((f, ctx) for plan, ctx in contexts for f in plan.filters), captures)
     return None if filters is None else _EdgeCandidate(index, event.src, event.dest, captures, filters)
-
-
-def _judged(plan: BindingPlan, attrs: Mapping[str, Any], outcomes: dict) -> Optional[list[tuple[str, Any]]]:
-    """plan(attrs), looked up in or added to the snapshot's memo `outcomes`,
-    which the graph keeps as long as the snapshot, past the plan's policy: it
-    holds plans weakly, and at every 16th plan added forgets the dead ones."""
-    key = ref(plan)  # Python keeps one such reference per plan, so it is found by identity
-    found = outcomes.get(key, _ABSENT)
-    if found is _ABSENT:
-        if len(outcomes) % 16 == 15:
-            for dead in [k for k in outcomes if k() is None]:
-                del outcomes[dead]
-        found = outcomes[key] = plan(attrs)
-    return found
 
 
 def _edge_candidates(pattern: PatternGraph, graph: SystemGraph, pruned=()) -> dict[str, Candidates]:

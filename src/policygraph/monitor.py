@@ -21,9 +21,9 @@ gives, with one dict probe, the edges the event can take, and only those
 run their plans.  In a stream where most events take no edge, such an
 event costs each policy that probe, and at most the judgement of the
 endpoint plans that may raise, which the screen keeps so that the same
-error is raised.  Node-plan outcomes are memoised with each object's newest
+error is raised.  Node-plan outcomes are kept with each object's newest
 snapshot, the only one an event can read, in the entry the graph keeps for
-it (SystemGraph.snapshot_at), as a batch pass does; an object record drops
+it (SystemGraph.judged_at), as a batch pass does; an object record drops
 its object's entry, so an entry found is current and needs no lookup.
 
 The join looks the committed candidates up (see matching); a one-edge

@@ -223,7 +223,7 @@ class PolicyGraph:
     graph: BasicGraph
     domain_preds: Mapping[str, Expr]
     requirement_preds: Mapping[str, Expr]
-    variables: frozenset[str] = field(default=frozenset())
+    variables: frozenset[str] = field(init=False)  # every variable of its predicates
 
     __getstate__ = _fields_only
 

@@ -1019,7 +1019,7 @@ class BindingPlan:
     `may_raise` tells whether a call can raise at all.  The result depends
     on the context alone, and a plan with no steps always gives [], so the
     matcher judges a node's plan once per snapshot and does not call a plan
-    without steps (see matching.edge_candidate).
+    with neither steps nor filters (see matching.edge_candidate).
     """
 
     __slots__ = ("pred", "steps", "filters", "may_raise", "captured", "__weakref__")  # weakly held by snapshot memos
@@ -1078,7 +1078,7 @@ class BindingPlan:
         var, other = capture
         if isinstance(other, Attr):
             self.steps.append((_CAPTURE, var, other.name))
-        elif isinstance(other, Const):
+        elif isinstance(other, Const) and values_equal(other.value, other.value):  # a NaN is computed, to equal nothing
             self.steps.append((_BIND, var, other.value))
         else:
             self._require(_guard_names(e))

@@ -19,12 +19,14 @@ import json
 from bisect import bisect_right
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Any, Iterable, Iterator, Mapping, Optional
+from typing import Any, Callable, Iterable, Iterator, Mapping, Optional
+from weakref import ref
 
 from .values import from_json, maps_equal, to_json, values_equal
 
 _snapshot_time = itemgetter(0)
 _FOREVER = float("inf")
+_ABSENT = object()
 
 
 class TraceError(ValueError):
@@ -60,8 +62,8 @@ class SystemGraph:
 
     It keeps two memos, as only its mutators can tell when one is stale:
     derived(), for results read from the whole graph, which every mutation
-    drops; and per object a snapshot entry (snapshot_at), which only
-    declaring that object again drops.
+    drops; and per object a snapshot entry holding node-plan outcomes
+    (judged_at), which only declaring that object again drops.
     """
 
     def __init__(self) -> None:
@@ -79,7 +81,7 @@ class SystemGraph:
         self._before_event: tuple[int, int, set[str]] = (0, -1, self._read)
         self._last_event_marks: set[str] = set()
         self._derived: Optional[dict] = None  # see derived()
-        self._entries: dict[str, tuple[int, float, tuple[Mapping[str, Any], dict]]] = {}  # see snapshot_at()
+        self._entries: dict[str, tuple[int, float, Mapping[str, Any], dict]] = {}  # see judged_at()
 
     # internal mutators, used by ingest_trace and the monitor; each one
     # drops the results derived from the state it changes
@@ -143,13 +145,6 @@ class SystemGraph:
     def object_count(self) -> int:
         return len(self._snapshots)
 
-    def first_time(self, obj_id: str) -> int:
-        return self._snapshots[obj_id][0][0]
-
-    def instants(self, obj_id: str) -> range:
-        """Instants at which the object exists, up to the graph horizon."""
-        return range(self.first_time(obj_id), self.horizon + 1)
-
     def snapshot_spans(self, obj_id: str) -> Iterator[tuple[int, int, Mapping[str, Any]]]:
         """Each explicit snapshot as (first, last, attrs): the instants
         first..last, up to the next snapshot or the horizon, whose effective
@@ -170,26 +165,32 @@ class SystemGraph:
             raise KeyError(f"object {obj_id!r} has no snapshot at or before t={t}")
         return history[newer - 1][1]
 
-    def snapshot_at(self, obj_id: str, t: int) -> tuple[Mapping[str, Any], dict]:
-        """The object's effective snapshot at t, as (attrs, memo): a dict kept
-        with the snapshot for results read from attrs alone.  One entry per
-        object, the snapshot last asked for, covers the instant asked, or all
-        later ones if it is the newest; a covered instant needs no lookup, any
-        other goes through attrs_at, and a snapshot found again keeps its memo."""
+    def judged_at(self, obj_id: str, t: int, plan: Callable[[Mapping[str, Any]], Any]) -> tuple[Mapping[str, Any], Any]:
+        """The object's effective snapshot at t and plan's outcome on it, as
+        (attrs, plan(attrs)); plan's result must depend on attrs alone.  The
+        graph keeps one entry per object: a snapshot, the outcomes found on
+        it, and the span of instants whose effective snapshot it is, from its
+        time to the instant before the next one, or every later instant for
+        the newest.  An instant in the span needs no lookup; any other goes
+        through attrs_at and replaces the entry.  The outcomes hold plans
+        weakly, so an entry does not keep a plan alive, and at every 16th
+        plan added forget the dead ones.  A plan that raises stores nothing."""
         entry = self._entries.get(obj_id)
-        if entry is not None and entry[0] <= t <= entry[1]:
-            return entry[2]
-        attrs = self.attrs_at(obj_id, t)
-        snapshot = entry[2] if entry is not None and entry[2][0] is attrs else (attrs, {})
-        last = _FOREVER if self._snapshots[obj_id][-1][1] is attrs else t
-        self._entries[obj_id] = (t, last, snapshot)
-        return snapshot
-
-    def src_attr(self, event: SystemEvent) -> Mapping[str, Any]:
-        return self.attrs_at(event.src, event.time)
-
-    def dest_attr(self, event: SystemEvent) -> Mapping[str, Any]:
-        return self.attrs_at(event.dest, event.time)
+        if entry is None or not entry[0] <= t <= entry[1]:
+            attrs = self.attrs_at(obj_id, t)
+            history = self._snapshots[obj_id]
+            newer = bisect_right(history, t, key=_snapshot_time)
+            last = history[newer][0] - 1 if newer < len(history) else _FOREVER
+            entry = self._entries[obj_id] = (history[newer - 1][0], last, attrs, {})
+        _, _, attrs, outcomes = entry
+        key = ref(plan)  # Python keeps one such reference per plan, so it is found by identity
+        found = outcomes.get(key, _ABSENT)
+        if found is _ABSENT:
+            if len(outcomes) % 16 == 15:
+                for dead in [k for k in outcomes if k() is None]:
+                    del outcomes[dead]
+            found = outcomes[key] = plan(attrs)
+        return attrs, found
 
     def __eq__(self, other: Any) -> bool:
         if not isinstance(other, SystemGraph):

@@ -425,6 +425,14 @@ class TestErrorPaths:
              "universe bounds field 'attributes' must be a list of names, got [1]"),
             (json.dumps({**UNIVERSE, "max_events": "2"}),
              "universe bounds field 'max_events' must be an integer, got '2'"),
+            (json.dumps({**UNIVERSE, "max_objects": -3}),
+             "universe bounds field 'max_objects' must not be negative, got -3"),
+            (json.dumps({**UNIVERSE, "max_instances": -1}),
+             "universe bounds field 'max_instances' must not be negative, got -1"),
+            (json.dumps({**UNIVERSE, "max_events": -1}),
+             "universe bounds field 'max_events' must not be negative, got -1"),
+            (json.dumps({**UNIVERSE, "ceiling": -1}),
+             "universe bounds field 'ceiling' must not be negative, got -1"),
         ],
     )
     def test_malformed_universe(self, workspace, tmp_path, capsys, text, message):

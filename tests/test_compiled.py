@@ -323,7 +323,7 @@ class TestBindingPlanAgainstInterpreter:
                 ]
             )
             event = graph.events[0]
-            contexts = (event.params, graph.src_attr(event), graph.dest_attr(event))
+            contexts = (event.params, graph.attrs_at(event.src, event.time), graph.attrs_at(event.dest, event.time))
             partial = random_bindings(rng, complete=False, nan=0.1)
             has_filters = any(pattern.plans[elt].filters for elt in ("e", "s", "d"))
 
@@ -463,7 +463,7 @@ class TestRules:
                 ]
             )
             event = graph.events[0]
-            contexts = (event.params, graph.src_attr(event), graph.dest_attr(event))
+            contexts = (event.params, graph.attrs_at(event.src, event.time), graph.attrs_at(event.dest, event.time))
             satisfied = [satisfy(e, ctx, {}) for e, ctx in zip(preds, contexts)]
             (match,) = find_matches(p, graph)
             assert same(match.bindings["X"], m), (n, m, k)

@@ -167,9 +167,15 @@ def test_only_matching_knows_join_keys():
 def test_only_the_graph_keeps_snapshot_entries():
     """Node-plan outcomes live with the snapshots the graph keeps, which
     only its mutators can tell are stale: only system.py reads the
-    entries, and the monitor holds no snapshot state of its own."""
+    entries, and neither matching nor the monitor holds plans weakly or
+    handles a memo or a snapshot lookup of its own."""
     assert [path.name for path in MODULES if "_entries" in names_read(parse(path))] == ["system.py"]
-    assert names_read(parse(PACKAGE / "monitor.py")) & {"snapshot_entry", "attrs_at", "_outcomes"} == set()
+    for name in ("matching.py", "monitor.py"):
+        tree = parse(PACKAGE / name)
+        imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+        imported |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+        assert "weakref" not in imported
+        assert names_read(tree) & {"snapshot_entry", "attrs_at", "_outcomes", "outcomes", "_judged", "ref"} == set()
 
 
 def test_no_module_raises_the_recursion_limit():

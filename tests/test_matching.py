@@ -28,7 +28,7 @@ from policygraph.matching import (
     verdict_all,
 )
 from policygraph.monitor import Monitor, _Violation
-from policygraph.policy import PatternGraph, domain_of, parse_policy, validate_policy
+from policygraph.policy import PatternGraph, domain_of, make_policy, parse_policy, validate_policy
 from policygraph.predicates import (
     FALSE,
     TRUE,
@@ -344,7 +344,8 @@ def per_instant_candidates(pattern: PatternGraph, graph) -> dict:
         plan = pattern.plans[node_id]
         candidates = []
         for obj_id in graph.object_ids():
-            for instant in graph.instants(obj_id):
+            first = min(snapshot.time for snapshot in graph.objects() if snapshot.id == obj_id)
+            for instant in range(first, graph.horizon + 1):
                 attrs = graph.attrs_at(obj_id, instant)
                 found = plan(attrs)
                 captures = {}
@@ -855,6 +856,28 @@ class TestNanCapture:
         assert pattern_matches_bounded(p.domain, graph) == set()
         mon = Monitor([p])
         assert [d.allowed for d in mon.run(records)] == [True] and len(mon.graph.events) == 1
+
+    @pytest.mark.parametrize(
+        "element, value", [("node", float("nan")), ("edge", float("nan")), ("edge", ValueSet([1, float("nan")]))]
+    )
+    def test_a_nan_constant_binds_nothing(self, element, value):
+        """`$X = c` with c a NaN, or a set holding one, which only a policy
+        built in code can spell, equals no value either."""
+        domain = BinOp("=", Var("X"), Const(value))
+        if element == "node":
+            p = make_policy("p", {"n": (domain, None)}, {})
+        else:
+            p = make_policy("p", {"a": (None, None), "b": (None, None)}, {"e": ("a", "b", domain, None)})
+        records = [
+            {"t": 1, "object": {"id": "x"}},
+            {"t": 1, "object": {"id": "y"}},
+            {"t": 1, "event": {"src": "x", "dest": "y"}},
+        ]
+        graph = ingest_trace(records)
+        assert extract_bindings(domain) == ({}, FALSE)
+        assert find_matches(p, graph) == [] and oracle_matches(p, graph) == set()
+        assert pattern_matches_bounded(p.domain, graph) == set()
+        assert [d.allowed for d in Monitor([p]).run(records)] == [True]
 
     def test_the_conditions_reference_finds_no_binding(self):
         nan = float("nan")

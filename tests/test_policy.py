@@ -1,5 +1,7 @@
 """Policy text form, programmatic construction, and well-formedness rules."""
 
+import pickle
+
 import pytest
 
 from policygraph.corpus import corpus_text, load_manifest
@@ -10,6 +12,7 @@ from policygraph.policy import (
     EdgeSpec,
     ParseError,
     PolicyError,
+    PolicyGraph,
     domain_of,
     make_policy,
     parse_policy,
@@ -143,6 +146,10 @@ class TestConstruction:
     def test_variables_are_computed_not_supplied(self):
         p = make_policy("p", nodes={"n": (parse_predicate("x = $V"), None)}, edges={})
         assert p.variables == frozenset({"V"})
+        with pytest.raises(TypeError, match="variables"):
+            PolicyGraph(p.name, p.graph, p.domain_preds, p.requirement_preds, variables=frozenset({"W"}))
+        assert PolicyGraph(p.name, p.graph, p.domain_preds, p.requirement_preds) == p
+        assert pickle.loads(pickle.dumps(p)) == p and pickle.loads(pickle.dumps(p)).variables == p.variables
 
     def test_bad_endpoint(self):
         with pytest.raises(PolicyError, match="not declared"):

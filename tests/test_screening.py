@@ -2,15 +2,15 @@
 judged once per snapshot, and events routed to the edges they can take.
 
 A top-level `attr = c` conjunct is an equality step of its binding plan,
-which must decide exactly as the interpreter does.  The matcher memoises a
-node plan's outcome per snapshot, in the memo the graph keeps with it:
-decisions must not change where objects are redeclared, a plan that
-raises must raise again wherever the parent engine reached it, and the
-memo must go with its graph, keep no plan of a dropped policy alive, and
-hold no more than one entry per object.  A pattern's edge screen must
-change nothing but the work done: batch and monitor results, errors
-included, equal those of a flat screen that judges every edge for every
-event.
+which must decide exactly as the interpreter does.  The graph keeps a node
+plan's outcome with the snapshot it read, over the snapshot's whole span:
+decisions must not change where objects are redeclared, a pass must look
+each snapshot up once, a plan that raises must raise again wherever the
+parent engine reached it, and the memo must go with its graph, keep no
+plan of a dropped policy alive, and hold no more than one entry per
+object.  A pattern's edge screen must change nothing but the work done:
+batch and monitor results, errors included, equal those of a flat screen
+that judges every edge for every event.
 """
 
 import gc
@@ -187,6 +187,25 @@ class TestNodeOutcomesPerSnapshot:
         bare = parse_policy('policy p {\n node u\n node f\n edge r: u -> f domain: method = "read"\n}')
         assert len(find_matches(bare, graph)) == 20
         assert calls == [read] * 20 and lookups == []
+
+    def test_a_pass_looks_each_snapshot_up_once(self, monkeypatch):
+        """A batch pass over a user read at twenty instants of an older
+        snapshot and ten of the newest looks each snapshot up once: the
+        graph's entry covers its snapshot's whole span."""
+        records = [
+            {"t": 1, "object": {"id": "john", "attrs": {"type": "user", "sec_level": 2}}},
+            {"t": 1, "object": {"id": "a", "attrs": {"type": "file", "sec_level": 0}}},
+        ]
+        read = {"src": "john", "dest": "a", "params": {"method": "read"}}
+        records += [{"t": t, "event": read} for t in range(1, 21)]
+        records += [{"t": 30, "object": {"id": "john", "attrs": {"type": "user", "sec_level": 1}}}]
+        records += [{"t": t, "event": read} for t in range(30, 40)]
+        graph = ingest_trace(records)
+        lookups = []
+        attrs_at = SystemGraph.attrs_at
+        monkeypatch.setattr(SystemGraph, "attrs_at", lambda g, *args: lookups.append(args) or attrs_at(g, *args))
+        assert len(find_matches(parse_policy(NO_READ_UP), graph)) == 30
+        assert sorted(lookups) == [("a", 1), ("john", 1), ("john", 30)]
 
     NODE_RAISES = """
     policy p {

@@ -81,7 +81,7 @@ class TestSnapshots:
             {"t": 2, "event": {"src": "s", "dest": "d", "params": {}}},
         ]
         g = ingest_trace(records)
-        assert g.src_attr(g.events[0])["level"] == 1
+        assert g.attrs_at("s", g.events[0].time)["level"] == 1
 
     def test_explicit_snapshot_at_event_instant_wins(self):
         records = [
@@ -91,7 +91,7 @@ class TestSnapshots:
             {"t": 3, "event": {"src": "s", "dest": "d", "params": {}}},
         ]
         g = ingest_trace(records)
-        assert g.src_attr(g.events[0])["level"] == 9
+        assert g.attrs_at("s", g.events[0].time)["level"] == 9
 
     def test_self_loop_resolves_both_ends_to_same_snapshot(self):
         records = [
@@ -100,7 +100,7 @@ class TestSnapshots:
         ]
         g = ingest_trace(records)
         event = g.events[0]
-        assert g.src_attr(event) is g.dest_attr(event)
+        assert g.attrs_at(event.src, event.time) is g.attrs_at(event.dest, event.time)
 
     def test_redeclare_same_instant_replaces(self):
         records = [
@@ -121,40 +121,35 @@ class TestSnapshots:
         with pytest.raises(TraceError, match="already used"):
             ingest_trace(records)
 
-    def test_snapshot_at_keeps_each_snapshots_memo(self, monkeypatch):
-        """An entry answers the instants it covers without a lookup, keeps
-        its memo for the same snapshot at another instant, and only
-        declaring its object again drops it."""
+    def test_judged_at_keeps_each_snapshots_outcomes(self, monkeypatch):
+        """An entry answers the instants of its snapshot's span without a
+        lookup or a second judgement, the newest covering every later
+        instant, and only declaring its object again drops it."""
         g = ingest_trace([
             {"t": 1, "object": {"id": "s", "attrs": {"level": 1}}},
             {"t": 3, "object": {"id": "s", "attrs": {"level": 2}}},
         ])
-        lookups = []
+        lookups, judged = [], []
         attrs_at = SystemGraph.attrs_at
         monkeypatch.setattr(SystemGraph, "attrs_at", lambda graph, *args: lookups.append(args) or attrs_at(graph, *args))
-        old, memo = g.snapshot_at("s", 1)
-        memo["seen"] = True
-        assert old["level"] == 1 and g.snapshot_at("s", 1)[1] is memo and g.snapshot_at("s", 2)[1] is memo
-        new, memo = g.snapshot_at("s", 3)
-        assert new["level"] == 2 and memo == {}
-        memo["seen"] = True
-        assert g.snapshot_at("s", 9)[1] is memo  # the newest snapshot covers every later instant
-        assert lookups == [("s", 1), ("s", 2), ("s", 3)]
+
+        def plan(attrs):
+            judged.append(attrs["level"])
+            return attrs["level"] * 10
+
+        old, outcome = g.judged_at("s", 1, plan)
+        assert old["level"] == 1 and outcome == 10
+        assert g.judged_at("s", 1, plan) == (old, 10) and g.judged_at("s", 2, plan) == (old, 10)
+        new, outcome = g.judged_at("s", 3, plan)
+        assert new["level"] == 2 and outcome == 20
+        assert g.judged_at("s", 9, plan) == (new, 20)  # the newest snapshot covers every later instant
+        assert lookups == [("s", 1), ("s", 3)] and judged == [1, 2]
         g._append_event("s", "s", {"time": 9}, 9)
         g._drop_last_event()
-        assert g.snapshot_at("s", 9)[1] is memo and len(lookups) == 3  # events keep entries
+        assert g.judged_at("s", 9, plan) == (new, 20) and len(lookups) == 2 and judged == [1, 2]  # events keep entries
         g._declare_object("s", {"id": "s", "level": 3}, 9)
-        newest, memo = g.snapshot_at("s", 9)
-        assert newest["level"] == 3 and memo == {} and len(lookups) == 4
-
-    def test_instants_run_from_first_sight_to_horizon(self):
-        records = [
-            {"t": 2, "object": {"id": "s", "attrs": {}}},
-            {"t": 5, "object": {"id": "late", "attrs": {}}},
-        ]
-        g = ingest_trace(records)
-        assert list(g.instants("s")) == [2, 3, 4, 5]
-        assert list(g.instants("late")) == [5]
+        newest, outcome = g.judged_at("s", 9, plan)
+        assert newest["level"] == 3 and outcome == 30 and len(lookups) == 3 and judged == [1, 2, 3]
 
     def test_attrs_before_first_snapshot_unavailable(self):
         g = ingest_trace([{"t": 3, "object": {"id": "s", "attrs": {}}}])
