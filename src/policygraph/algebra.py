@@ -255,7 +255,8 @@ class UniverseBounds:
     Objects o1..oN all carry every attribute in `attributes`, with values
     drawn from `values` independently per instant; events range over every
     (instant, source, destination) with every parameter assignment, up to
-    `max_events` per system.  `ceiling` guards against blow-up.
+    `max_events` per system.  `ceiling` guards against blow-up.  A negative
+    count raises a ValueError that names it.
     """
 
     max_objects: int
@@ -265,6 +266,12 @@ class UniverseBounds:
     values: tuple[Any, ...]
     max_events: int = 2
     ceiling: int = 500_000
+
+    def __post_init__(self) -> None:
+        for name in ("max_objects", "max_instances", "max_events", "ceiling"):
+            n = getattr(self, name)
+            if n < 0:
+                raise ValueError(f"universe bounds field {name!r} must not be negative, got {n}")
 
     @staticmethod
     def from_json(text: str) -> "UniverseBounds":
@@ -285,10 +292,7 @@ class UniverseBounds:
             return raw[name]
 
         def count(name: str, *default: int) -> int:
-            n = field(name, "an integer", lambda v: isinstance(v, int) and not isinstance(v, bool), *default)
-            if n < 0:
-                raise ValueError(f"universe bounds field {name!r} must not be negative, got {n}")
-            return n
+            return field(name, "an integer", lambda v: isinstance(v, int) and not isinstance(v, bool), *default)
 
         def names(v: Any) -> bool:
             return isinstance(v, list) and all(isinstance(m, str) for m in v)

@@ -38,7 +38,12 @@ looked up in a hash index of its candidates (Candidates.lookup), as Rete's
 hashed beta memories do (Doorenbos, CMU 1995).  The index drops only candidates
 that placing them would reject before any filter runs, and keeps list and edge
 order, so a scan would find the same matches, in the same order, and raise the
-same errors."""
+same errors.
+
+A match is returned as a Match, and a verdict holds one Witness per match, its
+requirement's outcome.  Both are named tuples, as a batch pass builds two per
+match: immutable, equal by fields (to a plain tuple of their fields too),
+iterable and picklable; dataclasses.replace and fields do not apply to them."""
 
 from __future__ import annotations
 
@@ -75,8 +80,7 @@ class MatchingError(RuntimeError):
     """Internal consistency failure; indicates a bug, not a bad input."""
 
 
-@dataclass(frozen=True)
-class Match:
+class Match(NamedTuple):
     """One place a pattern holds: edge and isolated-node assignments plus
     the variable bindings the domain forced there.  Each dict lists its
     entries by sorted id, whatever order the join placed them in."""
@@ -490,8 +494,7 @@ def find_matches(p: PolicyGraph, graph: SystemGraph, cap: int = DEFAULT_MATCH_CA
 # --- verdicts ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     match: Match
     satisfied: bool
     failing: tuple[str, ...]  # element ids whose requirement came out false

@@ -1,9 +1,16 @@
 """Rendering verdicts for people and for machines.
 
-The JSON Lines form carries one record per witness plus a trailing summary
+A report holds the verdicts of matching.verdict_all, whose witnesses are
+matching.Witness records, each with its matching.Match: named tuples.  The
+JSON Lines form carries one record per witness plus a trailing summary
 record, keeping every match.  The text form is for reading: witnesses that
-permute the policy edges over the same events, with equal bindings and the
-same outcome, collapse into one line with a multiplicity.
+permute the policy edges over the same events, with the same isolated pairs,
+bindings of the same JSON text and the same outcome, collapse into one line
+with a multiplicity.  The JSON text, not equality, decides, so 1, 1.0 and
+true, or 0.0 and -0.0, stay apart.  A policy with fewer than two edges has no
+permutations, so its witnesses are not compared.  Each verdict's lines come
+from one % template, built from its sorted edge, isolated-node and variable
+ids, and each binding's JSON text is computed once per distinct value.
 """
 
 from __future__ import annotations
@@ -11,7 +18,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
-from typing import Any, Iterator, Sequence
+from typing import Any, Iterator, Mapping, Sequence
 
 from .matching import DEFAULT_MATCH_CAP, CompositeVerdict, Match, Verdict, Witness, verdict_all
 from .policy import PolicyGraph
@@ -93,17 +100,38 @@ def render_jsonl(report: Report) -> str:
     return "\n".join(json.dumps(r, sort_keys=True) for r in report_records(report)) + "\n"
 
 
+def _line_template(edge_ids: Sequence[str], iso_ids: Sequence[str], var_ids: Sequence[str]) -> str:
+    """A verdict's `match:` line as a % template, whose arguments are each
+    edge's event, each isolated node's object and instant, each binding's
+    JSON text, by sorted id, then the outcome and the collapse note."""
+
+    def esc(name: str) -> str:
+        return name.replace("%", "%%")
+
+    mapping = ", ".join([esc(e) + "→ev%s" for e in edge_ids] + [esc(n) + "→%s@t%s" for n in iso_ids])
+    binds = ", ".join([f"${esc(k)}=%s" for k in var_ids])
+    return f"  match: {mapping or '(empty)'}" + (f" with {binds}" if binds else "") + " -> %s%s"
+
+
 def render_text(report: Report) -> str:
     lines = []
     collapsed_any = False
-    json_text: dict[tuple, str] = {}  # (type, repr) of a binding value -> its JSON
+    # a binding's JSON text, computed once per value: keyed by the value
+    # itself for an exact str, int or bool, otherwise by its repr, so that
+    # 0.0 and -0.0 (equal, and of equal hash) stay apart
+    json_text: dict[tuple, str] = {}
 
-    def show(value: Any) -> str:
-        key = (type(value), repr(value))
-        text = json_text.get(key)
-        if text is None:
-            text = json_text[key] = json.dumps(to_json(value))
-        return text
+    def show(bindings: Mapping[str, Any], var_ids: Sequence[str]) -> tuple[str, ...]:
+        texts = []
+        for var in var_ids:
+            value = bindings[var]
+            kind = type(value)
+            key = (kind, value) if kind is str or kind is int or kind is bool else (kind, repr(value))
+            text = json_text.get(key)
+            if text is None:
+                text = json_text[key] = json.dumps(to_json(value))
+            texts.append(text)
+        return tuple(texts)
 
     for v in report.verdicts:
         status = "upheld" if v.upheld else "VIOLATED"
@@ -112,29 +140,34 @@ def render_text(report: Report) -> str:
             continue
         first = v.witnesses[0].match
         edge_ids, iso_ids, var_ids = sorted(first.edge_events), sorted(first.isolated_objects), sorted(first.bindings)
-        # with at most one edge, no two witnesses share a line; bindings of
-        # equal (type, repr) have equal JSON text, so 1, 1.0 and true differ
-        entries: dict[Any, list] = {}  # collapse key -> [first witness, count]
-        for i, w in enumerate(v.witnesses):
+        template = _line_template(edge_ids, iso_ids, var_ids)
+        if len(edge_ids) < 2:  # no two witnesses share a line
+            rows = [(w, show(w.match.bindings, var_ids), 1) for w in v.witnesses]
+        else:  # witnesses collapse on their binding texts, so 1, 1.0 and true differ
+            entries: dict[tuple, list] = {}  # collapse key -> [first witness, its binding texts, count]
+            for w in v.witnesses:
+                m = w.match
+                texts = show(m.bindings, var_ids)
+                key = (
+                    tuple(sorted(m.edge_events.values())),
+                    tuple([m.isolated_objects[n] for n in iso_ids]),
+                    texts,
+                    w.failing,  # in element order, and empty exactly when satisfied
+                )
+                entries.setdefault(key, [w, texts, 0])[2] += 1
+            rows = entries.values()
+        for w, texts, count in rows:
             m = w.match
-            key = i if len(edge_ids) < 2 else (
-                tuple(sorted(m.edge_events.values())),
-                tuple(m.isolated_objects[n] for n in iso_ids),
-                tuple((type(m.bindings[k]), repr(m.bindings[k])) for k in var_ids),
-                w.failing,  # in element order, and empty exactly when satisfied
-            )
-            entries.setdefault(key, [w, 0])[1] += 1
-        for w, count in entries.values():
-            m = w.match
-            mapping = ", ".join(
-                [f"{e}→ev{m.edge_events[e]}" for e in edge_ids]
-                + ["%s→%s@t%s" % (n, *m.isolated_objects[n]) for n in iso_ids]
-            )
-            binds = ", ".join([f"${k}={show(m.bindings[k])}" for k in var_ids])
             mark = "ok" if w.satisfied else "FAIL on " + ",".join(w.failing)
             note = f"  [x{count} edge orderings]" if count > 1 else ""
             collapsed_any = collapsed_any or count > 1
-            lines.append(f"  match: {mapping or '(empty)'}" + (f" with {binds}" if binds else "") + f" -> {mark}{note}")
+            lines.append(template % (
+                *[m.edge_events[e] for e in edge_ids],
+                *[x for n in iso_ids for x in m.isolated_objects[n]],
+                *texts,
+                mark,
+                note,
+            ))
     lines.append(
         "composed: %s  (%d policies, %d matches, %d violations, %.3fs)"
         % (

@@ -36,9 +36,10 @@ from policygraph.algebra import (
 )
 from policygraph import algebra
 from policygraph.algebra import _Frame, _system_count
+from policygraph.corpus import corpus_text
 from policygraph.matching import InvalidPolicyError, MatchCapExceeded, find_matches, verdict
 from policygraph.monitor import Monitor
-from policygraph.policy import PolicyGraph, domain_of, parse_policy, print_policy, requirement_of
+from policygraph.policy import PolicyGraph, domain_of, parse_policy, parse_policy_set, print_policy, requirement_of
 from policygraph.predicates import BinOp, PredicateTypeError, parse_predicate
 from policygraph.system import ingest_trace
 
@@ -459,6 +460,24 @@ class TestBoundedUniverse:
             ' "parameters": ["act"], "values": [0, 1], "max_events": 2}'
         )
         assert u == UniverseBounds(2, 1, ("kind",), ("act",), (0, 1), 2)
+
+    @pytest.mark.parametrize(
+        "counts,name,value",
+        [
+            (dict(max_objects=-3, max_instances=1), "max_objects", -3),
+            (dict(max_objects=1, max_instances=-1), "max_instances", -1),
+            (dict(max_objects=1, max_instances=1, max_events=-1), "max_events", -1),
+            (dict(max_objects=1, max_instances=1, ceiling=-1), "ceiling", -1),
+        ],
+    )
+    def test_bounds_built_in_code_refuse_negative_counts(self, counts, name, value):
+        """Bounds built in code refuse a negative count, as from_json does;
+        unchecked, `contains` would answer over no systems (max_objects=-3)
+        or over a few (max_instances=-1)."""
+        p = parse_policy_set(corpus_text("no_read_up.policy"))[0]
+        message = f"universe bounds field '{name}' must not be negative, got {value}"
+        with pytest.raises(ValueError, match=message):
+            contains(p, p, UniverseBounds(**{"max_events": 0, **counts}, attributes=(), parameters=(), values=(0,)))
 
     def test_conjunction_idempotent_across_a_whole_universe(self):
         p = parse_policy("policy p {\n node a\n node b\n edge e: a -> b domain: act = $A req: $A = 0\n}")

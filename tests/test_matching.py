@@ -2,6 +2,7 @@
 
 import gc
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -24,6 +25,7 @@ from policygraph.matching import (
     each_match,
     find_matches,
     match_pattern,
+    Witness,
     verdict,
     verdict_all,
 )
@@ -41,6 +43,7 @@ from policygraph.predicates import (
     reduce_conditions,
     satisfy,
 )
+from policygraph.reports import match_record, witness_record
 from policygraph.system import TraceError, ingest_trace, read_jsonl
 from policygraph.values import ValueSet, canonical
 
@@ -772,6 +775,61 @@ class TestExactNumberKeys:
         assert canonical(True) != canonical(1)
         (one,), (one_point_zero,), (true,) = self.keys(1), self.keys(1.0), self.keys(True)
         assert one[2] == one_point_zero[2] and one[2] != true[2]
+
+
+class TestRecordContract:
+    """Match and Witness are immutable records, equal by fields, that
+    survive pickling; their keys and JSON records read as below."""
+
+    POLICY = """policy rec {
+  node u domain: type = "user" && level = $UL
+  node f domain: type = "file" && level = $FL
+  node log domain: kind = "log" && tag = $T
+  edge r: u -> f domain: method = "read" req: $UL >= $FL
+}"""
+    RECORDS = [
+        {"t": 1, "object": {"id": "ann", "attrs": {"type": "user", "level": 2}}},
+        {"t": 1, "object": {"id": "doc", "attrs": {"type": "file", "level": 2.5}}},
+        {"t": 2, "object": {"id": "syslog", "attrs": {"kind": "log", "tag": True}}},
+        {"t": 2, "event": {"src": "ann", "dest": "doc", "params": {"method": "read"}}},
+    ]
+
+    def witness(self) -> Witness:
+        (w,) = verdict(parse_policy(self.POLICY), ingest_trace(self.RECORDS)).witnesses
+        return w
+
+    def test_fields_cannot_be_assigned(self):
+        w = self.witness()
+        for record, field in ((w, "satisfied"), (w, "failing"), (w.match, "policy"), (w.match, "bindings")):
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)
+
+    def test_equal_fields_make_equal_records_and_pickling_keeps_them(self):
+        w, m = self.witness(), self.witness().match
+        assert w == self.witness() and m == Match(m.policy, dict(m.edge_events), dict(m.isolated_objects),
+                                                  dict(m.node_objects), dict(m.bindings))
+        assert w == Witness(m, w.satisfied, w.failing)
+        assert w != Witness(m, not w.satisfied, w.failing)
+        for record in (w, m):
+            assert pickle.loads(pickle.dumps(record)) == record
+
+    def test_key_and_records(self):
+        w = self.witness()
+        assert w.match.key() == (
+            (("r", 0),),
+            (("log", ("syslog", 2)),),
+            (("FL", ("num", 2.5)), ("T", ("flag", True)), ("UL", ("num", 2))),
+        )
+        record = {"edges": {"r": 0}, "isolated": {"log": ["syslog", 2]}, "bindings": {"FL": 2.5, "T": True, "UL": 2}}
+        assert match_record(w.match) == record
+        assert witness_record("rec", w) == {
+            "policy": "rec",
+            "match": {"edges": {"r": 0}, "isolated": {"log": ["syslog", 2]},
+                      "nodes": {"f": "doc", "log": "syslog", "u": "ann"}},
+            "bindings": record["bindings"],
+            "satisfied": False,
+            "failing": ["r"],
+        }
 
 
 def join_results(policies, records) -> list:

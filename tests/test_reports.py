@@ -54,9 +54,15 @@ policy single {
 """
 
 # Values whose JSON text tells them apart although the engine may equate
-# them (1 and 1.0, 0.0 and -0.0, sets), or although Python does (true and 1);
-# every value comes twice so that its permutations collapse.
-TRICKY = [1, 1.0, True, 0.0, -0.0, 'say "hi"', "naïve ☃", ["x", 1], [1, "x"], [1.0, "x"], 2.5]
+# them (1 and 1.0, 0.0 and -0.0, sets), or although Python does (true and 1),
+# or that a memo of JSON texts keyed by value could confuse (2**53 and
+# 2**53 + 1 are one float, 1e16 == 10**16, and "1" and "true" are strings
+# whose contents are the JSON text of other values); every value comes twice
+# so that its permutations collapse.
+TRICKY = [
+    1, 1.0, True, 0.0, -0.0, 'say "hi"', "naïve ☃", ["x", 1], [1, "x"], [1.0, "x"], 2.5,
+    2**53, 2**53 + 1, 1e16, 10**16, "1", "true",
+]
 
 
 def tricky_records() -> list[dict]:
@@ -89,6 +95,9 @@ def test_crafted_permutations_and_values_render_as_the_reference():
     assert '$X="say \\"hi\\""' in text and '$X="na\\u00efve \\u2603"' in text
     assert '$X=[1, "x"]' in text and '$X=[1.0, "x"]' in text
     assert '$N="p\\"q"' in text and '$N="\\u00fc"' in text
+    assert "$X=9007199254740992 " in text and "$X=9007199254740993 " in text
+    assert "$X=1e+16 " in text and "$X=10000000000000000 " in text
+    assert '$X="1" ' in text and '$X="true" ' in text
 
 
 def test_random_policies_and_traces_render_as_the_reference():
