@@ -40,17 +40,17 @@ import math
 import weakref
 from dataclasses import dataclass
 from functools import partial
-from operator import itemgetter
 from typing import Any, Callable, Iterator, Optional, Sequence, Union
 
-from .matching import DEFAULT_MATCH_CAP, MatchCapExceeded, check_requirement, each_match, find_matches, match_key
+from .matching import (DEFAULT_MATCH_CAP, MatchCapExceeded, _EdgeCandidate, check_requirement, each_match,
+                       edge_candidate, find_matches, match_key)
 from .policy import PatternGraph, PolicyGraph, domain_of, requirement_of
 from .predicates import FALSE, TRUE, BinOp, Not, PredicateTypeError, attributes_of, constants_of, fold_constants
-from .system import SystemGraph, ingest_trace
-from .values import Distinct
+from .system import SystemGraph, apply_record, ingest_trace
+from .values import Distinct, values_equal
 
 log = logging.getLogger(__name__)
-_record_time = itemgetter("t")
+_BLOCK = object()  # the derived() key of a walked system's block candidates: see _Frame.system
 
 
 class DomainMismatchError(ValueError):
@@ -256,7 +256,8 @@ class UniverseBounds:
     drawn from `values` independently per instant; events range over every
     (instant, source, destination) with every parameter assignment, up to
     `max_events` per system.  `ceiling` guards against blow-up.  A negative
-    count raises a ValueError that names it.
+    count, or a value equal (values_equal) to an earlier one, raises a
+    ValueError that names its field.
     """
 
     max_objects: int
@@ -272,12 +273,16 @@ class UniverseBounds:
             n = getattr(self, name)
             if n < 0:
                 raise ValueError(f"universe bounds field {name!r} must not be negative, got {n}")
+        for i, v in enumerate(self.values):
+            if any(values_equal(v, w) for w in self.values[:i]):
+                raise ValueError(f"universe bounds field 'values' holds {v!r}, equal to an earlier value")
 
     @staticmethod
     def from_json(text: str) -> "UniverseBounds":
         """Bounds from a JSON object.  Text that is not JSON raises
         json.JSONDecodeError; a field that is missing or of the wrong type,
-        or a negative count, raises a ValueError that names it."""
+        a negative count or a repeated value raises a ValueError that names
+        it."""
         raw = json.loads(text)
         if not isinstance(raw, dict):
             raise ValueError(f"universe bounds must be a JSON object, got {raw!r}")
@@ -328,7 +333,9 @@ class _Frame:
 
     A configuration is a tuple of value indices, one per (object, instant,
     attribute) cell, plus the ascending indices of the chosen event slots
-    (instant, source, destination, parameter values).
+    (instant, source, destination, parameter values).  The configurations
+    that share their cells form an attribute block, whose shared work
+    system() does once, holding only the current block's.
     """
 
     def __init__(self, u: UniverseBounds, k: int):
@@ -336,13 +343,16 @@ class _Frame:
         self.cell_count = k * u.max_instances * len(u.attributes)
         params = itertools.product(range(len(u.values)), repeat=len(u.parameters))
         self.slots = list(itertools.product(range(u.max_instances), range(k), range(k), params))
-        # ingestion copies what it reads, so each event record is built once
-        self.event_records = [
-            {"t": t + 1, "event": {"src": self.ids[src], "dest": self.ids[dest],
-                                   "params": {name: u.values[i] for name, i in zip(u.parameters, p)}}}
+        # each slot's event is decoded once, on a graph that declares the ids
+        scratch = SystemGraph()
+        for obj in self.ids:
+            apply_record(scratch, {"t": 0, "object": {"id": obj}}, 0)
+        self.events = [
+            apply_record(scratch, {"t": t + 1, "event": {"src": self.ids[src], "dest": self.ids[dest], "params": {
+                name: u.values[i] for name, i in zip(u.parameters, p)}}}, 0)[1]
             for t, src, dest, p in self.slots
         ]
-        self._attrs, self._objects = None, []
+        self._attrs = self._block = self._judged = None
 
     def renamings(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
         """For every permutation of the k ids but the identity, the index
@@ -371,19 +381,55 @@ class _Frame:
         ][1:]  # the first permutation is the identity
 
     def system(self, attrs: tuple[int, ...], chosen: tuple[int, ...]) -> SystemGraph:
-        """The configuration's system, created through normal ingestion."""
+        """The configuration's system: a copy of its attribute block's
+        objects, ingested once per block, plus the chosen slots' events in
+        slot order, which is time order; it equals ingest_trace of its
+        records and owns its lists and memos.  Under _BLOCK its derived()
+        memo holds its _candidates, which any change to it drops."""
         u = self.universe
         if attrs != self._attrs:  # one attribute block serves many event choices
             self._attrs, width = attrs, len(u.attributes)
-            self._objects = [
+            self._block = ingest_trace([
                 {"t": t + 1, "object": {"id": obj, "attrs": {
                     name: u.values[v] for name, v in zip(u.attributes, attrs[cell * width:(cell + 1) * width])
                 }}}
                 for t in range(u.max_instances)
                 for obj, cell in zip(self.ids, range(t, len(self.ids) * u.max_instances, u.max_instances))
-            ]
-        # a stable sort puts each instant's events after its objects
-        return ingest_trace(sorted(self._objects + [self.event_records[s] for s in chosen], key=_record_time))
+            ])
+            self._judged = {}  # id(pattern) -> (pattern, held so its id stays unique, outcomes per slot)
+        system = self._block.copy()
+        for event in (self.events[s] for s in chosen):
+            system._append_event(event.src, event.dest, event.params, event.time)
+        system.derived()[_BLOCK] = partial(self._candidates, self._block, self._judged, chosen)
+        return system
+
+    def _candidates(self, block: SystemGraph, judged: dict, chosen: tuple, pattern: PatternGraph, pruned) -> Optional[dict]:
+        """Per edge of the pattern, the candidates that matching's own walk
+        lists on the system of `chosen`, slot chosen[j] being event j; None
+        where a chosen slot raised an error that `pruned` does not catch,
+        for that walk to raise.  A slot's edge_candidate outcomes, for the
+        edges on its route, read only its event and the block's snapshots,
+        so each is judged once per block, as event 0, and kept."""
+        entry = judged.get(id(pattern)) or judged.setdefault(id(pattern), (pattern, [None] * len(self.slots)))
+        out = {edge_id: [] for edge_id in pattern.key_ids[0]}
+        for j, s in enumerate(chosen):
+            if entry[1][s] is None:
+                cands, errors = entry[1][s] = [], []
+                for edge_id, screened_out in pattern.screen.route(self.events[s].params).items():
+                    try:
+                        cand = edge_candidate(pattern, edge_id, 0, self.events[s], block, screened_out)
+                    except Exception as exc:  # kept, and left for the join's own walk to raise by its rule
+                        errors.append(exc)
+                        continue
+                    if cand is not None:
+                        cands.append((edge_id, cand))
+            cands, errors = entry[1][s]
+            if errors and not all(isinstance(exc, pruned) for exc in errors):
+                return None
+            # the kept candidate serves as event 0; any other index takes a copy
+            for edge_id, cand in cands:
+                out[edge_id].append(_EdgeCandidate(j, cand.src_obj, cand.dest_obj, cand.captures, cand.filters) if j else cand)
+        return out
 
 
 def _configurations(u: UniverseBounds) -> Iterator[tuple[_Frame, tuple[int, ...], tuple[int, ...]]]:
@@ -403,7 +449,8 @@ def _configurations(u: UniverseBounds) -> Iterator[tuple[_Frame, tuple[int, ...]
 
 
 def enumerate_systems(u: UniverseBounds) -> Iterator[SystemGraph]:
-    """Every system within the bounds, created through normal ingestion."""
+    """Every system within the bounds, in _configurations() order.  Each is
+    its own graph, equal to ingest_trace of its records (see _Frame.system)."""
     for frame, attrs, chosen in _configurations(u):
         yield frame.system(attrs, chosen)
 
@@ -464,13 +511,14 @@ def pattern_matches_bounded(
     system may never bind.
     """
     keys: set[tuple] = set()
+    block = graph.derived().get(_BLOCK)  # see _Frame.system
     if pool is None:
         def found(edge_events, iso_objects, _nodes, bindings, _waiting) -> None:
             keys.add(match_key(edge_events, iso_objects, bindings))
             if len(keys) > DEFAULT_MATCH_CAP:
                 raise MatchCapExceeded("?", DEFAULT_MATCH_CAP)
 
-        each_match(pattern, graph, found)
+        each_match(pattern, graph, found, block and block(pattern, ()))
         return keys
 
     def found(edge_events, iso_objects, _nodes, bindings, waiting) -> None:
@@ -485,7 +533,7 @@ def pattern_matches_bounded(
             if held:
                 keys.add(match_key(edge_events, iso_objects, full))
 
-    each_match(pattern, graph, found, prune_errors=True)
+    each_match(pattern, graph, found, block and block(pattern, PredicateTypeError), prune_errors=True)
     return keys
 
 

@@ -55,10 +55,10 @@ class SystemEvent:
 class SystemGraph:
     """Objects with time-stamped attribute snapshots, plus an event list.
 
-    Instances are built through ingest_trace (or a Monitor) and treated as
-    immutable afterwards.  Events keep their arrival order; several identical
-    events inside one instant are distinct entries and can match distinct
-    policy edges.
+    Instances are built through ingest_trace (or a Monitor, or copy()) and
+    treated as immutable afterwards.  Events keep their arrival order;
+    several identical events inside one instant are distinct entries and
+    can match distinct policy edges.
 
     It keeps two memos, as only its mutators can tell when one is stale:
     derived(), for results read from the whole graph, which every mutation
@@ -122,6 +122,19 @@ class SystemGraph:
         self.events.pop()
         self._read -= self._last_event_marks
         self.horizon, self._read_at, self._read = self._before_event
+
+    def copy(self) -> "SystemGraph":
+        """An equal graph with its own histories, event list, read marks and
+        empty memos; it shares the attrs dicts and events, which are never
+        mutated."""
+        graph = SystemGraph()
+        graph._snapshots = {obj_id: list(history) for obj_id, history in self._snapshots.items()}
+        graph.events, graph.horizon = list(self.events), self.horizon
+        graph._read_at, graph._read = self._read_at, set(self._read)
+        horizon, read_at, read = self._before_event  # its set is _read itself when the last event kept the instant
+        graph._before_event = (horizon, read_at, graph._read if read is self._read else set(read))
+        graph._last_event_marks = set(self._last_event_marks)
+        return graph
 
     # queries
 

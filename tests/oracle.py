@@ -33,12 +33,11 @@ from policygraph.algebra import (
     PolicyExpr,
     Reversal,
     UniverseBounds,
-    enumerate_systems,
 )
 from policygraph.matching import match_pattern
 from policygraph.policy import BasicGraph, PatternGraph, PolicyGraph, domain_of, make_policy, requirement_of
 from policygraph.predicates import Attr, BinOp, Const, Expr, Not, Var
-from policygraph.system import SystemGraph
+from policygraph.system import SystemGraph, ingest_trace
 from policygraph.values import ValueSet, canonical, to_json
 
 
@@ -907,8 +906,35 @@ def _pair_pool(g1: PatternGraph, g2: PatternGraph, u: UniverseBounds) -> list[An
     return pool
 
 
+def reference_systems(u: UniverseBounds) -> Iterator[SystemGraph]:
+    """Every system within the bounds, each ingested from its own freshly
+    built records, in the engine's enumeration order: object count; the
+    attribute values, read object by object, instant by instant, attribute
+    by attribute; the number of events; then the chosen event slots, each
+    an (instant, source, destination, parameter values) in that order."""
+    instants = range(1, u.max_instances + 1)
+    for k in range(u.max_objects + 1):
+        ids = [f"o{i + 1}" for i in range(k)]
+        cells = [(obj, t, name) for obj in ids for t in instants for name in u.attributes]
+        params = list(itertools.product(u.values, repeat=len(u.parameters)))
+        slots = [(t, src, dest, p) for t in instants for src in ids for dest in ids for p in params]
+        for values in itertools.product(u.values, repeat=len(cells)):
+            for count in range(min(u.max_events, len(slots)) + 1):
+                for chosen in itertools.combinations(slots, count):
+                    records = []
+                    for t in instants:
+                        for obj in ids:
+                            attrs = {name: v for (o, at, name), v in zip(cells, values) if (o, at) == (obj, t)}
+                            records.append({"t": t, "object": {"id": obj, "attrs": attrs}})
+                        for at, src, dest, p in chosen:
+                            if at == t:
+                                params_at = dict(zip(u.parameters, p))
+                                records.append({"t": t, "event": {"src": src, "dest": dest, "params": params_at}})
+                    yield ingest_trace(records)
+
+
 def reference_coverage(g1: PatternGraph, g2: PatternGraph, u: UniverseBounds) -> CoverageResult:
-    """coverage_compare the plain way: every system of enumerate_systems()
+    """coverage_compare the plain way: every system of reference_systems()
     in turn, each counted once; stops at the first system after which the
     relation is incomparable.
 
@@ -928,7 +954,7 @@ def reference_coverage(g1: PatternGraph, g2: PatternGraph, u: UniverseBounds) ->
 
     ge = le = True
     checked = 0
-    for system in enumerate_systems(u):
+    for system in reference_systems(u):
         checked += 1
         m1, m2 = matches(g1, system), matches(g2, system)
         ge = ge and m2 <= m1

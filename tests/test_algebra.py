@@ -2,8 +2,10 @@
 
 import gc
 import itertools
+import json
 import math
 import random
+import re
 import sys
 
 import pytest
@@ -41,7 +43,7 @@ from policygraph.matching import InvalidPolicyError, MatchCapExceeded, find_matc
 from policygraph.monitor import Monitor
 from policygraph.policy import PolicyGraph, domain_of, parse_policy, parse_policy_set, print_policy, requirement_of
 from policygraph.predicates import BinOp, PredicateTypeError, parse_predicate
-from policygraph.system import ingest_trace
+from policygraph.system import apply_record, ingest_trace
 
 from oracle import (
     GEN_VALUES,
@@ -50,6 +52,7 @@ from oracle import (
     reference_contains,
     reference_coverage,
     reference_eval_policy_expr,
+    reference_systems,
 )
 
 NO_READ_UP = """
@@ -479,6 +482,19 @@ class TestBoundedUniverse:
         with pytest.raises(ValueError, match=message):
             contains(p, p, UniverseBounds(**{"max_events": 0, **counts}, attributes=(), parameters=(), values=(0,)))
 
+    @pytest.mark.parametrize("values", [(0, 1, 1), (0, 1, 1.0), ("x", 0, "x")])
+    def test_bounds_refuse_a_repeated_value(self, values):
+        """A value equal to an earlier one would count its systems twice:
+        [0, 1, 1] made contains report 130 systems for a 43-system
+        universe.  Built in code and from JSON alike, it raises."""
+        message = f"universe bounds field 'values' holds {values[-1]!r}, equal to an earlier value"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            UniverseBounds(2, 1, ("kind",), ("act",), values, max_events=1)
+        text = json.dumps(dict(max_objects=2, max_instances=1, attributes=["kind"], parameters=["act"], values=values))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            UniverseBounds.from_json(text)
+        assert _system_count(UniverseBounds(2, 1, ("kind",), ("act",), (0, True, 1, math.nan, math.nan), 1)) > 0
+
     def test_conjunction_idempotent_across_a_whole_universe(self):
         p = parse_policy("policy p {\n node a\n node b\n edge e: a -> b domain: act = $A req: $A = 0\n}")
         u = UniverseBounds(2, 1, ("kind",), ("act",), (0, 1), max_events=1)
@@ -612,6 +628,10 @@ def system_key(g) -> tuple:
     )
 
 
+def universe_id(u) -> str:
+    return f"{u.max_objects}obj{u.max_instances}t{len(u.values)}v"
+
+
 # The containment universe of the benchmark's algebra_universe workload.
 BENCH_CONTAINS = UniverseBounds(2, 1, ("kind",), ("act",), (0, 1, 2), max_events=2)
 
@@ -625,7 +645,7 @@ class TestOrbitWalk:
         UniverseBounds(1, 1, ("kind",), (), (0, 1), max_events=1),
     ]
 
-    @pytest.mark.parametrize("u", UNIVERSES, ids=lambda u: f"{u.max_objects}obj{u.max_instances}t{len(u.values)}v")
+    @pytest.mark.parametrize("u", UNIVERSES, ids=universe_id)
     def test_weights_sum_to_the_universe(self, u):
         assert sum(weight for _, weight in orbit_systems(u)) == _system_count(u)
 
@@ -724,6 +744,134 @@ class TestOrbitWalk:
         assert got.relation == want.relation == INCOMPARABLE
         # empty, o1 kind 0, o1 kind 1, both kind 0, then the stop
         assert (got.systems_checked, want.systems_checked) == (6, 5)
+
+
+class TestBlockWalk:
+    """Each system of an attribute block is the block's objects, ingested
+    once, plus its chosen events; each is still an independent graph."""
+
+    UNIVERSES = TestOrbitWalk.UNIVERSES
+    POLICIES = [
+        "policy flow {\n node a\n node b domain: kind = 1\n edge e: a -> b domain: act = $A req: $A = 0\n}",
+        "policy pair {\n node a domain: kind = $K\n node b\n edge e: a -> b\n edge f: b -> a req: $K = 0\n}",
+        "policy lone {\n node n domain: kind = $K\n node m\n edge e: m -> m domain: act = 1 req: $K = 1\n}",
+    ]
+
+    @pytest.mark.parametrize("u", UNIVERSES, ids=universe_id)
+    def test_the_oracle_enumeration_agrees_system_by_system(self, u):
+        """tests/oracle.py builds and ingests every configuration's records
+        itself; the engine's walk gives the same systems in the same order."""
+        engine, reference = list(enumerate_systems(u)), list(reference_systems(u))
+        assert [system_key(g) for g in engine] == [system_key(g) for g in reference]
+        assert engine == reference
+
+    @pytest.mark.parametrize("u", UNIVERSES, ids=universe_id)
+    def test_each_system_equals_its_fresh_ingest_after_the_walk(self, u):
+        for systems in ([g for g in enumerate_systems(u)], [g for g, _ in orbit_systems(u)]):
+            for g in systems:  # the walk has moved on past every block
+                assert g == ingest_trace(g.to_records())
+                assert g.horizon == (u.max_instances if g.object_count() else 0)
+
+    def test_a_record_applied_to_one_system_leaves_its_neighbours(self):
+        """Systems of one block share no list or memo: a record applied to
+        one changes none of the others, nor what their patterns match, and
+        the changed system's matches are those of its fresh ingest."""
+        u = BENCH_CONTAINS
+        flow = domain_of(parse_policy(self.POLICIES[0]))
+        systems = list(enumerate_systems(u))
+        block = [g for g in systems if system_key(g)[0] == system_key(systems[-1])[0]]
+        assert len(block) == 79  # every event choice of the last block
+        before = [(system_key(g), algebra.pattern_matches_bounded(flow, g)) for g in systems]
+        changed = block[3]
+        t, _ = apply_record(changed, {"t": 2, "object": {"id": "o1", "attrs": {"kind": 1}}}, 1)
+        apply_record(changed, {"t": 2, "event": {"src": "o2", "dest": "o1", "params": {"act": 0}}}, t)
+        fresh = ingest_trace(changed.to_records())
+        assert algebra.pattern_matches_bounded(flow, changed) == algebra.pattern_matches_bounded(flow, fresh)
+        assert len(changed.events) == 2 and changed.horizon == 2
+        after = [(system_key(g), algebra.pattern_matches_bounded(flow, g)) for g in systems]
+        assert [pair for g, pair in zip(systems, after) if g is not changed] == [
+            pair for g, pair in zip(systems, before) if g is not changed
+        ]
+
+    @pytest.mark.parametrize("u", UNIVERSES[:3], ids=universe_id)
+    def test_matches_and_verdicts_equal_those_of_a_fresh_ingest(self, u):
+        """pattern_matches_bounded, exact and over a pool, and
+        eval_policy_expr give on each walked system what they give on its
+        fresh ingest, which lists its own candidates."""
+        policies = [parse_policy(text) for text in self.POLICIES]
+        pool = algebra.Distinct((*u.values, 0, 1))
+        for g in enumerate_systems(u):
+            fresh = ingest_trace(g.to_records())
+            for p in policies:
+                assert eval_policy_expr(p, g) == verdict(p, fresh).upheld
+                for pat in (domain_of(p), requirement_of(p)):
+                    free = tuple(sorted(pat.variables - pat.owners.keys()))
+                    choices = list(itertools.product(pool.values, repeat=len(free)))
+                    if not free:
+                        assert algebra.pattern_matches_bounded(pat, g) == algebra.pattern_matches_bounded(pat, fresh)
+                    got = algebra.pattern_matches_bounded(pat, g, pool, free, choices)
+                    assert got == algebra.pattern_matches_bounded(pat, fresh, pool, free, choices)
+
+    @pytest.mark.parametrize("u", UNIVERSES, ids=universe_id)
+    def test_ingest_runs_once_per_attribute_block(self, u, monkeypatch):
+        calls = []
+
+        def counting(records):
+            calls.append(records)
+            return ingest_trace(records)
+
+        monkeypatch.setattr(algebra, "ingest_trace", counting)
+        blocks = {system_key(g)[0] for g in enumerate_systems(u)}
+        assert len(calls) == len(blocks)
+        calls.clear()
+        walked = {system_key(g)[0] for g, _ in orbit_systems(u)}
+        assert len(calls) == len(walked)
+        calls.clear()
+        flow = parse_policy(self.POLICIES[0])
+        contains(flow, flow, u)
+        assert 0 < len(calls) <= len(walked)
+
+
+class TestWalkErrorParity:
+    """A slot whose edge or endpoint plan raises PredicateTypeError: in
+    exact mode the walk raises what matching's own candidate walk raises,
+    at the same system; over a pool the slot is no candidate."""
+
+    U = UniverseBounds(2, 1, ("kind",), ("act",), (0, "a"), max_events=2)
+
+    @staticmethod
+    def flow(name, domain, req, src=""):
+        return parse_policy(f"policy {name} {{\n node a{src}\n node b\n edge e: a -> b domain: {domain} req: {req}\n}}")
+
+    @staticmethod
+    def outcome(check):
+        try:
+            return check()
+        except PredicateTypeError as exc:
+            return type(exc), str(exc)
+
+    @pytest.mark.parametrize("p_domain, src", [("act > 0 && act = $A", ""), ("act = $A", " domain: kind < 1")])
+    def test_exact_mode_raises_as_the_candidate_walk_does(self, p_domain, src, monkeypatch):
+        p, q = self.flow("p", p_domain, "$A = 1", src), self.flow("q", "act = $A", "$A = 1")
+        checks = [
+            lambda: contains(p, q, self.U),
+            lambda: contains(q, p, self.U),
+            lambda: coverage_compare(domain_of(p), domain_of(q), self.U),
+            lambda: coverage_compare(domain_of(q), domain_of(p), self.U),
+        ]
+        got = [self.outcome(check) for check in checks]
+        assert all(isinstance(o, tuple) and o[0] is PredicateTypeError for o in got)
+        # without the block's candidates, each_match lists its own
+        monkeypatch.setattr(algebra._Frame, "_candidates", lambda *args: None)
+        assert got == [self.outcome(check) for check in checks]
+
+    def test_pool_mode_prunes_the_slot(self):
+        p, q = self.flow("p", "act > 0", "$A = 1"), self.flow("q", "act = $A", "$A = 0 || $A = 1")
+        for a, b in ((p, q), (q, p)):
+            got, want = contains(a, b, self.U), reference_contains(a, b, self.U)[0]
+            assert (got.holds, got.systems_checked) == (want.holds, want.systems_checked) == (
+                got.holds, _system_count(self.U))
+        assert not contains(p, q, self.U)
 
 
 class TestExactDomains:

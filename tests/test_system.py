@@ -315,6 +315,44 @@ class TestErrors:
         assert info.value.record_no == 2
 
 
+class TestCopy:
+    """A copy is an equal graph that shares no list, mark or memo with the
+    original, so either can go on being changed alone."""
+
+    def test_a_copy_is_equal_and_independent(self):
+        g = ingest_trace(CLASSIC)
+        g.attrs_at("john", 1)
+        g.judged_at("john", 1, len)
+        g.derived()["k"] = 1
+        c = g.copy()
+        assert c == g and c.derived() == {}
+        apply_record(c, {"t": 4, "object": {"id": "a", "attrs": {"type": "file", "sec_level": 3}}}, 3)
+        apply_record(c, {"t": 4, "event": {"src": "jane", "dest": "a", "params": {}}}, 4)
+        assert g == ingest_trace(CLASSIC) and g.derived() == {"k": 1}
+        assert c.attrs_at("a", 4)["sec_level"] == 3 and g.attrs_at("a", 4)["sec_level"] == 0
+        assert (len(c.events), c.horizon, len(g.events), g.horizon) == (4, 4, 3, 3)
+        assert c == ingest_trace(c.to_records())
+
+    @pytest.mark.parametrize("second_at", [1, 2])
+    def test_a_copy_keeps_and_owns_its_read_marks(self, second_at):
+        """The marks of the latest instant carry over, and dropping the
+        copy's last event restores its marks alone, whether that event
+        kept the instant or began a new one."""
+        g = ingest_trace([{"t": 1, "object": {"id": obj, "attrs": {}}} for obj in ("x", "y", "z")])
+        g._append_event("x", "x", {"time": 1}, 1)
+        g._append_event("y", "y", {"time": second_at}, second_at)
+        c = g.copy()
+        with pytest.raises(TraceError, match="already used"):
+            c._declare_object("y", {"id": "y"}, second_at)
+        c._drop_last_event()
+        assert c.horizon == 1 and len(g.events) == 2
+        with pytest.raises(TraceError, match="already used"):
+            c._declare_object("x", {"id": "x"}, 1)
+        c._declare_object("y", {"id": "y", "v": 1}, 1)
+        with pytest.raises(TraceError, match="already used"):
+            g._declare_object("y", {"id": "y"}, second_at)
+
+
 class TestRoundTrip:
     def test_classic_round_trip(self):
         g = ingest_trace(CLASSIC)
