@@ -281,8 +281,7 @@ class UniverseBounds:
     def from_json(text: str) -> "UniverseBounds":
         """Bounds from a JSON object.  Text that is not JSON raises
         json.JSONDecodeError; a field that is missing or of the wrong type,
-        a negative count or a repeated value raises a ValueError that names
-        it."""
+        a negative count or a repeated value, raises a ValueError naming it."""
         raw = json.loads(text)
         if not isinstance(raw, dict):
             raise ValueError(f"universe bounds must be a JSON object, got {raw!r}")
@@ -333,9 +332,8 @@ class _Frame:
 
     A configuration is a tuple of value indices, one per (object, instant,
     attribute) cell, plus the ascending indices of the chosen event slots
-    (instant, source, destination, parameter values).  The configurations
-    that share their cells form an attribute block, whose shared work
-    system() does once, holding only the current block's.
+    (instant, source, destination, parameter values); those that share
+    their cells form an attribute block.
     """
 
     def __init__(self, u: UniverseBounds, k: int):
@@ -380,12 +378,11 @@ class _Frame:
             for perm in itertools.permutations(range(k))
         ][1:]  # the first permutation is the identity
 
-    def system(self, attrs: tuple[int, ...], chosen: tuple[int, ...]) -> SystemGraph:
-        """The configuration's system: a copy of its attribute block's
-        objects, ingested once per block, plus the chosen slots' events in
-        slot order, which is time order; it equals ingest_trace of its
-        records and owns its lists and memos.  Under _BLOCK its derived()
-        memo holds its _candidates, which any change to it drops."""
+    def system(self, attrs: tuple[int, ...], chosen: tuple[int, ...], candidates: bool = False) -> SystemGraph:
+        """The configuration's system, equal to ingest_trace of its records
+        and owning its lists and memos: its attribute block's objects, the
+        current block's ingested once, plus the chosen slots' events in slot
+        (time) order.  With `candidates`, derived()[_BLOCK] holds its _candidates."""
         u = self.universe
         if attrs != self._attrs:  # one attribute block serves many event choices
             self._attrs, width = attrs, len(u.attributes)
@@ -400,34 +397,32 @@ class _Frame:
         system = self._block.copy()
         for event in (self.events[s] for s in chosen):
             system._append_event(event.src, event.dest, event.params, event.time)
-        system.derived()[_BLOCK] = partial(self._candidates, self._block, self._judged, chosen)
+        if candidates:
+            system.derived()[_BLOCK] = partial(self._candidates, self._block, self._judged, chosen)
         return system
 
-    def _candidates(self, block: SystemGraph, judged: dict, chosen: tuple, pattern: PatternGraph, pruned) -> Optional[dict]:
-        """Per edge of the pattern, the candidates that matching's own walk
-        lists on the system of `chosen`, slot chosen[j] being event j; None
-        where a chosen slot raised an error that `pruned` does not catch,
-        for that walk to raise.  A slot's edge_candidate outcomes, for the
-        edges on its route, read only its event and the block's snapshots,
-        so each is judged once per block, as event 0, and kept."""
-        entry = judged.get(id(pattern)) or judged.setdefault(id(pattern), (pattern, [None] * len(self.slots)))
+    def _candidates(self, block: SystemGraph, judged: dict, chosen: tuple, pattern: PatternGraph) -> Optional[dict]:
+        """Per edge of the pattern, the candidates that matching's walk lists
+        on the system of `chosen`, slot chosen[j] being event j, or None
+        where a slot raised, for that walk to raise or prune.  A slot's are
+        judged once per block, as event 0: they read only its event and the
+        block's snapshots."""
+        outcomes = (judged.get(id(pattern)) or judged.setdefault(id(pattern), (pattern, [None] * len(self.slots))))[1]
         out = {edge_id: [] for edge_id in pattern.key_ids[0]}
         for j, s in enumerate(chosen):
-            if entry[1][s] is None:
-                cands, errors = entry[1][s] = [], []
-                for edge_id, screened_out in pattern.screen.route(self.events[s].params).items():
-                    try:
-                        cand = edge_candidate(pattern, edge_id, 0, self.events[s], block, screened_out)
-                    except Exception as exc:  # kept, and left for the join's own walk to raise by its rule
-                        errors.append(exc)
-                        continue
-                    if cand is not None:
-                        cands.append((edge_id, cand))
-            cands, errors = entry[1][s]
-            if errors and not all(isinstance(exc, pruned) for exc in errors):
+            if outcomes[s] is None:
+                event = self.events[s]
+                try:
+                    outcomes[s] = [
+                        (edge_id, cand) for edge_id, screened_out in pattern.screen.route(event.params).items()
+                        if (cand := edge_candidate(pattern, edge_id, 0, event, block, screened_out)) is not None
+                    ]
+                except Exception:
+                    outcomes[s] = False  # raised
+            if outcomes[s] is False:
                 return None
             # the kept candidate serves as event 0; any other index takes a copy
-            for edge_id, cand in cands:
+            for edge_id, cand in outcomes[s]:
                 out[edge_id].append(_EdgeCandidate(j, cand.src_obj, cand.dest_obj, cand.captures, cand.filters) if j else cand)
         return out
 
@@ -465,6 +460,8 @@ def orbit_systems(u: UniverseBounds, renaming: bool = True) -> Iterator[tuple[Sy
     indices, before any record is built.  With `renaming` false, and for
     an object count whose group _Frame.renamings() finds too costly, the
     group holds the identity alone and every system is walked with weight 1.
+    Each system carries its block's edge candidates (see _Frame.system), so
+    one that is held keeps its block's graph and memo alive.
     """
     current = block = None
     for frame, attrs, chosen in _configurations(u):
@@ -486,7 +483,7 @@ def orbit_systems(u: UniverseBounds, renaming: bool = True) -> Iterator[tuple[Sy
                 break
             stabilizer += image == chosen
         else:
-            yield frame.system(attrs, chosen), (len(renamings) + 1) // stabilizer
+            yield frame.system(attrs, chosen, candidates=True), (len(renamings) + 1) // stabilizer
 
 
 def pattern_matches_bounded(
@@ -518,7 +515,7 @@ def pattern_matches_bounded(
             if len(keys) > DEFAULT_MATCH_CAP:
                 raise MatchCapExceeded("?", DEFAULT_MATCH_CAP)
 
-        each_match(pattern, graph, found, block and block(pattern, ()))
+        each_match(pattern, graph, found, block and block(pattern))
         return keys
 
     def found(edge_events, iso_objects, _nodes, bindings, waiting) -> None:
@@ -533,7 +530,7 @@ def pattern_matches_bounded(
             if held:
                 keys.add(match_key(edge_events, iso_objects, full))
 
-    each_match(pattern, graph, found, block and block(pattern, PredicateTypeError), prune_errors=True)
+    each_match(pattern, graph, found, block and block(pattern), prune_errors=True)
     return keys
 
 

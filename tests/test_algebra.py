@@ -778,7 +778,7 @@ class TestBlockWalk:
         the changed system's matches are those of its fresh ingest."""
         u = BENCH_CONTAINS
         flow = domain_of(parse_policy(self.POLICIES[0]))
-        systems = list(enumerate_systems(u))
+        systems = [g for g, _ in orbit_systems(u, renaming=False)]  # each carries its block's candidates
         block = [g for g in systems if system_key(g)[0] == system_key(systems[-1])[0]]
         assert len(block) == 79  # every event choice of the last block
         before = [(system_key(g), algebra.pattern_matches_bounded(flow, g)) for g in systems]
@@ -796,11 +796,12 @@ class TestBlockWalk:
     @pytest.mark.parametrize("u", UNIVERSES[:3], ids=universe_id)
     def test_matches_and_verdicts_equal_those_of_a_fresh_ingest(self, u):
         """pattern_matches_bounded, exact and over a pool, and
-        eval_policy_expr give on each walked system what they give on its
-        fresh ingest, which lists its own candidates."""
+        eval_policy_expr give on each walked system, which carries its
+        block's candidates, what they give on its fresh ingest, which lists
+        its own."""
         policies = [parse_policy(text) for text in self.POLICIES]
         pool = algebra.Distinct((*u.values, 0, 1))
-        for g in enumerate_systems(u):
+        for g, _ in orbit_systems(u, renaming=False):
             fresh = ingest_trace(g.to_records())
             for p in policies:
                 assert eval_policy_expr(p, g) == verdict(p, fresh).upheld
@@ -811,6 +812,13 @@ class TestBlockWalk:
                         assert algebra.pattern_matches_bounded(pat, g) == algebra.pattern_matches_bounded(pat, fresh)
                     got = algebra.pattern_matches_bounded(pat, g, pool, free, choices)
                     assert got == algebra.pattern_matches_bounded(pat, fresh, pool, free, choices)
+
+    def test_only_the_orbit_walk_attaches_block_candidates(self):
+        """The identity sweep's systems start with an empty derived() memo;
+        the orbit walk's hold one entry, their block's candidates."""
+        u = self.UNIVERSES[0]
+        assert all(len(g.derived()) == 0 for g in enumerate_systems(u))
+        assert all(len(g.derived()) == 1 for g, _ in orbit_systems(u))
 
     @pytest.mark.parametrize("u", UNIVERSES, ids=universe_id)
     def test_ingest_runs_once_per_attribute_block(self, u, monkeypatch):
