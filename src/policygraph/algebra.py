@@ -38,12 +38,12 @@ import json
 import logging
 import math
 import weakref
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from functools import partial
 from typing import Any, Callable, Iterator, Optional, Sequence, Union
 
-from .matching import (DEFAULT_MATCH_CAP, MatchCapExceeded, _EdgeCandidate, check_requirement, each_match,
-                       edge_candidate, find_matches, match_key)
+from .matching import (DEFAULT_MATCH_CAP, MatchCapExceeded, MatchingError, _EdgeCandidate, check_requirement,
+                       each_match, edge_candidate, find_matches, match_key)
 from .policy import PatternGraph, PolicyGraph, domain_of, requirement_of
 from .predicates import FALSE, TRUE, BinOp, Not, PredicateTypeError, attributes_of, constants_of, fold_constants
 from .system import SystemGraph, apply_record, ingest_trace
@@ -93,7 +93,17 @@ class Disjunction(PolicyExpr):
 
 @dataclass(frozen=True)
 class Reversal(PolicyExpr):
+    """The operand's matches with their outcomes negated.  Built over a
+    disjunction of atoms of different graph shapes, it logs one warning:
+    per-match evaluation treats those atoms' matches as disjoint."""
+
     operand: PolicyExpr
+
+    def __post_init__(self) -> None:
+        operands = self.operand.operands if isinstance(self.operand, Disjunction) else ()
+        if len({c.policy.graph.signature() for c in operands if isinstance(c, Atom)}) > 1:
+            log.warning("reversal over a disjunction of differently-shaped policies; "
+                        "evaluating per-match, which treats their matches as disjoint")
 
 
 def _lift(p: Union[PolicyGraph, PolicyExpr]) -> PolicyExpr:
@@ -218,17 +228,6 @@ def _match_outcomes(
                 merged[key] = (old and value) if both else (old or value)
         return merged
     if isinstance(e, Reversal):
-        if isinstance(e.operand, Disjunction):
-            graphs = {
-                c.policy.graph.signature()
-                for c in e.operand.operands
-                if isinstance(c, Atom)
-            }
-            if len(graphs) > 1:
-                log.warning(
-                    "reversal over a disjunction of differently-shaped policies; "
-                    "evaluating per-match, which treats their matches as disjoint"
-                )
         return {key: not value for key, value in _match_outcomes(e.operand, graph, cap).items()}
     raise TypeError(f"not a policy expression: {e!r}")
 
@@ -255,9 +254,10 @@ class UniverseBounds:
     Objects o1..oN all carry every attribute in `attributes`, with values
     drawn from `values` independently per instant; events range over every
     (instant, source, destination) with every parameter assignment, up to
-    `max_events` per system.  `ceiling` guards against blow-up.  A negative
-    count, or a value equal (values_equal) to an earlier one, raises a
-    ValueError that names its field.
+    `max_events` per system.  `ceiling` guards against blow-up.  However
+    the bounds are built, a field of the wrong type (_BOUNDS_FIELDS), then a
+    negative count, then a value equal (values_equal) to an earlier one,
+    raises a ValueError that names its field.  Lists are kept as tuples.
     """
 
     max_objects: int
@@ -269,6 +269,12 @@ class UniverseBounds:
     ceiling: int = 500_000
 
     def __post_init__(self) -> None:
+        for name, what, ok in _BOUNDS_FIELDS:
+            v = getattr(self, name)
+            if not ok(v):
+                raise ValueError(f"universe bounds field {name!r} must be {what}, got {v!r}")
+            if isinstance(v, list):
+                object.__setattr__(self, name, tuple(v))
         for name in ("max_objects", "max_instances", "max_events", "ceiling"):
             n = getattr(self, name)
             if n < 0:
@@ -280,39 +286,38 @@ class UniverseBounds:
     @staticmethod
     def from_json(text: str) -> "UniverseBounds":
         """Bounds from a JSON object.  Text that is not JSON raises
-        json.JSONDecodeError; a field that is missing or of the wrong type,
-        a negative count or a repeated value, raises a ValueError naming it."""
+        json.JSONDecodeError; a field that is missing or unknown raises a
+        ValueError naming it, as does any field the bounds refuse."""
         raw = json.loads(text)
         if not isinstance(raw, dict):
             raise ValueError(f"universe bounds must be a JSON object, got {raw!r}")
-
-        def field(name: str, what: str, ok: Callable[[Any], bool], *default: Any) -> Any:
-            if name not in raw and default:
-                return default[0]
-            if name not in raw:
+        known = {f.name: f for f in fields(UniverseBounds)}
+        for name, f in known.items():
+            if name not in raw and f.default is MISSING:
                 raise ValueError(f"universe bounds lack the field {name!r}")
-            if not ok(raw[name]):
-                raise ValueError(f"universe bounds field {name!r} must be {what}, got {raw[name]!r}")
-            return raw[name]
+        for name in raw:
+            if name not in known:
+                raise ValueError(f"universe bounds have no field {name!r}")
+        return UniverseBounds(**raw)
 
-        def count(name: str, *default: int) -> int:
-            return field(name, "an integer", lambda v: isinstance(v, int) and not isinstance(v, bool), *default)
 
-        def names(v: Any) -> bool:
-            return isinstance(v, list) and all(isinstance(m, str) for m in v)
+def _is_count(v: Any) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
 
-        def scalars(v: Any) -> bool:
-            return isinstance(v, list) and all(isinstance(m, (str, int, float)) for m in v)
 
-        return UniverseBounds(
-            max_objects=count("max_objects"),
-            max_instances=count("max_instances"),
-            attributes=tuple(field("attributes", "a list of names", names)),
-            parameters=tuple(field("parameters", "a list of names", names)),
-            values=tuple(field("values", "a list of numbers, strings and booleans", scalars)),
-            max_events=count("max_events", 2),
-            ceiling=count("ceiling", 500_000),
-        )
+def _is_list_of(*kinds: type) -> Callable[[Any], bool]:
+    return lambda v: isinstance(v, (list, tuple)) and all(isinstance(m, kinds) for m in v)
+
+
+_BOUNDS_FIELDS = (  # UniverseBounds' fields in order: what each must be, and its test
+    ("max_objects", "an integer", _is_count),
+    ("max_instances", "an integer", _is_count),
+    ("attributes", "a list of names", _is_list_of(str)),
+    ("parameters", "a list of names", _is_list_of(str)),
+    ("values", "a list of numbers, strings and booleans", _is_list_of(str, int, float)),
+    ("max_events", "an integer", _is_count),
+    ("ceiling", "an integer", _is_count),
+)
 
 
 def _system_count(u: UniverseBounds) -> int:
@@ -490,47 +495,45 @@ def pattern_matches_bounded(
     pattern: PatternGraph,
     graph: SystemGraph,
     pool: Optional[Distinct] = None,
-    free: Sequence[str] = (),
     choices: Sequence[tuple] = ((),),
 ) -> set[tuple]:
     """The Match.key()s of a pattern's matches on a system, found by the
-    shared join, matching.each_match (see pair_matchers).
+    shared join, matching.each_match, through one callback (see
+    pair_matchers).  More than DEFAULT_MATCH_CAP keys raise
+    MatchCapExceeded.
 
     Without a pool the match is exact, as match_pattern's: every variable
-    binds what its capture finds, a PredicateTypeError raises, and more
-    than DEFAULT_MATCH_CAP matches raise MatchCapExceeded.  With one, every
-    variable ranges over the pool: a captured value not `in pool` (a NaN
-    never is) is no match, and the variables in `free`, which nothing
-    captures, take each tuple of `choices`, NaN as any other pool value,
-    under which the filters that waited for them run.  A binding under
-    which a predicate raises PredicateTypeError is then no match, as in
-    brute enumeration: the pool holds both patterns' constants, which the
-    system may never bind.
+    binds what its capture finds, a PredicateTypeError raises, and a
+    pattern with a free variable raises MatchingError.  With
+    one, every variable ranges over the pool: a captured value not `in
+    pool` (a NaN never is) is no match, and the pattern's free variables,
+    which nothing captures, take each tuple of `choices`, NaN as any other
+    pool value, under which the filters that waited for them run.  A
+    binding under which a predicate raises PredicateTypeError is then no
+    match, as in brute enumeration: the pool holds both patterns'
+    constants, which the system may never bind.
     """
+    free = pattern.free
+    if pool is None and free:
+        raise MatchingError(f"variables {list(free)} have no capture, so they can be matched only over a pool")
     keys: set[tuple] = set()
     block = graph.derived().get(_BLOCK)  # see _Frame.system
-    if pool is None:
-        def found(edge_events, iso_objects, _nodes, bindings, _waiting) -> None:
-            keys.add(match_key(edge_events, iso_objects, bindings))
-            if len(keys) > DEFAULT_MATCH_CAP:
-                raise MatchCapExceeded("?", DEFAULT_MATCH_CAP)
-
-        each_match(pattern, graph, found, block and block(pattern))
-        return keys
 
     def found(edge_events, iso_objects, _nodes, bindings, waiting) -> None:
-        if not all(value in pool for value in bindings.values()):
+        if pool is not None and not all(value in pool for value in bindings.values()):
             return
-        for choice in choices:
-            full = bindings | dict(zip(free, choice))
+        for choice in choices:  # ((),) when nothing is free: bindings serve as they are
+            full = bindings | dict(zip(free, choice)) if choice else bindings
             try:
-                held = all(check(ctx, full) is True for (_, _, check), ctx in waiting)
+                if waiting and not all(check(ctx, full) is True for (_, _, check), ctx in waiting):
+                    continue
             except PredicateTypeError:
                 continue
-            if held:
-                keys.add(match_key(edge_events, iso_objects, full))
+            keys.add(match_key(edge_events, iso_objects, full))
+        if len(keys) > DEFAULT_MATCH_CAP:
+            raise MatchCapExceeded("?", DEFAULT_MATCH_CAP)
 
-    each_match(pattern, graph, found, block and block(pattern), prune_errors=True)
+    each_match(pattern, graph, found, block and block(pattern), prune_errors=pool is not None)
     return keys
 
 
@@ -567,27 +570,24 @@ def pair_matchers(
 
     Both run pattern_matches_bounded.  When both patterns' own predicates
     force every variable (rule R1, as every domain of a valid policy does),
-    both are matched exactly, so a capture of an object id or an instant
-    binds what it finds.  Otherwise both are matched over the pair's value
-    pool, the universe's values plus both patterns' constants: an exact
-    match on one side only would bind ids and instants that the pool side
-    can never bind.  A free variable takes every pool value, NaN included,
-    in every pattern, as a binding the oracle enumerates.  The pool and
-    each pattern's free variables and their value tuples are worked out
-    here, once per pair, not once per system.
+    neither leaves a variable free and both are matched exactly, so a
+    capture of an object id or an instant binds what it finds.  Otherwise
+    both are matched over the pair's value pool, the universe's values plus
+    both patterns' constants: an exact match on one side only would bind
+    ids and instants that the pool side can never bind.  A pattern's free
+    variables (PatternGraph.free) take every pool value, NaN included, as a
+    binding the oracle enumerates.  The pool and each pattern's value
+    tuples are worked out here, once per pair, not once per system.
     """
-    if g1.variables <= g1.owners.keys() and g2.variables <= g2.owners.keys():
-        def matcher(g: PatternGraph) -> Callable[[SystemGraph], set[tuple]]:
-            return lambda system: pattern_matches_bounded(g, system)
-    else:
+    pool = None
+    if g1.free or g2.free:
         pool = Distinct(u.values)
         for const in (c for g in (g1, g2) for pred in g.preds.values() if pred != TRUE for c in constants_of(pred)):
             pool.add(const)  # an element without a predicate adds no value to try
 
-        def matcher(g: PatternGraph) -> Callable[[SystemGraph], set[tuple]]:
-            free = tuple(sorted(g.variables - g.owners.keys()))
-            choices = list(itertools.product(pool.values, repeat=len(free)))
-            return lambda system: pattern_matches_bounded(g, system, pool, free, choices)
+    def matcher(g: PatternGraph) -> Callable[[SystemGraph], set[tuple]]:
+        choices = list(itertools.product(pool.values, repeat=len(g.free))) if g.free else ((),)
+        return lambda system: pattern_matches_bounded(g, system, pool, choices)
     first = matcher(g1)
     return first, (first if g2 == g1 else matcher(g2))
 

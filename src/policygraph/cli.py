@@ -165,7 +165,10 @@ def _run_algebra(args, policies, out) -> int:
 
 def run(argv: Optional[Sequence[str]] = None, out=None) -> int:
     out = out if out is not None else sys.stdout
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.match_cap < 0:
+        parser.error(f"argument --match-cap: must not be negative, got {args.match_cap}")
     try:
         policies = _load_all_policies(args.policies)
         if args.mode == "validate":

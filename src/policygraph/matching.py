@@ -288,10 +288,10 @@ def match_pattern(
     """Every match of a pattern, in Match.key() order (see each_match).  More
     than `cap` matches raise MatchCapExceeded.  A variable that no plan
     captures (rule R1) raises MatchingError before any candidate is listed."""
-    unowned = pattern.variables - pattern.owners.keys()
+    unowned = pattern.free
     if unowned:
         raise MatchingError(
-            f"policy {policy_name!r}: variables {sorted(unowned)} have no capture and would be unbound at completion"
+            f"policy {policy_name!r}: variables {list(unowned)} have no capture and would be unbound at completion"
         )
     matches: list[Match] = []
 

@@ -76,7 +76,7 @@ from .matching import (
 )
 from .matching import check_requirement  # noqa: F401  perfbench/tracing.py wraps it here
 from .policy import PolicyGraph, domain_of, validate_policy
-from .predicates import BinOp, Expr, PredicateTypeError, Var, always_flag
+from .predicates import PredicateTypeError, always_flag, unequal_operands
 from .predicates import merge_conditions  # noqa: F401  perfbench/tracing.py wraps it here
 from .system import SystemEvent, SystemGraph, apply_record
 
@@ -181,20 +181,7 @@ class _Watched:
         requirements = [policy.requirement_preds[elt] for elt in policy.checked_requirements]
         filters = [expr for plan in self.pattern.plans.values() for expr, _, _ in plan.filters]
         quiet = len(requirements) == 1 and all(always_flag(e) for e in requirements + filters)
-        self.equal = _unequal_operands(requirements[0]) if quiet else ()
-
-
-def _unequal_operands(requirement: Expr) -> tuple[tuple[str, str], ...]:
-    """The variable pairs (A, B) of the operands $A != $B of a
-    requirement's top-level ||, or of the requirement itself."""
-    pairs, pending = [], [requirement]
-    while pending:
-        x = pending.pop()
-        if isinstance(x, BinOp) and x.op == "||":
-            pending += (x.right, x.left)
-        elif isinstance(x, BinOp) and x.op == "!=" and isinstance(x.left, Var) and isinstance(x.right, Var):
-            pairs.append((x.left.name, x.right.name))
-    return tuple(pairs)
+        self.equal = unequal_operands(requirements[0]) if quiet else ()
 
 
 class _Violation(Exception):

@@ -213,6 +213,12 @@ class PatternGraph:
         the order in which a match lists its bindings."""
         return tuple(sorted(self.owners.items()))
 
+    @cached_property
+    def free(self) -> tuple[str, ...]:
+        """The variables no plan captures, by sorted name.  Exact matching
+        needs none (rule R1); the algebra's pool matching tries values for them."""
+        return tuple(sorted(self.variables - self.owners.keys()))
+
 
 @dataclass(frozen=True)
 class PolicyGraph:
@@ -430,7 +436,7 @@ def validate_policy(p: PolicyGraph) -> list[ValidationIssue]:
 
 def _check_rules(p: PolicyGraph) -> list[ValidationIssue]:
     issues: list[ValidationIssue] = []
-    for var in sorted(p.variables - p.domain.owners.keys()):
+    for var in p.domain.free:
         issues.append(
             ValidationIssue(
                 p.name,

@@ -137,16 +137,26 @@ def _subtrees(e: Expr) -> Iterator[Expr]:
             stack.append(x.operand)
 
 
-def _spine(e: Expr) -> Iterator[Expr]:
-    """The && nodes and the conjuncts of e's top-level conjunction, in
-    pre-order, left to right, without recursion."""
+def _spine(e: Expr, op: str = "&&") -> Iterator[Expr]:
+    """The `op` nodes (&& unless given) and the operands of e's top-level
+    chain of them, in pre-order, left to right, without recursion."""
     stack = [e]
     while stack:
         x = stack.pop()
         yield x
-        if _is_and(x):
+        if isinstance(x, BinOp) and x.op == op:
             stack.append(x.right)
             stack.append(x.left)
+
+
+def unequal_operands(e: Expr) -> tuple[tuple[str, str], ...]:
+    """The variable pairs (A, B) of the operands $A != $B of e's top-level
+    ||, or of e itself, left to right."""
+    return tuple(
+        (x.left.name, x.right.name)
+        for x in _spine(e, "||")
+        if isinstance(x, BinOp) and x.op == "!=" and isinstance(x.left, Var) and isinstance(x.right, Var)
+    )
 
 
 def _chain(e: BinOp) -> tuple[Expr, list[BinOp]]:
@@ -825,19 +835,9 @@ def compile_ground(e: Expr) -> Callable[[Mapping[str, Any], Mapping[str, Any]], 
     """A closure (ctx, bindings) -> the value evaluate(e, ctx, bindings)
     folds to; where folding raises PredicateTypeError, the closure raises
     it with the same message.  bindings must bind every variable of e: an
-    unbound one that the closure reaches raises KeyError."""
-    fn = _compile(e)
-    names = _loose_attrs(e)
-    if not names:
-        return fn
-
-    def root(ctx, bindings):
-        for name in names:
-            if name not in ctx:
-                return False  # substitute_attrs turns a missing root into false
-        return fn(ctx, bindings)
-
-    return root
+    unbound one that the closure reaches raises KeyError.  A loose attribute
+    of e absent from ctx makes it false, as substitute_attrs does."""
+    return _guarded(_compile(e), _loose_attrs(e))
 
 
 def _compile(e: Expr) -> Callable[[Mapping[str, Any], Mapping[str, Any]], Any]:
@@ -854,10 +854,16 @@ def _compile(e: Expr) -> Callable[[Mapping[str, Any], Mapping[str, Any]], Any]:
         return lambda ctx, bindings: bindings[name]
     if isinstance(e, BinOp) and e.op in BOOL_OPS:
         return _compile_chain(e)
-    fn = _compile_node(e)
-    names = tuple(sorted(_guard_names(e))) if is_boolean_node(e) else ()
+    return _guarded(_compile_node(e), _guard_names(e) if is_boolean_node(e) else frozenset())
+
+
+def _guarded(
+    fn: Callable[[Mapping[str, Any], Mapping[str, Any]], Any], names: frozenset[str]
+) -> Callable[[Mapping[str, Any], Mapping[str, Any]], Any]:
+    """fn, made false wherever one of `names` is absent from ctx."""
     if not names:
         return fn
+    names = tuple(sorted(names))
 
     def guarded(ctx, bindings):
         for name in names:

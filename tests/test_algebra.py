@@ -3,6 +3,7 @@
 import gc
 import itertools
 import json
+import logging
 import math
 import random
 import re
@@ -39,7 +40,7 @@ from policygraph.algebra import (
 from policygraph import algebra
 from policygraph.algebra import _Frame, _system_count
 from policygraph.corpus import corpus_text
-from policygraph.matching import InvalidPolicyError, MatchCapExceeded, find_matches, verdict
+from policygraph.matching import InvalidPolicyError, MatchCapExceeded, MatchingError, find_matches, verdict
 from policygraph.monitor import Monitor
 from policygraph.policy import PolicyGraph, domain_of, parse_policy, parse_policy_set, print_policy, requirement_of
 from policygraph.predicates import BinOp, PredicateTypeError, parse_predicate
@@ -194,6 +195,22 @@ class TestReversal:
             p = random_policy(rng, f"p{i}")
             g = ingest_trace(random_trace_records(rng))
             assert eval_policy_expr(reverse(p), g) == eval_policy_expr(reverse_expr(p), g)
+
+    def test_differently_shaped_disjuncts_warn_once_when_built(self, caplog):
+        """A reversal over disjuncts of two shapes logs its warning when it
+        is built, and nothing more while it is evaluated on every system of
+        a universe; disjuncts of one shape log nothing."""
+        p = parse_policy(NO_READ_UP)
+        loop = parse_policy("policy loop {\n node n\n edge e: n -> n domain: act = $A req: $A = 0\n}")
+        u = UniverseBounds(1, 1, ("kind",), ("act",), (0, 1), max_events=1)
+        with caplog.at_level(logging.WARNING, logger="policygraph.algebra"):
+            mixed = Reversal(Disjunction((Atom(p), Atom(loop))))
+            assert [r.getMessage().split(";")[0] for r in caplog.records] == [
+                "reversal over a disjunction of differently-shaped policies"]
+            caplog.clear()
+            assert len([eval_policy_expr(mixed, g) for g in enumerate_systems(u)]) == 7
+            Reversal(Disjunction((Atom(p), Atom(nullify_graph(p)))))
+        assert caplog.records == []
 
     def test_double_reversal_restores_the_verdict(self):
         rng = random.Random(20262)
@@ -481,6 +498,42 @@ class TestBoundedUniverse:
         message = f"universe bounds field '{name}' must not be negative, got {value}"
         with pytest.raises(ValueError, match=message):
             contains(p, p, UniverseBounds(**{"max_events": 0, **counts}, attributes=(), parameters=(), values=(0,)))
+
+    @pytest.mark.parametrize(
+        "name,bad,what",
+        [
+            ("attributes", "kind", "a list of names"),
+            ("parameters", "act", "a list of names"),
+            ("values", "01", "a list of numbers, strings and booleans"),
+            ("max_objects", True, "an integer"),
+            ("max_objects", 1.5, "an integer"),
+            ("values", (0, [1]), "a list of numbers, strings and booleans"),
+            ("values", (0, None), "a list of numbers, strings and booleans"),
+        ],
+    )
+    def test_bounds_built_in_code_refuse_an_ill_typed_field(self, name, bad, what):
+        """Bounds built in code check each field's type, with from_json's
+        message: unchecked, attributes="kind" walked four attributes and
+        2353 systems for a 43-system universe, and max_objects=True walked
+        as 1."""
+        fields = dict(max_objects=2, max_instances=1, attributes=("kind",), parameters=("act",), values=(0, 1))
+        with pytest.raises(ValueError, match=re.escape(f"universe bounds field {name!r} must be {what}, got {bad!r}")):
+            UniverseBounds(**{**fields, name: bad})
+        listed = list(bad) if isinstance(bad, tuple) else bad
+        message = f"universe bounds field {name!r} must be {what}, got {listed!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            UniverseBounds.from_json(json.dumps({**fields, name: listed}))
+
+    def test_lists_built_in_code_are_kept_as_tuples(self):
+        u = UniverseBounds(2, 1, ["kind"], ["act"], [0, 1])
+        assert u == UniverseBounds(2, 1, ("kind",), ("act",), (0, 1)) and hash(u) is not None
+
+    def test_from_json_refuses_an_unknown_field(self):
+        """A misspelt optional field would otherwise leave its default in force."""
+        text = json.dumps(dict(max_objects=2, max_instances=1, attributes=["kind"], parameters=["act"], values=[0, 1],
+                               max_evnets=3))
+        with pytest.raises(ValueError, match="universe bounds have no field 'max_evnets'"):
+            UniverseBounds.from_json(text)
 
     @pytest.mark.parametrize("values", [(0, 1, 1), (0, 1, 1.0), ("x", 0, "x")])
     def test_bounds_refuse_a_repeated_value(self, values):
@@ -810,8 +863,8 @@ class TestBlockWalk:
                     choices = list(itertools.product(pool.values, repeat=len(free)))
                     if not free:
                         assert algebra.pattern_matches_bounded(pat, g) == algebra.pattern_matches_bounded(pat, fresh)
-                    got = algebra.pattern_matches_bounded(pat, g, pool, free, choices)
-                    assert got == algebra.pattern_matches_bounded(pat, fresh, pool, free, choices)
+                    got = algebra.pattern_matches_bounded(pat, g, pool, choices)
+                    assert got == algebra.pattern_matches_bounded(pat, fresh, pool, choices)
 
     def test_only_the_orbit_walk_attaches_block_candidates(self):
         """The identity sweep's systems start with an empty derived() memo;
@@ -902,6 +955,24 @@ class TestExactDomains:
         monkeypatch.setattr(algebra, "DEFAULT_MATCH_CAP", 2)
         with pytest.raises(MatchCapExceeded, match="exceeded the match cap of 2"):
             algebra.pattern_matches_bounded(any_id, g)
+
+    def test_an_exact_match_of_a_free_variable_raises(self):
+        """Without a pool nothing gives $X a value, so its filter cannot run."""
+        g = ingest_trace([{"t": 1, "object": {"id": "x", "attrs": {}}}])
+        with pytest.raises(MatchingError, match=r"variables \['X'\] have no capture"):
+            algebra.pattern_matches_bounded(pattern(" node n domain: $X >= 0"), g)
+
+    def test_a_pool_match_past_the_cap_raises(self, monkeypatch):
+        """Over a pool the cap counts keys too: here one per value the free
+        $X takes on the one object."""
+        g = ingest_trace([{"t": 1, "object": {"id": "x", "attrs": {}}}])
+        any_value = pattern(" node n domain: $X >= 0")
+        pool, choices = algebra.Distinct((0, 1, 2)), [(0,), (1,), (2,)]
+        monkeypatch.setattr(algebra, "DEFAULT_MATCH_CAP", 3)
+        assert len(algebra.pattern_matches_bounded(any_value, g, pool, choices)) == 3
+        monkeypatch.setattr(algebra, "DEFAULT_MATCH_CAP", 2)
+        with pytest.raises(MatchCapExceeded, match="exceeded the match cap of 2"):
+            algebra.pattern_matches_bounded(any_value, g, pool, choices)
 
     def test_instant_capture(self):
         u = UniverseBounds(1, 3, ("kind",), ("act",), (0, 1), max_events=1)

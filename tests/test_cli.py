@@ -371,6 +371,18 @@ class TestErrorPaths:
         )
         assert code == EXIT_CAP
 
+    def test_a_negative_match_cap_is_a_usage_error(self, workspace, capsys):
+        """Refused before any input is read, as UniverseBounds refuses a
+        negative count; a cap of 0 still runs."""
+        with pytest.raises(SystemExit) as info:
+            run(["--policies", str(workspace / "no_read_up.policy"), "--trace", str(workspace / "violating.jsonl"),
+                 "--match-cap", "-5"])
+        assert info.value.code == EXIT_USAGE
+        assert capsys.readouterr().err.endswith("error: argument --match-cap: must not be negative, got -5\n")
+        code, _ = cli("--policies", workspace / "no_read_up.policy", "--trace", workspace / "violating.jsonl",
+                      "--match-cap", "0")
+        assert code == EXIT_CAP
+
     def test_missing_trace(self, workspace):
         code, _ = cli("--policies", workspace / "no_read_up.policy")
         assert code == EXIT_USAGE
@@ -433,6 +445,7 @@ class TestErrorPaths:
              "universe bounds field 'max_events' must not be negative, got -1"),
             (json.dumps({**UNIVERSE, "ceiling": -1}),
              "universe bounds field 'ceiling' must not be negative, got -1"),
+            (json.dumps({**UNIVERSE, "max_evnets": 3}), "universe bounds have no field 'max_evnets'"),
         ],
     )
     def test_malformed_universe(self, workspace, tmp_path, capsys, text, message):

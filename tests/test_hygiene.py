@@ -164,6 +164,13 @@ def test_only_matching_knows_join_keys():
     assert names_read(tree) & {"canonical", "lookup", "_indexes", "join_keys", "join_plans"} == set()
 
 
+def test_the_monitor_reads_no_expression_node():
+    """The `equal` pairs come from predicates.unequal_operands, which walks
+    the requirement's top-level || as _spine walks a conjunction: the
+    monitor takes expressions whole and reads no node class."""
+    assert names_read(parse(PACKAGE / "monitor.py")) & {"BinOp", "Var", "Not", "Const", "Attr"} == set()
+
+
 def test_only_the_graph_keeps_snapshot_entries():
     """Node-plan outcomes live with the snapshots the graph keeps, which
     only its mutators can tell are stale: only system.py reads the
