@@ -46,7 +46,7 @@ from .matching import (DEFAULT_MATCH_CAP, MatchCapExceeded, MatchingError, _Edge
                        each_match, edge_candidate, find_matches, match_key)
 from .policy import PatternGraph, PolicyGraph, domain_of, requirement_of
 from .predicates import FALSE, TRUE, BinOp, Not, PredicateTypeError, attributes_of, constants_of, fold_constants
-from .system import SystemGraph, apply_record, ingest_trace
+from .system import SystemEvent, SystemGraph, ingest_trace
 from .values import Distinct, values_equal
 
 log = logging.getLogger(__name__)
@@ -256,7 +256,8 @@ class UniverseBounds:
     (instant, source, destination) with every parameter assignment, up to
     `max_events` per system.  `ceiling` guards against blow-up.  However
     the bounds are built, a field of the wrong type (_BOUNDS_FIELDS), then a
-    negative count, then a value equal (values_equal) to an earlier one,
+    negative count, then a parameter named "time", which events carry as
+    their instant, then a value equal (values_equal) to an earlier one,
     raises a ValueError that names its field.  Lists are kept as tuples.
     """
 
@@ -279,6 +280,8 @@ class UniverseBounds:
             n = getattr(self, name)
             if n < 0:
                 raise ValueError(f"universe bounds field {name!r} must not be negative, got {n}")
+        if "time" in self.parameters:
+            raise ValueError("universe bounds field 'parameters' holds 'time', which is injected into every event")
         for i, v in enumerate(self.values):
             if any(values_equal(v, w) for w in self.values[:i]):
                 raise ValueError(f"universe bounds field 'values' holds {v!r}, equal to an earlier value")
@@ -346,13 +349,9 @@ class _Frame:
         self.cell_count = k * u.max_instances * len(u.attributes)
         params = itertools.product(range(len(u.values)), repeat=len(u.parameters))
         self.slots = list(itertools.product(range(u.max_instances), range(k), range(k), params))
-        # each slot's event is decoded once, on a graph that declares the ids
-        scratch = SystemGraph()
-        for obj in self.ids:
-            apply_record(scratch, {"t": 0, "object": {"id": obj}}, 0)
         self.events = [
-            apply_record(scratch, {"t": t + 1, "event": {"src": self.ids[src], "dest": self.ids[dest], "params": {
-                name: u.values[i] for name, i in zip(u.parameters, p)}}}, 0)[1]
+            SystemEvent(self.ids[src], self.ids[dest], {
+                **{name: u.values[i] for name, i in zip(u.parameters, p)}, "time": t + 1}, t + 1)
             for t, src, dest, p in self.slots
         ]
         self._attrs = self._block = self._judged = None
@@ -496,11 +495,12 @@ def pattern_matches_bounded(
     graph: SystemGraph,
     pool: Optional[Distinct] = None,
     choices: Sequence[tuple] = ((),),
+    cap: Optional[int] = None,
 ) -> set[tuple]:
     """The Match.key()s of a pattern's matches on a system, found by the
     shared join, matching.each_match, through one callback (see
-    pair_matchers).  More than DEFAULT_MATCH_CAP keys raise
-    MatchCapExceeded.
+    pair_matchers).  More than `cap` keys, by default DEFAULT_MATCH_CAP,
+    raise MatchCapExceeded.
 
     Without a pool the match is exact, as match_pattern's: every variable
     binds what its capture finds, a PredicateTypeError raises, and a
@@ -516,6 +516,7 @@ def pattern_matches_bounded(
     free = pattern.free
     if pool is None and free:
         raise MatchingError(f"variables {list(free)} have no capture, so they can be matched only over a pool")
+    cap = DEFAULT_MATCH_CAP if cap is None else cap
     keys: set[tuple] = set()
     block = graph.derived().get(_BLOCK)  # see _Frame.system
 
@@ -530,8 +531,8 @@ def pattern_matches_bounded(
             except PredicateTypeError:
                 continue
             keys.add(match_key(edge_events, iso_objects, full))
-        if len(keys) > DEFAULT_MATCH_CAP:
-            raise MatchCapExceeded("?", DEFAULT_MATCH_CAP)
+        if len(keys) > cap:
+            raise MatchCapExceeded("?", cap)
 
     each_match(pattern, graph, found, block and block(pattern), prune_errors=pool is not None)
     return keys
@@ -563,21 +564,22 @@ class CoverageResult:
 
 
 def pair_matchers(
-    g1: PatternGraph, g2: PatternGraph, u: UniverseBounds
+    g1: PatternGraph, g2: PatternGraph, u: UniverseBounds, cap: int = DEFAULT_MATCH_CAP
 ) -> tuple[Callable[[SystemGraph], set[tuple]], Callable[[SystemGraph], set[tuple]]]:
     """Each pattern's set of Match.key()s on a system, as a function of the
     system; one function for both when the patterns are equal.
 
-    Both run pattern_matches_bounded.  When both patterns' own predicates
-    force every variable (rule R1, as every domain of a valid policy does),
-    neither leaves a variable free and both are matched exactly, so a
-    capture of an object id or an instant binds what it finds.  Otherwise
-    both are matched over the pair's value pool, the universe's values plus
-    both patterns' constants: an exact match on one side only would bind
-    ids and instants that the pool side can never bind.  A pattern's free
-    variables (PatternGraph.free) take every pool value, NaN included, as a
-    binding the oracle enumerates.  The pool and each pattern's value
-    tuples are worked out here, once per pair, not once per system.
+    Both run pattern_matches_bounded with `cap`.  When both patterns' own
+    predicates force every variable (rule R1, as every domain of a valid
+    policy does), neither leaves a variable free and both are matched
+    exactly, so a capture of an object id or an instant binds what it finds.
+    Otherwise both are matched over the pair's value pool, the universe's
+    values plus both patterns' constants: an exact match on one side only
+    would bind ids and instants that the pool side can never bind.  A
+    pattern's free variables (PatternGraph.free) take every pool value, NaN
+    included, as a binding the oracle enumerates.  The pool and each
+    pattern's value tuples are worked out here, once per pair, not once per
+    system.
     """
     pool = None
     if g1.free or g2.free:
@@ -587,7 +589,7 @@ def pair_matchers(
 
     def matcher(g: PatternGraph) -> Callable[[SystemGraph], set[tuple]]:
         choices = list(itertools.product(pool.values, repeat=len(g.free))) if g.free else ((),)
-        return lambda system: pattern_matches_bounded(g, system, pool, choices)
+        return lambda system: pattern_matches_bounded(g, system, pool, choices, cap)
     first = matcher(g1)
     return first, (first if g2 == g1 else matcher(g2))
 
@@ -595,8 +597,8 @@ def pair_matchers(
 class _Comparison:
     """Two patterns' match sets, compared system by system."""
 
-    def __init__(self, g1: PatternGraph, g2: PatternGraph, u: UniverseBounds):
-        self.left, self.right = pair_matchers(g1, g2, u)
+    def __init__(self, g1: PatternGraph, g2: PatternGraph, u: UniverseBounds, cap: int):
+        self.left, self.right = pair_matchers(g1, g2, u, cap)
         self.ge = self.le = True  # g1's matches include g2's / lie within them
         self.checked = 0
 
@@ -617,7 +619,7 @@ class _Comparison:
         return CoverageResult(relation, u, self.checked)
 
 
-def _compare(pairs: Sequence[tuple[PatternGraph, PatternGraph]], u: UniverseBounds) -> list[CoverageResult]:
+def _compare(pairs: Sequence[tuple[PatternGraph, PatternGraph]], u: UniverseBounds, cap: int) -> list[CoverageResult]:
     """Compare each pair of patterns in one walk over the universe's
     object-renaming orbits.  A pair stops being compared once it is
     incomparable; the walk stops when every pair is.
@@ -627,7 +629,7 @@ def _compare(pairs: Sequence[tuple[PatternGraph, PatternGraph]], u: UniverseBoun
     attributes: when any predicate reads `id`, the walk takes every system.
     """
     renaming = not any("id" in attributes_of(pred) for pair in pairs for g in pair for pred in g.preds.values())
-    comparisons = [_Comparison(g1, g2, u) for g1, g2 in pairs]
+    comparisons = [_Comparison(g1, g2, u, cap) for g1, g2 in pairs]
     live = comparisons
     for system, weight in orbit_systems(u, renaming):
         live = [c for c in live if c.observe(system, weight)]
@@ -636,7 +638,7 @@ def _compare(pairs: Sequence[tuple[PatternGraph, PatternGraph]], u: UniverseBoun
     return [c.result(u) for c in comparisons]
 
 
-def coverage_compare(g1: PatternGraph, g2: PatternGraph, u: UniverseBounds) -> CoverageResult:
+def coverage_compare(g1: PatternGraph, g2: PatternGraph, u: UniverseBounds, cap: int = DEFAULT_MATCH_CAP) -> CoverageResult:
     """Compare where two patterns match across a bounded universe.
 
     Walks one system per orbit of the object-renaming group, weighted by
@@ -645,9 +647,10 @@ def coverage_compare(g1: PatternGraph, g2: PatternGraph, u: UniverseBounds) -> C
     weights walked: the universe's size when the walk runs to the end; after
     an early stop it counts whole orbits up to that system, so it may differ
     from the number of systems before it in enumerate_systems() order.
-    Patterns are matched as pair_matchers() says.
+    Patterns are matched as pair_matchers() says; a pattern with more than
+    `cap` matches on one system raises MatchCapExceeded.
     """
-    return _compare([(g1, g2)], u)[0]
+    return _compare([(g1, g2)], u, cap)[0]
 
 
 @dataclass(frozen=True)
@@ -668,17 +671,18 @@ class ContainmentResult:
         return f"{outcome} (bounded: {self.systems_checked} systems checked)"
 
 
-def contains(p1: PolicyGraph, p2: PolicyGraph, u: UniverseBounds) -> ContainmentResult:
+def contains(p1: PolicyGraph, p2: PolicyGraph, u: UniverseBounds, cap: int = DEFAULT_MATCH_CAP) -> ContainmentResult:
     """Whether enforcing p1 implies enforcing p2, relative to the universe.
 
     Needs p1's domain to cover at least p2's (p1 applies wherever p2 does)
     and p1's requirement to demand at least as much (its permitted match set
     is no larger than p2's).  Both comparisons share one walk over the
     orbits, as in coverage_compare; each stops counting once it is
-    incomparable, and the walk stops when both are.
+    incomparable, and the walk stops when both are.  `cap` bounds the
+    matches per pattern and system, as in coverage_compare.
     """
     dom, req = _compare(
-        [(domain_of(p1), domain_of(p2)), (requirement_of(p1), requirement_of(p2))], u
+        [(domain_of(p1), domain_of(p2)), (requirement_of(p1), requirement_of(p2))], u, cap
     )
     holds = dom.relation in (GREATER, EQUAL) and req.relation in (LESSER, EQUAL)
     return ContainmentResult(holds, u, max(dom.systems_checked, req.systems_checked))

@@ -155,10 +155,10 @@ def _run_algebra(args, policies, out) -> int:
         return EXIT_PARSE
     a, b = targets
     if op == "contains":
-        result = contains(a, b, universe)
+        result = contains(a, b, universe, args.match_cap)
         print(f"contains({a.name}, {b.name}): {result}", file=out)
     else:
-        result = coverage_compare(domain_of(a), domain_of(b), universe)
+        result = coverage_compare(domain_of(a), domain_of(b), universe, args.match_cap)
         print(f"coverage({a.name}, {b.name}): {result}", file=out)
     return EXIT_OK
 
@@ -171,19 +171,14 @@ def run(argv: Optional[Sequence[str]] = None, out=None) -> int:
         parser.error(f"argument --match-cap: must not be negative, got {args.match_cap}")
     try:
         policies = _load_all_policies(args.policies)
-        if args.mode == "validate":
-            return _validate_or_fail(policies, out)
-        if args.mode == "algebra":
-            code = _validate_or_fail(policies, sys.stderr)
-            if code:
-                return code
-            return _run_algebra(args, policies, out)
-        if not args.trace:
+        if args.mode not in ("validate", "algebra") and not args.trace:
             print(f"mode {args.mode!r} needs --trace", file=sys.stderr)
             return EXIT_USAGE
-        code = _validate_or_fail(policies, sys.stderr)
-        if code:
+        code = _validate_or_fail(policies, out if args.mode == "validate" else sys.stderr)
+        if code or args.mode == "validate":
             return code
+        if args.mode == "algebra":
+            return _run_algebra(args, policies, out)
         if args.mode == "monitor":
             monitor = Monitor(policies, args.match_cap)
             for decision in monitor.run(_read_trace_records(args.trace)):

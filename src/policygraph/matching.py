@@ -52,7 +52,7 @@ from operator import itemgetter
 from typing import Any, Callable, Mapping, NamedTuple, Optional, Sequence
 
 from .policy import PatternGraph, PolicyGraph, domain_of, validate_policy
-from .predicates import Const, PredicateTypeError, always_flag
+from .predicates import Const, PredicateTypeError
 from .predicates import evaluate, merge_conditions, satisfy  # noqa: F401  perfbench/tracing.py wraps them here
 from .system import SystemEvent, SystemGraph
 from .values import canonical, values_equal
@@ -314,7 +314,7 @@ class JoinPlan(NamedTuple):
 
     positions: tuple[tuple, ...]  # (element, is_edge, src, dest, filters, fixes, fresh, checks): see _compile_join
     keys: tuple  # per position, its lookup's (parts, nodes, variables), or None where its list is scanned
-    owners: tuple[tuple[str, str], ...]  # the pattern's binding_owners
+    owners: tuple[tuple[str, str], ...]  # the pattern's owners by sorted variable: the order a match lists its bindings
 
 
 def each_match(
@@ -473,12 +473,11 @@ def _compile_join(pattern: PatternGraph, edge_order: tuple, iso_order: tuple, eq
         positions.append([elt, bool(spec), src, dest, filters, captured, not captured & bound, checks])
         claimed |= {src, dest}
         bound |= captured
-    quiet = all(always_flag(expr) for plan in plans.values() for expr, _, _ in plan.filters)
     for p, (_, _, src, dest, _, captured, _, _) in enumerate(positions):  # the captured variables give way to the fixes
-        fields, later = {dest: "dest_obj", src: "src_obj"}, enumerate(keys[p + 1:] if quiet else (), p + 1)
+        fields, later = {dest: "dest_obj", src: "src_obj"}, enumerate(keys[p + 1:] if pattern.quiet else (), p + 1)
         positions[p][5] = tuple((q, tuple(fields[n] for n in key[1]), key[2]) for q, key in later
                                 if key and fields.keys() >= set(key[1]) and captured >= set(key[2]))
-    plan = JoinPlan(tuple(map(tuple, positions)), tuple(keys), pattern.binding_owners)
+    plan = JoinPlan(tuple(map(tuple, positions)), tuple(keys), tuple(sorted(pattern.owners.items())))
     pattern.join_plans[(edge_order, iso_order, equal)] = plan
     return plan
 

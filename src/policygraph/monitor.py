@@ -143,7 +143,7 @@ class Monitor:
         try:
             for watched in self._watched:
                 cands = {}
-                for edge_id, screened_out in watched.screen.route(event.params).items():
+                for edge_id, screened_out in watched.pattern.screen.route(event.params).items():
                     cand = edge_candidate(watched.pattern, edge_id, index, event, self.graph, screened_out)
                     if cand is not None:
                         cands[edge_id] = cand
@@ -169,18 +169,16 @@ class Monitor:
 
 
 class _Watched:
-    """A policy with edges, its domain's edge screen, its committed
-    candidates per edge and its `equal` pairs (see the module docstring)."""
+    """A policy with edges, its domain, its committed candidates per edge
+    and its `equal` pairs (see the module docstring)."""
 
-    __slots__ = ("policy", "pattern", "screen", "committed", "equal")
+    __slots__ = ("policy", "pattern", "committed", "equal")
 
     def __init__(self, policy: PolicyGraph):
         self.policy, self.pattern = policy, domain_of(policy)
-        self.screen = self.pattern.screen
         self.committed = {e: Candidates() for e in policy.graph.edges} if len(policy.graph.edges) > 1 else {}
         requirements = [policy.requirement_preds[elt] for elt in policy.checked_requirements]
-        filters = [expr for plan in self.pattern.plans.values() for expr, _, _ in plan.filters]
-        quiet = len(requirements) == 1 and all(always_flag(e) for e in requirements + filters)
+        quiet = len(requirements) == 1 and always_flag(requirements[0]) and self.pattern.quiet
         self.equal = unequal_operands(requirements[0]) if quiet else ()
 
 

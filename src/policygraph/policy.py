@@ -31,6 +31,7 @@ from .predicates import (
     Expr,
     ParseError,
     TokenCursor,
+    always_flag,
     attributes_of,
     compile_ground,
     format_expr,
@@ -187,6 +188,11 @@ class PatternGraph:
         return EdgeScreen(self)
 
     @cached_property
+    def quiet(self) -> bool:
+        """Whether no plan's filter can raise (predicates.always_flag)."""
+        return all(always_flag(expr) for plan in self.plans.values() for expr, _, _ in plan.filters)
+
+    @cached_property
     def ground(self) -> dict[str, Callable[[Mapping[str, Any], Mapping[str, Any]], Any]]:
         return {elt: compile_ground(e) for elt, e in self.preds.items()}
 
@@ -206,12 +212,6 @@ class PatternGraph:
             for var in self.plans[elt].captured:
                 owners.setdefault(var, readers[0] if readers else elt)
         return owners
-
-    @cached_property
-    def binding_owners(self) -> tuple[tuple[str, str], ...]:
-        """The (variable, owner) pairs of `owners` by sorted variable name:
-        the order in which a match lists its bindings."""
-        return tuple(sorted(self.owners.items()))
 
     @cached_property
     def free(self) -> tuple[str, ...]:

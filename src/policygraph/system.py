@@ -70,16 +70,14 @@ class SystemGraph:
         self._snapshots: dict[str, list[tuple[int, dict[str, Any]]]] = {}
         self.events: list[SystemEvent] = []
         self.horizon: int = 0
-        # the objects whose effective snapshot at instant _read_at an event
-        # has read; redeclaring one there would silently rewrite history, so
-        # it is an error.  Records never go back in time, so the latest
-        # event's instant is the only one that needs marks.
-        self._read_at: int = -1
-        self._read: set[str] = set()
-        # what _drop_last_event restores: (horizon, _read_at, _read) before
-        # the last event, and the marks that event added
-        self._before_event: tuple[int, int, set[str]] = (0, -1, self._read)
-        self._last_event_marks: set[str] = set()
+        # per object, the instant of the latest event that read it; redeclaring
+        # an object at that instant would silently rewrite history, so it is
+        # an error.  Records never go back in time, so an older mark can never
+        # equal a later declaration's instant.
+        self._read: dict[str, int] = {}
+        # what _drop_last_event restores: the horizon before the last event
+        # and its endpoints' marks, None where one had none
+        self._undo: tuple[int, Optional[int], Optional[int]] = (0, None, None)
         self._derived: Optional[dict] = None  # see derived()
         self._entries: dict[str, tuple[int, float, Mapping[str, Any], dict]] = {}  # see judged_at()
 
@@ -89,7 +87,7 @@ class SystemGraph:
     def _declare_object(self, obj_id: str, attrs: dict[str, Any], t: int, record_no: int = 0) -> None:
         self._derived = None
         self._entries.pop(obj_id, None)
-        if t == self._read_at and obj_id in self._read:
+        if self._read.get(obj_id) == t:
             raise TraceError(
                 f"snapshot for {obj_id!r} at t={t} declared after an event already used it", record_no
             )
@@ -105,11 +103,9 @@ class SystemGraph:
         for endpoint in (src, dest):
             if endpoint not in self._snapshots:
                 raise TraceError(f"event endpoint {endpoint!r} was never declared", record_no)
-        self._before_event = (self.horizon, self._read_at, self._read)
-        if t != self._read_at:
-            self._read_at, self._read = t, set()
-        self._last_event_marks = {src, dest} - self._read
-        self._read |= self._last_event_marks
+        read = self._read
+        self._undo = (self.horizon, read.get(src), read.get(dest))
+        read[src] = read[dest] = t
         event = SystemEvent(src, dest, params, t)
         self.events.append(event)
         self.horizon = max(self.horizon, t)
@@ -119,9 +115,13 @@ class SystemGraph:
         """Undo the most recent append; a denied event leaves no trace,
         including any horizon growth it would have caused."""
         self._derived = None
-        self.events.pop()
-        self._read -= self._last_event_marks
-        self.horizon, self._read_at, self._read = self._before_event
+        event = self.events.pop()
+        self.horizon, src_mark, dest_mark = self._undo
+        for obj_id, mark in ((event.src, src_mark), (event.dest, dest_mark)):  # a self-loop saved one mark twice
+            if mark is None:
+                self._read.pop(obj_id, None)
+            else:
+                self._read[obj_id] = mark
 
     def copy(self) -> "SystemGraph":
         """An equal graph with its own histories, event list, read marks and
@@ -130,10 +130,7 @@ class SystemGraph:
         graph = SystemGraph()
         graph._snapshots = {obj_id: list(history) for obj_id, history in self._snapshots.items()}
         graph.events, graph.horizon = list(self.events), self.horizon
-        graph._read_at, graph._read = self._read_at, set(self._read)
-        horizon, read_at, read = self._before_event  # its set is _read itself when the last event kept the instant
-        graph._before_event = (horizon, read_at, graph._read if read is self._read else set(read))
-        graph._last_event_marks = set(self._last_event_marks)
+        graph._read, graph._undo = dict(self._read), self._undo
         return graph
 
     # queries

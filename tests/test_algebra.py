@@ -548,6 +548,17 @@ class TestBoundedUniverse:
             UniverseBounds.from_json(text)
         assert _system_count(UniverseBounds(2, 1, ("kind",), ("act",), (0, True, 1, math.nan, math.nan), 1)) > 0
 
+    def test_bounds_refuse_a_parameter_named_time(self):
+        """Every event carries its instant as the parameter "time", so a
+        universe cannot range over it; built in code and from JSON alike,
+        it raises before any system is walked."""
+        message = "universe bounds field 'parameters' holds 'time', which is injected into every event"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            UniverseBounds(1, 1, (), ("time",), (0,), max_events=1)
+        text = json.dumps(dict(max_objects=1, max_instances=1, attributes=[], parameters=["act", "time"], values=[0]))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            UniverseBounds.from_json(text)
+
     def test_conjunction_idempotent_across_a_whole_universe(self):
         p = parse_policy("policy p {\n node a\n node b\n edge e: a -> b domain: act = $A req: $A = 0\n}")
         u = UniverseBounds(2, 1, ("kind",), ("act",), (0, 1), max_events=1)
@@ -667,6 +678,18 @@ class TestContainment:
         result = contains(p, q, u)
         assert result == reference_contains(p, q, u)[0]
         assert not result.holds and result.systems_checked == 130
+
+    def test_the_match_cap_bounds_contains_and_coverage(self):
+        """One event per system makes at most one domain match: a cap of 1
+        changes no coverage answer, and a cap of 0 raises, as it does for
+        eval_policy_expr."""
+        u = UniverseBounds(2, 1, ("kind",), ("act",), (0, 1), max_events=1)
+        p, q = self.flow("p", "$A = 0"), self.flow("q", "$A <= 1")
+        assert coverage_compare(domain_of(p), domain_of(q), u, cap=1) == coverage_compare(domain_of(p), domain_of(q), u)
+        with pytest.raises(MatchCapExceeded, match="exceeded the match cap of 0"):
+            contains(p, q, u, cap=0)
+        with pytest.raises(MatchCapExceeded, match="exceeded the match cap of 0"):
+            coverage_compare(domain_of(p), domain_of(q), u, cap=0)
 
 
 def pattern(body: str):

@@ -302,6 +302,24 @@ class TestAlgebraMode:
         assert (code, text) == (EXIT_USAGE, "")
         assert capsys.readouterr().err == f"{op} needs --universe\n"
 
+    @pytest.mark.parametrize("op", ["contains", "coverage"])
+    def test_the_match_cap_bounds_contains_and_coverage(self, tmp_path, capsys, op):
+        """The flow pair of the hash-seed CI step: a cap of 0 stops the
+        walk at the first match with exit 4, as it stops `and` and `or`."""
+        (tmp_path / "flow.policy").write_text(
+            "policy strict {\n node a\n node b\n edge e: a -> b domain: act = $A req: $A = 0\n}\n"
+            "policy loose {\n node a domain: kind = 0\n node b\n edge e: a -> b domain: act = $A req: $A <= 1\n}\n"
+        )
+        universe = tmp_path / "universe.json"
+        universe.write_text(json.dumps({**UNIVERSE, "max_objects": 2, "attributes": ["kind"], "parameters": ["act"],
+                                        "values": [0, 1, "x"], "max_events": 2}))
+        argv = ["--policies", tmp_path / "flow.policy", "--mode", "algebra", "--op", op,
+                "--targets", "strict", "loose", "--universe", universe]
+        assert cli(*argv)[0] == EXIT_OK
+        capsys.readouterr()
+        assert cli(*argv, "--match-cap", "0") == (EXIT_CAP, "")
+        assert _error_line(capsys).endswith("exceeded the match cap of 0")
+
     def test_universe_over_its_ceiling(self, workspace, tmp_path, capsys):
         universe = tmp_path / "universe.json"
         universe.write_text(json.dumps({**UNIVERSE, "attributes": ["level"], "values": [0, 1], "ceiling": 2}))
@@ -446,6 +464,8 @@ class TestErrorPaths:
             (json.dumps({**UNIVERSE, "ceiling": -1}),
              "universe bounds field 'ceiling' must not be negative, got -1"),
             (json.dumps({**UNIVERSE, "max_evnets": 3}), "universe bounds have no field 'max_evnets'"),
+            (json.dumps({**UNIVERSE, "parameters": ["time"]}),
+             "universe bounds field 'parameters' holds 'time', which is injected into every event"),
         ],
     )
     def test_malformed_universe(self, workspace, tmp_path, capsys, text, message):

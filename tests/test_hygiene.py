@@ -1,5 +1,6 @@
 """Static checks over the package source: no dead imports or constants,
-one evaluator, one owner of snapshot memos, and no raised recursion limit.
+one evaluator, one owner of snapshot memos and read marks, and no raised
+recursion limit.
 
 Each module of src/policygraph and tests is parsed with `ast`, not imported.
 """
@@ -183,6 +184,14 @@ def test_only_the_graph_keeps_snapshot_entries():
         imported |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
         assert "weakref" not in imported
         assert names_read(tree) & {"snapshot_entry", "attrs_at", "_outcomes", "outcomes", "_judged", "ref"} == set()
+
+
+def test_only_the_graph_keeps_read_marks():
+    """Which instant last read each object, and what dropping the last
+    event restores, change only with the graph's own mutators: only
+    system.py reads the marks or the undo record."""
+    for field in ("_read", "_undo"):
+        assert [path.name for path in MODULES if field in names_read(parse(path))] == ["system.py"], field
 
 
 def test_no_module_raises_the_recursion_limit():

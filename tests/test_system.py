@@ -171,8 +171,9 @@ class TestSnapshots:
 
 
 class TestReadMarks:
-    """Only the objects read at the latest event's instant are marked:
-    records never go back in time, so no other instant can be redeclared."""
+    """Each object keeps one mark, the instant of the latest event that
+    read it: records never go back in time, so no older instant can be
+    redeclared."""
 
     GUARD = parse_policy(
         """
@@ -379,6 +380,41 @@ class TestRoundTrip:
         assert g1 == g2
         extra = CLASSIC + [{"t": 4, "event": {"src": "john", "dest": "a", "params": {}}}]
         assert ingest_trace(extra) != g1
+
+
+def _obj(t: int, obj_id: str, **attrs) -> dict:
+    return {"t": t, "object": {"id": obj_id, "attrs": attrs}}
+
+
+def _event(t: int, src: str, dest: str, **params) -> dict:
+    return {"t": t, "event": {"src": src, "dest": dest, "params": params}}
+
+
+def _horizon(graph: SystemGraph, horizon: int) -> SystemGraph:
+    graph.horizon = horizon
+    return graph
+
+
+BASE = [_obj(1, "x", v=1), _obj(1, "y", v=1), _obj(2, "z"), _event(2, "x", "y", act=1)]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ingest_trace(BASE[:2] + [_obj(2, "x", v=1)] + BASE[2:]),
+    lambda: ingest_trace([_obj(0, "x", v=1)] + BASE[1:]),
+    lambda: ingest_trace([_obj(1, "x", v=True)] + BASE[1:]),
+    lambda: ingest_trace(BASE + [_event(2, "x", "y", act=1)]),
+    lambda: ingest_trace(BASE[:3] + [_event(2, "y", "y", act=1)]),
+    lambda: ingest_trace(BASE[:3] + [_event(2, "x", "x", act=1)]),
+    lambda: ingest_trace(BASE[:2] + [_event(1, "x", "y", act=1), BASE[2]]),
+    lambda: ingest_trace(BASE[:3] + [_event(2, "x", "y", act=True)]),
+    lambda: _horizon(ingest_trace(BASE), 3),
+], ids=["snapshot count", "snapshot time", "attribute kind", "event count", "event src", "event dest", "event time",
+        "parameter kind", "horizon"])
+def test_graphs_that_differ_in_one_thing_are_unequal(build):
+    base, other = ingest_trace(BASE), build()
+    assert base == ingest_trace(BASE)
+    assert base != other and other != base
+    assert base != object() and base.__eq__(object()) is NotImplemented
 
 
 class TestApplyRecord:
