@@ -50,7 +50,6 @@ from .system import SystemEvent, SystemGraph, ingest_trace
 from .values import Distinct, values_equal
 
 log = logging.getLogger(__name__)
-_BLOCK = object()  # the derived() key of a walked system's block candidates: see _Frame.system
 
 
 class DomainMismatchError(ValueError):
@@ -58,9 +57,8 @@ class DomainMismatchError(ValueError):
 
 
 class UniverseCeilingError(RuntimeError):
-    def __init__(self, count: int, ceiling: int):
-        super().__init__(f"universe holds {count} systems, over the ceiling of {ceiling}")
-        self.count = count
+    def __init__(self, ceiling: int):
+        super().__init__(f"universe holds more than {ceiling} systems")
         self.ceiling = ceiling
 
 
@@ -324,15 +322,30 @@ _BOUNDS_FIELDS = (  # UniverseBounds' fields in order: what each must be, and it
 
 
 def _system_count(u: UniverseBounds) -> int:
-    return sum(_frame_size(u, k) for k in range(u.max_objects + 1))
+    """The number of systems within the bounds, or the ceiling plus one for
+    a universe past it: from one object on, no frame holds fewer systems
+    than the one before, so the count stops once the frames left must take
+    it past the ceiling."""
+    total = 1  # the system without objects
+    for k in range(1, u.max_objects + 1):
+        size = _frame_size(u, k)
+        if total + size * (u.max_objects + 1 - k) > u.ceiling:
+            return u.ceiling + 1
+        total += size
+    return total
 
 
 def _frame_size(u: UniverseBounds, k: int) -> int:
-    """The number of systems with k objects."""
-    v = len(u.values)
-    attr_configs = v ** (k * u.max_instances * len(u.attributes))
+    """The number of systems with k objects, or the ceiling plus one where
+    that is no smaller: no power or sum is taken further."""
+    over, v = u.ceiling + 1, len(u.values)
+    cells = k * u.max_instances * len(u.attributes)
+    attr_configs = over if v > 1 and cells >= over.bit_length() else min(v ** cells, over)
     slots = u.max_instances * k * k * (v ** len(u.parameters))
-    return attr_configs * sum(math.comb(slots, j) for j in range(min(u.max_events, slots) + 1))
+    for event_choices in itertools.accumulate(math.comb(slots, j) for j in range(min(u.max_events, slots) + 1)):
+        if event_choices >= over:
+            break
+    return min(attr_configs * event_choices, over)
 
 
 class _Frame:
@@ -354,7 +367,6 @@ class _Frame:
                 **{name: u.values[i] for name, i in zip(u.parameters, p)}, "time": t + 1}, t + 1)
             for t, src, dest, p in self.slots
         ]
-        self._attrs = self._block = self._judged = None
 
     def renamings(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
         """For every permutation of the k ids but the identity, the index
@@ -382,35 +394,39 @@ class _Frame:
             for perm in itertools.permutations(range(k))
         ][1:]  # the first permutation is the identity
 
-    def system(self, attrs: tuple[int, ...], chosen: tuple[int, ...], candidates: bool = False) -> SystemGraph:
+    def block(self, attrs: tuple[int, ...]) -> SystemGraph:
+        """The objects of an attribute block, ingested once for all its systems."""
+        u, width = self.universe, len(self.universe.attributes)
+        return ingest_trace([
+            {"t": t + 1, "object": {"id": obj, "attrs": {
+                name: u.values[v] for name, v in zip(u.attributes, attrs[cell * width:(cell + 1) * width])
+            }}}
+            for t in range(u.max_instances)
+            for obj, cell in zip(self.ids, range(t, len(self.ids) * u.max_instances, u.max_instances))
+        ])
+
+    def choices(self) -> Iterator[tuple[int, ...]]:
+        """The chosen slots of each system of a block, by event count."""
+        slot_count = len(self.slots)
+        for event_count in range(min(self.universe.max_events, slot_count) + 1):
+            yield from itertools.combinations(range(slot_count), event_count)
+
+    def system(self, block: SystemGraph, chosen: tuple[int, ...]) -> SystemGraph:
         """The configuration's system, equal to ingest_trace of its records
-        and owning its lists and memos: its attribute block's objects, the
-        current block's ingested once, plus the chosen slots' events in slot
-        (time) order.  With `candidates`, derived()[_BLOCK] holds its _candidates."""
-        u = self.universe
-        if attrs != self._attrs:  # one attribute block serves many event choices
-            self._attrs, width = attrs, len(u.attributes)
-            self._block = ingest_trace([
-                {"t": t + 1, "object": {"id": obj, "attrs": {
-                    name: u.values[v] for name, v in zip(u.attributes, attrs[cell * width:(cell + 1) * width])
-                }}}
-                for t in range(u.max_instances)
-                for obj, cell in zip(self.ids, range(t, len(self.ids) * u.max_instances, u.max_instances))
-            ])
-            self._judged = {}  # id(pattern) -> (pattern, held so its id stays unique, outcomes per slot)
-        system = self._block.copy()
-        for event in (self.events[s] for s in chosen):
-            system._append_event(event.src, event.dest, event.params, event.time)
-        if candidates:
-            system.derived()[_BLOCK] = partial(self._candidates, self._block, self._judged, chosen)
+        and owning its lists and memos: a copy of its block plus the chosen
+        slots' events in slot (time) order."""
+        system = block.copy()
+        for s in chosen:
+            system._append_event(self.events[s])
         return system
 
-    def _candidates(self, block: SystemGraph, judged: dict, chosen: tuple, pattern: PatternGraph) -> Optional[dict]:
+    def candidates(self, block: SystemGraph, judged: dict, chosen: tuple, pattern: PatternGraph) -> Optional[dict]:
         """Per edge of the pattern, the candidates that matching's walk lists
         on the system of `chosen`, slot chosen[j] being event j, or None
         where a slot raised, for that walk to raise or prune.  A slot's are
         judged once per block, as event 0: they read only its event and the
-        block's snapshots."""
+        block's snapshots.  `judged`, the block's, maps id(pattern) to
+        (pattern, held so its id stays unique, outcomes per slot)."""
         outcomes = (judged.get(id(pattern)) or judged.setdefault(id(pattern), (pattern, [None] * len(self.slots))))[1]
         out = {edge_id: [] for edge_id in pattern.key_ids[0]}
         for j, s in enumerate(chosen):
@@ -431,63 +447,50 @@ class _Frame:
         return out
 
 
-def _configurations(u: UniverseBounds) -> Iterator[tuple[_Frame, tuple[int, ...], tuple[int, ...]]]:
-    """Every configuration within the bounds, with its frame, in
-    enumeration order: object count, then attribute values, then the number
-    of events, then the chosen slots."""
-    count = _system_count(u)
-    if count > u.ceiling:
-        raise UniverseCeilingError(count, u.ceiling)
-    for k in range(u.max_objects + 1):
-        frame = _Frame(u, k)
-        slot_count = len(frame.slots)
-        for attrs in itertools.product(range(len(u.values)), repeat=frame.cell_count):
-            for event_count in range(min(u.max_events, slot_count) + 1):
-                for chosen in itertools.combinations(range(slot_count), event_count):
-                    yield frame, attrs, chosen
-
-
 def enumerate_systems(u: UniverseBounds) -> Iterator[SystemGraph]:
-    """Every system within the bounds, in _configurations() order.  Each is
-    its own graph, equal to ingest_trace of its records (see _Frame.system)."""
-    for frame, attrs, chosen in _configurations(u):
-        yield frame.system(attrs, chosen)
+    """Every system within the bounds, in enumeration order: object count,
+    then attribute values, then the number of events, then the chosen
+    slots.  Each is its own graph, equal to ingest_trace of its records."""
+    return (system for system, _, _ in orbit_systems(u, renaming=False))
 
 
-def orbit_systems(u: UniverseBounds, renaming: bool = True) -> Iterator[tuple[SystemGraph, int]]:
+def orbit_systems(u: UniverseBounds, renaming: bool = True) -> Iterator[tuple[SystemGraph, int, Callable]]:
     """One system per orbit of the object-renaming group, with the orbit's
-    size: the number of distinct systems its renamings give.
+    size, the number of distinct systems its renamings give, and its
+    block's candidates: _Frame.candidates as a function of a pattern.
 
     A configuration is walked only when none of its renamings is smaller,
     compared as (attribute indices, slot indices), so each orbit is walked
     at its first member in enumerate_systems() order; the test runs on the
-    indices, before any record is built.  With `renaming` false, and for
-    an object count whose group _Frame.renamings() finds too costly, the
-    group holds the identity alone and every system is walked with weight 1.
-    Each system carries its block's edge candidates (see _Frame.system), so
-    one that is held keeps its block's graph and memo alive.
+    indices, so a block that some renaming makes smaller is never ingested.
+    With `renaming` false, and for an object count whose group
+    _Frame.renamings() finds too costly, the group holds the identity alone
+    and every system is walked with weight 1.  A universe past its ceiling
+    raises UniverseCeilingError at the first step.
     """
-    current = block = None
-    for frame, attrs, chosen in _configurations(u):
-        if frame is not current:
-            current, renamings = frame, (frame.renamings() if renaming else [])
-        if block != (frame, attrs):
-            block = frame, attrs
+    if _system_count(u) > u.ceiling:
+        raise UniverseCeilingError(u.ceiling)
+    for k in range(u.max_objects + 1):
+        frame = _Frame(u, k)
+        renamings = frame.renamings() if renaming else []
+        for attrs in itertools.product(range(len(u.values)), repeat=frame.cell_count):
             # renamings that move the attributes to a smaller tuple rule out
             # the whole block; those that keep them decide by the slots
             images = [(tuple(attrs[i] for i in source), slot_image) for source, slot_image in renamings]
-            smaller = any(image < attrs for image, _ in images)
+            if any(image < attrs for image, _ in images):
+                continue
             fixing = [slot_image for image, slot_image in images if image == attrs]
-        if smaller:
-            continue
-        stabilizer = 1
-        for slot_image in fixing:
-            image = tuple(sorted(slot_image[s] for s in chosen))
-            if image < chosen:
-                break
-            stabilizer += image == chosen
-        else:
-            yield frame.system(attrs, chosen, candidates=True), (len(renamings) + 1) // stabilizer
+            block, judged = frame.block(attrs), {}
+            for chosen in frame.choices():
+                stabilizer = 1
+                for slot_image in fixing:
+                    image = tuple(sorted(slot_image[s] for s in chosen))
+                    if image < chosen:
+                        break
+                    stabilizer += image == chosen
+                else:
+                    weight = (len(renamings) + 1) // stabilizer
+                    yield frame.system(block, chosen), weight, partial(frame.candidates, block, judged, chosen)
 
 
 def pattern_matches_bounded(
@@ -495,12 +498,13 @@ def pattern_matches_bounded(
     graph: SystemGraph,
     pool: Optional[Distinct] = None,
     choices: Sequence[tuple] = ((),),
-    cap: Optional[int] = None,
+    cap: int = DEFAULT_MATCH_CAP,
+    edge_cands: Optional[dict] = None,
 ) -> set[tuple]:
     """The Match.key()s of a pattern's matches on a system, found by the
     shared join, matching.each_match, through one callback (see
-    pair_matchers).  More than `cap` keys, by default DEFAULT_MATCH_CAP,
-    raise MatchCapExceeded.
+    _Comparison), on `edge_cands` as each_match takes them.  More than
+    `cap` keys raise MatchCapExceeded.
 
     Without a pool the match is exact, as match_pattern's: every variable
     binds what its capture finds, a PredicateTypeError raises, and a
@@ -516,9 +520,7 @@ def pattern_matches_bounded(
     free = pattern.free
     if pool is None and free:
         raise MatchingError(f"variables {list(free)} have no capture, so they can be matched only over a pool")
-    cap = DEFAULT_MATCH_CAP if cap is None else cap
     keys: set[tuple] = set()
-    block = graph.derived().get(_BLOCK)  # see _Frame.system
 
     def found(edge_events, iso_objects, _nodes, bindings, waiting) -> None:
         if pool is not None and not all(value in pool for value in bindings.values()):
@@ -534,7 +536,7 @@ def pattern_matches_bounded(
         if len(keys) > cap:
             raise MatchCapExceeded("?", cap)
 
-    each_match(pattern, graph, found, block and block(pattern), prune_errors=pool is not None)
+    each_match(pattern, graph, found, edge_cands, prune_errors=pool is not None)
     return keys
 
 
@@ -563,51 +565,44 @@ class CoverageResult:
         return f"{self.relation} (bounded: {self.systems_checked} systems checked)"
 
 
-def pair_matchers(
-    g1: PatternGraph, g2: PatternGraph, u: UniverseBounds, cap: int = DEFAULT_MATCH_CAP
-) -> tuple[Callable[[SystemGraph], set[tuple]], Callable[[SystemGraph], set[tuple]]]:
-    """Each pattern's set of Match.key()s on a system, as a function of the
-    system; one function for both when the patterns are equal.
-
-    Both run pattern_matches_bounded with `cap`.  When both patterns' own
-    predicates force every variable (rule R1, as every domain of a valid
-    policy does), neither leaves a variable free and both are matched
-    exactly, so a capture of an object id or an instant binds what it finds.
-    Otherwise both are matched over the pair's value pool, the universe's
-    values plus both patterns' constants: an exact match on one side only
-    would bind ids and instants that the pool side can never bind.  A
-    pattern's free variables (PatternGraph.free) take every pool value, NaN
-    included, as a binding the oracle enumerates.  The pool and each
-    pattern's value tuples are worked out here, once per pair, not once per
-    system.
-    """
-    pool = None
-    if g1.free or g2.free:
-        pool = Distinct(u.values)
-        for const in (c for g in (g1, g2) for pred in g.preds.values() if pred != TRUE for c in constants_of(pred)):
-            pool.add(const)  # an element without a predicate adds no value to try
-
-    def matcher(g: PatternGraph) -> Callable[[SystemGraph], set[tuple]]:
-        choices = list(itertools.product(pool.values, repeat=len(g.free))) if g.free else ((),)
-        return lambda system: pattern_matches_bounded(g, system, pool, choices, cap)
-    first = matcher(g1)
-    return first, (first if g2 == g1 else matcher(g2))
-
-
 class _Comparison:
-    """Two patterns' match sets, compared system by system."""
+    """Two patterns' match sets, compared system by system.
+
+    Both are found by pattern_matches_bounded with `cap`.  When both
+    patterns' own predicates force every variable (rule R1, as every domain
+    of a valid policy does), neither leaves a variable free and both are
+    matched exactly, so a capture of an object id or an instant binds what
+    it finds.  Otherwise both are matched over the pair's value pool, the
+    universe's values plus both patterns' constants: an exact match on one
+    side only would bind ids and instants that the pool side can never bind.
+    A pattern's free variables (PatternGraph.free) take every pool value,
+    NaN included, as a binding the oracle enumerates.  The pool and each
+    pattern's value tuples are worked out once per pair, not once per
+    system, and equal patterns are matched once.
+    """
 
     def __init__(self, g1: PatternGraph, g2: PatternGraph, u: UniverseBounds, cap: int):
-        self.left, self.right = pair_matchers(g1, g2, u, cap)
+        pool = None
+        if g1.free or g2.free:
+            pool = Distinct(u.values)
+            for const in (c for g in (g1, g2) for pred in g.preds.values() if pred != TRUE for c in constants_of(pred)):
+                pool.add(const)  # an element without a predicate adds no value to try
+        self.sides = [
+            (g, pool, list(itertools.product(pool.values, repeat=len(g.free))) if g.free else ((),))
+            for g in ((g1,) if g2 == g1 else (g1, g2))
+        ]
+        self.cap = cap
         self.ge = self.le = True  # g1's matches include g2's / lie within them
         self.checked = 0
 
-    def observe(self, system: SystemGraph, weight: int) -> bool:
-        """Compare on a system standing for `weight` systems; whether the
-        pair is still comparable."""
+    def observe(self, system: SystemGraph, weight: int, candidates: Callable[[PatternGraph], Optional[dict]]) -> bool:
+        """Compare on a system standing for `weight` systems, each pattern
+        on the candidates that `candidates` gives it; whether the pair is
+        still comparable."""
         self.checked += weight
-        m1 = self.left(system)
-        m2 = m1 if self.right is self.left else self.right(system)
+        found = [pattern_matches_bounded(g, system, pool, choices, self.cap, candidates(g))
+                 for g, pool, choices in self.sides]
+        m1, m2 = found[0], found[-1]
         self.ge = self.ge and m2 <= m1
         self.le = self.le and m1 <= m2
         return self.ge or self.le
@@ -631,8 +626,8 @@ def _compare(pairs: Sequence[tuple[PatternGraph, PatternGraph]], u: UniverseBoun
     renaming = not any("id" in attributes_of(pred) for pair in pairs for g in pair for pred in g.preds.values())
     comparisons = [_Comparison(g1, g2, u, cap) for g1, g2 in pairs]
     live = comparisons
-    for system, weight in orbit_systems(u, renaming):
-        live = [c for c in live if c.observe(system, weight)]
+    for system, weight, candidates in orbit_systems(u, renaming):
+        live = [c for c in live if c.observe(system, weight, candidates)]
         if not live:
             break
     return [c.result(u) for c in comparisons]
@@ -647,7 +642,7 @@ def coverage_compare(g1: PatternGraph, g2: PatternGraph, u: UniverseBounds, cap:
     weights walked: the universe's size when the walk runs to the end; after
     an early stop it counts whole orbits up to that system, so it may differ
     from the number of systems before it in enumerate_systems() order.
-    Patterns are matched as pair_matchers() says; a pattern with more than
+    Patterns are matched as _Comparison says; a pattern with more than
     `cap` matches on one system raises MatchCapExceeded.
     """
     return _compare([(g1, g2)], u, cap)[0]

@@ -98,18 +98,17 @@ class SystemGraph:
             history.append((t, attrs))
         self.horizon = max(self.horizon, t)
 
-    def _append_event(self, src: str, dest: str, params: dict[str, Any], t: int, record_no: int = 0) -> SystemEvent:
+    def _append_event(self, event: SystemEvent, record_no: int = 0) -> None:
         self._derived = None
+        src, dest, t = event.src, event.dest, event.time
         for endpoint in (src, dest):
             if endpoint not in self._snapshots:
                 raise TraceError(f"event endpoint {endpoint!r} was never declared", record_no)
         read = self._read
         self._undo = (self.horizon, read.get(src), read.get(dest))
         read[src] = read[dest] = t
-        event = SystemEvent(src, dest, params, t)
         self.events.append(event)
         self.horizon = max(self.horizon, t)
-        return event
 
     def _drop_last_event(self) -> None:
         """Undo the most recent append; a denied event leaves no trace,
@@ -302,7 +301,8 @@ def apply_record(graph: SystemGraph, record: dict[str, Any], last_time: int, rec
         if "time" in params:
             raise TraceError("'time' is an injected parameter and cannot be supplied", record_no)
         params["time"] = t
-        event = graph._append_event(src, dest, params, t, record_no)
+        event = SystemEvent(src, dest, params, t)
+        graph._append_event(event, record_no)
         return t, event
     raise TraceError("record must carry exactly one of 'object' or 'event'", record_no)
 

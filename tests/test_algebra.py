@@ -8,6 +8,7 @@ import math
 import random
 import re
 import sys
+import time
 
 import pytest
 
@@ -44,7 +45,7 @@ from policygraph.matching import InvalidPolicyError, MatchCapExceeded, MatchingE
 from policygraph.monitor import Monitor
 from policygraph.policy import PolicyGraph, domain_of, parse_policy, parse_policy_set, print_policy, requirement_of
 from policygraph.predicates import BinOp, PredicateTypeError, parse_predicate
-from policygraph.system import apply_record, ingest_trace
+from policygraph.system import SystemEvent, apply_record, ingest_trace
 
 from oracle import (
     GEN_VALUES,
@@ -383,7 +384,7 @@ class TestAtomMemo:
     def test_each_mutator_drops_the_memo(self):
         g = ingest_trace([{"t": 1, "object": {"id": obj, "attrs": {"kind": 1}}} for obj in ("x", "y")])
         start = self.evaluate(g)
-        g._append_event("x", "y", {"act": 1, "time": 2}, 2)
+        g._append_event(SystemEvent("x", "y", {"act": 1, "time": 2}, 2))
         appended = self.evaluate(g)
         assert appended != start
         g._drop_last_event()
@@ -472,7 +473,25 @@ class TestBoundedUniverse:
         )
         with pytest.raises(UniverseCeilingError) as info:
             list(enumerate_systems(big))
-        assert info.value.count > info.value.ceiling == 1000
+        assert info.value.ceiling == 1000
+
+    @pytest.mark.parametrize("fields", [
+        {"max_objects": 20_000},
+        {"max_objects": 10**6},
+        {"max_instances": 10**9},
+        {"attributes": (), "max_instances": 10**6, "max_events": 10**9},
+        {"max_objects": 10**6, "max_instances": 0},  # 10**6 + 1 systems of no objects
+    ], ids=str)
+    def test_far_past_the_ceiling_raises_at_once(self, fields):
+        """The count stops once it passes the ceiling: no object count, power
+        of the values or sum of event choices is taken further."""
+        u = UniverseBounds(**{**dict(max_objects=2, max_instances=1, attributes=("kind",), parameters=("act",),
+                                     values=(0, 1, "x"), max_events=2), **fields})
+        start = time.perf_counter()
+        with pytest.raises(UniverseCeilingError, match=r"^universe holds more than 500000 systems$"):
+            next(orbit_systems(u))
+        # counting the last case frame by frame up to the ceiling takes about 0.6 s
+        assert time.perf_counter() - start < 0.25
 
     def test_from_json(self):
         u = UniverseBounds.from_json(
@@ -723,7 +742,7 @@ class TestOrbitWalk:
 
     @pytest.mark.parametrize("u", UNIVERSES, ids=universe_id)
     def test_weights_sum_to_the_universe(self, u):
-        assert sum(weight for _, weight in orbit_systems(u)) == _system_count(u)
+        assert sum(weight for _, weight, _ in orbit_systems(u)) == _system_count(u)
 
     def test_orbit_counts(self):
         assert sum(1 for _ in orbit_systems(BENCH_CONTAINS)) == 388
@@ -756,12 +775,12 @@ class TestOrbitWalk:
             key = system_key(g)
             firsts.setdefault(orbit(key), key)
             sizes[orbit(key)] = sizes.get(orbit(key), 0) + 1
-        walked = [(system_key(g), weight) for g, weight in orbit_systems(u)]
+        walked = [(system_key(g), weight) for g, weight, _ in orbit_systems(u)]
         assert walked == [(firsts[o], sizes[o]) for o in firsts]
 
     def test_without_renaming_every_system_in_order(self):
         u = UniverseBounds(2, 1, ("kind",), ("act",), (0, 1), max_events=1)
-        walked = [(system_key(g), w) for g, w in orbit_systems(u, renaming=False)]
+        walked = [(system_key(g), w) for g, w, _ in orbit_systems(u, renaming=False)]
         assert walked == [(system_key(g), 1) for g in enumerate_systems(u)]
 
     def test_ceiling_guard(self):
@@ -778,7 +797,7 @@ class TestOrbitWalk:
         for k in range(11):  # in this order, so a missing guard fails before 10! maps
             assert len(_Frame(u, k).renamings()) == (math.factorial(k) - 1 if k <= 3 else 0), k
         assert sum(1 for _ in enumerate_systems(u)) == _system_count(u) == 396
-        assert sum(weight for _, weight in orbit_systems(u)) == 396
+        assert sum(weight for _, weight, _ in orbit_systems(u)) == 396
         loop = parse_policy("policy loop {\n node n\n edge e: n -> n\n}")
         flow = parse_policy("policy flow {\n node a\n node b\n edge e: a -> b\n}")
         assert contains(loop, loop, u) == reference_contains(loop, loop, u)[0]
@@ -843,7 +862,7 @@ class TestBlockWalk:
 
     @pytest.mark.parametrize("u", UNIVERSES, ids=universe_id)
     def test_each_system_equals_its_fresh_ingest_after_the_walk(self, u):
-        for systems in ([g for g in enumerate_systems(u)], [g for g, _ in orbit_systems(u)]):
+        for systems in ([g for g in enumerate_systems(u)], [g for g, _, _ in orbit_systems(u)]):
             for g in systems:  # the walk has moved on past every block
                 assert g == ingest_trace(g.to_records())
                 assert g.horizon == (u.max_instances if g.object_count() else 0)
@@ -854,47 +873,51 @@ class TestBlockWalk:
         the changed system's matches are those of its fresh ingest."""
         u = BENCH_CONTAINS
         flow = domain_of(parse_policy(self.POLICIES[0]))
-        systems = [g for g, _ in orbit_systems(u, renaming=False)]  # each carries its block's candidates
+        walked = list(orbit_systems(u, renaming=False))
+        systems = [g for g, _, _ in walked]
         block = [g for g in systems if system_key(g)[0] == system_key(systems[-1])[0]]
         assert len(block) == 79  # every event choice of the last block
-        before = [(system_key(g), algebra.pattern_matches_bounded(flow, g)) for g in systems]
         changed = block[3]
+
+        def matches():  # the other systems, on their block's candidates
+            return [(system_key(g), algebra.pattern_matches_bounded(flow, g, edge_cands=candidates(flow)))
+                    for g, _, candidates in walked if g is not changed]
+        before = matches()
         t, _ = apply_record(changed, {"t": 2, "object": {"id": "o1", "attrs": {"kind": 1}}}, 1)
         apply_record(changed, {"t": 2, "event": {"src": "o2", "dest": "o1", "params": {"act": 0}}}, t)
         fresh = ingest_trace(changed.to_records())
         assert algebra.pattern_matches_bounded(flow, changed) == algebra.pattern_matches_bounded(flow, fresh)
         assert len(changed.events) == 2 and changed.horizon == 2
-        after = [(system_key(g), algebra.pattern_matches_bounded(flow, g)) for g in systems]
-        assert [pair for g, pair in zip(systems, after) if g is not changed] == [
-            pair for g, pair in zip(systems, before) if g is not changed
-        ]
+        assert matches() == before
 
     @pytest.mark.parametrize("u", UNIVERSES[:3], ids=universe_id)
     def test_matches_and_verdicts_equal_those_of_a_fresh_ingest(self, u):
         """pattern_matches_bounded, exact and over a pool, and
-        eval_policy_expr give on each walked system, which carries its
-        block's candidates, what they give on its fresh ingest, which lists
-        its own."""
+        eval_policy_expr give on each walked system, on its block's
+        candidates, what they give on its fresh ingest, which lists its
+        own."""
         policies = [parse_policy(text) for text in self.POLICIES]
         pool = algebra.Distinct((*u.values, 0, 1))
-        for g, _ in orbit_systems(u, renaming=False):
+        for g, _, candidates in orbit_systems(u, renaming=False):
             fresh = ingest_trace(g.to_records())
             for p in policies:
                 assert eval_policy_expr(p, g) == verdict(p, fresh).upheld
                 for pat in (domain_of(p), requirement_of(p)):
                     free = tuple(sorted(pat.variables - pat.owners.keys()))
                     choices = list(itertools.product(pool.values, repeat=len(free)))
+                    cands = candidates(pat)
                     if not free:
-                        assert algebra.pattern_matches_bounded(pat, g) == algebra.pattern_matches_bounded(pat, fresh)
-                    got = algebra.pattern_matches_bounded(pat, g, pool, choices)
+                        got = algebra.pattern_matches_bounded(pat, g, edge_cands=cands)
+                        assert got == algebra.pattern_matches_bounded(pat, fresh)
+                    got = algebra.pattern_matches_bounded(pat, g, pool, choices, edge_cands=cands)
                     assert got == algebra.pattern_matches_bounded(pat, fresh, pool, choices)
 
-    def test_only_the_orbit_walk_attaches_block_candidates(self):
-        """The identity sweep's systems start with an empty derived() memo;
-        the orbit walk's hold one entry, their block's candidates."""
+    def test_walked_systems_start_with_an_empty_memo(self):
+        """The block's candidates travel beside each system, not in it:
+        every system of both walks starts with an empty derived() memo."""
         u = self.UNIVERSES[0]
         assert all(len(g.derived()) == 0 for g in enumerate_systems(u))
-        assert all(len(g.derived()) == 1 for g, _ in orbit_systems(u))
+        assert all(len(g.derived()) == 0 for g, _, _ in orbit_systems(u))
 
     @pytest.mark.parametrize("u", UNIVERSES, ids=universe_id)
     def test_ingest_runs_once_per_attribute_block(self, u, monkeypatch):
@@ -908,7 +931,7 @@ class TestBlockWalk:
         blocks = {system_key(g)[0] for g in enumerate_systems(u)}
         assert len(calls) == len(blocks)
         calls.clear()
-        walked = {system_key(g)[0] for g, _ in orbit_systems(u)}
+        walked = {system_key(g)[0] for g, _, _ in orbit_systems(u)}
         assert len(calls) == len(walked)
         calls.clear()
         flow = parse_policy(self.POLICIES[0])
@@ -946,7 +969,7 @@ class TestWalkErrorParity:
         got = [self.outcome(check) for check in checks]
         assert all(isinstance(o, tuple) and o[0] is PredicateTypeError for o in got)
         # without the block's candidates, each_match lists its own
-        monkeypatch.setattr(algebra._Frame, "_candidates", lambda *args: None)
+        monkeypatch.setattr(algebra._Frame, "candidates", lambda *args: None)
         assert got == [self.outcome(check) for check in checks]
 
     def test_pool_mode_prunes_the_slot(self):
@@ -970,14 +993,12 @@ class TestExactDomains:
         assert coverage_compare(kind_0, any_id, u).relation == LESSER
         assert str(coverage_compare(any_id, kind_0, u)) == "greater (bounded: 43 systems checked)"
 
-    def test_an_exact_match_past_the_cap_raises(self, monkeypatch):
+    def test_an_exact_match_past_the_cap_raises(self):
         g = ingest_trace([{"t": 1, "object": {"id": obj, "attrs": {}}} for obj in ("x", "y", "z")])
         any_id = pattern(" node n domain: id = $X")
-        monkeypatch.setattr(algebra, "DEFAULT_MATCH_CAP", 3)
-        assert len(algebra.pattern_matches_bounded(any_id, g)) == 3
-        monkeypatch.setattr(algebra, "DEFAULT_MATCH_CAP", 2)
+        assert len(algebra.pattern_matches_bounded(any_id, g, cap=3)) == 3
         with pytest.raises(MatchCapExceeded, match="exceeded the match cap of 2"):
-            algebra.pattern_matches_bounded(any_id, g)
+            algebra.pattern_matches_bounded(any_id, g, cap=2)
 
     def test_an_exact_match_of_a_free_variable_raises(self):
         """Without a pool nothing gives $X a value, so its filter cannot run."""
@@ -985,17 +1006,15 @@ class TestExactDomains:
         with pytest.raises(MatchingError, match=r"variables \['X'\] have no capture"):
             algebra.pattern_matches_bounded(pattern(" node n domain: $X >= 0"), g)
 
-    def test_a_pool_match_past_the_cap_raises(self, monkeypatch):
+    def test_a_pool_match_past_the_cap_raises(self):
         """Over a pool the cap counts keys too: here one per value the free
         $X takes on the one object."""
         g = ingest_trace([{"t": 1, "object": {"id": "x", "attrs": {}}}])
         any_value = pattern(" node n domain: $X >= 0")
         pool, choices = algebra.Distinct((0, 1, 2)), [(0,), (1,), (2,)]
-        monkeypatch.setattr(algebra, "DEFAULT_MATCH_CAP", 3)
-        assert len(algebra.pattern_matches_bounded(any_value, g, pool, choices)) == 3
-        monkeypatch.setattr(algebra, "DEFAULT_MATCH_CAP", 2)
+        assert len(algebra.pattern_matches_bounded(any_value, g, pool, choices, cap=3)) == 3
         with pytest.raises(MatchCapExceeded, match="exceeded the match cap of 2"):
-            algebra.pattern_matches_bounded(any_value, g, pool, choices)
+            algebra.pattern_matches_bounded(any_value, g, pool, choices, cap=2)
 
     def test_instant_capture(self):
         u = UniverseBounds(1, 3, ("kind",), ("act",), (0, 1), max_events=1)

@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import sysconfig
+import time
 from pathlib import Path
 
 import pytest
@@ -306,13 +307,9 @@ class TestAlgebraMode:
     def test_the_match_cap_bounds_contains_and_coverage(self, tmp_path, capsys, op):
         """The flow pair of the hash-seed CI step: a cap of 0 stops the
         walk at the first match with exit 4, as it stops `and` and `or`."""
-        (tmp_path / "flow.policy").write_text(
-            "policy strict {\n node a\n node b\n edge e: a -> b domain: act = $A req: $A = 0\n}\n"
-            "policy loose {\n node a domain: kind = 0\n node b\n edge e: a -> b domain: act = $A req: $A <= 1\n}\n"
-        )
+        (tmp_path / "flow.policy").write_text(FLOW_PAIR)
         universe = tmp_path / "universe.json"
-        universe.write_text(json.dumps({**UNIVERSE, "max_objects": 2, "attributes": ["kind"], "parameters": ["act"],
-                                        "values": [0, 1, "x"], "max_events": 2}))
+        universe.write_text(json.dumps(FLOW_UNIVERSE))
         argv = ["--policies", tmp_path / "flow.policy", "--mode", "algebra", "--op", op,
                 "--targets", "strict", "loose", "--universe", universe]
         assert cli(*argv)[0] == EXIT_OK
@@ -328,7 +325,30 @@ class TestAlgebraMode:
             "--targets", "no_read_up", "no_read_up", "--universe", universe,
         )
         assert (code, text) == (EXIT_USAGE, "")
-        assert _error_line(capsys) == "error: universe holds 3 systems, over the ceiling of 2"
+        assert _error_line(capsys) == "error: universe holds more than 2 systems"
+
+    @pytest.mark.parametrize("fields", [
+        {"max_objects": 20_000},
+        {"max_objects": 10**6},
+        {"max_instances": 10**9},
+        {"attributes": [], "max_instances": 10**6, "max_events": 10**9},
+        {"max_objects": 10**6, "max_instances": 0},
+    ], ids=str)
+    def test_universe_far_past_its_ceiling(self, tmp_path, capsys, fields):
+        """The flow pair's universe made far larger than its ceiling: the
+        count stops once it passes the ceiling, so the command exits at
+        once with one error line."""
+        (tmp_path / "flow.policy").write_text(FLOW_PAIR)
+        universe = tmp_path / "universe.json"
+        universe.write_text(json.dumps({**FLOW_UNIVERSE, **fields}))
+        start = time.perf_counter()
+        code, text = cli(
+            "--policies", tmp_path / "flow.policy", "--mode", "algebra", "--op", "contains",
+            "--targets", "strict", "loose", "--universe", universe,
+        )
+        assert time.perf_counter() - start < 1
+        assert (code, text) == (EXIT_USAGE, "")
+        assert _error_line(capsys) == "error: universe holds more than 500000 systems"
 
     def test_refuses_ill_formed(self, tmp_path, capsys):
         bad = tmp_path / "bad.policy"
@@ -358,6 +378,13 @@ class TestAlgebraMode:
 
 
 UNIVERSE = {"max_objects": 1, "max_instances": 1, "attributes": [], "parameters": [], "values": [0], "max_events": 0}
+# the flow pair and universe of the hash-seed CI step
+FLOW_PAIR = (
+    "policy strict {\n node a\n node b\n edge e: a -> b domain: act = $A req: $A = 0\n}\n"
+    "policy loose {\n node a domain: kind = 0\n node b\n edge e: a -> b domain: act = $A req: $A <= 1\n}\n"
+)
+FLOW_UNIVERSE = {**UNIVERSE, "max_objects": 2, "attributes": ["kind"], "parameters": ["act"], "values": [0, 1, "x"],
+                 "max_events": 2}
 
 
 def _error_line(capsys) -> str:

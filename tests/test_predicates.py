@@ -162,6 +162,16 @@ class TestParsing:
         assert info.value.line >= 1
         assert info.value.col >= 1
 
+    @pytest.mark.parametrize("bad, message", [
+        ("x in {-a}", "line 1, col 8: expected a number after '-'"),
+        ("x in {1, )}", "line 1, col 10: expected a set member, found ')'"),
+        ("x in {1,", "line 1, col 9: expected a set member, found 'end of input'"),
+    ])
+    def test_set_literal_errors(self, bad, message):
+        with pytest.raises(ParseError) as info:
+            parse_predicate(bad)
+        assert str(info.value) == message
+
 
 class TestSubstitution:
     def test_attr_replacement(self):

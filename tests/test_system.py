@@ -9,6 +9,7 @@ import pytest
 from policygraph.monitor import Monitor
 from policygraph.policy import parse_policy
 from policygraph.system import (
+    SystemEvent,
     SystemGraph,
     TraceError,
     apply_record,
@@ -144,7 +145,7 @@ class TestSnapshots:
         assert new["level"] == 2 and outcome == 20
         assert g.judged_at("s", 9, plan) == (new, 20)  # the newest snapshot covers every later instant
         assert lookups == [("s", 1), ("s", 3)] and judged == [1, 2]
-        g._append_event("s", "s", {"time": 9}, 9)
+        g._append_event(SystemEvent("s", "s", {"time": 9}, 9))
         g._drop_last_event()
         assert g.judged_at("s", 9, plan) == (new, 20) and len(lookups) == 2 and judged == [1, 2]  # events keep entries
         g._declare_object("s", {"id": "s", "level": 3}, 9)
@@ -214,7 +215,7 @@ class TestReadMarks:
             [{"t": 1, "object": {"id": obj, "attrs": {}}} for obj in ("x", "y")]
             + [{"t": 1, "event": {"src": "x", "dest": "x", "params": {}}}]
         )
-        g._append_event("x", "y", {"time": 2}, 2)
+        g._append_event(SystemEvent("x", "y", {"time": 2}, 2))
         g._drop_last_event()
         with pytest.raises(TraceError, match="already used"):
             g._declare_object("x", {"id": "x"}, 1)
@@ -340,8 +341,8 @@ class TestCopy:
         copy's last event restores its marks alone, whether that event
         kept the instant or began a new one."""
         g = ingest_trace([{"t": 1, "object": {"id": obj, "attrs": {}}} for obj in ("x", "y", "z")])
-        g._append_event("x", "x", {"time": 1}, 1)
-        g._append_event("y", "y", {"time": second_at}, second_at)
+        g._append_event(SystemEvent("x", "x", {"time": 1}, 1))
+        g._append_event(SystemEvent("y", "y", {"time": second_at}, second_at))
         c = g.copy()
         with pytest.raises(TraceError, match="already used"):
             c._declare_object("y", {"id": "y"}, second_at)

@@ -11,10 +11,13 @@ import random
 import time
 import tracemalloc
 
+import pytest
+
 from policygraph.matching import verdict
 from policygraph.policy import parse_policy
+from policygraph.predicates import Const, format_expr
 from policygraph.system import ingest_trace
-from policygraph.values import Distinct, ValueSet, canonical, sort_key, values_equal
+from policygraph.values import Distinct, ValueSet, canonical, sort_key, to_json, values_equal
 
 NAN = float("nan")
 
@@ -135,6 +138,14 @@ class TestOrder:
     """Set members are ordered by value, so equal sets list equal members
     in the same order: values_equal then implies equal canonical forms,
     hashes and printed forms, which the monitor's keyed lookup relies on."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: ValueSet([None]), lambda: canonical(None), lambda: sort_key(None), lambda: to_json(None),
+        lambda: format_expr(Const(None)),
+    ], ids=["ValueSet", "canonical", "sort_key", "to_json", "format_expr"])
+    def test_a_non_value_is_refused(self, make):
+        with pytest.raises(TypeError, match="^not a value: None$"):
+            make()
 
     def test_equal_values_have_equal_forms(self):
         rng = random.Random(1601)
