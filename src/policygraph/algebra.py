@@ -9,18 +9,31 @@ structurally-keyed matches, each carrying a requirement outcome.
     disjunction   union of children's matches; outcomes OR together
     reversal      child's matches with outcomes negated
 
-A composite is upheld when every match's outcome is true.  Two consequences
-worth spelling out: conjunction of policies is exactly "every operand
-upheld"; disjunction is weaker than that but stronger than a boolean "or",
-because a shared match is excused when either operand's requirement holds,
-while a match seen by only one operand must satisfy that operand.  Matches
+Each subexpression is computed as two disjoint frozensets of match keys, T
+(outcome true) and F (outcome false), so a connective is a few set
+operations and no Python loop runs per key; Ts and Fs are the unions of
+the children's sets:
+
+    always        (empty, empty)
+    conjunction   (Ts - Fs, Fs)
+    disjunction   (Ts, Fs - Ts)
+    reversal      (F, T)
+
+A composite is upheld when every match's outcome is true: when F is empty.
+An atom is judged in one pass of the shared join (_atom_outcomes).
+
+Two consequences worth spelling out: conjunction of policies is exactly
+"every operand upheld"; disjunction is weaker than that but stronger than a
+boolean "or", because a shared match is excused when either operand's
+requirement holds, while a match seen by only one operand must satisfy that
+operand.  Matches
 of policies with different graph shapes or variable sets never compare
 equal, so combining unrelated policies degenerates to independent
 enforcement.
 
 An expression often holds one atom several times (an identity compares two
 forms of the same policies), so each atom is matched once per system
-state: its outcomes are kept in the system graph's memo
+state: its pair of key sets is kept in the system graph's memo
 (SystemGraph.derived), keyed by the policy and the match cap, and any
 record applied to the graph drops them, as does the policy's death.  This
 is shared-subexpression elimination from multiple-query optimization
@@ -42,8 +55,9 @@ from dataclasses import MISSING, dataclass, fields
 from functools import partial
 from typing import Any, Callable, Iterator, Optional, Sequence, Union
 
-from .matching import (DEFAULT_MATCH_CAP, MatchCapExceeded, MatchingError, _EdgeCandidate, check_requirement,
-                       each_match, edge_candidate, find_matches, match_key)
+from .matching import (DEFAULT_MATCH_CAP, MatchCapExceeded, MatchingError, _EdgeCandidate, checked_domain, each_match,
+                       edge_candidate, judge_requirement, match_key)
+from .matching import check_requirement, find_matches  # noqa: F401  perfbench/tracing.py wraps them here
 from .policy import PatternGraph, PolicyGraph, domain_of, requirement_of
 from .predicates import FALSE, TRUE, BinOp, Not, PredicateTypeError, attributes_of, constants_of, fold_constants
 from .system import SystemEvent, SystemGraph, ingest_trace
@@ -196,38 +210,62 @@ def reverse(p: PolicyGraph) -> Disjunction:
 # --- evaluation ---------------------------------------------------------------
 
 
-def _match_outcomes(
-    e: PolicyExpr, graph: SystemGraph, cap: int
-) -> dict[tuple, bool]:
-    """Map from structural match keys to requirement outcomes.  An atom's
-    map is matched once per state of the graph and shared: it is read-only."""
+def _outcomes(e: PolicyExpr, graph: SystemGraph, cap: int) -> tuple[frozenset, frozenset]:
+    """The expression's (T, F) key sets (see the module docstring).  An
+    atom's pair is found once per state of the graph and shared."""
     if isinstance(e, Atom):
         p = e.policy
         key, memo = (id(p), cap), graph.derived()
         stored, out = memo.get(key, (None, None))
         if stored is None or stored() is not p:
-            out = {}
-            for m in find_matches(p, graph, cap):
-                satisfied, _ = check_requirement(p, m, graph)
-                out[(p.fingerprint, m.key())] = satisfied
+            out = _atom_outcomes(p, graph, cap)
             # held weakly: the entry dies with its policy, before its id can
             # be reused; the graph is held weakly too, so no cycle keeps it
             memo[key] = weakref.ref(p, partial(_forget, weakref.ref(graph), key)), out
         return out
     if isinstance(e, Always):
-        return {}
+        return frozenset(), frozenset()
     if isinstance(e, (Conjunction, Disjunction)):
-        both = isinstance(e, Conjunction)
-        children = [_match_outcomes(c, graph, cap) for c in e.operands]
-        merged = dict(children[0]) if children else {}
-        for outcomes in children[1:]:  # a key seen by one child keeps its value
-            for key, value in outcomes.items():
-                old = merged.get(key, value)
-                merged[key] = (old and value) if both else (old or value)
-        return merged
+        children = [_outcomes(c, graph, cap) for c in e.operands]
+        true = frozenset().union(*[t for t, _ in children])
+        false = frozenset().union(*[f for _, f in children])
+        # a key is false under a conjunction where any child has it false,
+        # and true under a disjunction where any child has it true
+        return (true - false, false) if isinstance(e, Conjunction) else (true, false - true)
     if isinstance(e, Reversal):
-        return {key: not value for key, value in _match_outcomes(e.operand, graph, cap).items()}
+        true, false = _outcomes(e.operand, graph, cap)
+        return false, true
     raise TypeError(f"not a policy expression: {e!r}")
+
+
+def _atom_outcomes(p: PolicyGraph, graph: SystemGraph, cap: int) -> tuple[frozenset, frozenset]:
+    """An atom's (T, F), each match keyed and judged as each_match meets it,
+    with no Match built or sorted, under find_matches' guards
+    (checked_domain) and cap.  A requirement's PredicateTypeError is held
+    until the join ends, so an error of the join wins, and then that of the
+    first raising match in Match.key() order, as find_matches followed by
+    check_requirement raise."""
+    shape, upheld, failed = p.fingerprint, [], []
+    count, error = 0, None  # error: (the raising match's key, its exception)
+
+    def judge(edge_events, iso_objects, _nodes, bindings, _waiting) -> None:
+        nonlocal count, error
+        count += 1
+        if count > cap:
+            raise MatchCapExceeded(p.name, cap)
+        key = match_key(edge_events, iso_objects, bindings)
+        try:
+            holds = judge_requirement(p, edge_events, bindings, graph)[0]
+        except PredicateTypeError as exc:
+            if error is None or key < error[0]:
+                error = key, exc
+            return
+        (upheld if holds else failed).append((shape, key))
+
+    each_match(checked_domain(p), graph, judge)
+    if error is not None:
+        raise error[1]
+    return frozenset(upheld), frozenset(failed)
 
 
 def _forget(owner: weakref.ref, key: tuple, _dead: weakref.ref) -> None:
@@ -238,8 +276,9 @@ def _forget(owner: weakref.ref, key: tuple, _dead: weakref.ref) -> None:
 
 
 def eval_policy_expr(e: Union[PolicyGraph, PolicyExpr], graph: SystemGraph, cap: int = DEFAULT_MATCH_CAP) -> bool:
-    """Whether the composite policy is upheld on the system."""
-    return all(_match_outcomes(_lift(e), graph, cap).values())
+    """Whether the composite policy is upheld on the system: whether no
+    match's outcome is false."""
+    return not _outcomes(_lift(e), graph, cap)[1]
 
 
 # --- bounded universes --------------------------------------------------------
@@ -358,10 +397,14 @@ class _Frame:
     """
 
     def __init__(self, u: UniverseBounds, k: int):
-        self.universe, self.ids = u, [f"o{i + 1}" for i in range(k)]
+        self.universe, self.k = u, k
+        # without instants no object is declared and no slot exists, so no id is read
+        self.ids = [f"o{i + 1}" for i in range(k if u.max_instances else 0)]
         self.cell_count = k * u.max_instances * len(u.attributes)
-        params = itertools.product(range(len(u.values)), repeat=len(u.parameters))
-        self.slots = list(itertools.product(range(u.max_instances), range(k), range(k), params))
+        params = list(itertools.product(range(len(u.values)), repeat=len(u.parameters)))
+        # loops, not a product, which would list range(k) where there is no instant
+        self.slots = [(t, src, dest, p)
+                      for t in range(u.max_instances) for src in range(k) for dest in range(k) for p in params]
         self.events = [
             SystemEvent(self.ids[src], self.ids[dest], {
                 **{name: u.values[i] for name, i in zip(u.parameters, p)}, "time": t + 1}, t + 1)
@@ -378,8 +421,12 @@ class _Frame:
         or when its maps and its scans of the attribute blocks would take
         more steps than the universe's ceiling allows systems.
         """
-        u, k = self.universe, len(self.ids)
-        order, blocks = math.factorial(k), len(u.values) ** self.cell_count
+        u, k, order = self.universe, self.k, 1
+        for i in range(2, k + 1):
+            order *= i
+            if order > u.ceiling + 1:  # more than any frame's size: taken no further
+                return []
+        blocks = len(u.values) ** self.cell_count
         steps = order * (len(self.slots) + self.cell_count * (blocks + 1))
         if order == 1 or order > _frame_size(u, k) or steps > u.ceiling:
             return []
@@ -402,7 +449,7 @@ class _Frame:
                 name: u.values[v] for name, v in zip(u.attributes, attrs[cell * width:(cell + 1) * width])
             }}}
             for t in range(u.max_instances)
-            for obj, cell in zip(self.ids, range(t, len(self.ids) * u.max_instances, u.max_instances))
+            for obj, cell in zip(self.ids, range(t, self.k * u.max_instances, u.max_instances))
         ])
 
     def choices(self) -> Iterator[tuple[int, ...]]:
@@ -471,6 +518,8 @@ def orbit_systems(u: UniverseBounds, renaming: bool = True) -> Iterator[tuple[Sy
     if _system_count(u) > u.ceiling:
         raise UniverseCeilingError(u.ceiling)
     for k in range(u.max_objects + 1):
+        if not u.values and k * u.max_instances * len(u.attributes):
+            break  # a cell with no value to take: no system from this object count on
         frame = _Frame(u, k)
         renamings = frame.renamings() if renaming else []
         for attrs in itertools.product(range(len(u.values)), repeat=frame.cell_count):
@@ -500,11 +549,13 @@ def pattern_matches_bounded(
     choices: Sequence[tuple] = ((),),
     cap: int = DEFAULT_MATCH_CAP,
     edge_cands: Optional[dict] = None,
+    policy_name: str = "?",
 ) -> set[tuple]:
     """The Match.key()s of a pattern's matches on a system, found by the
     shared join, matching.each_match, through one callback (see
     _Comparison), on `edge_cands` as each_match takes them.  More than
-    `cap` keys raise MatchCapExceeded.
+    `cap` keys raise MatchCapExceeded, which names `policy_name`, as
+    match_pattern's does.
 
     Without a pool the match is exact, as match_pattern's: every variable
     binds what its capture finds, a PredicateTypeError raises, and a
@@ -534,7 +585,7 @@ def pattern_matches_bounded(
                 continue
             keys.add(match_key(edge_events, iso_objects, full))
         if len(keys) > cap:
-            raise MatchCapExceeded("?", cap)
+            raise MatchCapExceeded(policy_name, cap)
 
     each_match(pattern, graph, found, edge_cands, prune_errors=pool is not None)
     return keys
@@ -578,18 +629,19 @@ class _Comparison:
     A pattern's free variables (PatternGraph.free) take every pool value,
     NaN included, as a binding the oracle enumerates.  The pool and each
     pattern's value tuples are worked out once per pair, not once per
-    system, and equal patterns are matched once.
+    system, and equal patterns are matched once.  `names` are the policies
+    the patterns come from, for the cap's error.
     """
 
-    def __init__(self, g1: PatternGraph, g2: PatternGraph, u: UniverseBounds, cap: int):
+    def __init__(self, g1: PatternGraph, g2: PatternGraph, u: UniverseBounds, cap: int, names: tuple[str, str]):
         pool = None
         if g1.free or g2.free:
             pool = Distinct(u.values)
             for const in (c for g in (g1, g2) for pred in g.preds.values() if pred != TRUE for c in constants_of(pred)):
                 pool.add(const)  # an element without a predicate adds no value to try
         self.sides = [
-            (g, pool, list(itertools.product(pool.values, repeat=len(g.free))) if g.free else ((),))
-            for g in ((g1,) if g2 == g1 else (g1, g2))
+            (g, name, pool, list(itertools.product(pool.values, repeat=len(g.free))) if g.free else ((),))
+            for g, name in (((g1, names[0]),) if g2 == g1 else ((g1, names[0]), (g2, names[1])))
         ]
         self.cap = cap
         self.ge = self.le = True  # g1's matches include g2's / lie within them
@@ -600,8 +652,8 @@ class _Comparison:
         on the candidates that `candidates` gives it; whether the pair is
         still comparable."""
         self.checked += weight
-        found = [pattern_matches_bounded(g, system, pool, choices, self.cap, candidates(g))
-                 for g, pool, choices in self.sides]
+        found = [pattern_matches_bounded(g, system, pool, choices, self.cap, candidates(g), name)
+                 for g, name, pool, choices in self.sides]
         m1, m2 = found[0], found[-1]
         self.ge = self.ge and m2 <= m1
         self.le = self.le and m1 <= m2
@@ -614,17 +666,20 @@ class _Comparison:
         return CoverageResult(relation, u, self.checked)
 
 
-def _compare(pairs: Sequence[tuple[PatternGraph, PatternGraph]], u: UniverseBounds, cap: int) -> list[CoverageResult]:
+def _compare(
+    pairs: Sequence[tuple[PatternGraph, PatternGraph]], u: UniverseBounds, cap: int, names: tuple[str, str] = ("?", "?")
+) -> list[CoverageResult]:
     """Compare each pair of patterns in one walk over the universe's
     object-renaming orbits.  A pair stops being compared once it is
-    incomparable; the walk stops when every pair is.
+    incomparable; the walk stops when every pair is.  Each pair's patterns
+    come from the policies `names`, which the cap's error names.
 
     Renaming the object ids maps match sets to match sets, which keeps every
     relation, except that ingestion copies each object's id into its
     attributes: when any predicate reads `id`, the walk takes every system.
     """
     renaming = not any("id" in attributes_of(pred) for pair in pairs for g in pair for pred in g.preds.values())
-    comparisons = [_Comparison(g1, g2, u, cap) for g1, g2 in pairs]
+    comparisons = [_Comparison(g1, g2, u, cap, names) for g1, g2 in pairs]
     live = comparisons
     for system, weight, candidates in orbit_systems(u, renaming):
         live = [c for c in live if c.observe(system, weight, candidates)]
@@ -643,7 +698,8 @@ def coverage_compare(g1: PatternGraph, g2: PatternGraph, u: UniverseBounds, cap:
     an early stop it counts whole orbits up to that system, so it may differ
     from the number of systems before it in enumerate_systems() order.
     Patterns are matched as _Comparison says; a pattern with more than
-    `cap` matches on one system raises MatchCapExceeded.
+    `cap` matches on one system raises MatchCapExceeded.  The patterns come
+    bare, with no policy to name, so that error names the policy '?'.
     """
     return _compare([(g1, g2)], u, cap)[0]
 
@@ -674,10 +730,11 @@ def contains(p1: PolicyGraph, p2: PolicyGraph, u: UniverseBounds, cap: int = DEF
     is no larger than p2's).  Both comparisons share one walk over the
     orbits, as in coverage_compare; each stops counting once it is
     incomparable, and the walk stops when both are.  `cap` bounds the
-    matches per pattern and system, as in coverage_compare.
+    matches per pattern and system, as in coverage_compare; its error names
+    the policy whose pattern passed it.
     """
     dom, req = _compare(
-        [(domain_of(p1), domain_of(p2)), (requirement_of(p1), requirement_of(p2))], u, cap
+        [(domain_of(p1), domain_of(p2)), (requirement_of(p1), requirement_of(p2))], u, cap, (p1.name, p2.name)
     )
     holds = dom.relation in (GREATER, EQUAL) and req.relation in (LESSER, EQUAL)
     return ContainmentResult(holds, u, max(dom.systems_checked, req.systems_checked))

@@ -279,6 +279,14 @@ def _iso_candidates(
     return out
 
 
+def _require_captures(pattern: PatternGraph, policy_name: str) -> None:
+    """Raise MatchingError where a variable has no capture (rule R1)."""
+    if pattern.free:
+        raise MatchingError(
+            f"policy {policy_name!r}: variables {list(pattern.free)} have no capture and would be unbound at completion"
+        )
+
+
 def match_pattern(
     pattern: PatternGraph,
     graph: SystemGraph,
@@ -288,11 +296,7 @@ def match_pattern(
     """Every match of a pattern, in Match.key() order (see each_match).  More
     than `cap` matches raise MatchCapExceeded.  A variable that no plan
     captures (rule R1) raises MatchingError before any candidate is listed."""
-    unowned = pattern.free
-    if unowned:
-        raise MatchingError(
-            f"policy {policy_name!r}: variables {list(unowned)} have no capture and would be unbound at completion"
-        )
+    _require_captures(pattern, policy_name)
     matches: list[Match] = []
 
     def finish(edge_events, iso_objects, node_objects, bindings, _waiting) -> None:
@@ -482,12 +486,21 @@ def _compile_join(pattern: PatternGraph, edge_order: tuple, iso_order: tuple, eq
     return plan
 
 
-def find_matches(p: PolicyGraph, graph: SystemGraph, cap: int = DEFAULT_MATCH_CAP) -> list[Match]:
-    """Every match of the policy's domain.  The policy must validate cleanly."""
+def checked_domain(p: PolicyGraph) -> PatternGraph:
+    """The policy's domain, the pattern find_matches joins, once its guards
+    pass: a policy that does not validate cleanly raises
+    InvalidPolicyError, and a variable without a capture MatchingError."""
     issues = validate_policy(p)
     if issues:
         raise InvalidPolicyError(issues)
-    return match_pattern(domain_of(p), graph, cap, p.name)
+    pattern = domain_of(p)
+    _require_captures(pattern, p.name)
+    return pattern
+
+
+def find_matches(p: PolicyGraph, graph: SystemGraph, cap: int = DEFAULT_MATCH_CAP) -> list[Match]:
+    """Every match of the policy's domain.  The policy must validate cleanly."""
+    return match_pattern(checked_domain(p), graph, cap, p.name)
 
 
 # --- verdicts ----------------------------------------------------------------

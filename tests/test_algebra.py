@@ -41,7 +41,7 @@ from policygraph.algebra import (
 from policygraph import algebra
 from policygraph.algebra import _Frame, _system_count
 from policygraph.corpus import corpus_text
-from policygraph.matching import InvalidPolicyError, MatchCapExceeded, MatchingError, find_matches, verdict
+from policygraph.matching import InvalidPolicyError, MatchCapExceeded, MatchingError, each_match, find_matches, verdict
 from policygraph.monitor import Monitor
 from policygraph.policy import PolicyGraph, domain_of, parse_policy, parse_policy_set, print_policy, requirement_of
 from policygraph.predicates import BinOp, PredicateTypeError, parse_predicate
@@ -294,6 +294,41 @@ class TestExpressionSemantics:
         with pytest.raises(TypeError):
             eval_policy_expr("not a policy", ingest_trace([]))
 
+    def test_edge_shapes_against_the_reference(self):
+        """Empty and one-operand connectives, reversed units, and one atom
+        shared under nested reversals and both connectives, on systems
+        where the atoms match nothing, hold everywhere, or fail somewhere."""
+        flow, tag = Atom(TestAtomMemo.FLOW), Atom(TestAtomMemo.TAG)
+        exprs = [Conjunction(()), Disjunction(()), Reversal(Always()), Reversal(Reversal(Always()))]
+        for a in (flow, tag):
+            exprs += [
+                Conjunction((a,)), Disjunction((a,)), Conjunction((Reversal(a),)), Disjunction((Reversal(a),)),
+                Conjunction((Always(), Reversal(a))), Disjunction((Always(), a)), Reversal(Reversal(a)),
+                Conjunction((a, Reversal(a))), Disjunction((a, Reversal(a))),
+                Reversal(Conjunction((a, Reversal(Reversal(a))))),
+                Disjunction((Reversal(a), Reversal(Reversal(a)), a)),
+                Conjunction((Disjunction((a, Reversal(a))), Reversal(a))),
+                Reversal(Disjunction((Conjunction((a, tag)), Reversal(Conjunction((flow, a)))))),
+            ]
+        objects = [{"t": 1, "object": {"id": "x", "attrs": {"kind": 1}}}, {"t": 1, "object": {"id": "y", "attrs": {}}}]
+        systems = [
+            ingest_trace([]),
+            ingest_trace(objects),
+            ingest_trace(objects + [{"t": 2, "event": {"src": "x", "dest": "y", "params": {"act": 0}}}]),
+            ingest_trace(objects + [
+                {"t": 1, "event": {"src": "x", "dest": "y", "params": {"act": 0}}},
+                {"t": 2, "object": {"id": "y", "attrs": {"kind": 0}}},
+                {"t": 2, "event": {"src": "x", "dest": "y", "params": {"act": 1}}},
+            ]),
+        ]
+        outcomes = set()
+        for g in systems:
+            for e in exprs:
+                expected = reference_eval_policy_expr(e, g)
+                assert eval_policy_expr(e, g) == expected, (e, g.to_records())
+                outcomes.add(expected)
+        assert outcomes == {True, False}
+
 
 def random_policy_expr(rng: random.Random, atoms: list, depth: int = 3):
     """An expression of Atom, Always, Conjunction, Disjunction and Reversal
@@ -392,6 +427,53 @@ class TestAtomMemo:
         g._declare_object("x", {"id": "x", "kind": 0}, 1)  # redeclared within the instant
         assert self.evaluate(g) != start
 
+    def test_atom_errors_are_those_of_find_matches_and_verdict(self):
+        """A cap passed wins over a requirement's error; a requirement's
+        error is that of the first raising match in Match.key() order,
+        whatever order the join meets the matches in; find_matches' guards
+        raise as they do there."""
+        raising = parse_policy('policy raising {\n node a\n node b\n edge e: a -> b domain: act = $A req: $A < "z"\n}')
+        g = ingest_trace(
+            [{"t": 1, "object": {"id": obj, "attrs": {}}} for obj in ("x", "y")]
+            + [{"t": t, "event": {"src": "x", "dest": "y", "params": {"act": t}}} for t in (1, 2, 3)]
+        )
+        with pytest.raises(MatchCapExceeded):
+            eval_policy_expr(raising, g, cap=2)
+        with pytest.raises(PredicateTypeError):
+            eval_policy_expr(raising, g, cap=3)
+
+        ordered = parse_policy(
+            'policy ordered {\n node a\n node b\n node c\n'
+            ' edge e1: a -> b domain: kind = "in" && v = $A req: $A < "z"\n'
+            ' edge e2: b -> c domain: kind = "out"\n}'
+        )
+        g = ingest_trace(
+            [{"t": 1, "object": {"id": obj, "attrs": {}}} for obj in "pqrwxy"]
+            + [{"t": t, "event": {"src": src, "dest": dest, "params": params}} for t, (src, dest, params) in enumerate([
+                ("x", "p", {"kind": "in", "v": 1}),
+                ("y", "q", {"kind": "in", "v": 2}),
+                ("w", "x", {"kind": "in", "v": 3}),
+                ("q", "r", {"kind": "out"}),
+                ("p", "r", {"kind": "out"}),
+            ], 2)]
+        )
+        met = []  # e2 has fewer candidates, so the join places it first
+        each_match(domain_of(ordered), g, lambda edge_events, *_: met.append((edge_events["e1"], edge_events["e2"])))
+        assert met[0] != min(met)
+        with pytest.raises(PredicateTypeError) as expected:
+            verdict(ordered, g)
+        with pytest.raises(PredicateTypeError) as got:
+            eval_policy_expr(ordered, g)
+        assert str(got.value) == str(expected.value) == 'ordered comparison needs numbers: 1 < "z"'
+
+        for text in ("policy attrs {\n node a req: kind = 1\n}", "policy free {\n node a\n node b\n edge e: a -> b req: $X = 1\n}"):
+            bad = parse_policy(text)
+            with pytest.raises(Exception) as expected:
+                find_matches(bad, g)
+            with pytest.raises(type(expected.value)) as got:
+                eval_policy_expr(bad, g)
+            assert str(got.value) == str(expected.value)
+
     def test_the_cap_is_part_of_the_key(self):
         g = ingest_trace(
             [{"t": 1, "object": {"id": obj, "attrs": {}}} for obj in ("x", "y")]
@@ -418,9 +500,9 @@ class TestAtomMemo:
 
         def counting(*args, **kwargs):
             calls.append(args)
-            return find_matches(*args, **kwargs)
+            return each_match(*args, **kwargs)
 
-        monkeypatch.setattr(algebra, "find_matches", counting)
+        monkeypatch.setattr(algebra, "each_match", counting)
         assert not eval_policy_expr(kept, g)
         assert calls == []  # a policy still referenced still hits the memo
         del kept
@@ -787,6 +869,29 @@ class TestOrbitWalk:
         big = UniverseBounds(3, 3, ("a", "b"), ("p",), (0, 1, 2), max_events=3, ceiling=1000)
         with pytest.raises(UniverseCeilingError):
             next(orbit_systems(big))
+
+    def test_a_zero_instant_universe_is_walked_in_linear_time(self):
+        """8 000 objects without an instant: one empty system per object
+        count, each of weight 1, with no id list or group order built for
+        any count."""
+        u = UniverseBounds(8000, 0, ("kind",), (), (0,), 0)
+        start = time.perf_counter()
+        walked = [(system_key(g), weight) for g, weight, _ in orbit_systems(u)]
+        enumerated = [system_key(g) for g in enumerate_systems(u)]
+        assert time.perf_counter() - start < 1.0
+        assert walked == [(key, 1) for key in enumerated] and len(walked) == 8001
+        p = TestAtomMemo.FLOW
+        assert contains(p, p, u).systems_checked == 8001
+
+    def test_a_cell_without_values_ends_the_walk(self):
+        """With an attribute at an instant and no value for it, only the
+        system without objects exists, and no later object count is built."""
+        u = UniverseBounds(400, 1, ("kind",), (), (), 2)
+        start = time.perf_counter()
+        assert [(system_key(g), weight) for g, weight, _ in orbit_systems(u)] == [(((), ()), 1)]
+        assert [system_key(g) for g in enumerate_systems(u)] == [((), ())]
+        assert time.perf_counter() - start < 1.0
+        assert _system_count(u) == 1
 
     def test_many_objects_few_systems(self):
         """Ten objects, no attributes, one value: 396 systems, but 10! id
