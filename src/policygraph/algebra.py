@@ -55,8 +55,8 @@ from dataclasses import MISSING, dataclass, fields
 from functools import partial
 from typing import Any, Callable, Iterator, Optional, Sequence, Union
 
-from .matching import (DEFAULT_MATCH_CAP, MatchCapExceeded, MatchingError, _EdgeCandidate, checked_domain, each_match,
-                       edge_candidate, judge_requirement, match_key)
+from .matching import (DEFAULT_MATCH_CAP, MatchCapExceeded, MatchingError, checked_domain, each_match, event_candidates,
+                       judge_requirement, match_key)
 from .matching import check_requirement, find_matches  # noqa: F401  perfbench/tracing.py wraps them here
 from .policy import PatternGraph, PolicyGraph, domain_of, requirement_of
 from .predicates import FALSE, TRUE, BinOp, Not, PredicateTypeError, attributes_of, constants_of, fold_constants
@@ -469,28 +469,19 @@ class _Frame:
 
     def candidates(self, block: SystemGraph, judged: dict, chosen: tuple, pattern: PatternGraph) -> Optional[dict]:
         """Per edge of the pattern, the candidates that matching's walk lists
-        on the system of `chosen`, slot chosen[j] being event j, or None
-        where a slot raised, for that walk to raise or prune.  A slot's are
-        judged once per block, as event 0: they read only its event and the
-        block's snapshots.  `judged`, the block's, maps id(pattern) to
-        (pattern, held so its id stays unique, outcomes per slot)."""
-        outcomes = (judged.get(id(pattern)) or judged.setdefault(id(pattern), (pattern, [None] * len(self.slots))))[1]
+        on the system of `chosen`, slot chosen[j] being event j, or None where
+        a slot raised, for that walk to raise or prune.  A slot is judged once
+        per block, as event 0, by event_candidates: it reads only its event
+        and the block's snapshots.  `judged`, the block's, maps id(pattern) to
+        (pattern, held so its id stays unique, its judgement per slot)."""
+        outcomes = (judged.get(id(pattern)) or judged.setdefault(id(pattern), (pattern, {})))[1]
         out = {edge_id: [] for edge_id in pattern.key_ids[0]}
         for j, s in enumerate(chosen):
-            if outcomes[s] is None:
-                event = self.events[s]
-                try:
-                    outcomes[s] = [
-                        (edge_id, cand) for edge_id, screened_out in pattern.screen.route(event.params).items()
-                        if (cand := edge_candidate(pattern, edge_id, 0, event, block, screened_out)) is not None
-                    ]
-                except Exception:
-                    outcomes[s] = False  # raised
-            if outcomes[s] is False:
+            cands, raised = outcomes.get(s) or outcomes.setdefault(s, event_candidates(pattern, 0, self.events[s], block))
+            if raised is not None:
                 return None
-            # the kept candidate serves as event 0; any other index takes a copy
-            for edge_id, cand in outcomes[s]:
-                out[edge_id].append(_EdgeCandidate(j, cand.src_obj, cand.dest_obj, cand.captures, cand.filters) if j else cand)
+            for edge_id, cand in cands.items():  # each candidate serves as event 0, and takes a copy at any other index
+                out[edge_id].append(cand.at(j) if j else cand)
         return out
 
 

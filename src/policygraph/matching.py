@@ -24,11 +24,12 @@ Events are screened before any edge plan runs, as Rete's alpha network tests
 constant conditions once (Forgy, AI 1982): a pattern's screen
 (policy.EdgeScreen) gives, with one dict probe on an event attribute, the edges
 the event can take, and still has edge_candidate judge the endpoint plans that
-may raise of the edges it rejects, so every error is raised where it was.  A
-batch pass walks the events in trace order, as the monitor meets them, and
-judges each for the edges on its route in sorted order.  Node-plan outcomes are
-kept by the graph, in the entry it holds per object for the snapshot they read
-(SystemGraph.judged_at), so a node plan is judged once per snapshot.
+may raise of the edges it rejects, so every error is raised where it was.  One
+event step, event_candidates, judges an event for the edges on its route in
+sorted order: a batch pass folds it over the trace, and the monitor and the
+universe walk take it per event.  Node-plan outcomes are kept by the graph, in
+the entry it holds per object for the snapshot they read (SystemGraph.judged_at),
+so a node plan is judged once per snapshot.
 
 The join is compiled once per (edge order, isolated-node order, `equal`) into a
 JoinPlan kept in the pattern's join_plans (query compilation; Neumann, VLDB
@@ -151,6 +152,10 @@ class _EdgeCandidate:
     captures: Mapping[str, Any]  # its three domains' captures, in elements() order
     filters: tuple  # (filter, context) pairs whose variables those leave unbound
 
+    def at(self, index: int) -> "_EdgeCandidate":
+        """The candidate the same event makes at another index."""
+        return _EdgeCandidate(index, self.src_obj, self.dest_obj, self.captures, self.filters)
+
 
 class Candidates(list):
     """One edge's candidates, with a hash index per key it was looked up
@@ -222,36 +227,40 @@ def edge_candidate(
     return None if filters is None else _EdgeCandidate(index, event.src, event.dest, captures, filters)
 
 
-def _edge_candidates(pattern: PatternGraph, graph: SystemGraph, pruned=()) -> dict[str, Candidates]:
-    """Per policy edge, every event's edge_candidate() that is neither None
-    nor raises one of the exceptions `pruned`, in event order.  The events
-    are walked in trace order, as the monitor meets them: each is routed by
-    the pattern's screen once and judged for the edges on its route in
-    sorted order.
+def event_candidates(pattern: PatternGraph, index: int, event: SystemEvent, graph: SystemGraph, pruned=()) -> tuple:
+    """The event at `index` judged for the edges on its screen route, by
+    sorted id: per edge, its edge_candidate() that is neither None nor
+    raises one of the exceptions `pruned`; and None, or (edge id,
+    exception) for the first edge that raised, after which none is judged."""
+    cands = {}
+    for edge_id, screened_out in pattern.screen.route(event.params).items():
+        try:
+            cand = edge_candidate(pattern, edge_id, index, event, graph, screened_out)
+        except pruned:
+            continue
+        except Exception as exc:
+            return cands, (edge_id, exc)
+        if cand is not None:
+            cands[edge_id] = cand
+    return cands, None
 
-    The error raised is that of the first edge, by sorted id, that raises
-    at any event, at the first event where it does, as if each edge were
-    walked over the whole trace in turn.  So once an edge has raised, later
-    events are judged only for the edges before it, and the error is raised
-    when the walk ends."""
+
+def _edge_candidates(pattern: PatternGraph, graph: SystemGraph, pruned=()) -> dict[str, Candidates]:
+    """Per policy edge, the candidates event_candidates gives each event,
+    in trace order, as the monitor meets them.  The error raised, when the
+    walk ends, is that of the first edge, by sorted id, that raises at any
+    event, at the first event where it does, as if each edge were walked
+    over the whole trace in turn."""
     out = {edge_id: Candidates() for edge_id in pattern.key_ids[0]}
-    route = pattern.screen.route
-    error, raised = None, None  # the error to raise, and the edge that raised it
+    error = None  # the (edge id, exception) to raise
     for index, event in enumerate(graph.events):
-        for edge_id, screened_out in route(event.params).items():
-            if raised is not None and edge_id >= raised:
-                break
-            try:
-                cand = edge_candidate(pattern, edge_id, index, event, graph, screened_out)
-            except pruned:
-                continue
-            except Exception as exc:
-                error, raised = exc, edge_id
-                break
-            if cand is not None:
-                out[edge_id].append(cand)
+        cands, raised = event_candidates(pattern, index, event, graph, pruned)
+        for edge_id, cand in cands.items():
+            out[edge_id].append(cand)
+        if raised is not None and (error is None or raised[0] < error[0]):
+            error = raised
     if error is not None:
-        raise error
+        raise error[1]
     return out
 
 

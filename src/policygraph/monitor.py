@@ -16,15 +16,16 @@ object record completes (a new snapshot for an isolated node, or any match
 of a policy without edges) is never denied, and its violation shows up in
 verdicts() instead.
 
-The new event is screened first (see matching): each policy's edge screen
-gives, with one dict probe, the edges the event can take, and only those
-run their plans.  In a stream where most events take no edge, such an
-event costs each policy that probe, and at most the judgement of the
-endpoint plans that may raise, which the screen keeps so that the same
-error is raised.  Node-plan outcomes are kept with each object's newest
-snapshot, the only one an event can read, in the entry the graph keeps for
-it (SystemGraph.judged_at), as a batch pass does; an object record drops
-its object's entry, so an entry found is current and needs no lookup.
+The new event goes through matching.event_candidates once per policy, the
+event step a batch pass folds over the trace: the policy's edge screen
+gives, with one dict probe, the edges the event can take, and only those run
+their plans, in sorted order, up to the first that raises.  In a stream
+where most events take no edge, such an event costs each policy that probe,
+and at most the judgement of the endpoint plans that may raise, kept so that
+the same error is raised.  Node-plan outcomes are kept with each object's
+newest snapshot, the only one an event can read, in the entry the graph
+keeps for it (SystemGraph.judged_at), as a batch pass does; an object record
+drops its object's entry, so an entry found is current and needs no lookup.
 
 The join looks the committed candidates up (see matching); a one-edge
 policy keeps none.  Each search hands the join the new event's candidate
@@ -70,7 +71,7 @@ from .matching import (
     InvalidPolicyError,
     MatchCapExceeded,
     each_match,
-    edge_candidate,
+    event_candidates,
     judge_requirement,
     verdict_all,
 )
@@ -142,17 +143,15 @@ class Monitor:
         fresh = []  # per watched policy, the new event's candidate per edge
         try:
             for watched in self._watched:
-                cands = {}
-                for edge_id, screened_out in watched.pattern.screen.route(event.params).items():
-                    cand = edge_candidate(watched.pattern, edge_id, index, event, self.graph, screened_out)
-                    if cand is not None:
-                        cands[edge_id] = cand
+                cands, raised = event_candidates(watched.pattern, index, event, self.graph)
+                if raised is not None:
+                    raise raised[1]
                 fresh.append(cands)
                 if cands:
-                    violated, raised = _search(watched, cands, self.graph, self.match_cap)
+                    violated, unsettled = _search(watched, cands, self.graph, self.match_cap)
                     if violated:
                         denied_by.append(watched.policy.name)
-                    error = error or raised
+                    error = error or unsettled
             if error is not None and not denied_by:
                 raise error
         except BaseException:

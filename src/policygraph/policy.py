@@ -96,15 +96,15 @@ class EdgeScreen:
     equality on (BindingPlan.screening_equalities; ties go to the first
     name), and such an edge is screened by its first one: where an event's
     value there is not that constant, the edge's plan gives None and raises
-    nothing.  route(params) lists, by sorted edge id, the edges an event
-    with these parameters must still be judged for, each with whether its
-    plan is known to give None there.  That is every edge it does not
-    screen out, and every screened-out edge with an endpoint plan that may
-    raise, which matching.edge_candidate still judges so that the error is
-    raised where it was before; but not a screened-out edge whose raising
+    nothing.  route(params) lists, by sorted edge id, the edges an event with
+    these parameters must still be judged for, by matching.event_candidates,
+    each with whether its plan is known to give None there.  That is every
+    edge it does not screen out, and every screened-out edge with an endpoint
+    plan that may raise, whose endpoints are still judged so that the error
+    is raised where it was before; but not a screened-out edge whose raising
     endpoint plans, on the same ends, an earlier one on the route already
-    judges.  A plan's outcome on a snapshot never changes, so if the
-    earlier judgement did not raise, this one would not either.
+    judges.  A plan's outcome on a snapshot never changes, so if the earlier
+    judgement did not raise, this one would not either.
 
     The routes are keyed by the constants themselves and probed with the
     raw value.  values_equal values are equal, and hash alike, under

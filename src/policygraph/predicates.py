@@ -449,6 +449,8 @@ def _format_value(v: Any) -> str:
         if v < 0:
             # the grammar has no unary minus; emit a parseable equivalent
             return "(0 - %s)" % _format_value(-v)
+        if v == float("inf"):  # no literal names it, but one past the largest float overflows to it
+            return "1" + "0" * 309 + ".0"
         if isinstance(v, float) and v.is_integer():
             return str(int(v))
         text = repr(v)

@@ -165,6 +165,15 @@ def test_only_matching_knows_join_keys():
     assert names_read(tree) & {"canonical", "lookup", "_indexes", "join_keys", "join_plans"} == set()
 
 
+def test_only_matching_judges_events():
+    """An event becomes per-edge candidates in one step,
+    matching.event_candidates, which the batch pass, the monitor and the
+    universe walk share: neither the monitor nor the algebra routes an
+    event, judges an edge or builds a candidate itself."""
+    for name in ("monitor.py", "algebra.py"):
+        assert names_read(parse(PACKAGE / name)) & {"screen", "route", "edge_candidate", "_EdgeCandidate"} == set(), name
+
+
 def test_the_monitor_reads_no_expression_node():
     """The `equal` pairs come from predicates.unequal_operands, which walks
     the requirement's top-level || as _spine walks a conjunction: the

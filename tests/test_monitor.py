@@ -308,6 +308,42 @@ class TestAgainstBatch:
             assert mon.graph == ingest_trace(committed)
         assert denies > 70 and allows > 500 and parallel > 40
 
+    def test_committed_candidates_are_the_batch_candidates(self):
+        """The monitor and a batch pass judge events by one step: after a
+        stream with denials and raised errors, each multi-edge policy's
+        committed candidates per edge equal, field by field, what
+        _edge_candidates lists on the committed history."""
+        rng = random.Random(3105)
+        wall = next(load_corpus_policy(e) for e in load_manifest() if e.policy == "chinese_wall")
+        docs = [(f"d{k}{o}", f"own{k}{o}", f"class{k}") for k in range(3) for o in range(3)]
+        wall_records = [{"t": 1, "object": {"id": f"c{i}", "attrs": {"type": "consultant"}}} for i in range(2)]
+        wall_records += [{"t": 1, "object": {"id": d, "attrs": {"type": "data", "owner": w, "coi_class": k}}} for d, w, k in docs]
+        wall_records += [{"t": t, "event": {"src": f"c{rng.randrange(2)}", "dest": rng.choice(docs)[0],
+                                            "params": {"method": rng.choice(["read", "write"])}}} for t in range(2, 80)]
+        streams = [([wall], wall_records)]
+        for _ in range(100):
+            policies = [random_policy(rng, f"p{j}", values=MIXED_VALUES, keyed=True) for j in range(2)]
+            streams.append((policies, random_trace_records(rng, n_objects=3, n_events=16, values=MIXED_VALUES)))
+        fields = ("event_index", "src_obj", "dest_obj", "captures", "filters")
+        denied = raised = compared = 0
+        for policies, records in streams:
+            mon = Monitor(policies)
+            for record in records:
+                try:
+                    denied += sum(not d.allowed for d in mon.step(record))
+                except (PredicateTypeError, MatchCapExceeded):
+                    raised += 1
+            for watched in mon._watched:
+                if len(watched.policy.graph.edges) < 2:
+                    continue
+                batch = _edge_candidates(watched.pattern, mon.graph)
+                assert batch.keys() == watched.committed.keys()
+                for edge_id, cands in batch.items():
+                    committed = watched.committed[edge_id]
+                    assert [[getattr(c, f) for f in fields] for c in committed] == [[getattr(c, f) for f in fields] for c in cands]
+                    compared += len(cands)
+        assert denied > 30 and raised > 15 and compared > 1000, (denied, raised, compared)
+
     def test_verdicts_match_batch_on_committed_history(self):
         rng = random.Random(77)
         for i in range(20):

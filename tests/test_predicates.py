@@ -355,6 +355,17 @@ class TestPrinterRoundTrip:
         e = Const(ValueSet([-3, 1.5, "x"]))
         assert parse_predicate(format_expr(e)) == e
 
+    def test_infinite_floats_round_trip(self):
+        """A literal too large for a float parses as inf, which prints as a
+        literal that overflows back to it, not as the name `inf`."""
+        digits = "1" * 400 + ".5"
+        for text in (f"x = {digits}", f"x in {{{digits}}}"):
+            e = parse_predicate(text)
+            assert "inf" not in format_expr(e)
+            assert parse_predicate(format_expr(e)) == e
+        e = Const(ValueSet([float("inf"), -float("inf"), 1]))
+        assert parse_predicate(format_expr(e)) == e
+
 
 class TestWideExpressions:
     """The tree walks are iterative: a 10 000-way chain needs no deeper

@@ -521,6 +521,50 @@ class TestEdgeScreen:
             with pytest.raises(PredicateTypeError, match='^ordered comparison needs numbers: "early" > 0$'):
                 check(p, graph)
 
+    def test_the_event_step_stops_at_the_first_edge_that_raises(self, monkeypatch):
+        """matching.event_candidates judges the edges on the event's route
+        in sorted order: the first that raises is returned with its error
+        and no later edge is judged; an error of a `pruned` type only drops
+        its edge; with no error, `raised` is None."""
+        p = parse_policy("""
+        policy p {
+          node a
+          node b
+          edge e1: a -> b domain: m = 1
+          edge e2: a -> b domain: m = 1 && k > 0
+          edge e3: a -> b domain: m = 1
+        }
+        """)
+        records = [
+            {"t": 1, "object": {"id": "x", "attrs": {}}},
+            {"t": 1, "object": {"id": "y", "attrs": {}}},
+            {"t": 2, "event": {"src": "x", "dest": "y", "params": {"m": 1, "k": "z"}}},
+            {"t": 3, "event": {"src": "x", "dest": "y", "params": {"m": 1, "k": 1}}},
+        ]
+        graph = ingest_trace(records)
+        judged, judge = [], matching.edge_candidate
+
+        def spy(pattern, edge_id, *args):
+            judged.append(edge_id)
+            return judge(pattern, edge_id, *args)
+
+        monkeypatch.setattr(matching, "edge_candidate", spy)
+        bad, good = graph.events
+
+        cands, raised = matching.event_candidates(p.domain, 7, bad, graph)
+        assert judged == ["e1", "e2"] and list(cands) == ["e1"]
+        edge_id, exc = raised
+        assert edge_id == "e2" and isinstance(exc, PredicateTypeError)
+        assert str(exc) == 'ordered comparison needs numbers: "z" > 0'
+
+        judged.clear()
+        cands, raised = matching.event_candidates(p.domain, 7, bad, graph, PredicateTypeError)
+        assert judged == ["e1", "e2", "e3"] and list(cands) == ["e1", "e3"] and raised is None
+
+        cands, raised = matching.event_candidates(p.domain, 8, good, graph)
+        assert raised is None and list(cands) == ["e1", "e2", "e3"]
+        assert all((c.event_index, c.src_obj, c.dest_obj) == (8, "x", "y") for c in cands.values())
+
     def test_raw_probe_admits_every_equal_constant(self):
         """1, 1.0 and true share a route, which admits all three edges; the
         edges' plans then tell them apart.  -0.0 meets 0.0, and a NaN
