@@ -1,6 +1,7 @@
 """Streaming enforcement: per-event decisions against the batch engine."""
 
 import gc
+import pickle
 import random
 import tracemalloc
 
@@ -698,3 +699,27 @@ class TestDecisionShape:
         assert d.line() == "4\ta->b\tallow\t-"
         d = Decision(4, "a", "b", False, ("p1", "p2"))
         assert d.line() == "4\ta->b\tdeny\tp1"
+
+    @pytest.mark.parametrize("decision, line", [
+        (Decision(0, "a", "a", True, ()), "0\ta->a\tallow\t-"),
+        (Decision(17, "user 1", "file\t2", False, ("only",)), "17\tuser 1->file\t2\tdeny\tonly"),
+        (Decision(1_700_000_000, "u", "f", False, ("b_policy", "c_policy")), "1700000000\tu->f\tdeny\tb_policy"),
+    ])
+    def test_line_format(self, decision, line):
+        assert decision.line() == line
+
+    def test_decision_is_immutable_equal_by_fields_and_picklable(self):
+        d = Decision(4, "a", "b", False, ("p1", "p2"))
+        for field in ("time", "src", "dest", "allowed", "denied_by"):
+            with pytest.raises(AttributeError):
+                setattr(d, field, None)
+        assert d == Decision(4, "a", "b", False, ("p1", "p2"))
+        assert d != Decision(4, "a", "b", True, ())
+        assert pickle.loads(pickle.dumps(d)) == d
+        assert pickle.loads(pickle.dumps(d)).line() == d.line()
+
+    def test_monitor_decisions_round_trip_through_pickle(self):
+        mon = Monitor([parse_policy(NO_READ_UP)])
+        decisions = list(mon.run(CLASSIC))
+        assert [d.line() for d in decisions] == ["1\tjohn->a\tallow\t-", "2\tjohn->b\tdeny\tno_read_up", "3\tjane->b\tallow\t-"]
+        assert pickle.loads(pickle.dumps(decisions)) == decisions

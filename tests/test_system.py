@@ -1,6 +1,7 @@
 """Trace ingestion and the system-graph model."""
 
 import json
+import pickle
 import random
 import tracemalloc
 
@@ -315,6 +316,71 @@ class TestErrors:
         with pytest.raises(TraceError) as info:
             list(read_jsonl(lines))
         assert info.value.record_no == 2
+
+
+_SHAPE = "record must carry exactly one of 'object' or 'event'"
+_OBJECT_BODY = "object record needs 'id' and optional 'attrs'"
+_EVENT_BODY = "event record needs 'src', 'dest' and optional 'params'"
+
+
+class TestShapeErrors:
+    """Every shape error apply_record raises, with its exact message and its
+    record's number.  The record's keys are checked first, then its time,
+    then its body."""
+
+    @pytest.mark.parametrize(
+        "record,message",
+        [
+            ({"t": 1, "object": {"id": "x"}, "event": {"src": "w", "dest": "w"}}, _SHAPE),
+            ({"t": 1}, _SHAPE),
+            ({"t": 1, "note": "only a note"}, _SHAPE),
+            ({"t": 1, "object": {"id": "x"}, "extra": 1}, _SHAPE),
+            ({"t": 1, "event": {"src": "w", "dest": "w"}, "extra": 1}, _SHAPE),
+            ({"object": {"id": "x"}, "event": {"src": "w", "dest": "w"}}, _SHAPE),  # keys before time
+            ({"t": 1, "object": ["x"]}, _OBJECT_BODY),
+            ({"t": 1, "object": "x"}, _OBJECT_BODY),
+            ({"t": 1, "object": {"id": "x", "attrs": {}, "colour": "red"}}, _OBJECT_BODY),
+            ({"t": 1, "object": {"attrs": {}}}, _OBJECT_BODY),
+            ({"t": 1, "object": {}}, _OBJECT_BODY),
+            ({"t": 1, "event": ["w", "w"]}, _EVENT_BODY),
+            ({"t": 1, "event": None}, _EVENT_BODY),
+            ({"t": 1, "event": {"src": "w", "dest": "w", "params": {}, "colour": "red"}}, _EVENT_BODY),
+            ({"t": 1, "event": {"dest": "w"}}, _EVENT_BODY),
+            ({"t": 1, "event": {"src": "w"}}, _EVENT_BODY),
+            ({"t": 1, "event": {}}, _EVENT_BODY),
+            ({"note": "x", "object": ["x"]}, "record has no time 't'"),  # time before body
+            ({"t": -1, "event": {"src": "w"}}, "time must be a natural number, got -1"),
+            ({"t": 1, "note": "fine", "object": {"id": "x", "attrs": {}, "note": "not here"}}, _OBJECT_BODY),
+        ],
+    )
+    def test_message_and_record_number(self, record, message):
+        records = [{"t": 0, "object": {"id": "w", "attrs": {}}}, {"t": 0, "note": "a note", "object": {"id": "v"}}, record]
+        with pytest.raises(TraceError) as batch:
+            ingest_trace(records)
+        monitor = Monitor([])
+        with pytest.raises(TraceError) as stream:
+            for r in records:
+                monitor.step(r)
+        assert str(batch.value) == str(stream.value) == f"record 3: {message}"
+        assert batch.value.record_no == stream.value.record_no == 3
+        assert monitor.graph.object_ids() == ["v", "w"] and monitor.graph.events == []
+
+
+class TestSystemEvent:
+    def test_immutable_equal_by_fields_and_picklable(self):
+        event = SystemEvent("x", "y", {"act": 1, "time": 2}, 2)
+        with pytest.raises(AttributeError):
+            event.src = "z"
+        with pytest.raises(AttributeError):
+            event.time = 3
+        assert event == SystemEvent("x", "y", {"time": 2, "act": 1}, 2)
+        assert event != SystemEvent("x", "y", {"act": 1, "time": 2}, 3)
+        assert pickle.loads(pickle.dumps(event)) == event
+        assert (event.src, event.dest, event.params, event.time) == ("x", "y", {"act": 1, "time": 2}, 2)
+
+    def test_ingested_events_round_trip_through_pickle(self):
+        g = ingest_trace(CLASSIC)
+        assert pickle.loads(pickle.dumps(g.events)) == g.events
 
 
 class TestCopy:
