@@ -291,7 +291,9 @@ class UniverseBounds:
     Objects o1..oN all carry every attribute in `attributes`, with values
     drawn from `values` independently per instant; events range over every
     (instant, source, destination) with every parameter assignment, up to
-    `max_events` per system.  `ceiling` guards against blow-up.  However
+    `max_events` per system; an object is declared only at an instant, so
+    bounds without one hold one system, the one without objects.
+    `ceiling` guards against blow-up.  However
     the bounds are built, a field of the wrong type (_BOUNDS_FIELDS), then a
     negative count, then a parameter named "time", which events carry as
     their instant, then a value equal (values_equal) to an earlier one,
@@ -366,12 +368,19 @@ def _system_count(u: UniverseBounds) -> int:
     than the one before, so the count stops once the frames left must take
     it past the ceiling."""
     total = 1  # the system without objects
-    for k in range(1, u.max_objects + 1):
+    for k in range(1, _object_counts(u)):
         size = _frame_size(u, k)
         if total + size * (u.max_objects + 1 - k) > u.ceiling:
             return u.ceiling + 1
         total += size
     return total
+
+
+def _object_counts(u: UniverseBounds) -> int:
+    """The number of object counts whose frames hold distinct systems: an
+    object is declared only at an instant, so without instants every
+    frame holds the system without objects, and only the first is walked."""
+    return u.max_objects + 1 if u.max_instances else 1
 
 
 def _frame_size(u: UniverseBounds, k: int) -> int:
@@ -398,8 +407,7 @@ class _Frame:
 
     def __init__(self, u: UniverseBounds, k: int):
         self.universe, self.k = u, k
-        # without instants no object is declared and no slot exists, so no id is read
-        self.ids = [f"o{i + 1}" for i in range(k if u.max_instances else 0)]
+        self.ids = [f"o{i + 1}" for i in range(k)]
         self.cell_count = k * u.max_instances * len(u.attributes)
         params = list(itertools.product(range(len(u.values)), repeat=len(u.parameters)))
         # loops, not a product, which would list range(k) where there is no instant
@@ -508,7 +516,7 @@ def orbit_systems(u: UniverseBounds, renaming: bool = True) -> Iterator[tuple[Sy
     """
     if _system_count(u) > u.ceiling:
         raise UniverseCeilingError(u.ceiling)
-    for k in range(u.max_objects + 1):
+    for k in range(_object_counts(u)):
         if not u.values and k * u.max_instances * len(u.attributes):
             break  # a cell with no value to take: no system from this object count on
         frame = _Frame(u, k)

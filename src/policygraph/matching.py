@@ -44,7 +44,9 @@ same errors.
 A match is returned as a Match, and a verdict holds one Witness per match, its
 requirement's outcome.  Both are named tuples, as a batch pass builds two per
 match: immutable, equal by fields (to a plain tuple of their fields too),
-iterable and picklable; dataclasses.replace and fields do not apply to them."""
+iterable and picklable; dataclasses.replace and fields do not apply to them.
+The same holds for system.SystemEvent and monitor.Decision, of which every
+event record, and every decision, builds one."""
 
 from __future__ import annotations
 
@@ -227,13 +229,18 @@ def edge_candidate(
     return None if filters is None else _EdgeCandidate(index, event.src, event.dest, captures, filters)
 
 
-def event_candidates(pattern: PatternGraph, index: int, event: SystemEvent, graph: SystemGraph, pruned=()) -> tuple:
+def event_candidates(
+    pattern: PatternGraph, index: int, event: SystemEvent, graph: SystemGraph, pruned=(), before: Optional[str] = None
+) -> tuple:
     """The event at `index` judged for the edges on its screen route, by
-    sorted id: per edge, its edge_candidate() that is neither None nor
-    raises one of the exceptions `pruned`; and None, or (edge id,
-    exception) for the first edge that raised, after which none is judged."""
+    sorted id, up to the edge `before`, if given: per edge, its
+    edge_candidate() that is neither None nor raises one of the exceptions
+    `pruned`; and None, or (edge id, exception) for the first edge that
+    raised, after which none is judged."""
     cands = {}
     for edge_id, screened_out in pattern.screen.route(event.params).items():
+        if before is not None and edge_id >= before:
+            break
         try:
             cand = edge_candidate(pattern, edge_id, index, event, graph, screened_out)
         except pruned:
@@ -250,15 +257,20 @@ def _edge_candidates(pattern: PatternGraph, graph: SystemGraph, pruned=()) -> di
     in trace order, as the monitor meets them.  The error raised, when the
     walk ends, is that of the first edge, by sorted id, that raises at any
     event, at the first event where it does, as if each edge were walked
-    over the whole trace in turn."""
-    out = {edge_id: Candidates() for edge_id in pattern.key_ids[0]}
+    over the whole trace in turn.  So once an edge has raised, later events
+    are judged only for the edges before it, and once the pattern's first
+    edge has raised, the walk stops."""
+    edge_ids = pattern.key_ids[0]
+    out = {edge_id: Candidates() for edge_id in edge_ids}
     error = None  # the (edge id, exception) to raise
     for index, event in enumerate(graph.events):
-        cands, raised = event_candidates(pattern, index, event, graph, pruned)
+        cands, raised = event_candidates(pattern, index, event, graph, pruned, error and error[0])
         for edge_id, cand in cands.items():
             out[edge_id].append(cand)
-        if raised is not None and (error is None or raised[0] < error[0]):
-            error = raised
+        if raised is not None:
+            error = raised  # its edge sorts before any that raised earlier: no later one was judged
+            if raised[0] == edge_ids[0]:
+                break
     if error is not None:
         raise error[1]
     return out

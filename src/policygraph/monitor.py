@@ -61,8 +61,7 @@ whatever that order is:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .matching import (
     DEFAULT_MATCH_CAP,
@@ -82,8 +81,10 @@ from .predicates import merge_conditions  # noqa: F401  perfbench/tracing.py wra
 from .system import SystemEvent, SystemGraph, apply_record
 
 
-@dataclass(frozen=True, slots=True)
-class Decision:
+class Decision(NamedTuple):
+    """What the monitor made of one event: a named tuple, as it builds one
+    per event (see matching's module docstring)."""
+
     time: int
     src: str
     dest: str

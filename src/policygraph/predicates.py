@@ -602,14 +602,20 @@ def _apply_op(op: str, a: Any, b: Any, at: Expr) -> Any:
         if not (is_number(a) and is_number(b)):
             raise PredicateTypeError("arithmetic needs numbers", at)
         if op == "+":
-            return a + b
-        if op == "-":
-            return a - b
-        if op == "*":
-            return a * b
-        if b == 0:
+            value = a + b
+        elif op == "-":
+            value = a - b
+        elif op == "*":
+            value = a * b
+        elif b == 0:
             raise PredicateTypeError("division by zero", at)
-        return a / b
+        else:
+            value = a / b
+        # inf - inf, 0 * inf or inf / inf: a NaN no literal names, so a
+        # folded policy could not be printed; a NaN operand still gives NaN
+        if value != value and a == a and b == b:
+            raise PredicateTypeError("arithmetic on infinity has no value", at)
+        return value
     raise AssertionError(f"unknown operator {op!r}")
 
 

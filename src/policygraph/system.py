@@ -19,7 +19,7 @@ import json
 from bisect import bisect_right
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Any, Callable, Iterable, Iterator, Mapping, Optional
+from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Optional
 from weakref import ref
 
 from .values import from_json, maps_equal, to_json, values_equal
@@ -44,8 +44,10 @@ class ObjectSnapshot:
     time: int
 
 
-@dataclass(frozen=True, slots=True)
-class SystemEvent:
+class SystemEvent(NamedTuple):
+    """One event of a trace: a named tuple, as ingestion and the monitor
+    build one per event record (see matching's module docstring)."""
+
     src: str
     dest: str
     params: Mapping[str, Any]  # includes the injected "time"
@@ -269,16 +271,23 @@ def _coerce_map(raw: Any, what: str, record_no: int) -> dict[str, Any]:
     return out
 
 
+# the keys a record, and its body, may carry; checked with key views, so a
+# record builds no set
+_OBJECT_RECORD = frozenset(("t", "note", "object"))
+_EVENT_RECORD = frozenset(("t", "note", "event"))
+_OBJECT_BODY = frozenset(("id", "attrs"))
+_EVENT_BODY = frozenset(("src", "dest", "params"))
+
+
 def apply_record(graph: SystemGraph, record: dict[str, Any], last_time: int, record_no: int = 0) -> tuple[int, SystemEvent | None]:
     """Apply one decoded trace record; returns the new time cursor and the
     event, if the record was one."""
     if not isinstance(record, dict):
         raise TraceError(f"record must be a JSON object, got {record!r}", record_no)
-    body_keys = (set(record) - {"t", "note"})
-    if body_keys == {"object"}:
+    if "object" in record and record.keys() <= _OBJECT_RECORD:
         t = _check_time(record, last_time, record_no)
         body = record["object"]
-        if not isinstance(body, dict) or set(body) - {"id", "attrs"} or "id" not in body:
+        if not isinstance(body, dict) or "id" not in body or not body.keys() <= _OBJECT_BODY:
             raise TraceError("object record needs 'id' and optional 'attrs'", record_no)
         obj_id = body["id"]
         if not isinstance(obj_id, str) or not obj_id:
@@ -289,10 +298,10 @@ def apply_record(graph: SystemGraph, record: dict[str, Any], last_time: int, rec
         attrs["id"] = obj_id
         graph._declare_object(obj_id, attrs, t, record_no)
         return t, None
-    if body_keys == {"event"}:
+    if "event" in record and record.keys() <= _EVENT_RECORD:
         t = _check_time(record, last_time, record_no)
         body = record["event"]
-        if not isinstance(body, dict) or set(body) - {"src", "dest", "params"} or {"src", "dest"} - set(body):
+        if not isinstance(body, dict) or "src" not in body or "dest" not in body or not body.keys() <= _EVENT_BODY:
             raise TraceError("event record needs 'src', 'dest' and optional 'params'", record_no)
         src, dest = body["src"], body["dest"]
         if not isinstance(src, str) or not isinstance(dest, str):

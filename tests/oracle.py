@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import random
 from typing import Any, Iterator, Mapping
 
@@ -158,14 +159,18 @@ def _eval(e: Expr, ctx: Mapping[str, Any], bindings: Mapping[str, Any]) -> Any:
         if not (_is_num(a) and _is_num(b)):
             raise OracleTypeError("arithmetic needs numbers")
         if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        if b == 0:
+            value = a + b
+        elif e.op == "-":
+            value = a - b
+        elif e.op == "*":
+            value = a * b
+        elif b == 0:
             raise OracleTypeError("division by zero")
-        return a / b
+        else:
+            value = a / b
+        if math.isnan(value) and not (math.isnan(a) or math.isnan(b)):
+            raise OracleTypeError("arithmetic on infinity has no value")
+        return value
     raise AssertionError(f"unknown operator {e.op!r}")
 
 

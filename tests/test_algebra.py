@@ -562,7 +562,6 @@ class TestBoundedUniverse:
         {"max_objects": 10**6},
         {"max_instances": 10**9},
         {"attributes": (), "max_instances": 10**6, "max_events": 10**9},
-        {"max_objects": 10**6, "max_instances": 0},  # 10**6 + 1 systems of no objects
     ], ids=str)
     def test_far_past_the_ceiling_raises_at_once(self, fields):
         """The count stops once it passes the ceiling: no object count, power
@@ -572,7 +571,7 @@ class TestBoundedUniverse:
         start = time.perf_counter()
         with pytest.raises(UniverseCeilingError, match=r"^universe holds more than 500000 systems$"):
             next(orbit_systems(u))
-        # counting the last case frame by frame up to the ceiling takes about 0.6 s
+        # the count stops at the first frame that takes it past the ceiling
         assert time.perf_counter() - start < 0.25
 
     def test_from_json(self):
@@ -870,18 +869,21 @@ class TestOrbitWalk:
         with pytest.raises(UniverseCeilingError):
             next(orbit_systems(big))
 
-    def test_a_zero_instant_universe_is_walked_in_linear_time(self):
-        """8 000 objects without an instant: one empty system per object
-        count, each of weight 1, with no id list or group order built for
-        any count."""
-        u = UniverseBounds(8000, 0, ("kind",), (), (0,), 0)
+    @pytest.mark.parametrize("max_objects", [0, 1, 8000, 10**6])
+    def test_a_zero_instant_universe_holds_one_system(self, max_objects):
+        """Without an instant no object is declared, whatever max_objects
+        says: the universe holds one system, the one without objects,
+        walked once with weight 1 and checked once by contains."""
+        u = UniverseBounds(max_objects, 0, ("kind",), ("act",), (0,), 2)
         start = time.perf_counter()
-        walked = [(system_key(g), weight) for g, weight, _ in orbit_systems(u)]
-        enumerated = [system_key(g) for g in enumerate_systems(u)]
-        assert time.perf_counter() - start < 1.0
-        assert walked == [(key, 1) for key in enumerated] and len(walked) == 8001
+        assert _system_count(u) == 1
+        assert [(system_key(g), weight) for g, weight, _ in orbit_systems(u)] == [(((), ()), 1)]
+        assert [system_key(g) for g in enumerate_systems(u)] == [((), ())]
         p = TestAtomMemo.FLOW
-        assert contains(p, p, u).systems_checked == 8001
+        assert contains(p, p, u).systems_checked == 1
+        assert time.perf_counter() - start < 1.0
+        with pytest.raises(UniverseCeilingError):
+            next(orbit_systems(UniverseBounds(max_objects, 0, ("kind",), (), (0,), 0, ceiling=0)))
 
     def test_a_cell_without_values_ends_the_walk(self):
         """With an attribute at an instant and no value for it, only the

@@ -336,7 +336,6 @@ class TestAlgebraMode:
         {"max_objects": 10**6},
         {"max_instances": 10**9},
         {"attributes": [], "max_instances": 10**6, "max_events": 10**9},
-        {"max_objects": 10**6, "max_instances": 0},
     ], ids=str)
     def test_universe_far_past_its_ceiling(self, tmp_path, capsys, fields):
         """The flow pair's universe made far larger than its ceiling: the
@@ -353,6 +352,41 @@ class TestAlgebraMode:
         assert time.perf_counter() - start < 1
         assert (code, text) == (EXIT_USAGE, "")
         assert _error_line(capsys) == "error: universe holds more than 500000 systems"
+
+    @pytest.mark.parametrize("arith", ["{h} - {h}", "{h} + (0 - {h})", "{h} * 0", "{h} / {h}"])
+    @pytest.mark.parametrize("op, targets", [("reverse", ["q"]), ("and", ["q", "q2"]), ("nullify", ["q"])])
+    def test_no_policy_prints_a_nan(self, tmp_path, capsys, arith, op, targets):
+        """Arithmetic on infinity without a value, which would fold to a NaN
+        and print as the attribute `nan`, stops the algebra with one error
+        line, as a division by zero does; nullify drops the requirement."""
+        huge = "1" * 400 + ".5"
+        req = arith.format(h=huge)
+        path = tmp_path / "q.policy"
+        path.write_text(
+            f"policy q {{\n node a\n node b\n edge e: a -> b domain: act = $A req: $A = {req}\n}}\n"
+            "policy q2 {\n node a\n node b\n edge e: a -> b domain: act = $A req: $A < 2\n}\n"
+        )
+        code, text = cli("--policies", path, "--mode", "algebra", "--op", op, "--targets", *targets)
+        assert "nan" not in text
+        if op == "nullify":
+            assert code == EXIT_OK and capsys.readouterr().err == ""
+        else:
+            assert (code, text) == (EXIT_PARSE, "")
+            assert _error_line(capsys).startswith("error: arithmetic on infinity has no value: ")
+
+    def test_universe_without_instants_holds_one_system(self, tmp_path, capsys):
+        """A million objects and no instant: no object is ever declared, so
+        the universe holds one system, checked at once."""
+        (tmp_path / "flow.policy").write_text(FLOW_PAIR)
+        universe = tmp_path / "universe.json"
+        universe.write_text(json.dumps({**FLOW_UNIVERSE, "max_objects": 10**6, "max_instances": 0}))
+        start = time.perf_counter()
+        code, text = cli(
+            "--policies", tmp_path / "flow.policy", "--mode", "algebra", "--op", "contains",
+            "--targets", "strict", "loose", "--universe", universe,
+        )
+        assert time.perf_counter() - start < 1
+        assert (code, text) == (EXIT_OK, "contains(strict, loose): contains (bounded: 1 systems checked)\n")
 
     def test_refuses_ill_formed(self, tmp_path, capsys):
         bad = tmp_path / "bad.policy"

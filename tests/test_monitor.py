@@ -668,8 +668,8 @@ class TestRetained:
         """A one-edge policy pins its only edge to the new event, so the
         monitor keeps nothing of its committed candidates: 20 000 allowed
         reads of one file by one user retain at most 320 B each: about
-        260 B is the committed history itself (slotted events), and a list
-        of the committed candidates made it about 590 B."""
+        270 B is the committed history itself (named-tuple events), and a
+        list of the committed candidates made it about 590 B."""
         records = [
             {"t": 1, "object": {"id": "u", "attrs": {"type": "user", "sec_level": 2}}},
             {"t": 1, "object": {"id": "f", "attrs": {"type": "file", "sec_level": 0}}},

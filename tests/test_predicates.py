@@ -367,6 +367,57 @@ class TestPrinterRoundTrip:
         assert parse_predicate(format_expr(e)) == e
 
 
+_HUGE = "1" * 400 + ".5"  # a literal too large for a float, which parses as inf
+
+
+@pytest.mark.parametrize("arith", [
+    f"{_HUGE} - {_HUGE}",
+    f"{_HUGE} + (0 - {_HUGE})",
+    f"{_HUGE} * 0",
+    f"0 * {_HUGE}",
+    f"{_HUGE} / {_HUGE}",
+    f"(0 - {_HUGE}) / {_HUGE}",
+], ids=["inf - inf", "inf + -inf", "inf * 0", "0 * inf", "inf / inf", "-inf / inf"])
+class TestArithmeticWithoutValue:
+    """Infinity minus itself, times zero, or over itself gives a NaN, which
+    no literal names: printed, it would read back as the attribute `nan`.
+    Arithmetic refuses it with a PredicateTypeError, as it refuses a
+    division by zero, wherever the infinities come from."""
+
+    def test_folding_refuses_it(self, arith):
+        with pytest.raises(PredicateTypeError, match="^arithmetic on infinity has no value: ") as info:
+            fold_constants(parse_predicate(f"x = {arith}"))
+        assert "nan" not in str(info.value)
+
+    def test_the_compiled_form_raises_the_interpreters_error(self, arith):
+        e = parse_predicate(f"x = {arith} || $V = x")
+        with pytest.raises(PredicateTypeError) as interpreted:
+            evaluate(e, {"x": 1}, {"V": 1})
+        with pytest.raises(PredicateTypeError) as compiled:
+            compile_ground(e)({"x": 1}, {"V": 1})
+        assert str(compiled.value) == str(interpreted.value)
+        assert interpreted.value.reason == "arithmetic on infinity has no value"
+
+    def test_infinities_from_a_trace_are_refused_too(self, arith):
+        """Substituted for attributes, the same operands raise the same
+        error; a NaN operand, which a trace may carry, still gives NaN."""
+        names = {}
+
+        def to_attr(node):
+            if isinstance(node, Const):
+                name = f"a{len(names)}"
+                names[name] = node.value
+                return Attr(name)
+            if isinstance(node, BinOp):
+                return BinOp(node.op, to_attr(node.left), to_attr(node.right))
+            return node
+
+        read = BinOp("=", Attr("x"), to_attr(parse_predicate(arith)))
+        with pytest.raises(PredicateTypeError, match="^arithmetic on infinity has no value: "):
+            evaluate(read, {"x": 1, **names}, {})
+        assert evaluate(BinOp("=", Attr("x"), BinOp("+", Attr("y"), Const(0))), {"x": 1, "y": float("nan")}, {}) == FALSE
+
+
 class TestWideExpressions:
     """The tree walks are iterative: a 10 000-way chain needs no deeper
     recursion than one term."""

@@ -565,6 +565,63 @@ class TestEdgeScreen:
         assert raised is None and list(cands) == ["e1", "e2", "e3"]
         assert all((c.event_index, c.src_obj, c.dest_obj) == (8, "x", "y") for c in cands.values())
 
+    @pytest.mark.parametrize("raising, judged", [
+        ("e1", 1),  # the first edge raises at the first event: the walk stops there
+        ("e2", 2 + 1_000),  # e2 raises there: each later event is judged for e1 alone
+    ])
+    def test_a_pass_judges_no_edge_at_or_after_one_that_raised(self, monkeypatch, raising, judged):
+        """Once an edge has raised, the batch pass judges no event for it or
+        any later edge, whose errors could never be the one raised; once the
+        pattern's first edge has raised, it judges nothing more.  Counted in
+        edge_candidate calls over 1 001 events; the error is the same."""
+        domains = {"e1": "m = 1", "e2": "m = 1"}
+        domains[raising] = 'm = 1 && k > 0'
+        p = parse_policy(f"""
+        policy p {{
+          node a
+          node b
+          edge e1: a -> b domain: {domains["e1"]}
+          edge e2: a -> b domain: {domains["e2"]}
+        }}
+        """)
+        records = [{"t": 1, "object": {"id": "x", "attrs": {}}}, {"t": 1, "object": {"id": "y", "attrs": {}}}]
+        records += [{"t": 2, "event": {"src": "x", "dest": "y", "params": {"m": 1, "k": "z"}}}] * 1_001
+        graph = ingest_trace(records)
+        calls, judge = [], matching.edge_candidate
+
+        def spy(*args):
+            calls.append(args[1])
+            return judge(*args)
+
+        monkeypatch.setattr(matching, "edge_candidate", spy)
+        for check in (find_matches, verdict):
+            calls.clear()
+            with pytest.raises(PredicateTypeError, match='^ordered comparison needs numbers: "z" > 0$'):
+                check(p, graph)
+            assert len(calls) == judged and calls[-1] == "e1"
+
+    def test_the_event_step_judges_no_edge_at_or_after_before(self, monkeypatch):
+        """event_candidates given `before` judges only the edges on the
+        route whose ids sort before it."""
+        p = parse_policy("""
+        policy p {
+          node a
+          node b
+          edge e1: a -> b domain: m = 1
+          edge e2: a -> b domain: m = 1
+          edge e3: a -> b domain: m = 1
+        }
+        """)
+        graph = ingest_trace([
+            {"t": 1, "object": {"id": "x", "attrs": {}}},
+            {"t": 1, "object": {"id": "y", "attrs": {}}},
+            {"t": 2, "event": {"src": "x", "dest": "y", "params": {"m": 1}}},
+        ])
+        event = graph.events[0]
+        for before, judged in ((None, ["e1", "e2", "e3"]), ("e3", ["e1", "e2"]), ("e2", ["e1"]), ("e1", [])):
+            cands, raised = matching.event_candidates(p.domain, 0, event, graph, before=before)
+            assert list(cands) == judged and raised is None
+
     def test_raw_probe_admits_every_equal_constant(self):
         """1, 1.0 and true share a route, which admits all three edges; the
         edges' plans then tell them apart.  -0.0 meets 0.0, and a NaN
