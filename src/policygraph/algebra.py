@@ -55,8 +55,8 @@ from dataclasses import MISSING, dataclass, fields
 from functools import partial
 from typing import Any, Callable, Iterator, Optional, Sequence, Union
 
-from .matching import (DEFAULT_MATCH_CAP, MatchCapExceeded, MatchingError, checked_domain, each_match, event_candidates,
-                       judge_requirement, match_key)
+from .matching import (DEFAULT_MATCH_CAP, MatchCapExceeded, _require_captures, _settle, checked_domain, each_match,
+                       event_candidates, judge_requirement, match_key)
 from .matching import check_requirement, find_matches  # noqa: F401  perfbench/tracing.py wraps them here
 from .policy import PatternGraph, PolicyGraph, domain_of, requirement_of
 from .predicates import FALSE, TRUE, BinOp, Not, PredicateTypeError, attributes_of, constants_of, fold_constants
@@ -245,12 +245,8 @@ def _atom_outcomes(p: PolicyGraph, graph: SystemGraph, cap: int) -> tuple[frozen
     until the join ends, so an error of the join wins, and then that of the
     first raising match in Match.key() order, as find_matches followed by
     check_requirement raise."""
-    shape, upheld, failed = p.fingerprint, [], []
-    count, error = 0, None  # error: (the raising match's key, its exception)
-
-    def judge(edge_events, iso_objects, _nodes, bindings, _waiting) -> None:
-        nonlocal count, error
-        count += 1
+    shape, upheld, failed, error = p.fingerprint, [], [], None  # error: (the raising match's key, its exception)
+    for count, (edge_events, iso_objects, _, bindings, _) in enumerate(each_match(checked_domain(p), graph), 1):
         if count > cap:
             raise MatchCapExceeded(p.name, cap)
         key = match_key(edge_events, iso_objects, bindings)
@@ -259,10 +255,8 @@ def _atom_outcomes(p: PolicyGraph, graph: SystemGraph, cap: int) -> tuple[frozen
         except PredicateTypeError as exc:
             if error is None or key < error[0]:
                 error = key, exc
-            return
+            continue
         (upheld if holds else failed).append((shape, key))
-
-    each_match(checked_domain(p), graph, judge)
     if error is not None:
         raise error[1]
     return frozenset(upheld), frozenset(failed)
@@ -550,43 +544,34 @@ def pattern_matches_bounded(
     edge_cands: Optional[dict] = None,
     policy_name: str = "?",
 ) -> set[tuple]:
-    """The Match.key()s of a pattern's matches on a system, found by the
-    shared join, matching.each_match, through one callback (see
-    _Comparison), on `edge_cands` as each_match takes them.  More than
-    `cap` keys raise MatchCapExceeded, which names `policy_name`, as
-    match_pattern's does.
+    """The Match.key()s of a pattern's matches on a system, met in one
+    loop over the shared join, matching.each_match (see _Comparison), on
+    `edge_cands` as each_match takes them.  More than `cap` keys raise
+    MatchCapExceeded, which names `policy_name`, as match_pattern's does.
 
     Without a pool the match is exact, as match_pattern's: every variable
     binds what its capture finds, a PredicateTypeError raises, and a
-    pattern with a free variable raises MatchingError.  With
-    one, every variable ranges over the pool: a captured value not `in
-    pool` (a NaN never is) is no match, and the pattern's free variables,
-    which nothing captures, take each tuple of `choices`, NaN as any other
-    pool value, under which the filters that waited for them run.  A
-    binding under which a predicate raises PredicateTypeError is then no
-    match, as in brute enumeration: the pool holds both patterns'
-    constants, which the system may never bind.
+    pattern with a free variable raises match_pattern's MatchingError.
+    With one, every variable ranges over the pool: a captured value not
+    `in pool` (a NaN never is) is no match, and the pattern's free
+    variables, which nothing captures, take each tuple of `choices`, NaN
+    as any other pool value, under which the filters that waited for them
+    run (matching._settle).  A binding under which a predicate raises
+    PredicateTypeError is then no match, as in brute enumeration: the pool
+    holds both patterns' constants, which the system may never bind.
     """
-    free = pattern.free
-    if pool is None and free:
-        raise MatchingError(f"variables {list(free)} have no capture, so they can be matched only over a pool")
-    keys: set[tuple] = set()
-
-    def found(edge_events, iso_objects, _nodes, bindings, waiting) -> None:
+    if pool is None:
+        _require_captures(pattern, policy_name)
+    free, keys = pattern.free, set()
+    for edge_events, iso_objects, _, bindings, waiting in each_match(pattern, graph, edge_cands, prune_errors=pool is not None):
         if pool is not None and not all(value in pool for value in bindings.values()):
-            return
+            continue
         for choice in choices:  # ((),) when nothing is free: bindings serve as they are
             full = bindings | dict(zip(free, choice)) if choice else bindings
-            try:
-                if waiting and not all(check(ctx, full) is True for (_, _, check), ctx in waiting):
-                    continue
-            except PredicateTypeError:
-                continue
-            keys.add(match_key(edge_events, iso_objects, full))
+            if not waiting or _settle(waiting, full, PredicateTypeError) is not None:
+                keys.add(match_key(edge_events, iso_objects, full))
         if len(keys) > cap:
             raise MatchCapExceeded(policy_name, cap)
-
-    each_match(pattern, graph, found, edge_cands, prune_errors=pool is not None)
     return keys
 
 

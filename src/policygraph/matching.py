@@ -52,7 +52,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Any, Callable, Mapping, NamedTuple, Optional, Sequence
+from typing import Any, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .policy import PatternGraph, PolicyGraph, domain_of, validate_policy
 from .predicates import Const, PredicateTypeError
@@ -319,13 +319,10 @@ def match_pattern(
     captures (rule R1) raises MatchingError before any candidate is listed."""
     _require_captures(pattern, policy_name)
     matches: list[Match] = []
-
-    def finish(edge_events, iso_objects, node_objects, bindings, _waiting) -> None:
+    for edge_events, iso_objects, node_objects, bindings, _ in each_match(pattern, graph):
         matches.append(Match(policy_name, dict(edge_events), dict(iso_objects), dict(node_objects), bindings))
         if len(matches) > cap:
             raise MatchCapExceeded(policy_name, cap)
-
-    each_match(pattern, graph, finish)
     if len(matches) > 1:
         # Match.key() order: an assignment fixes its bindings, so its events by
         # sorted edge id, then its pairs by sorted node id, decide the order
@@ -345,19 +342,18 @@ class JoinPlan(NamedTuple):
 def each_match(
     pattern: PatternGraph,
     graph: SystemGraph,
-    on_match: Callable[[Mapping[str, int], Mapping, Mapping[str, str], dict[str, Any], tuple], None],
     edge_cands: Optional[Mapping[str, Sequence[_EdgeCandidate]]] = None,
     *,
     equal: tuple[tuple[str, str], ...] = (),
     prune_errors: bool = False,
     pinned: Optional[tuple[str, _EdgeCandidate]] = None,
-) -> None:
-    """Backtracking enumeration of every match of a pattern: calls
-    on_match(edge_events, isolated_objects, node_objects, bindings,
-    waiting) once per match, with the fields of its Match and the (filter,
-    context) pairs still waiting for a variable no plan captured (none
-    under rule R1).  The assignment dicts are the join's own, valid only
-    during the call; an exception from on_match ends the search.
+) -> Iterator[tuple[Mapping[str, int], Mapping, Mapping[str, str], dict[str, Any], tuple]]:
+    """Backtracking enumeration of every match of a pattern: yields
+    (edge_events, isolated_objects, node_objects, bindings, waiting) per
+    match, the fields of its Match and the (filter, context) pairs still
+    waiting for a variable no plan captured (none under rule R1).  The
+    assignment dicts are the join's own, valid until the next item; a
+    consumer that stops iterating ends the search.
 
     The pattern's JoinPlan for the order, compiled when first met, places
     edges by ascending candidate count, ties by id, then isolated nodes by
@@ -405,7 +401,8 @@ def each_match(
     object_nodes, bindings, captured = {}, {}, {}  # node_objects inverted; bindings; each placed element's captures
     cursors, undo, waits = [None] * (n := len(positions)), [None] * n, [()] * n  # per position: see the loop
     if not n:
-        return on_match(edge_events, iso_objects, node_objects, {}, ())
+        yield edge_events, iso_objects, node_objects, {}, ()
+        return
     i, last = 0, n - 1
     while i >= 0:  # at position i: take back its last placement, place its cursor's next one, go on or go back
         elt, is_edge, src, dest, filters, _, fresh, checks = positions[i]
@@ -463,11 +460,11 @@ def each_match(
                 waits[i + 1] = due
                 i += 1
             elif is_edge:  # a match; the loop takes this placement back and goes on
-                on_match(edge_events, iso_objects, node_objects, {v: captured[o][v] for v, o in owners}, due)
+                yield edge_events, iso_objects, node_objects, {v: captured[o][v] for v, o in owners}, due
             else:  # a match at each instant of the span
                 for instant in range(first, end + 1):
                     iso_objects[elt] = (obj, instant)
-                    on_match(edge_events, iso_objects, node_objects, {v: captured[o][v] for v, o in owners}, due)
+                    yield edge_events, iso_objects, node_objects, {v: captured[o][v] for v, o in owners}, due
             break
         else:
             cursors[i] = None
@@ -508,15 +505,13 @@ def _compile_join(pattern: PatternGraph, edge_order: tuple, iso_order: tuple, eq
 
 
 def checked_domain(p: PolicyGraph) -> PatternGraph:
-    """The policy's domain, the pattern find_matches joins, once its guards
-    pass: a policy that does not validate cleanly raises
-    InvalidPolicyError, and a variable without a capture MatchingError."""
+    """The policy's domain, the pattern find_matches joins, once it
+    validates cleanly, which gives every variable a capture (rule R1);
+    otherwise InvalidPolicyError."""
     issues = validate_policy(p)
     if issues:
         raise InvalidPolicyError(issues)
-    pattern = domain_of(p)
-    _require_captures(pattern, p.name)
-    return pattern
+    return domain_of(p)
 
 
 def find_matches(p: PolicyGraph, graph: SystemGraph, cap: int = DEFAULT_MATCH_CAP) -> list[Match]:

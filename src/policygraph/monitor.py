@@ -39,12 +39,13 @@ every domain filter, never raises, each operand $A != $B of its top-level
 1982): a failing match binds A and B equal, so a branch where they differ,
 between any two elements, is pruned.
 
-A decision only asks whether a failing match exists, so it is made inside
-the join: each completed match is counted and its requirement judged as
-the search meets it, and a policy's search stops at its first failing
-match.  No Match is built and nothing is sorted.  The search meets matches
-in join order, not Match.key() order, so two rules say what an event does
-whatever that order is:
+A decision only asks whether a failing match exists, so it is made as the
+join yields its matches: each completed match is counted and its
+requirement judged as the search meets it, and a policy's search returns
+at its first failing match, with that match still in hand.  No Match is
+built and nothing is sorted.  The search meets matches in join order, not
+Match.key() order, so two rules say what an event does whatever that
+order is:
 
 - Violations win over type errors.  An event is denied when any policy has
   a failing match.  A requirement that raises, or gives no boolean, raises
@@ -182,10 +183,6 @@ class _Watched:
         self.equal = unequal_operands(requirements[0]) if quiet else ()
 
 
-class _Violation(Exception):
-    """Ends a decision's search at its first failing match."""
-
-
 def _search(
     watched: _Watched, cands: Mapping[str, Any], graph: SystemGraph, cap: int
 ) -> tuple[bool, Optional[PredicateTypeError]]:
@@ -194,26 +191,19 @@ def _search(
     fails the policy's requirement; and, where none fails, the
     first PredicateTypeError a requirement raised.  Counting more than
     `cap` matches before a failing one raises MatchCapExceeded."""
-    policy = watched.policy
-    count = 0
-    error = None
-
-    def judge(edge_events, _isolated, _nodes, bindings, _waiting) -> None:
-        nonlocal count, error
-        count += 1
-        if count > cap:
-            raise MatchCapExceeded(policy.name, cap)
-        try:
-            holds = judge_requirement(policy, edge_events, bindings, graph)[0]
-        except PredicateTypeError as exc:
-            error = error or exc
-            return
-        if not holds:
-            raise _Violation
-
-    try:
-        for edge_id, cand in cands.items():
-            each_match(watched.pattern, graph, judge, watched.committed, equal=watched.equal, pinned=(edge_id, cand))
-    except _Violation:
-        return True, None
+    policy, count, error = watched.policy, 0, None
+    for edge_id, cand in cands.items():
+        for edge_events, _, _, bindings, _ in each_match(
+            watched.pattern, graph, watched.committed, equal=watched.equal, pinned=(edge_id, cand)
+        ):
+            count += 1
+            if count > cap:
+                raise MatchCapExceeded(policy.name, cap)
+            try:
+                holds = judge_requirement(policy, edge_events, bindings, graph)[0]
+            except PredicateTypeError as exc:
+                error = error or exc
+                continue
+            if not holds:
+                return True, None
     return False, error

@@ -51,7 +51,7 @@ class PredicateTypeError(TypeError):
     """
 
     def __init__(self, message: str, expr: "Expr"):
-        super().__init__(f"{message}: {format_expr(expr)}")
+        super().__init__(f"{message}: {_format_expr(expr, 'inf')}")  # inf by name: its literal has 311 characters
         self.reason = message
         self.expr = expr
 
@@ -442,15 +442,18 @@ _ATOM_PREC = len(_LEVELS) + 2
 _BARE_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
 
 
-def _format_value(v: Any) -> str:
+_INF_LITERAL = "1" + "0" * 309 + ".0"  # no literal names inf, but one past the largest float overflows to it
+
+
+def _format_value(v: Any, inf: str) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
     if is_number(v):
         if v < 0:
             # the grammar has no unary minus; emit a parseable equivalent
-            return "(0 - %s)" % _format_value(-v)
-        if v == float("inf"):  # no literal names it, but one past the largest float overflows to it
-            return "1" + "0" * 309 + ".0"
+            return "(0 - %s)" % _format_value(-v, inf)
+        if v == float("inf"):
+            return inf
         if isinstance(v, float) and v.is_integer():
             return str(int(v))
         text = repr(v)
@@ -459,16 +462,16 @@ def _format_value(v: Any) -> str:
     if isinstance(v, str):
         return _quote(v)
     if isinstance(v, ValueSet):
-        return "{%s}" % ", ".join(_format_set_member(m) for m in v)
+        return "{%s}" % ", ".join(_format_set_member(m, inf) for m in v)
     raise TypeError(f"not a value: {v!r}")
 
 
-def _format_set_member(v: Any) -> str:
+def _format_set_member(v: Any, inf: str) -> str:
     if isinstance(v, str) and _BARE_IDENT.match(v) and v not in {"true", "false"} and v not in WORD_OPS:
         return v
     if is_number(v) and v < 0:
-        return "-" + _format_value(-v)
-    return _format_value(v)
+        return "-" + _format_value(-v, inf)
+    return _format_value(v, inf)
 
 
 def _prec_of(e: Expr) -> int:
@@ -481,14 +484,19 @@ def _prec_of(e: Expr) -> int:
 
 def format_expr(e: Expr) -> str:
     """Render an expression; parse_predicate(format_expr(e)) == e."""
+    return _format_expr(e, _INF_LITERAL)
+
+
+def _format_expr(e: Expr, inf: str) -> str:
+    """format_expr, with `inf` as the text of an infinity."""
     if isinstance(e, Const):
-        return _format_value(e.value)
+        return _format_value(e.value, inf)
     if isinstance(e, Attr):
         return e.name
     if isinstance(e, Var):
         return "$" + e.name
     if isinstance(e, Not):
-        inner = format_expr(e.operand)
+        inner = _format_expr(e.operand, inf)
         if _prec_of(e.operand) < _UNARY_PREC:
             inner = f"({inner})"
         return "!" + inner
@@ -498,12 +506,12 @@ def format_expr(e: Expr) -> str:
         prec = _PREC[e.op]
         tail = []  # " op right" of each link, outermost first
         while isinstance(e, BinOp) and _PREC[e.op] == prec:
-            right = format_expr(e.right)
+            right = _format_expr(e.right, inf)
             if _prec_of(e.right) <= prec:
                 right = f"({right})"
             tail.append(f" {e.op} {right}")
             e = e.left
-        left = format_expr(e)
+        left = _format_expr(e, inf)
         if _prec_of(e) < prec:
             left = f"({left})"
         return left + "".join(reversed(tail))

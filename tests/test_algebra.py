@@ -458,7 +458,8 @@ class TestAtomMemo:
             ], 2)]
         )
         met = []  # e2 has fewer candidates, so the join places it first
-        each_match(domain_of(ordered), g, lambda edge_events, *_: met.append((edge_events["e1"], edge_events["e2"])))
+        for edge_events, *_ in each_match(domain_of(ordered), g):
+            met.append((edge_events["e1"], edge_events["e2"]))
         assert met[0] != min(met)
         with pytest.raises(PredicateTypeError) as expected:
             verdict(ordered, g)

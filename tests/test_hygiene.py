@@ -1,6 +1,6 @@
 """Static checks over the package source: no dead imports or constants,
-one evaluator, one owner of snapshot memos and read marks, and no raised
-recursion limit.
+one evaluator, one owner of snapshot memos and read marks, no raised
+recursion limit and no `nonlocal`.
 
 Each module of src/policygraph and tests is parsed with `ast`, not imported.
 """
@@ -130,6 +130,11 @@ def calls_of(tree: ast.AST, names: frozenset[str]) -> list[str]:
     return sorted(found)
 
 
+def nonlocal_lines(tree: ast.AST) -> list[int]:
+    """The lines of the module's `nonlocal` statements."""
+    return sorted(node.lineno for node in ast.walk(tree) if isinstance(node, ast.Nonlocal))
+
+
 def test_modules_are_found():
     assert len(MODULES) >= 10
 
@@ -214,6 +219,13 @@ def test_no_module_raises_the_recursion_limit():
     assert raised == []
 
 
+def test_no_module_uses_nonlocal():
+    """The join yields its matches, so each consumer is a plain loop that
+    keeps its counts in its own locals: no closure rebinds a name of the
+    function around it."""
+    assert [f"{path.name}:{line}" for path in MODULES for line in nonlocal_lines(parse(path))] == []
+
+
 def test_the_checks_see_what_they_look_for(tmp_path):
     module = tmp_path / "sample.py"
     module.write_text(
@@ -246,3 +258,5 @@ def test_the_checks_see_what_they_look_for(tmp_path):
     assert calls_of(calls, INTERPRETER) == ["evaluate:4", "satisfy:5"]
     limit = ast.parse("import sys\nsys.setrecursionlimit(5000)\n")
     assert calls_of(limit, frozenset({"setrecursionlimit"})) == ["setrecursionlimit:2"]
+    closure = ast.parse("def f():\n    n = 0\n    def g():\n        nonlocal n\n        n += 1\n    return g\n")
+    assert nonlocal_lines(closure) == [4]

@@ -29,7 +29,7 @@ from policygraph.matching import (
     verdict,
     verdict_all,
 )
-from policygraph.monitor import Monitor, _Violation
+from policygraph.monitor import Monitor
 from policygraph.policy import PatternGraph, domain_of, make_policy, parse_policy, validate_policy
 from policygraph.predicates import (
     FALSE,
@@ -841,7 +841,8 @@ def join_results(policies, records) -> list:
     for p in policies:
         met: list = []
         try:
-            each_match(p.domain, graph, lambda edges, iso, _nodes, bindings, _waiting: met.append(repr((edges, iso, bindings))))
+            for edges, iso, _nodes, bindings, _waiting in each_match(p.domain, graph):
+                met.append(repr((edges, iso, bindings)))
         except Exception as error:  # noqa: BLE001  compared, not handled
             met.append(_raised(error))
         out.append(met)
@@ -973,22 +974,26 @@ ORDER_RECORDS = [
 
 
 def order_call(e1, e2, e3, instant, L, W, X):
-    """One on_match call of the order pattern, as recorded by met_in_order."""
+    """One match of the order pattern, as recorded by met_in_order."""
     edges = {"e1": e1, "e2": e2, "e3": e3}
     return edges, {"n": ("N", instant)}, {"a": "A", "b": "B", "n": "N"}, {"L": L, "W": W, "X": X, "Y": X}, ()
 
 
-def met_in_order(pattern, graph, stop_at=None, error=None) -> list:
-    """The on_match calls of each_match with `equal` (X, Y), in the order
-    they come; the call numbered stop_at raises `error` instead."""
+class _Stop(Exception):
+    """Raised by a consumer that ends its search on a match."""
+
+
+def met_in_order(pattern, graph, stop_at=None, how="break") -> list:
+    """The matches each_match yields with `equal` (X, Y), in the order they
+    come; at the match numbered stop_at the consumer stops, by `break` or,
+    with how="raise", by raising _Stop."""
     met: list = []
-
-    def record(edges, iso, nodes, bindings, waiting):
+    for edges, iso, nodes, bindings, waiting in each_match(pattern, graph, equal=(("X", "Y"),)):
         if len(met) == stop_at:
-            raise error
+            if how == "raise":
+                raise _Stop
+            break
         met.append((dict(edges), dict(iso), dict(nodes), dict(bindings), waiting))
-
-    each_match(pattern, graph, record, equal=(("X", "Y"),))
     return met
 
 
@@ -1014,17 +1019,21 @@ class TestJoinPlan:
             order_call(2, 3, 5, 3, 2, 7, 2),
         ]
 
-    @pytest.mark.parametrize("error", [MatchCapExceeded("order", 1), _Violation()], ids=["cap", "violation"])
-    def test_a_search_ended_by_on_match_leaves_nothing_behind(self, error):
-        """The plan a search ran holds no per-call state: after on_match
-        raised at any call, the next search of the same pattern meets what a
-        fresh pattern meets, in the same order."""
+    @pytest.mark.parametrize("how", ["break", "raise"])
+    def test_a_search_ended_by_its_consumer_leaves_nothing_behind(self, how):
+        """The plan a search ran holds no per-call state: after its consumer
+        stopped at any match, by `break` or by raising, the next search of
+        the same pattern meets what a fresh pattern meets, in the same
+        order."""
         graph = ingest_trace(ORDER_RECORDS)
         fresh = met_in_order(domain_of(parse_policy(ORDER_POLICY)), graph)
         pattern = domain_of(parse_policy(ORDER_POLICY))
         for stop_at in range(len(fresh)):
-            with pytest.raises(type(error)):
-                met_in_order(pattern, graph, stop_at, error)
+            if how == "raise":
+                with pytest.raises(_Stop):
+                    met_in_order(pattern, graph, stop_at, how)
+            else:
+                assert met_in_order(pattern, graph, stop_at, how) == fresh[:stop_at]
             assert met_in_order(pattern, graph) == fresh
         assert len(pattern.join_plans) == 1
 

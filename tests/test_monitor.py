@@ -362,36 +362,34 @@ def flat_decision(policies, graph, cap=DEFAULT_MATCH_CAP):
     new = len(graph.events) - 1
     denied, error = [], None
 
-    class Violation(Exception):
-        pass
+    def search(p, every, committed):
+        count, error = 0, None
+        for e, cands in every.items():
+            for cand in cands:
+                if cand.event_index != new:
+                    continue
+                for edge_events, _isolated, _nodes, bindings, _waiting in each_match(p.domain, graph, {**committed, e: [cand]}):
+                    count += 1
+                    if count > cap:
+                        raise MatchCapExceeded(p.name, cap)
+                    try:
+                        holds = judge_requirement(p, edge_events, bindings, graph)[0]
+                    except PredicateTypeError as exc:
+                        error = error or exc
+                        continue
+                    if not holds:
+                        return True, None
+        return False, error
 
     for p in policies:
         if not p.graph.edges:
             continue
         every = _edge_candidates(p.domain, graph)
         committed = {e: [c for c in cands if c.event_index != new] for e, cands in every.items()}
-        count = 0
-
-        def judge(edge_events, _isolated, _nodes, bindings, _waiting):
-            nonlocal count, error
-            count += 1
-            if count > cap:
-                raise MatchCapExceeded(p.name, cap)
-            try:
-                holds = judge_requirement(p, edge_events, bindings, graph)[0]
-            except PredicateTypeError as exc:
-                error = error or exc
-                return
-            if not holds:
-                raise Violation
-
-        try:
-            for e, cands in every.items():
-                for cand in cands:
-                    if cand.event_index == new:
-                        each_match(p.domain, graph, judge, {**committed, e: [cand]})
-        except Violation:
+        violated, unsettled = search(p, every, committed)
+        if violated:
             denied.append(p.name)
+        error = error or unsettled
     if error is not None and not denied:
         raise error
     return tuple(denied)

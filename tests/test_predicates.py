@@ -6,13 +6,14 @@ engine against the independent evaluator in oracle.py under fixed seeds.
 """
 
 import itertools
+import json
 import random
 import time
 
 import pytest
 
 from policygraph.matching import find_matches
-from policygraph.policy import parse_policy, validate_policy
+from policygraph.policy import parse_policy, print_policy, validate_policy
 from policygraph.predicates import (
     BOTTOM,
     FALSE,
@@ -418,6 +419,34 @@ class TestArithmeticWithoutValue:
         assert evaluate(BinOp("=", Attr("x"), BinOp("+", Attr("y"), Const(0))), {"x": 1, "y": float("nan")}, {}) == FALSE
 
 
+class TestInfinityInMessages:
+    """An error names an infinity `inf`, not by the 311-character literal
+    that print_policy and format_expr give it so that it parses back."""
+
+    def test_inf_minus_inf(self):
+        with pytest.raises(PredicateTypeError) as folded:
+            fold_constants(parse_predicate(f"x = {_HUGE} - {_HUGE}"))
+        assert str(folded.value) == "arithmetic on infinity has no value: inf - inf"
+        # a trace's JSON Infinity reaches the same message
+        with pytest.raises(PredicateTypeError) as read:
+            evaluate(parse_predicate("a - b > 0"), json.loads('{"a": Infinity, "b": Infinity}'), {})
+        assert str(read.value) == "arithmetic on infinity has no value: inf - inf"
+
+    def test_an_ordered_comparison_with_minus_inf(self):
+        e = parse_predicate('a < "z"')
+        with pytest.raises(PredicateTypeError) as interpreted:
+            evaluate(e, {"a": -float("inf")}, {})
+        with pytest.raises(PredicateTypeError) as compiled:
+            compile_ground(e)({"a": -float("inf")}, {})
+        assert str(interpreted.value) == str(compiled.value) == 'ordered comparison needs numbers: (0 - inf) < "z"'
+
+    def test_a_printed_policy_keeps_the_overflowing_literal(self):
+        p = parse_policy(f"policy big {{\n node a domain: level < {_HUGE}\n node b\n edge e: a -> b req: v > (0 - {_HUGE})\n}}")
+        text = print_policy(p)
+        assert "inf" not in text and "1" + "0" * 309 + ".0" in text
+        assert parse_policy(text) == p and print_policy(parse_policy(text)) == text
+
+
 class TestWideExpressions:
     """The tree walks are iterative: a 10 000-way chain needs no deeper
     recursion than one term."""
@@ -510,7 +539,7 @@ class TestNestingLimit:
         """At the limit a predicate parses, validates, prints, compiles,
         evaluates and matches at the default recursion limit."""
         from policygraph.matching import find_matches
-        from policygraph.policy import parse_policy, validate_policy
+        from policygraph.policy import parse_policy, print_policy, validate_policy
         from policygraph.system import ingest_trace
 
         text = nested(kind, MAX_NESTING)

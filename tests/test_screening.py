@@ -449,10 +449,8 @@ def engine_results(policies, records) -> list:
             out.append((v.upheld, [(repr(w.match.key()), w.satisfied, w.failing) for w in v.witnesses]))
         except Exception as error:  # noqa: BLE001
             out.append(_raised(error))
-        pruned = []
-        each_match(p.domain, graph, lambda edges, iso, *_: pruned.append((sorted(edges.items()), sorted(iso.items()))),
-                   prune_errors=True)
-        out.append(repr(pruned))
+        pruned = each_match(p.domain, graph, prune_errors=True)
+        out.append(repr([(sorted(edges.items()), sorted(iso.items())) for edges, iso, *_ in pruned]))
     return out
 
 
